@@ -64,7 +64,6 @@ from .simulation import (
     GaussianNoise,
     SimulationConfig,
     StudentTNoise,
-    aggregate_electoral_votes,
     probability_time_series,
     run_forecast,
     sample_state_noise,
@@ -114,7 +113,6 @@ __all__ = [
     "StateCalibration",
     "StatecastError",
     "StudentTNoise",
-    "aggregate_electoral_votes",
     "aggregate_scores",
     "brier",
     "calibrate_from_historical",

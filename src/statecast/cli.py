@@ -431,12 +431,24 @@ def _trade_reference(cfg: RunConfig, panel: online.ExpertPanel) -> ReferenceSeri
                                kind=trading.KIND_PAIR_MEAN)
     if not cfg.reference:
         raise ConfigurationError("market reference mode needs a reference file")
-    ref = _read_reference(cfg.reference)
+    return _read_reference(cfg.reference)
+
+
+def _reference_on_panel(ref: ReferenceSeries, panel: online.ExpertPanel) -> np.ndarray:
+    """Reference values on the panel's dates; every panel date must have one."""
     missing = sorted(set(panel.times.tolist()) - set(ref.times.tolist()))
     if missing:
         days = ", ".join(str(date.fromordinal(int(t))) for t in missing)
         raise AlignmentError(f"reference series missing expert dates: {days}")
-    return ref
+    return ref.values[np.isin(ref.times, panel.times)]
+
+
+def _online_mixture(cfg: RunConfig, panel: online.ExpertPanel, ref_on_panel: np.ndarray):
+    """Exponential weights over all but the panel's last date, under the
+    configured loss.  Returns (trimmed panel, run result)."""
+    loss_fn = online.trading_losses if cfg.loss == "trading" else online.quadratic_losses
+    trimmed = online.ExpertPanel(panel.names, panel.times[:-1], panel.values[:-1])
+    return trimmed, online.run(trimmed, loss_fn(panel.values, ref_on_panel))
 
 
 def _trade_realization(cfg: RunConfig) -> float | None:
@@ -466,12 +478,8 @@ def cmd_trade(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigurationError("trade needs an experts panel file")
     panel = _read_panel(cfg.experts)
     ref = _trade_reference(cfg, panel)
+    ref_on_panel = _reference_on_panel(ref, panel)
     omega = _trade_realization(cfg)
-
-    # Online mixture traded alongside the named experts; its losses come
-    # from the configured loss mode over the same reference.
-    loss_fn = online.trading_losses if cfg.loss == "trading" else online.quadratic_losses
-    ref_on_panel = ref.values[np.isin(ref.times, panel.times)]
     summary = []
     settled_series: list[trading.PnLSeries] = []
 
@@ -496,11 +504,11 @@ def cmd_trade(cfg: RunConfig, out_dir: Path) -> int:
         for j, name in enumerate(panel.names):
             trade_one(name, panel.times, panel.values[:, j])
 
+    # Online mixture traded alongside the named experts, over the same
+    # reference.
     if len(panel.times) > 1:
-        losses = loss_fn(panel.values, ref_on_panel)
-        trimmed = online.ExpertPanel(panel.names, panel.times[:-1], panel.values[:-1])
-        result = online.run(trimmed, losses)
-        trade_one(ONLINE_NAME, panel.times[:-1], result.aggregate)
+        trimmed, result = _online_mixture(cfg, panel, ref_on_panel)
+        trade_one(ONLINE_NAME, trimmed.times, result.aggregate)
 
     for pnl in settled_series:
         _write_pnl(out_dir, pnl)
@@ -517,12 +525,7 @@ def cmd_aggregate(cfg: RunConfig, out_dir: Path) -> int:
     panel = _read_panel(cfg.experts)
     if not cfg.reference:
         raise ConfigurationError("aggregate needs a reference file for losses")
-    ref = _read_reference(cfg.reference)
-    missing = sorted(set(panel.times.tolist()) - set(ref.times.tolist()))
-    if missing:
-        days = ", ".join(str(date.fromordinal(int(t))) for t in missing)
-        raise AlignmentError(f"reference series missing expert dates: {days}")
-    ref_on_panel = ref.values[np.isin(ref.times, panel.times)]
+    ref_on_panel = _reference_on_panel(_read_reference(cfg.reference), panel)
 
     if len(panel.times) < 2:
         print("warning: panel has a single date; nothing to aggregate",
@@ -535,15 +538,12 @@ def cmd_aggregate(cfg: RunConfig, out_dir: Path) -> int:
         _write_csv(out_dir / "mse.csv", ["forecaster", "mse"], [])
         return 0
 
-    loss_fn = online.trading_losses if cfg.loss == "trading" else online.quadratic_losses
-    losses = loss_fn(panel.values, ref_on_panel)
-    trimmed = online.ExpertPanel(panel.names, panel.times[:-1], panel.values[:-1])
-    result = online.run(trimmed, losses)
+    trimmed, result = _online_mixture(cfg, panel, ref_on_panel)
 
     _write_csv(out_dir / "aggregate.csv", ["date", "prediction"],
                [(_iso(t), p) for t, p in zip(trimmed.times, result.aggregate)])
 
-    n_rounds = losses.shape[0]
+    n_rounds = len(trimmed.times)
     _write_json(out_dir / "learner.json", {
         "loss": cfg.loss,
         "names": panel.names,

@@ -17,11 +17,11 @@ outcome.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import ConfigurationError, ScoreError
 
@@ -255,7 +255,7 @@ def gaussian_histogram(mean: float, std: float, n_bins: int = 539) -> np.ndarray
     if std <= 0:
         raise ValueError("std must be positive")
     edges = np.arange(n_bins + 1) - 0.5
-    cdf = norm.cdf(edges, loc=mean, scale=std)
+    cdf = np.array([0.5 * math.erfc((mean - x) / (std * math.sqrt(2))) for x in edges])
     h = np.diff(cdf)
     return h / h.sum()
 

@@ -8,6 +8,11 @@ Per path, each state gets an independent noise draw around its fitted line
 resamples the line's parameters), states are settled winner-take-all, and
 electoral votes are summed to 0..538.
 
+No draw depends on the day; only the market's level and horizon do.  So
+the market and each state are drawn once, and every day of a run is settled
+from those same draws: a many-day time series and a one-day forecast run
+the same code, and each day matches a one-day run bit for bit.
+
 Randomness uses counter-based Philox substreams: the market and each state
 own a stream keyed by (seed, stream index), and a path's draw sits at its
 path index within that stream.  Results are therefore bitwise identical no
@@ -59,7 +64,7 @@ NoiseModel = GaussianNoise | StudentTNoise
 class SimulationConfig:
     """Knobs for one forecast run; the seed is mandatory.
 
-    ``workers`` > 1 spreads state-noise generation over threads without
+    ``workers`` > 1 spreads state draws and settling over threads without
     changing any output bit.
     """
 
@@ -80,12 +85,12 @@ class SimulationConfig:
 
 @dataclass
 class PathOutcomes:
-    """Raw per-path results: terminal market, state spreads, electoral votes."""
+    """Per-day results over one set of paths: candidate 1's electoral votes
+    on each path (days x paths) and each state's win share (days x states)."""
 
     states: tuple[str, ...]
-    m_terminal: np.ndarray
-    state_spreads: np.ndarray
     ev_c1: np.ndarray
+    p_state: np.ndarray
 
 
 @dataclass
@@ -107,16 +112,6 @@ class ForecastDistribution:
             "ev_histogram": [float(x) for x in self.ev_histogram],
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ForecastDistribution":
-        return cls(
-            p_state={k: float(v) for k, v in doc["p_state"].items()},
-            p_national=float(doc["p_national"]),
-            ev_histogram=np.asarray(doc["ev_histogram"], dtype=float),
-            n_paths=int(doc["n_paths"]),
-            seed=int(doc["seed"]),
-        )
-
 
 _MARKET_STREAM = 0
 
@@ -127,87 +122,93 @@ def _stream(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def simulate_market_terminals(mkt: MarketCalibration, cfg: SimulationConfig) -> np.ndarray:
-    """Terminal national spreads: m + (sigma_samp + sigma_m) * sqrt(T) * Z."""
-    rng = _stream(cfg.seed, _MARKET_STREAM)
-    z = rng.standard_normal(cfg.n_paths)
-    return mkt.m_current + mkt.sigma_total * np.sqrt(mkt.horizon) * z
+def simulate_market_terminals(
+    markets: list[MarketCalibration], cfg: SimulationConfig
+) -> np.ndarray:
+    """Terminal national spreads, one row per market, all from one draw of
+    the market stream: m + (sigma_samp + sigma_m) * sqrt(T) * Z."""
+    z = _stream(cfg.seed, _MARKET_STREAM).standard_normal(cfg.n_paths)
+    m = np.empty((len(markets), cfg.n_paths))
+    for d, mkt in enumerate(markets):
+        m[d] = mkt.m_current + mkt.sigma_total * np.sqrt(mkt.horizon) * z
+    return m
 
 
 def sample_state_noise(
     cal: StateCalibration,
-    m_terminal,
+    n_paths: int,
     model: NoiseModel,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Spread draws for one state given terminal market values.
+) -> tuple:
+    """One state's draws as ``(intercept, slope, noise)``.
 
-    ``m_terminal`` may be a scalar or an array of per-path terminals; one
-    spread is returned per value, consuming the stream in a fixed order.
+    The state's spread on a path with terminal market m is
+    ``intercept + slope * m + noise``.  Gaussian: the fitted line (scalars)
+    plus sigma_eps * Z; Student-T: a per-path line plus scale * t.
     """
-    m = np.atleast_1d(np.asarray(m_terminal, dtype=float))
-    n = m.shape[0]
     if isinstance(model, GaussianNoise):
-        z = rng.standard_normal(n)
-        return cal.alpha + cal.beta * m + cal.sigma_eps * z
+        return cal.alpha, cal.beta, cal.sigma_eps * rng.standard_normal(n_paths)
     if isinstance(model, StudentTNoise):
-        alpha = rng.normal(cal.alpha, model.sigma_alpha, n)
-        beta = rng.normal(cal.beta, model.sigma_beta, n)
-        scale = np.abs(rng.normal(0.0, cal.sigma_eps, n))
-        t = rng.standard_t(model.nu, n)
-        return alpha + beta * m + scale * t
+        alpha = rng.normal(cal.alpha, model.sigma_alpha, n_paths)
+        beta = rng.normal(cal.beta, model.sigma_beta, n_paths)
+        scale = np.abs(rng.normal(0.0, cal.sigma_eps, n_paths))
+        return alpha, beta, scale * rng.standard_t(model.nu, n_paths)
     raise TypeError(f"unknown noise model {model!r}")
-
-
-def aggregate_electoral_votes(
-    state_spreads: dict[str, float],
-    ev_table: dict[str, int],
-    win_threshold: float = 0.0,
-) -> int:
-    """Electoral votes for candidate 1 on one path, winner-take-all.
-
-    A state counts only when its spread strictly exceeds the threshold; a
-    spread exactly at the threshold goes to candidate 2.
-    """
-    total = 0
-    for state, votes in ev_table.items():
-        if state not in state_spreads:
-            raise ConfigurationError(f"no simulated spread for state {state}")
-        if state_spreads[state] > win_threshold:
-            total += votes
-    return total
 
 
 def simulate_paths(
     cals: dict[str, StateCalibration],
-    mkt: MarketCalibration,
+    markets: list[MarketCalibration],
     ev_table: dict[str, int],
     cfg: SimulationConfig,
 ) -> PathOutcomes:
-    """All Monte Carlo paths: market terminals, state spreads, EV totals."""
+    """All Monte Carlo paths settled against every market in ``markets``.
+
+    Each state is drawn once; every market is settled from those draws.
+    Workers take fixed strided chunks of states and each returns its own
+    integer EV accumulator, so the sum does not depend on ``cfg.workers``.
+    """
     states = tuple(sorted(ev_table))
     missing = [s for s in states if s not in cals]
     if missing:
         raise ConfigurationError(f"missing calibration for: {', '.join(missing)}")
 
-    m = simulate_market_terminals(mkt, cfg)
-    spreads = np.empty((cfg.n_paths, len(states)), dtype=float)
+    m = simulate_market_terminals(markets, cfg)
+    p_state = np.empty((len(markets), len(states)))
 
-    def fill(i: int) -> None:
-        rng = _stream(cfg.seed, 1 + i)
-        spreads[:, i] = sample_state_noise(cals[states[i]], m, cfg.noise_model, rng)
+    def settle(chunk: range) -> np.ndarray:
+        ev_c1 = np.zeros(m.shape, dtype=np.int16)  # at most 538 votes
+        for i in chunk:
+            rng = _stream(cfg.seed, 1 + i)
+            intercept, slope, noise = sample_state_noise(
+                cals[states[i]], cfg.n_paths, cfg.noise_model, rng)
+            votes = np.int16(ev_table[states[i]])
+            for d, m_d in enumerate(m):
+                won = intercept + slope * m_d + noise > cfg.win_threshold
+                p_state[d, i] = won.mean()
+                ev_c1[d] += votes * won
+        return ev_c1
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            list(pool.map(fill, range(len(states))))
-    else:
-        for i in range(len(states)):
-            fill(i)
+    n_chunks = min(cfg.workers, len(states))
+    chunks = [range(k, len(states), n_chunks) for k in range(n_chunks)]
+    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
+        ev_c1 = sum(pool.map(settle, chunks))
+    return PathOutcomes(states=states, ev_c1=ev_c1, p_state=p_state)
 
-    wins = spreads > cfg.win_threshold
-    votes = np.array([ev_table[s] for s in states], dtype=np.int64)
-    ev_c1 = wins.astype(np.int64) @ votes
-    return PathOutcomes(states=states, m_terminal=m, state_spreads=spreads, ev_c1=ev_c1)
+
+def _forecasts(paths: PathOutcomes, cfg: SimulationConfig) -> list[ForecastDistribution]:
+    """One forecast per market row of ``paths``."""
+    out = []
+    for ev_c1, p_state in zip(paths.ev_c1, paths.p_state):
+        histogram = np.bincount(ev_c1, minlength=TOTAL_ELECTORAL_VOTES + 1) / cfg.n_paths
+        out.append(ForecastDistribution(
+            p_state={s: float(p) for s, p in zip(paths.states, p_state)},
+            p_national=float(histogram[WIN_ELECTORAL_VOTES:].sum()),
+            ev_histogram=histogram,
+            n_paths=cfg.n_paths,
+            seed=cfg.seed,
+        ))
+    return out
 
 
 def run_forecast(
@@ -217,21 +218,7 @@ def run_forecast(
     cfg: SimulationConfig,
 ) -> ForecastDistribution:
     """Win probabilities and EV histogram over ``cfg.n_paths`` simulations."""
-    paths = simulate_paths(cals, mkt, ev_table, cfg)
-    wins = paths.state_spreads > cfg.win_threshold
-    p_state = {
-        state: float(wins[:, i].mean()) for i, state in enumerate(paths.states)
-    }
-    counts = np.bincount(paths.ev_c1, minlength=TOTAL_ELECTORAL_VOTES + 1)
-    histogram = counts / cfg.n_paths
-    p_national = float(histogram[WIN_ELECTORAL_VOTES:].sum())
-    return ForecastDistribution(
-        p_state=p_state,
-        p_national=p_national,
-        ev_histogram=histogram,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-    )
+    return _forecasts(simulate_paths(cals, [mkt], ev_table, cfg), cfg)[0]
 
 
 def probability_time_series(
@@ -242,12 +229,10 @@ def probability_time_series(
 ) -> list[tuple[float, float]]:
     """National win probability for a sequence of market states.
 
-    Each entry reruns the forecast with that day's level and horizon (same
-    seed throughout), so two days with identical data differ only through
-    the remaining diffusion time.
+    Each state is drawn once (same seed throughout) and every day is settled
+    from those draws with that day's level and horizon, so each entry equals
+    ``run_forecast`` on that day's market, and two days with identical data
+    differ only through the remaining diffusion time.
     """
-    out = []
-    for mkt in markets:
-        dist = run_forecast(cals, mkt, ev_table, cfg)
-        out.append((mkt.horizon, dist.p_national))
-    return out
+    dists = _forecasts(simulate_paths(cals, markets, ev_table, cfg), cfg)
+    return [(mkt.horizon, dist.p_national) for mkt, dist in zip(markets, dists)]

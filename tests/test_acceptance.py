@@ -70,7 +70,7 @@ def test_criterion_2_cdf_equals_crps():
 def test_criterion_3_brownian_terminal_law():
     mkt = MarketCalibration(sigma_samp=1.25, sigma_m=0.75, m_current=1.5,
                             horizon=25.0)
-    m = simulate_market_terminals(mkt, SimulationConfig(seed=2, n_paths=10000))
+    [m] = simulate_market_terminals([mkt], SimulationConfig(seed=2, n_paths=10000))
     var_ok = abs(m.var(ddof=1) - 100.0) <= 0.05 * 100.0
     mean_tol = 4.0 * 2.0 * math.sqrt(25.0) / math.sqrt(10000.0)
     mean_ok = abs(m.mean() - 1.5) <= mean_tol

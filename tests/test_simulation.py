@@ -1,5 +1,8 @@
 """Monte Carlo simulation: terminal law, state noise, EV aggregation."""
 
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,6 @@ from statecast.simulation import (
     SimulationConfig,
     StudentTNoise,
     _stream,
-    aggregate_electoral_votes,
     probability_time_series,
     run_forecast,
     sample_state_noise,
@@ -18,6 +20,23 @@ from statecast.simulation import (
     simulate_paths,
 )
 from statecast.states import default_ev_table
+
+MODELS = [GaussianNoise(), StudentTNoise()]
+
+
+def aggregate_electoral_votes(state_spreads, ev_table, win_threshold=0.0):
+    """Per-path oracle: candidate 1's electoral votes, winner-take-all.
+
+    A state counts only when its spread strictly exceeds the threshold; a
+    spread exactly at the threshold goes to candidate 2.
+    """
+    total = 0
+    for state, votes in ev_table.items():
+        if state not in state_spreads:
+            raise ConfigurationError(f"no simulated spread for state {state}")
+        if state_spreads[state] > win_threshold:
+            total += votes
+    return total
 
 
 def flat_cals(ev, alpha=0.0, beta=0.0, sigma=1.0):
@@ -31,19 +50,19 @@ def market(sigma_samp=0.5, sigma_m=0.5, m=0.0, horizon=9.0):
 
 class TestMarketTerminals:
     def test_zero_volatility_is_constant(self):
-        m = simulate_market_terminals(market(0.0, 0.0, m=2.5),
+        m = simulate_market_terminals([market(0.0, 0.0, m=2.5)],
                                       SimulationConfig(seed=1, n_paths=100))
-        np.testing.assert_array_equal(m, np.full(100, 2.5))
+        np.testing.assert_array_equal(m, np.full((1, 100), 2.5))
 
     def test_zero_horizon_is_constant(self):
-        m = simulate_market_terminals(market(1.0, 1.0, m=-1.0, horizon=0.0),
+        m = simulate_market_terminals([market(1.0, 1.0, m=-1.0, horizon=0.0)],
                                       SimulationConfig(seed=1, n_paths=100))
-        np.testing.assert_array_equal(m, np.full(100, -1.0))
+        np.testing.assert_array_equal(m, np.full((1, 100), -1.0))
 
     def test_terminal_variance_and_mean(self):
         # sigma_total = 2, T = 25 -> Var = 100; martingale keeps the mean at m
         mkt = market(1.2, 0.8, m=1.5, horizon=25.0)
-        m = simulate_market_terminals(mkt, SimulationConfig(seed=2, n_paths=10000))
+        [m] = simulate_market_terminals([mkt], SimulationConfig(seed=2, n_paths=10000))
         assert m.var(ddof=1) == pytest.approx(100.0, rel=0.05)
         assert abs(m.mean() - 1.5) <= 4 * 2.0 * 5.0 / np.sqrt(10000)
 
@@ -51,7 +70,7 @@ class TestMarketTerminals:
         # chi-square: se(Var-hat) ~ sigma^2 T sqrt(2/(n-1))
         mkt = market(0.7, 0.3, m=0.0, horizon=16.0)
         for seed in (3, 4, 5):
-            m = simulate_market_terminals(mkt, SimulationConfig(seed=seed, n_paths=10000))
+            [m] = simulate_market_terminals([mkt], SimulationConfig(seed=seed, n_paths=10000))
             true_var = 1.0 * 16.0
             se = true_var * np.sqrt(2.0 / 9999)
             assert abs(m.var(ddof=1) - true_var) <= 3 * se
@@ -59,36 +78,42 @@ class TestMarketTerminals:
     def test_seeded_reproducibility(self):
         mkt = market()
         cfg = SimulationConfig(seed=77, n_paths=500)
-        np.testing.assert_array_equal(simulate_market_terminals(mkt, cfg),
-                                      simulate_market_terminals(mkt, cfg))
+        np.testing.assert_array_equal(simulate_market_terminals([mkt], cfg),
+                                      simulate_market_terminals([mkt], cfg))
 
 
 class TestStateNoise:
     def test_gaussian_deterministic_line(self):
         cal = StateCalibration("OH", 1.0, 2.0, 0.0, 5, "polls")
-        out = sample_state_noise(cal, np.full(10, 3.0), GaussianNoise(), _stream(1, 1))
-        np.testing.assert_array_equal(out, np.full(10, 7.0))
+        intercept, slope, noise = sample_state_noise(cal, 10, GaussianNoise(), _stream(1, 1))
+        assert (intercept, slope) == (1.0, 2.0)
+        np.testing.assert_array_equal(intercept + slope * np.full(10, 3.0) + noise,
+                                      np.full(10, 7.0))
 
     def test_student_t_degenerate_priors(self):
         cal = StateCalibration("OH", 1.0, 2.0, 0.0, 5, "polls")
         model = StudentTNoise(sigma_alpha=0.0, sigma_beta=0.0, nu=3)
-        out = sample_state_noise(cal, np.full(10, 3.0), model, _stream(1, 1))
-        np.testing.assert_array_equal(out, np.full(10, 7.0))
+        intercept, slope, noise = sample_state_noise(cal, 10, model, _stream(1, 1))
+        np.testing.assert_array_equal(intercept, np.full(10, 1.0))
+        np.testing.assert_array_equal(slope, np.full(10, 2.0))
+        np.testing.assert_array_equal(intercept + slope * np.full(10, 3.0) + noise,
+                                      np.full(10, 7.0))
 
     def test_student_t_scale_matches_nested_mc_oracle(self):
-        # draws should be |N(0,1)| * t_3; compare sample std against an
+        # noise should be |N(0,1)| * t_3; compare sample std against an
         # independent simulation of the same law
         cal = StateCalibration("NV", 0.0, 0.0, 1.0, 5, "polls")
         model = StudentTNoise(sigma_alpha=0.0, sigma_beta=0.0, nu=3)
-        draws = sample_state_noise(cal, np.zeros(100000), model, _stream(1, 1))
+        _, _, noise = sample_state_noise(cal, 100000, model, _stream(1, 1))
         rng = np.random.default_rng(1001)
         oracle = np.abs(rng.standard_normal(100000)) * rng.standard_t(3, 100000)
-        assert abs(draws.std(ddof=1) - oracle.std(ddof=1)) <= 0.10 * oracle.std(ddof=1)
+        assert abs(noise.std(ddof=1) - oracle.std(ddof=1)) <= 0.10 * oracle.std(ddof=1)
 
-    def test_scalar_terminal_accepted(self):
+    def test_single_path(self):
         cal = StateCalibration("OH", 0.5, 1.0, 0.0, 5, "polls")
-        out = sample_state_noise(cal, 2.0, GaussianNoise(), _stream(1, 1))
-        assert out.shape == (1,) and out[0] == 2.5
+        intercept, slope, noise = sample_state_noise(cal, 1, GaussianNoise(), _stream(1, 1))
+        spread = intercept + slope * 2.0 + noise
+        assert spread.shape == (1,) and spread[0] == 2.5
 
 
 class TestAggregateElectoralVotes:
@@ -138,7 +163,7 @@ class TestRunForecast:
         cals = flat_cals(ev, alpha=0.3, beta=1.0, sigma=2.0)
         cfg = SimulationConfig(seed=11, n_paths=4000)
         mkt = market(m=0.5, horizon=16.0)
-        paths = simulate_paths(cals, mkt, ev, cfg)
+        paths = simulate_paths(cals, [mkt], ev, cfg)
         dist = run_forecast(cals, mkt, ev, cfg)
         hist_mean = float(np.arange(539) @ dist.ev_histogram)
         assert hist_mean == pytest.approx(paths.ev_c1.mean(), abs=1e-12)
@@ -245,6 +270,103 @@ class TestProbabilityTimeSeries:
         day_a = probability_time_series(cals, [market(m=1.0, horizon=30.0)], ev, cfg)
         day_b = probability_time_series(cals, [market(m=1.0, horizon=30.0)], ev, cfg)
         assert day_a == day_b
+
+
+def contested_cals(ev):
+    """Random state lines around an even national race."""
+    rng = np.random.default_rng(2016)
+    return {
+        s: StateCalibration(s, float(rng.normal(0.0, 3.0)), float(rng.uniform(0.5, 1.5)),
+                            float(rng.uniform(1.0, 4.0)), 8, "polls")
+        for s in sorted(ev)
+    }
+
+
+# Days of one run: the level and the remaining horizon both move.
+DAYS = [market(m=-1.0, horizon=40.0), market(m=0.5, horizon=20.0),
+        market(m=1.5, horizon=5.0), market(m=0.0, horizon=0.0)]
+
+
+def rebuilt_spreads(cals, mkt, cfg):
+    """Every state's spread on every path, drawn straight from the Philox
+    streams in the order the simulator consumes them."""
+    n, model = cfg.n_paths, cfg.noise_model
+    z = _stream(cfg.seed, 0).standard_normal(n)
+    m = mkt.m_current + mkt.sigma_total * np.sqrt(mkt.horizon) * z
+    out = {}
+    for i, state in enumerate(sorted(cals)):
+        rng, cal = _stream(cfg.seed, 1 + i), cals[state]
+        if isinstance(model, GaussianNoise):
+            out[state] = cal.alpha + cal.beta * m + cal.sigma_eps * rng.standard_normal(n)
+        else:
+            alpha = rng.normal(cal.alpha, model.sigma_alpha, n)
+            beta = rng.normal(cal.beta, model.sigma_beta, n)
+            scale = np.abs(rng.normal(0.0, cal.sigma_eps, n))
+            out[state] = alpha + beta * m + scale * rng.standard_t(model.nu, n)
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("model", MODELS, ids=["gaussian", "student_t"])
+class TestSharedDraws:
+    """Every day of a run is settled from one set of state draws."""
+
+    def test_day_rows_match_one_market_calls(self, model, workers):
+        ev = default_ev_table()
+        cals = contested_cals(ev)
+        cfg = SimulationConfig(seed=31, n_paths=3000, noise_model=model, workers=workers)
+        paths = simulate_paths(cals, DAYS, ev, cfg)
+        assert paths.ev_c1.shape == (len(DAYS), 3000)
+        for d, mkt in enumerate(DAYS):
+            one = simulate_paths(cals, [mkt], ev, cfg)
+            np.testing.assert_array_equal(paths.ev_c1[d], one.ev_c1[0])
+            np.testing.assert_array_equal(paths.p_state[d], one.p_state[0])
+
+    def test_time_series_matches_run_forecast(self, model, workers):
+        ev = default_ev_table()
+        cals = contested_cals(ev)
+        cfg = SimulationConfig(seed=37, n_paths=3000, noise_model=model, workers=workers)
+        series = probability_time_series(cals, DAYS, ev, cfg)
+        assert series == [(mkt.horizon, run_forecast(cals, mkt, ev, cfg).p_national)
+                          for mkt in DAYS]
+        assert all(0.05 < p < 0.95 for _, p in series)
+
+    def test_oracle_reproduces_every_path(self, model, workers):
+        ev = default_ev_table()
+        cals = contested_cals(ev)
+        cfg = SimulationConfig(seed=41, n_paths=300, noise_model=model, workers=workers)
+        # put the threshold exactly on OH's spread on path 0 of day 1
+        threshold = float(rebuilt_spreads(cals, DAYS[1], cfg)["OH"][0])
+        cfg = replace(cfg, win_threshold=threshold)
+        paths = simulate_paths(cals, DAYS, ev, cfg)
+        for d, mkt in enumerate(DAYS):
+            spreads = rebuilt_spreads(cals, mkt, cfg)
+            expected = [
+                aggregate_electoral_votes({s: v[k] for s, v in spreads.items()}, ev, threshold)
+                for k in range(cfg.n_paths)
+            ]
+            np.testing.assert_array_equal(paths.ev_c1[d], expected)
+        # the tie went to candidate 2: one ulp lower hands OH to candidate 1
+        lower = replace(cfg, win_threshold=float(np.nextafter(threshold, -np.inf)))
+        assert (simulate_paths(cals, [DAYS[1]], ev, lower).ev_c1[0, 0]
+                == paths.ev_c1[1, 0] + ev["OH"])
+
+
+def test_more_threads_than_cores_under_fast_switching():
+    # workers write disjoint p_state cells and their own EV accumulators;
+    # a lost or doubled update would change the bits
+    ev = default_ev_table()
+    cals = contested_cals(ev)
+    cfg = SimulationConfig(seed=43, n_paths=2000, noise_model=StudentTNoise())
+    base = simulate_paths(cals, DAYS, ev, cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        alt = simulate_paths(cals, DAYS, ev, replace(cfg, workers=16))
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(alt.ev_c1, base.ev_c1)
+    np.testing.assert_array_equal(alt.p_state, base.p_state)
 
 
 class TestConfigValidation:
