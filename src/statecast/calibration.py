@@ -11,12 +11,14 @@ smoothed series plus a sampling-error component from poll sample sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import (
     CalibrationError,
+    ConfigurationError,
     DegenerateDesignError,
     InsufficientDataError,
 )
@@ -28,6 +30,13 @@ MIN_POLLS = 4
 
 SOURCE_POLLS = "polls"
 SOURCE_HISTORICAL = "historical"
+
+
+def _check_finite(obj, names) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +51,11 @@ class StateCalibration:
     source: str
 
     def __post_init__(self):
+        _check_finite(self, ("alpha", "beta", "sigma_eps"))
         if self.sigma_eps < 0:
             raise ValueError("sigma_eps must be nonnegative")
+        if isinstance(self.n_obs, bool) or not isinstance(self.n_obs, Integral) or self.n_obs < 0:
+            raise ValueError(f"n_obs must be a count, got {self.n_obs!r}")
         if self.source not in (SOURCE_POLLS, SOURCE_HISTORICAL):
             raise ValueError(f"unknown calibration source {self.source!r}")
 
@@ -58,6 +70,7 @@ class MarketCalibration:
     horizon: float
 
     def __post_init__(self):
+        _check_finite(self, ("sigma_samp", "sigma_m", "m_current", "horizon"))
         if self.sigma_samp < 0 or self.sigma_m < 0:
             raise ValueError("volatilities must be nonnegative")
         if self.horizon < 0:
@@ -251,9 +264,28 @@ def calibration_to_dict(
     return doc
 
 
+def _from_fields(cls, entry, where: str):
+    """``cls(**entry)`` with every key checked; faults name ``where``."""
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"{where}: expected an object, got {entry!r}")
+    expected = {f.name for f in fields(cls)}
+    missing, unknown = sorted(expected - set(entry)), sorted(set(entry) - expected)
+    if missing or unknown:
+        raise ConfigurationError(f"{where}: missing key(s) {missing}, unknown key(s) {unknown}")
+    try:
+        return cls(**entry)
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
+
+
 def calibration_from_dict(doc: dict) -> tuple[dict[str, StateCalibration], MarketCalibration | None]:
+    """Inverse of :func:`calibration_to_dict`; a missing, unknown or invalid
+    field raises :class:`ConfigurationError` naming its state (or the market)."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("states"), dict):
+        raise ConfigurationError("calibration document has no states object")
     cals = {
-        code: StateCalibration(**fields) for code, fields in doc["states"].items()
+        code: _from_fields(StateCalibration, entry, f"state {code}")
+        for code, entry in doc["states"].items()
     }
-    market = MarketCalibration(**doc["market"]) if "market" in doc else None
+    market = _from_fields(MarketCalibration, doc["market"], "market") if "market" in doc else None
     return cals, market

@@ -7,8 +7,14 @@ P&L per expert plus the online mixture), ``aggregate`` (exponential-weights
 combination with regret accounting), and ``curves`` (score-shape tables).
 
 Runs are configured by a flat ``key = value`` config file plus flags; flags
-win.  Every output lands under ``--out-dir`` with a fixed name, and a fixed
-seed makes reruns byte-identical.
+win.  Each setting is declared once, as a :class:`RunConfig` field: its flag
+is ``--`` plus the key with dashes (``--reference`` sets ``reference_mode``
+and ``--reference-file`` sets ``reference``), and the field's type and
+``_CHOICES`` parse and check flag and config values alike.  Every input
+table goes through one row reader, ``_read_rows``, which turns a malformed
+row into one ``file:line: reason`` error.  Every output lands under
+``--out-dir`` with a fixed name, and a fixed seed makes reruns
+byte-identical.
 """
 
 from __future__ import annotations
@@ -18,9 +24,10 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import date
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -78,85 +85,87 @@ class RunConfig:
     calibration: str | None = None
 
 
-def _parse_config_value(raw: str):
-    raw = raw.strip()
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    if "#" in raw:
-        raw = raw.split("#", 1)[0].strip()
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
+#: Allowed values of the settings that take one of a fixed set.
+_CHOICES = {
+    "noise_model": ("gaussian", "student_t"),
+    "loss": ("quadratic", "trading"),
+    "reference_mode": (trading.KIND_MARKET, trading.KIND_PAIR_MEAN),
+    "realization": (0, 1),
+}
+#: Flags whose name is not ``--`` plus the key with dashes.
+_FLAGS = {"reference_mode": "--reference", "reference": "--reference-file"}
+_HELP = {
+    "calibration": "reuse a frozen calibration.json",
+    "reference_mode": "reference: betting market file or the expert mean",
+}
+
+
+def finite(text: str) -> float:
+    """Parser of float settings: NaN and infinities are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _value_type(hint):
+    """The parser of a field annotated ``T`` or ``T | None``."""
+    (kind,) = [t for t in get_args(hint) or (hint,) if t is not type(None)]
+    return finite if kind is float else kind
+
+
+_TYPES = {key: _value_type(hint) for key, hint in get_type_hints(RunConfig).items()}
+
+
+def _setting(key: str, text: str):
+    """One setting's value: parsed with its field's type, checked against
+    its choices."""
+    value = _TYPES[key](text)
+    if key in _CHOICES and value not in _CHOICES[key]:
+        allowed = ", ".join(map(str, _CHOICES[key]))
+        raise ValueError(f"must be one of {allowed}, not {text!r}")
+    return value
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Read a flat ``key = value`` file; relative paths are resolved
-    against the config file's directory."""
+    """Read a flat ``key = value`` file.  A value may be double-quoted or end
+    in a ``# comment``; it is parsed as its setting's flag would be, and
+    relative paths are resolved against the config file's directory."""
     path = Path(path)
-    known = {f.name for f in fields(RunConfig)}
     cfg = RunConfig()
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected key = value")
-        key, raw = line.split("=", 1)
-        key = key.strip()
-        if key not in known:
-            raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
-        value = _parse_config_value(raw)
-        if key in _PATH_KEYS and isinstance(value, str):
+        key, eq, raw = (part.strip() for part in line.partition("="))
+        try:
+            if not eq:
+                raise ValueError("expected key = value")
+            if key not in _TYPES:
+                raise ValueError("unknown config key")
+            quoted = len(raw) >= 2 and raw[0] == raw[-1] == '"'
+            value = _setting(key, raw[1:-1] if quoted else raw.split("#", 1)[0].strip())
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: {key}: {exc}") from exc
+        if key in _PATH_KEYS:
             value = str((path.parent / value).resolve())
         setattr(cfg, key, value)
     return cfg
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        "seed": args.seed,
-        "paths": args.paths,
-        "workers": args.workers,
-        "election_date": getattr(args, "election_date", None),
-        "bandwidth": getattr(args, "bandwidth", None),
-        "noise_model": getattr(args, "noise_model", None),
-        "win_threshold": getattr(args, "win_threshold", None),
-        "loss": getattr(args, "loss", None),
-        "reference_mode": getattr(args, "reference", None),
-        "ev_realization": getattr(args, "ev_realization", None),
-        "polls": getattr(args, "polls", None),
-        "historical": getattr(args, "historical", None),
-        "ev_table": getattr(args, "ev_table", None),
-        "experts": getattr(args, "experts", None),
-        "series": getattr(args, "series", None),
-        "outcomes": getattr(args, "outcomes", None),
-        "histograms": getattr(args, "histograms", None),
-        "reference": getattr(args, "reference_file", None),
-        "calibration": getattr(args, "calibration", None),
-    }
-    for key, value in overrides.items():
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, key, value)
+            setattr(cfg, f.name, value)
     return cfg
 
 
 def _noise_model(cfg: RunConfig):
-    name = cfg.noise_model.lower().replace("-", "_")
-    if name == "gaussian":
-        return GaussianNoise()
-    if name in ("student_t", "studentt", "t"):
+    if cfg.noise_model == "student_t":
         return StudentTNoise(sigma_alpha=cfg.sigma_alpha,
                              sigma_beta=cfg.sigma_beta, nu=cfg.nu)
-    raise ConfigurationError(f"unknown noise_model {cfg.noise_model!r}")
+    return GaussianNoise()
 
 
 def _sim_config(cfg: RunConfig) -> SimulationConfig:
@@ -168,10 +177,57 @@ def _sim_config(cfg: RunConfig) -> SimulationConfig:
                             workers=cfg.workers)
 
 
+#: Faults of malformed input, raised by parsing or by the library types.
+_INPUT_ERRORS = (csv.Error, ValueError, KeyError, TypeError, StatecastError)
+
+
+def _named(path: str, fn, *args):
+    """``fn(*args)``, with an input fault re-raised naming ``path``."""
+    try:
+        return fn(*args)
+    except _INPUT_ERRORS as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+
+
+def _read_rows(path: str, columns, parse_row, finish):
+    """Feed each data row of the CSV at ``path`` to ``parse_row``, as a dict
+    keyed by the header (which must hold ``columns``), then return
+    ``finish()``.
+
+    A fault in the header or a row is re-raised as ``path:line: reason``,
+    and a fault in ``finish`` as ``path: reason``.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ValueError(f"missing column(s) {', '.join(missing)}")
+            for row in filter(None, reader):  # blank lines hold no row
+                if len(row) < len(header):
+                    raise ValueError("too few fields")
+                parse_row(dict(zip(header, row)))
+        except _INPUT_ERRORS as exc:
+            raise ConfigurationError(f"{path}:{reader.line_num}: {exc}") from exc
+    return _named(path, finish)
+
+
+def _day(text: str) -> float:
+    return float(date.fromisoformat(text.strip()).toordinal())
+
+
+def _probability(text: str) -> float:
+    p = float(text)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{text!r} is not a probability in [0, 1]")
+    return p
+
+
 def _load_ev(cfg: RunConfig) -> dict[str, int]:
     if cfg.ev_table:
         with open(cfg.ev_table, encoding="utf-8") as fh:
-            return load_ev_table(fh)
+            return _named(cfg.ev_table, load_ev_table, fh)
     return default_ev_table()
 
 
@@ -197,11 +253,10 @@ def _calibrate_from_files(cfg: RunConfig):
     ev_table = _load_ev(cfg)
     if cfg.calibration:
         with open(cfg.calibration, encoding="utf-8") as fh:
-            cals, market = cal_mod.calibration_from_dict(json.load(fh))
+            cals, market = _named(cfg.calibration,
+                                  lambda: cal_mod.calibration_from_dict(json.load(fh)))
         if market is None:
-            raise ConfigurationError(
-                f"{cfg.calibration} has no market block; cannot simulate"
-            )
+            raise ConfigurationError(f"{cfg.calibration} has no market block; cannot simulate")
         return cals, market, None, ev_table
 
     if not cfg.polls:
@@ -241,20 +296,12 @@ def cmd_forecast(cfg: RunConfig, out_dir: Path) -> int:
     _write_json(out_dir / "forecast.json", dist.to_dict())
 
     if national is not None:
-        markets = [
-            cal_mod.MarketCalibration(
-                sigma_samp=market.sigma_samp,
-                sigma_m=market.sigma_m,
-                m_current=float(v),
-                horizon=float(t),
-            )
-            for t, v in zip(national.grid, national.values)
-        ]
+        markets = [replace(market, m_current=float(v), horizon=float(t))
+                   for t, v in zip(national.grid, national.values)]
         series = probability_time_series(cals, markets, ev_table, sim_cfg)
     else:
         series = [(market.horizon, dist.p_national)]
-    _write_csv(out_dir / "timeseries.csv", ["days_to_election", "p_national"],
-               [(t, p) for t, p in series])
+    _write_csv(out_dir / "timeseries.csv", ["days_to_election", "p_national"], series)
 
     print(f"p_national = {dist.p_national:.4f} over {dist.n_paths} paths "
           f"(seed {dist.seed})")
@@ -276,51 +323,64 @@ def cmd_calibrate(cfg: RunConfig, out_dir: Path) -> int:
 
 def _read_series_file(path: str):
     """Long CSV forecaster,state,date,p -> {(forecaster, state): series}."""
-    rows: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["forecaster"].strip(), row["state"].strip().upper())
-            t = float(date.fromisoformat(row["date"].strip()).toordinal())
-            rows.setdefault(key, []).append((t, float(row["p"])))
-    out = {}
-    for (forecaster, state), points in rows.items():
-        points.sort()
-        out[(forecaster, state)] = BinaryForecastSeries(
-            forecaster=forecaster,
-            times=[t for t, _ in points],
-            probs=[p for _, p in points],
-        )
-    return out
+    points: dict[tuple[str, str], list[tuple[float, float]]] = {}
+
+    def parse(row):
+        key = (row["forecaster"].strip(), row["state"].strip().upper())
+        points.setdefault(key, []).append((_day(row["date"]), _probability(row["p"])))
+
+    def finish():
+        out = {}
+        for key, pts in points.items():
+            times, probs = zip(*sorted(pts))
+            out[key] = BinaryForecastSeries(key[0], times, probs)
+        return out
+
+    return _read_rows(path, ("forecaster", "state", "date", "p"), parse, finish)
 
 
 def _read_outcomes(path: str) -> dict[str, int]:
-    out = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out[row["state"].strip().upper()] = int(row["omega"])
-    return out
+    """CSV state,omega -> {state: 0 or 1}."""
+    out: dict[str, int] = {}
+
+    def parse(row):
+        omega = int(row["omega"])
+        if omega not in (0, 1):
+            raise ValueError(f"omega = {omega} is not 0 or 1")
+        out[row["state"].strip().upper()] = omega
+
+    return _read_rows(path, ("state", "omega"), parse, lambda: out)
 
 
 def _read_histograms(path: str, n_bins: int = 539) -> dict[str, np.ndarray]:
     """Long CSV forecaster,ev,p -> normalized histogram per forecaster."""
-    acc: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            name = row["forecaster"].strip()
-            h = acc.setdefault(name, np.zeros(n_bins))
-            h[int(row["ev"])] += float(row["p"])
-    return {name: h / h.sum() for name, h in acc.items()}
+    masses: dict[str, list[float]] = {}
+
+    def parse(row):
+        ev, p = int(row["ev"]), float(row["p"])
+        if not 0 <= ev < n_bins:
+            raise ValueError(f"ev = {ev} is outside 0..{n_bins - 1}")
+        if not 0.0 <= p < math.inf:
+            raise ValueError(f"p = {row['p']!r} is not a finite mass >= 0")
+        masses.setdefault(row["forecaster"].strip(), [0.0] * n_bins)[ev] += p
+
+    def finish():
+        out = {}
+        for name, m in masses.items():
+            if not 0.0 < sum(m) < math.inf:
+                raise ValueError(f"histogram {name!r} has total mass {sum(m)}, not > 0")
+            h = np.array(m)
+            out[name] = h / h.sum()
+        return out
+
+    return _read_rows(path, ("forecaster", "ev", "p"), parse, finish)
 
 
-_BINARY_SCORERS = {
-    scoring.METRIC_BRIER: scoring.brier,
-    scoring.METRIC_LOGLIK: scoring.log_likelihood,
-}
-_DENSITY_SCORERS = {
-    scoring.METRIC_SELTEN: scoring.selten,
-    scoring.METRIC_SPHERICAL: scoring.spherical,
-    scoring.METRIC_CDF: scoring.cdf_score,
-}
+# Copies of scoring's tables, not the same dicts: perfbench/spans.py wraps
+# each of them by name.  ``score`` offers every density metric but ``log``.
+_BINARY_SCORERS = {m: scoring._BINARY_FNS[m] for m in scoring.BINARY_METRICS}
+_DENSITY_SCORERS = {m: scoring._DENSITY_FNS[m] for m in scoring.DENSITY_METRICS}
+_SCORE_METRICS = (*_BINARY_SCORERS, *_DENSITY_SCORERS)
 
 
 def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
@@ -350,10 +410,8 @@ def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
                         continue
                     if state not in outcomes:
                         raise ConfigurationError(f"no outcome recorded for {state}")
-                    per_state.append(
-                        ScoreReport(forecaster, metric, fn(s, outcomes[state]),
-                                    state=state)
-                    )
+                    per_state.append(ScoreReport(forecaster, metric, fn(s, outcomes[state]),
+                                                 state=state))
                 if per_state:
                     for weighting in (scoring.WEIGHT_STATE_AVERAGE, scoring.WEIGHT_EV):
                         agg = scoring.aggregate_scores(per_state, weighting, ev_table)
@@ -395,33 +453,35 @@ def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
 
 
 def _read_panel(path: str) -> online.ExpertPanel:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or reader.fieldnames[0] != "date":
-            raise ConfigurationError("expert panel must start with a date column")
-        names = [c for c in reader.fieldnames[1:] if c]
-        times, values = [], []
-        for row in reader:
-            times.append(float(date.fromisoformat(row["date"].strip()).toordinal()))
-            try:
-                values.append([float(row[name]) for name in names])
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(
-                    f"missing/invalid prediction on {row['date']}: {exc}"
-                ) from exc
-    return online.ExpertPanel(names=names, times=np.array(times),
-                              values=np.array(values))
+    """Wide CSV date,<expert>,... -> one row of predictions per date."""
+    times: list[float] = []
+    values: list[dict[str, float]] = []
+
+    def parse(row):
+        times.append(_day(row["date"]))
+        values.append({name: _probability(v) for name, v in row.items()
+                       if name and name != "date"})
+
+    def finish():
+        return online.ExpertPanel(names=list(values[0]) if values else [],
+                                  times=np.array(times),
+                                  values=np.array([list(v.values()) for v in values]))
+
+    return _read_rows(path, ("date",), parse, finish)
 
 
 def _read_reference(path: str) -> ReferenceSeries:
-    times, values = [], []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            times.append(float(date.fromisoformat(row["date"].strip()).toordinal()))
-            values.append(float(row["price"]))
-    order = np.argsort(times)
-    return ReferenceSeries(times=np.array(times)[order],
-                           values=np.array(values)[order])
+    """CSV date,price -> reference prices in date order."""
+    prices: list[tuple[float, float]] = []
+
+    def parse(row):
+        prices.append((_day(row["date"]), _probability(row["price"])))
+
+    def finish():
+        prices.sort()
+        return ReferenceSeries(times=[t for t, _ in prices], values=[v for _, v in prices])
+
+    return _read_rows(path, ("date", "price"), parse, finish)
 
 
 def _trade_reference(cfg: RunConfig, panel: online.ExpertPanel) -> ReferenceSeries:
@@ -570,8 +630,7 @@ def cmd_aggregate(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-_CURVE_METRICS = (scoring.METRIC_SELTEN, scoring.METRIC_SPHERICAL, "log",
-                  scoring.METRIC_CDF)
+_CURVE_METRICS = tuple(scoring._DENSITY_FNS)
 
 
 def cmd_curves(cfg: RunConfig, out_dir: Path) -> int:
@@ -593,12 +652,22 @@ def cmd_curves(cfg: RunConfig, out_dir: Path) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--out-dir", default=".", help="directory for outputs")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+#: Subcommand -> (handler, help, settings it takes besides seed, paths and
+#: workers).
+_COMMANDS = {
+    "forecast": (cmd_forecast, "simulate win probabilities and the EV histogram",
+                 ("polls", "historical", "ev_table", "calibration", "election_date",
+                  "bandwidth", "noise_model", "win_threshold")),
+    "calibrate": (cmd_calibrate, "dump the calibration document as JSON",
+                  ("polls", "historical", "ev_table", "election_date", "bandwidth")),
+    "score": (cmd_score, "score expert series and histograms",
+              ("series", "outcomes", "histograms", "ev_table", "ev_realization")),
+    "trade": (cmd_trade, "mark-to-market P&L per expert",
+              ("experts", "reference", "reference_mode", "outcomes", "loss")),
+    "aggregate": (cmd_aggregate, "exponential-weights expert combination",
+                  ("experts", "reference", "loss")),
+    "curves": (cmd_curves, "score-shape tables for discretized Gaussians", ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -607,58 +676,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Election forecasting, scoring, trading, and aggregation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("forecast", help="simulate win probabilities and the EV histogram")
-    _add_common(p)
-    p.add_argument("--polls")
-    p.add_argument("--historical")
-    p.add_argument("--ev-table", dest="ev_table")
-    p.add_argument("--calibration", help="reuse a frozen calibration.json")
-    p.add_argument("--election-date", dest="election_date")
-    p.add_argument("--bandwidth", type=float, default=None)
-    p.add_argument("--noise-model", dest="noise_model",
-                   choices=["gaussian", "student_t"], default=None)
-    p.add_argument("--win-threshold", dest="win_threshold", type=float, default=None)
-
-    p = sub.add_parser("calibrate", help="dump the calibration document as JSON")
-    _add_common(p)
-    p.add_argument("--polls")
-    p.add_argument("--historical")
-    p.add_argument("--ev-table", dest="ev_table")
-    p.add_argument("--election-date", dest="election_date")
-    p.add_argument("--bandwidth", type=float, default=None)
-
-    p = sub.add_parser("score", help="score expert series and histograms")
-    _add_common(p)
-    p.add_argument("--series")
-    p.add_argument("--outcomes")
-    p.add_argument("--histograms")
-    p.add_argument("--ev-table", dest="ev_table")
-    p.add_argument("--ev-realization", dest="ev_realization", type=int, default=None)
-    p.add_argument("--metrics", nargs="+",
-                   choices=[scoring.METRIC_BRIER, scoring.METRIC_LOGLIK,
-                            scoring.METRIC_SELTEN, scoring.METRIC_SPHERICAL,
-                            scoring.METRIC_CDF],
-                   default=None)
-
-    p = sub.add_parser("trade", help="mark-to-market P&L per expert")
-    _add_common(p)
-    p.add_argument("--experts")
-    p.add_argument("--reference-file", dest="reference_file")
-    p.add_argument("--reference", choices=["market", "pairmean"], default=None,
-                   help="reference: betting market file or the expert mean")
-    p.add_argument("--outcomes")
-    p.add_argument("--loss", choices=["quadratic", "trading"], default=None)
-
-    p = sub.add_parser("aggregate", help="exponential-weights expert combination")
-    _add_common(p)
-    p.add_argument("--experts")
-    p.add_argument("--reference-file", dest="reference_file")
-    p.add_argument("--loss", choices=["quadratic", "trading"], default=None)
-
-    p = sub.add_parser("curves", help="score-shape tables for discretized Gaussians")
-    _add_common(p)
-
+    for command, (_, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="key = value config file")
+        p.add_argument("--out-dir", default=".", help="directory for outputs")
+        for key in ("seed", "paths", "workers", *keys):
+            p.add_argument(_FLAGS.get(key, "--" + key.replace("_", "-")), dest=key,
+                           type=_TYPES[key], choices=_CHOICES.get(key), help=_HELP.get(key))
+        if command == "score":
+            p.add_argument("--metrics", nargs="+", choices=_SCORE_METRICS)
     return parser
 
 
@@ -669,25 +695,14 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(cfg, args)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "forecast":
-            return cmd_forecast(cfg, out_dir)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg, out_dir)
         if args.command == "score":
-            metrics = args.metrics or list(_BINARY_SCORERS) + list(_DENSITY_SCORERS)
-            return cmd_score(cfg, out_dir, metrics)
-        if args.command == "trade":
-            return cmd_trade(cfg, out_dir)
-        if args.command == "aggregate":
-            return cmd_aggregate(cfg, out_dir)
-        if args.command == "curves":
-            return cmd_curves(cfg, out_dir)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+            return cmd_score(cfg, out_dir, args.metrics or list(_SCORE_METRICS))
+        return _COMMANDS[args.command][0](cfg, out_dir)
     except StatecastError as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError, KeyError) as exc:
-        # malformed user inputs (missing columns, bad numbers, bad paths)
+        # malformed user inputs not caught by a reader (bad paths, bad dates)
         print(f"error [{args.command}]: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

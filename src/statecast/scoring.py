@@ -62,7 +62,7 @@ class BinaryForecastSeries:
             raise ValueError("times and probs must be 1-D and the same length")
         if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
-        if self.probs.size and (self.probs.min() < 0.0 or self.probs.max() > 1.0):
+        if self.probs.size and not (self.probs.min() >= 0.0 and self.probs.max() <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
 
     def __len__(self) -> int:
@@ -140,10 +140,11 @@ def _check_histogram(bins, tol: float = HISTOGRAM_TOL) -> np.ndarray:
     h = np.asarray(bins, dtype=float)
     if h.ndim != 1 or h.size == 0:
         raise ScoreError("histogram must be a nonempty 1-D probability vector")
-    if h.min() < -tol:
-        raise ScoreError("histogram has negative mass")
+    # Written so that NaN, which fails every comparison, fails the checks.
+    if not h.min() >= -tol:
+        raise ScoreError("histogram has negative or NaN mass")
     total = float(h.sum())
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:
         raise ScoreError(f"histogram sums to {total!r}, not 1")
     return h
 

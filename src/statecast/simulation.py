@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -75,6 +76,8 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
+            raise TypeError(f"seed must be an integer, got {self.seed!r}")
         if not (0 <= self.seed <= _U64):
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.n_paths < 1:

@@ -38,7 +38,7 @@ class ReferenceSeries:
             raise ValueError("times and values must be 1-D and the same length")
         if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
-        if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
+        if self.values.size and not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
             raise ValueError("reference prices must lie in [0, 1]")
 
 
@@ -124,8 +124,7 @@ def mark_to_market(pos: PositionSeries, ref: ReferenceSeries,
     )
 
 
-def settle(pnl: PnLSeries, last_position: float | None = None,
-           omega: float | None = None) -> PnLSeries:
+def settle(pnl: PnLSeries, omega: float | None = None) -> PnLSeries:
     """Append the settlement increment last_position * (omega - last price).
 
     With no realization the position settles at the final reference price
@@ -134,9 +133,8 @@ def settle(pnl: PnLSeries, last_position: float | None = None,
     """
     if pnl.settled:
         raise StatecastError(f"{pnl.forecaster or 'series'} already settled")
-    position = pnl.last_position if last_position is None else last_position
     settle_price = pnl.last_price if omega is None else float(omega)
-    increment = position * (settle_price - pnl.last_price)
+    increment = pnl.last_position * (settle_price - pnl.last_price)
     times = np.append(pnl.times, pnl.last_time)
     increments = np.append(pnl.increments, increment)
     return replace(

@@ -21,6 +21,7 @@ from statecast.calibration import (
 )
 from statecast.errors import (
     CalibrationError,
+    ConfigurationError,
     DegenerateDesignError,
     InsufficientDataError,
 )
@@ -273,3 +274,44 @@ class TestCalibrationDocument:
         cals2, mkt2 = calibration_from_dict(doc)
         assert cals2 == cals
         assert mkt2 == mkt
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "1.0", None, True])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "sigma_eps"])
+    def test_state_rejects_non_finite(self, name, bad):
+        fields = dict(state="OH", alpha=1.0, beta=0.9, sigma_eps=2.0, n_obs=8,
+                      source=SOURCE_POLLS)
+        fields[name] = bad
+        with pytest.raises(ValueError, match=name):
+            StateCalibration(**fields)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), "2", None])
+    @pytest.mark.parametrize("name", ["sigma_samp", "sigma_m", "m_current", "horizon"])
+    def test_market_rejects_non_finite(self, name, bad):
+        fields = dict(sigma_samp=1.0, sigma_m=0.4, m_current=2.5, horizon=20.0)
+        fields[name] = bad
+        with pytest.raises(ValueError, match=name):
+            MarketCalibration(**fields)
+
+    def test_n_obs_must_be_a_count(self):
+        for bad in (8.0, -1, True):
+            with pytest.raises(ValueError, match="n_obs"):
+                StateCalibration("OH", 1.0, 0.9, 2.0, bad, SOURCE_POLLS)
+
+    def test_document_key_faults_name_the_state(self):
+        cals = {"OH": StateCalibration("OH", 1.0, 0.9, 2.0, 8, SOURCE_POLLS)}
+        mkt = MarketCalibration(sigma_samp=1.0, sigma_m=0.4, m_current=2.5, horizon=20.0)
+        doc = calibration_to_dict(cals, mkt)
+        doc["states"]["OH"]["colour"] = "red"
+        with pytest.raises(ConfigurationError, match="OH.*colour"):
+            calibration_from_dict(doc)
+        del doc["states"]["OH"]["colour"], doc["states"]["OH"]["alpha"]
+        with pytest.raises(ConfigurationError, match="OH.*alpha"):
+            calibration_from_dict(doc)
+        doc = calibration_to_dict(cals, mkt)
+        doc["states"]["OH"]["sigma_eps"] = float("nan")
+        with pytest.raises(ConfigurationError, match="OH.*sigma_eps"):
+            calibration_from_dict(doc)
+        doc = calibration_to_dict(cals, mkt)
+        del doc["market"]["horizon"]
+        with pytest.raises(ConfigurationError, match="market.*horizon"):
+            calibration_from_dict(doc)

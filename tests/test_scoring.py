@@ -253,3 +253,18 @@ class TestProprietyCoarse:
     @pytest.mark.parametrize("metric", ["brier", "log", "selten", "spherical", "cdf"])
     def test_optimum_is_truth(self, metric):
         assert propriety_violations(metric, step=0.25) == []
+
+
+class TestHistogramChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fn", [selten, spherical, log_score, cdf_score])
+    def test_non_finite_mass_rejected(self, fn, bad):
+        h = np.full(4, 0.25)
+        h[1] = bad
+        with pytest.raises(ScoreError):
+            fn(h, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.1])
+    def test_series_rejects_non_probability(self, bad):
+        with pytest.raises(ValueError):
+            series([0.5, bad])

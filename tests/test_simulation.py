@@ -382,3 +382,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(seed=-1)
         SimulationConfig(seed=2**64 - 1)
+
+    @pytest.mark.parametrize("seed", [1e3, 7.0, True, False])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(TypeError):
+            SimulationConfig(seed=seed)

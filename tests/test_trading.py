@@ -168,3 +168,10 @@ class TestTradingScore:
         r = pair_mean_reference(fc([0.8, 0.6]), fc([0.4, 0.2], name="b"))
         assert r.kind == KIND_PAIR_MEAN
         np.testing.assert_allclose(r.values, [0.6, 0.4], atol=1e-12)
+
+
+class TestReferenceChecks:
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.1])
+    def test_rejects_non_probability(self, bad):
+        with pytest.raises(ValueError):
+            ref([0.5, bad])
