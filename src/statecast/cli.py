@@ -11,8 +11,8 @@ win.  Each setting is declared once, as a :class:`RunConfig` field: its flag
 is ``--`` plus the key with dashes (``--reference`` sets ``reference_mode``
 and ``--reference-file`` sets ``reference``), and the field's type and
 ``_CHOICES`` parse and check flag and config values alike.  Every input
-table goes through one row reader, ``_read_rows``, which turns a malformed
-row into one ``file:line: reason`` error.  Every output lands under
+table goes through one row reader, :func:`.tables.read_rows`, which turns a
+malformed row into one ``file:line: reason`` error.  Every output lands under
 ``--out-dir`` with a fixed name, and a fixed seed makes reruns
 byte-identical.
 """
@@ -43,6 +43,7 @@ from .simulation import (
     run_forecast,
 )
 from .states import NATIONAL, default_ev_table, load_ev_table
+from .tables import named, read_rows
 from .trading import ReferenceSeries
 
 ONLINE_NAME = "ONLINE"
@@ -58,7 +59,7 @@ class RunConfig:
     """Everything a run needs; every field has a config-file key of the
     same name and most have a flag override."""
 
-    election_date: str | None = None
+    election_date: date | None = None
     seed: int | None = None
     paths: int = 10000
     bandwidth: float = 5.0
@@ -108,10 +109,15 @@ def finite(text: str) -> float:
     return value
 
 
+def iso_date(text: str) -> date:
+    """Parser of date settings and cells: a ``YYYY-MM-DD`` day."""
+    return date.fromisoformat(text.strip())
+
+
 def _value_type(hint):
     """The parser of a field annotated ``T`` or ``T | None``."""
     (kind,) = [t for t in get_args(hint) or (hint,) if t is not type(None)]
-    return finite if kind is float else kind
+    return {float: finite, date: iso_date}.get(kind, kind)
 
 
 _TYPES = {key: _value_type(hint) for key, hint in get_type_hints(RunConfig).items()}
@@ -177,44 +183,16 @@ def _sim_config(cfg: RunConfig) -> SimulationConfig:
                             workers=cfg.workers)
 
 
-#: Faults of malformed input, raised by parsing or by the library types.
-_INPUT_ERRORS = (csv.Error, ValueError, KeyError, TypeError, StatecastError)
-
-
-def _named(path: str, fn, *args):
-    """``fn(*args)``, with an input fault re-raised naming ``path``."""
-    try:
-        return fn(*args)
-    except _INPUT_ERRORS as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
-
-
-def _read_rows(path: str, columns, parse_row, finish):
-    """Feed each data row of the CSV at ``path`` to ``parse_row``, as a dict
-    keyed by the header (which must hold ``columns``), then return
-    ``finish()``.
-
-    A fault in the header or a row is re-raised as ``path:line: reason``,
-    and a fault in ``finish`` as ``path: reason``.
-    """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise ValueError(f"missing column(s) {', '.join(missing)}")
-            for row in filter(None, reader):  # blank lines hold no row
-                if len(row) < len(header):
-                    raise ValueError("too few fields")
-                parse_row(dict(zip(header, row)))
-        except _INPUT_ERRORS as exc:
-            raise ConfigurationError(f"{path}:{reader.line_num}: {exc}") from exc
-    return _named(path, finish)
-
-
 def _day(text: str) -> float:
-    return float(date.fromisoformat(text.strip()).toordinal())
+    return float(iso_date(text).toordinal())
+
+
+def _add_dated(values: dict[float, float], text: str, value: float) -> None:
+    """``values[day] = value`` for the date ``text``, which must be new."""
+    t = _day(text)
+    if t in values:
+        raise ValueError(f"date {text.strip()} is repeated")
+    values[t] = value
 
 
 def _probability(text: str) -> float:
@@ -225,10 +203,7 @@ def _probability(text: str) -> float:
 
 
 def _load_ev(cfg: RunConfig) -> dict[str, int]:
-    if cfg.ev_table:
-        with open(cfg.ev_table, encoding="utf-8") as fh:
-            return _named(cfg.ev_table, load_ev_table, fh)
-    return default_ev_table()
+    return load_ev_table(cfg.ev_table) if cfg.ev_table else default_ev_table()
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -248,13 +223,20 @@ def _write_json(path: Path, doc) -> None:
 # calibration pipeline shared by forecast/calibrate
 
 
+def _note_skipped(parsed: ingest.ParseResult, kind: str, path: str) -> None:
+    if parsed.skipped:
+        line, reason = parsed.skipped[0]
+        print(f"note: skipped {parsed.n_skipped} {kind} row(s) of {path}; "
+              f"first at line {line}: {reason}", file=sys.stderr)
+
+
 def _calibrate_from_files(cfg: RunConfig):
     """Returns (cals, market, smoothed national or None, ev_table)."""
     ev_table = _load_ev(cfg)
     if cfg.calibration:
         with open(cfg.calibration, encoding="utf-8") as fh:
-            cals, market = _named(cfg.calibration,
-                                  lambda: cal_mod.calibration_from_dict(json.load(fh)))
+            cals, market = named(cfg.calibration,
+                                 lambda: cal_mod.calibration_from_dict(json.load(fh)))
         if market is None:
             raise ConfigurationError(f"{cfg.calibration} has no market block; cannot simulate")
         return cals, market, None, ev_table
@@ -263,11 +245,9 @@ def _calibrate_from_files(cfg: RunConfig):
         raise ConfigurationError("polls file is required (or a calibration file)")
     if not cfg.election_date:
         raise ConfigurationError("election_date is required to date the polls")
-    election = date.fromisoformat(cfg.election_date)
 
-    parsed = ingest.parse_polls(cfg.polls, election)
-    if parsed.n_skipped:
-        print(f"note: skipped {parsed.n_skipped} poll row(s)", file=sys.stderr)
+    parsed = ingest.parse_polls(cfg.polls, cfg.election_date)
+    _note_skipped(parsed, "poll", cfg.polls)
     spreads = ingest.to_spreads(parsed.records)
     us_obs = [o for o in spreads if o.state == NATIONAL]
     national = ingest.smooth_national(us_obs, bandwidth=cfg.bandwidth)
@@ -275,8 +255,7 @@ def _calibrate_from_files(cfg: RunConfig):
     historical_rows = []
     if cfg.historical:
         hist = ingest.load_historical(cfg.historical)
-        if hist.n_skipped:
-            print(f"note: skipped {hist.n_skipped} historical row(s)", file=sys.stderr)
+        _note_skipped(hist, "historical", cfg.historical)
         historical_rows = hist.records
 
     cals = cal_mod.calibrate_states(spreads, national, historical_rows,
@@ -323,40 +302,37 @@ def cmd_calibrate(cfg: RunConfig, out_dir: Path) -> int:
 
 def _read_series_file(path: str):
     """Long CSV forecaster,state,date,p -> {(forecaster, state): series}."""
-    points: dict[tuple[str, str], list[tuple[float, float]]] = {}
+    points: dict[tuple[str, str], dict[float, float]] = {}
 
-    def parse(row):
+    def parse(row, line):
         key = (row["forecaster"].strip(), row["state"].strip().upper())
-        points.setdefault(key, []).append((_day(row["date"]), _probability(row["p"])))
+        _add_dated(points.setdefault(key, {}), row["date"], _probability(row["p"]))
 
     def finish():
-        out = {}
-        for key, pts in points.items():
-            times, probs = zip(*sorted(pts))
-            out[key] = BinaryForecastSeries(key[0], times, probs)
-        return out
+        return {key: BinaryForecastSeries(key[0], *zip(*sorted(pts.items())))
+                for key, pts in points.items()}
 
-    return _read_rows(path, ("forecaster", "state", "date", "p"), parse, finish)
+    return read_rows(path, ("forecaster", "state", "date", "p"), parse, finish)
 
 
 def _read_outcomes(path: str) -> dict[str, int]:
     """CSV state,omega -> {state: 0 or 1}."""
     out: dict[str, int] = {}
 
-    def parse(row):
+    def parse(row, line):
         omega = int(row["omega"])
         if omega not in (0, 1):
             raise ValueError(f"omega = {omega} is not 0 or 1")
         out[row["state"].strip().upper()] = omega
 
-    return _read_rows(path, ("state", "omega"), parse, lambda: out)
+    return read_rows(path, ("state", "omega"), parse, lambda: out)
 
 
 def _read_histograms(path: str, n_bins: int = 539) -> dict[str, np.ndarray]:
     """Long CSV forecaster,ev,p -> normalized histogram per forecaster."""
     masses: dict[str, list[float]] = {}
 
-    def parse(row):
+    def parse(row, line):
         ev, p = int(row["ev"]), float(row["p"])
         if not 0 <= ev < n_bins:
             raise ValueError(f"ev = {ev} is outside 0..{n_bins - 1}")
@@ -373,7 +349,7 @@ def _read_histograms(path: str, n_bins: int = 539) -> dict[str, np.ndarray]:
             out[name] = h / h.sum()
         return out
 
-    return _read_rows(path, ("forecaster", "ev", "p"), parse, finish)
+    return read_rows(path, ("forecaster", "ev", "p"), parse, finish)
 
 
 # Copies of scoring's tables, not the same dicts: perfbench/spans.py wraps
@@ -457,8 +433,11 @@ def _read_panel(path: str) -> online.ExpertPanel:
     times: list[float] = []
     values: list[dict[str, float]] = []
 
-    def parse(row):
-        times.append(_day(row["date"]))
+    def parse(row, line):
+        t = _day(row["date"])
+        if times and t <= times[-1]:
+            raise ValueError(f"date {row['date'].strip()} does not follow {_iso(times[-1])}")
+        times.append(t)
         values.append({name: _probability(v) for name, v in row.items()
                        if name and name != "date"})
 
@@ -467,21 +446,21 @@ def _read_panel(path: str) -> online.ExpertPanel:
                                   times=np.array(times),
                                   values=np.array([list(v.values()) for v in values]))
 
-    return _read_rows(path, ("date",), parse, finish)
+    return read_rows(path, ("date",), parse, finish)
 
 
 def _read_reference(path: str) -> ReferenceSeries:
     """CSV date,price -> reference prices in date order."""
-    prices: list[tuple[float, float]] = []
+    prices: dict[float, float] = {}
 
-    def parse(row):
-        prices.append((_day(row["date"]), _probability(row["price"])))
+    def parse(row, line):
+        _add_dated(prices, row["date"], _probability(row["price"]))
 
     def finish():
-        prices.sort()
-        return ReferenceSeries(times=[t for t, _ in prices], values=[v for _, v in prices])
+        times = sorted(prices)
+        return ReferenceSeries(times=times, values=[prices[t] for t in times])
 
-    return _read_rows(path, ("date", "price"), parse, finish)
+    return read_rows(path, ("date", "price"), parse, finish)
 
 
 def _trade_reference(cfg: RunConfig, panel: online.ExpertPanel) -> ReferenceSeries:
@@ -702,7 +681,7 @@ def main(argv=None) -> int:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError, KeyError) as exc:
-        # malformed user inputs not caught by a reader (bad paths, bad dates)
+        # faults no reader names, such as an unwritable output directory
         print(f"error [{args.command}]: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -1,27 +1,25 @@
 """Poll and historical-result ingestion, spread computation, kernel smoothing.
 
-Input files are UTF-8 CSVs with a header row.  Polls carry two major-candidate
-percentages; the modeled quantity everywhere downstream is their *spread*
-(candidate-1 percent minus candidate-2 percent).  Time is measured in
-days-to-election, so t = 0 is election day and larger t is earlier in the
-campaign.
+Input files are UTF-8 CSVs with a header row, read by :mod:`.tables`.
+Polls carry two major-candidate percentages; the modeled quantity everywhere
+downstream is their *spread* (candidate-1 percent minus candidate-2 percent).
+Time is measured in days-to-election, so t = 0 is election day and larger t
+is earlier in the campaign.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
 from datetime import date
-from pathlib import Path
 
 import numpy as np
 
-from .errors import CalibrationError, IngestError
+from .errors import CalibrationError
 from .states import NATIONAL, is_state
+from .tables import read_rows
 
 
 class SampleType(enum.Enum):
@@ -144,99 +142,58 @@ class SmoothedSeries:
         return float(self.values_at([t])[0])
 
 
-def _text_lines(source):
-    """Accept a path (str/Path), a text or byte stream, or raw bytes."""
-    if isinstance(source, (str, Path)):
-        try:
-            return io.StringIO(Path(source).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise IngestError(f"cannot read {source}: {exc}") from exc
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if hasattr(source, "read"):
-        try:
-            data = source.read()
-        except OSError as exc:
-            raise IngestError(f"unreadable stream: {exc}") from exc
-        if isinstance(data, bytes):
-            try:
-                data = data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise IngestError(f"stream is not UTF-8: {exc}") from exc
-        return io.StringIO(data)
-    raise IngestError(f"unsupported source type: {type(source).__name__}")
-
-
 def parse_polls(source, election_date: date) -> ParseResult:
-    """Parse a poll CSV into :class:`PollRecord` rows.
+    """Parse a poll CSV (a path or a text stream) into :class:`PollRecord`
+    rows.
 
     Required columns are ``pollster,state,date,sample_size,sample_type,
     pct_c1,pct_c2`` (ISO-8601 dates).  Any extra columns are read as
     third-party percentages.  Rows with missing or invalid required fields
-    are skipped and reported in the result, never raised.
+    are skipped and reported in the result with their line, never raised.
     """
-    lines = _text_lines(source)
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None:
-        raise IngestError("poll file is empty (no header row)")
-    missing_cols = [c for c in POLL_COLUMNS if c not in reader.fieldnames]
-    if missing_cols:
-        raise IngestError(f"poll file missing columns: {', '.join(missing_cols)}")
-    extra_cols = [c for c in reader.fieldnames if c not in POLL_COLUMNS and c]
-
     result = ParseResult(records=[])
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            record = _parse_poll_row(row, extra_cols, election_date)
-        except _RowError as exc:
-            result.skipped.append((lineno, str(exc)))
-            continue
-        result.records.append(record)
-    return result
+
+    def parse(row, line):
+        result.records.append(_parse_poll_row(row, election_date))
+
+    return read_rows(source, POLL_COLUMNS, parse, lambda: result, skipped=result.skipped)
 
 
-class _RowError(Exception):
-    pass
-
-
-def _require(row, key):
-    value = (row.get(key) or "").strip()
+def _require(row, key, kind=str):
+    """The non-empty cell ``key`` of ``row``, parsed by ``kind``."""
+    value = row[key].strip()
     if not value:
-        raise _RowError(f"missing {key}")
-    return value
+        raise ValueError(f"missing {key}")
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise ValueError(f"bad {key}: {exc}") from exc
 
 
-def _parse_poll_row(row, extra_cols, election_date: date) -> PollRecord:
+def _parse_poll_row(row, election_date: date) -> PollRecord:
     state = _require(row, "state").upper()
     if state != NATIONAL and not is_state(state):
-        raise _RowError(f"unknown state code {state!r}")
-    try:
-        poll_date = date.fromisoformat(_require(row, "date"))
-    except ValueError as exc:
-        raise _RowError(f"bad date: {exc}") from exc
+        raise ValueError(f"unknown state code {state!r}")
+    poll_date = _require(row, "date", date.fromisoformat)
     if poll_date > election_date:
-        raise _RowError("poll dated after the election")
-    try:
-        sample_size = int(_require(row, "sample_size"))
-        pct_c1 = float(_require(row, "pct_c1"))
-        pct_c2 = float(_require(row, "pct_c2"))
-    except ValueError as exc:
-        raise _RowError(f"bad number: {exc}") from exc
+        raise ValueError("poll dated after the election")
+    sample_size = _require(row, "sample_size", int)
+    pct_c1 = _require(row, "pct_c1", float)
+    pct_c2 = _require(row, "pct_c2", float)
     if sample_size < 1:
-        raise _RowError(f"sample_size {sample_size} < 1")
+        raise ValueError(f"sample_size {sample_size} < 1")
     if not (0.0 <= pct_c1 <= 100.0 and 0.0 <= pct_c2 <= 100.0):
-        raise _RowError("percentage outside [0, 100]")
+        raise ValueError("percentage outside [0, 100]")
     if pct_c1 + pct_c2 > 100.0:
-        raise _RowError("pct_c1 + pct_c2 exceeds 100")
+        raise ValueError("pct_c1 + pct_c2 exceeds 100")
     raw_type = _require(row, "sample_type")
     sample_type = _SAMPLE_TYPE_ALIASES.get(raw_type.replace("_", " ").lower())
     if sample_type is None:
-        raise _RowError(f"unknown sample_type {raw_type!r}")
+        raise ValueError(f"unknown sample_type {raw_type!r}")
 
     others = []
-    for col in extra_cols:
-        raw = (row.get(col) or "").strip()
-        if not raw:
+    for col, raw in row.items() if len(row) > len(POLL_COLUMNS) else ():
+        if col in POLL_COLUMNS or not col or not raw.strip():
             continue
         try:
             others.append((col, float(raw)))
@@ -320,39 +277,29 @@ def smooth_national(obs, bandwidth: float = 5.0, grid=None) -> SmoothedSeries:
 
 
 def load_historical(source) -> ParseResult:
-    """Parse a ``year,state,state_spread,national_spread`` CSV.
+    """Parse a ``year,state,state_spread,national_spread`` CSV (a path or a
+    text stream).
 
-    Malformed rows are skipped and counted.  Rows before 1976 are kept but
-    flagged.  Duplicate (year, state) rows are all kept; deduplication is the
-    calibrator's concern.
+    Malformed rows are skipped and reported with their line.  Rows before
+    1976 are kept but flagged.  Duplicate (year, state) rows are all kept;
+    deduplication is the calibrator's concern.
     """
-    lines = _text_lines(source)
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None:
-        raise IngestError("historical file is empty (no header row)")
-    missing_cols = [c for c in HISTORICAL_COLUMNS if c not in reader.fieldnames]
-    if missing_cols:
-        raise IngestError(f"historical file missing columns: {', '.join(missing_cols)}")
-
     result = ParseResult(records=[])
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            state = _require(row, "state").upper()
-            if not is_state(state):
-                raise _RowError(f"unknown state code {state!r}")
-            year = int(_require(row, "year"))
-            state_spread = float(_require(row, "state_spread"))
-            national_spread = float(_require(row, "national_spread"))
-            if not (math.isfinite(state_spread) and math.isfinite(national_spread)):
-                raise _RowError("non-finite spread")
-        except (_RowError, ValueError) as exc:
-            result.skipped.append((lineno, str(exc)))
-            continue
+
+    def parse(row, line):
+        state = _require(row, "state").upper()
+        if not is_state(state):
+            raise ValueError(f"unknown state code {state!r}")
+        year = _require(row, "year", int)
+        state_spread = _require(row, "state_spread", float)
+        national_spread = _require(row, "national_spread", float)
+        if not (math.isfinite(state_spread) and math.isfinite(national_spread)):
+            raise ValueError("non-finite spread")
         if year < FIRST_HISTORICAL_YEAR:
-            result.flagged.append((lineno, f"year {year} precedes {FIRST_HISTORICAL_YEAR}"))
-        result.records.append(
-            HistoricalResult(year=year, state=state,
-                             state_spread=state_spread,
-                             national_spread=national_spread)
-        )
-    return result
+            result.flagged.append((line, f"year {year} precedes {FIRST_HISTORICAL_YEAR}"))
+        result.records.append(HistoricalResult(year=year, state=state,
+                                               state_spread=state_spread,
+                                               national_spread=national_spread))
+
+    return read_rows(source, HISTORICAL_COLUMNS, parse, lambda: result,
+                     skipped=result.skipped)

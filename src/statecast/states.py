@@ -7,10 +7,9 @@ winner-take-all, 538 votes total).  A different table can be loaded from any
 
 from __future__ import annotations
 
-import csv
 from importlib import resources
 
-from .errors import ConfigurationError
+from .tables import read_rows
 
 #: 50 state postal codes plus DC.
 STATE_CODES = frozenset(
@@ -34,24 +33,33 @@ def is_state(code: str) -> bool:
     return code in STATE_CODES
 
 
-def load_ev_table(lines) -> dict[str, int]:
-    """Read a ``state,ev`` CSV (text stream or iterable of lines).
+def load_ev_table(source) -> dict[str, int]:
+    """Read a ``state,ev`` CSV (a path or a text stream).
 
-    Every code must be one of the 51 recognized entities and the votes must
-    sum to 538.  Returns a mapping sorted by state code.
+    Each row holds one of the 51 recognized codes, listed once, with an
+    integer vote count >= 0, and the votes must sum to 538.  Returns a
+    mapping sorted by state code.
     """
     table: dict[str, int] = {}
-    for row in csv.DictReader(lines):
-        code = (row.get("state") or "").strip().upper()
+
+    def parse(row, line):
+        code = row["state"].strip().upper()
         if code not in STATE_CODES:
-            raise ConfigurationError(f"unknown state code in EV table: {code!r}")
-        table[code] = int(row["ev"])
-    total = sum(table.values())
-    if total != TOTAL_ELECTORAL_VOTES:
-        raise ConfigurationError(
-            f"EV table sums to {total}, expected {TOTAL_ELECTORAL_VOTES}"
-        )
-    return {code: table[code] for code in sorted(table)}
+            raise ValueError(f"unknown state code {code!r}")
+        if code in table:
+            raise ValueError(f"state {code} is listed twice")
+        votes = int(row["ev"])
+        if votes < 0:
+            raise ValueError(f"ev = {votes} is negative")
+        table[code] = votes
+
+    def finish():
+        total = sum(table.values())
+        if total != TOTAL_ELECTORAL_VOTES:
+            raise ValueError(f"EV table sums to {total}, expected {TOTAL_ELECTORAL_VOTES}")
+        return {code: table[code] for code in sorted(table)}
+
+    return read_rows(source, ("state", "ev"), parse, finish)
 
 
 def default_ev_table() -> dict[str, int]:

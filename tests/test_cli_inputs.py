@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import tempfile
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,8 @@ from statecast.calibration import (
     calibration_to_dict,
 )
 from statecast.cli import main
+from statecast.errors import IngestError
+from statecast.ingest import load_historical, parse_polls
 from statecast.states import default_ev_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -107,7 +110,17 @@ class TestSeriesRows:
         series = tmp_path / "s.csv"
         series.write_text("forecaster,state,date,p\n"
                           "F,US,2016-11-01,0.5\nF,US,2016-11-01,0.6\n")
-        assert_rejected(self.score(series, tmp_path), capsys, series)
+        err = assert_rejected(self.score(series, tmp_path), capsys, series, 3)
+        assert "2016-11-01" in err
+
+    def test_same_date_in_another_series_is_no_repeat(self, tmp_path):
+        series = tmp_path / "s.csv"
+        series.write_text("forecaster,state,date,p\n"
+                          "F,US,2016-11-01,0.5\nG,US,2016-11-01,0.6\n"
+                          "F,OH,2016-11-01,0.4\n")
+        outcomes = tmp_path / "o.csv"
+        outcomes.write_text("state,omega\nUS,1\nOH,0\n")
+        assert self.score(series, tmp_path, outcomes) == 0
 
     @pytest.mark.parametrize("omega", ["2", "0.5", "yes"])
     def test_outcome_not_binary_names_line(self, tmp_path, capsys, omega):
@@ -135,6 +148,21 @@ class TestPanelAndReference:
         experts.write_text(f"date,A,B\n2016-10-01,0.5,0.5\n{row}\n")
         assert_rejected(self.trade(experts, FIXTURES / "reference.csv", tmp_path),
                         capsys, experts, 3)
+
+
+    def test_repeated_reference_date_names_line_and_date(self, tmp_path, capsys):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("date,price\n2016-10-01,0.6\n2016-10-02,0.5\n2016-10-01,0.7\n")
+        err = assert_rejected(self.trade(FIXTURES / "experts.csv", ref, tmp_path),
+                              capsys, ref, 4)
+        assert "2016-10-01" in err
+
+    def test_repeated_panel_date_names_line_and_date(self, tmp_path, capsys):
+        experts = tmp_path / "experts.csv"
+        experts.write_text("date,A,B\n2016-10-01,0.5,0.5\n2016-10-01,0.6,0.4\n")
+        err = assert_rejected(self.trade(experts, FIXTURES / "reference.csv", tmp_path),
+                              capsys, experts, 3)
+        assert "2016-10-01" in err
 
 
 class TestCalibrationDocument:
@@ -205,6 +233,153 @@ class TestConfigValues:
         with pytest.raises(SystemExit) as exc:
             run_cli("forecast", "--bandwidth", "inf", "--out-dir", tmp_path)
         assert exc.value.code == 2
+
+
+class TestElectionDate:
+    def test_bad_flag_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("calibrate", "--polls", FIXTURES / "polls.csv",
+                    "--election-date", "2016-13-45", "--out-dir", tmp_path)
+        assert exc.value.code == 2
+
+    def test_bad_config_value_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f'polls = "{FIXTURES / "polls.csv"}"\nelection_date = 2016-13-45\n')
+        code = run_cli("calibrate", "--config", cfg, "--out-dir", tmp_path)
+        err = assert_rejected(code, capsys, cfg, 2)
+        assert "election_date" in err
+
+    def test_config_value_is_a_date(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text('election_date = "2016-11-08"\n')
+        assert cli.load_config(cfg).election_date == date(2016, 11, 8)
+
+
+# ---------------------------------------------------------------------------
+# the ingested tables: polls, historical results and the EV table
+
+POLL_HEADER = "pollster,state,date,sample_size,sample_type,pct_c1,pct_c2\n"
+HIST_HEADER = "year,state,state_spread,national_spread\n"
+ELECTION = date(2016, 11, 8)
+
+
+def calibrate(out, polls=FIXTURES / "polls.csv", historical=FIXTURES / "historical.csv",
+              *extra):
+    return run_cli("calibrate", "--polls", polls, "--historical", historical,
+                   "--election-date", "2016-11-08", "--out-dir", out, *extra)
+
+
+def fixture_plus(tmp_path, name, *lines, encoding="utf-8"):
+    """A copy of a fixture with ``lines`` appended; returns (path, the
+    line number of the first appended line)."""
+    text = (FIXTURES / name).read_text(encoding="utf-8")
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8") + "".join(line + "\n" for line in lines).encode(encoding))
+    return path, text.count("\n") + 1
+
+
+class TestPollAndHistoricalFiles:
+    def test_oversized_poll_field_names_line(self, tmp_path, capsys):
+        polls, line = fixture_plus(tmp_path, "polls.csv",
+                                   "X" * 200_000 + ",US,2016-10-01,500,LV,48,44")
+        out = tmp_path / "out"
+        assert_rejected(calibrate(out, polls), capsys, polls, line, out)
+
+    def test_oversized_historical_field_names_line(self, tmp_path, capsys):
+        hist, line = fixture_plus(tmp_path, "historical.csv",
+                                  "2012,OH," + "9" * 200_000 + ",3.9")
+        out = tmp_path / "out"
+        assert_rejected(calibrate(out, historical=hist), capsys, hist, line, out)
+
+    def test_latin1_byte_in_polls_names_line(self, tmp_path, capsys):
+        polls, line = fixture_plus(tmp_path, "polls.csv",
+                                   "Caf\xe9,US,2016-10-01,500,LV,48,44",
+                                   "B,US,2016-10-02,500,LV,48,44", encoding="latin-1")
+        out = tmp_path / "out"
+        err = assert_rejected(calibrate(out, polls), capsys, polls, line, out)
+        assert "UTF-8" in err
+
+    def test_latin1_byte_in_table_names_its_line(self, tmp_path, capsys):
+        hist, line = fixture_plus(tmp_path, "histograms.csv", "Caf\xe9,232,1.0",
+                                  encoding="latin-1")
+        assert line == 65
+        code = run_cli("score", "--histograms", hist, "--ev-realization", "232",
+                       "--metrics", "selten", "--out-dir", tmp_path)
+        assert_rejected(code, capsys, hist, line)
+
+    def test_latin1_byte_after_carriage_returns_names_its_line(self, tmp_path, capsys):
+        hist = tmp_path / "h.csv"
+        hist.write_bytes(b"forecaster,ev,p\rA,232,0.5\rB\xe9,232,0.5\r")
+        code = run_cli("score", "--histograms", hist, "--ev-realization", "232",
+                       "--metrics", "selten", "--out-dir", tmp_path)
+        assert_rejected(code, capsys, hist, 3)
+
+    def test_polls_missing_column_names_file(self, tmp_path, capsys):
+        polls = tmp_path / "polls.csv"
+        polls.write_text("pollster,state,date,sample_size,sample_type,pct_c1\n"
+                         "A,US,2016-10-01,500,LV,48\n")
+        err = assert_rejected(calibrate(tmp_path, polls), capsys, polls, 1)
+        assert "pct_c2" in err
+
+    def test_historical_missing_column_names_file(self, tmp_path, capsys):
+        hist = tmp_path / "historical.csv"
+        hist.write_text("year,state,state_spread\n2012,OH,3.0\n")
+        err = assert_rejected(calibrate(tmp_path, historical=hist), capsys, hist, 1)
+        assert "national_spread" in err
+
+    def test_skipped_poll_row_note_names_file_and_line(self, tmp_path, capsys):
+        polls, line = fixture_plus(tmp_path, "polls.csv", "A,ZZ,2016-10-01,500,LV,48,44",
+                                   "B,US,2016-10-01,0,LV,48,44")
+        assert calibrate(tmp_path, polls) == 0
+        err = capsys.readouterr().err
+        assert (f"note: skipped 2 poll row(s) of {polls}; first at line {line}: "
+                "unknown state code 'ZZ'") in err
+
+    def test_skipped_historical_row_note_names_file_and_line(self, tmp_path, capsys):
+        hist, line = fixture_plus(tmp_path, "historical.csv", "2012,OH,abc,3.9")
+        assert calibrate(tmp_path, historical=hist) == 0
+        err = capsys.readouterr().err
+        assert f"note: skipped 1 historical row(s) of {hist}; first at line {line}: " in err
+
+
+class TestEvTable:
+    def forecast(self, tmp_path, ev_lines):
+        ev = tmp_path / "ev.csv"
+        ev.write_text("state,ev\n" + "".join(line + "\n" for line in ev_lines))
+        cal = write_calibration(tmp_path / "cal.json")
+        out = tmp_path / "out"
+        code = run_cli("forecast", "--calibration", cal, "--ev-table", ev,
+                       "--seed", "5", "--paths", "200", "--out-dir", out)
+        return code, ev, out
+
+    def lines(self, **changes):
+        table = {**default_ev_table(), **changes}
+        return [f"{s},{v}" for s, v in table.items()]
+
+    def test_bundled_table_runs(self, tmp_path):
+        assert self.forecast(tmp_path, self.lines())[0] == 0
+
+    def test_negative_votes_name_line(self, tmp_path, capsys):
+        lines = self.lines(AL=-1, CA=65)
+        code, ev, out = self.forecast(tmp_path, lines)
+        assert_rejected(code, capsys, ev, 2 + lines.index("AL,-1"), out)
+
+    def test_state_listed_twice_names_line(self, tmp_path, capsys):
+        lines = self.lines()
+        lines.append(lines[0])
+        code, ev, out = self.forecast(tmp_path, lines)
+        err = assert_rejected(code, capsys, ev, 1 + len(lines), out)
+        assert f"state {lines[0][:2]} is listed twice" in err
+
+    def test_non_integer_votes_name_line(self, tmp_path, capsys):
+        lines = self.lines(OH="x")
+        code, ev, out = self.forecast(tmp_path, lines)
+        assert_rejected(code, capsys, ev, 2 + lines.index("OH,x"), out)
+
+    def test_wrong_total_names_file(self, tmp_path, capsys):
+        code, ev, out = self.forecast(tmp_path, self.lines(CA=50))
+        err = assert_rejected(code, capsys, ev, out_dir=out)
+        assert "538" in err
 
 
 # The flag names of each subcommand, besides the common ones; the settings
@@ -299,3 +474,38 @@ def test_arbitrary_cells_exit_cleanly(hist_edits, series_edits):
             for row in json.loads((tmp / "out" / "scores.json").read_text()):
                 value = float(row["value"])
                 assert math.isfinite(value) or value == -math.inf, row
+
+
+with open(FIXTURES / "polls.csv", newline="") as _fh:
+    POLL_ROWS = list(csv.DictReader(_fh))
+with open(FIXTURES / "historical.csv", newline="") as _fh:
+    HISTORICAL_ROWS = list(csv.DictReader(_fh))
+EV_ROWS = [{"state": s, "ev": str(v)} for s, v in default_ev_table().items()]
+TABLE_EDITS = st.dictionaries(st.tuples(st.integers(0, 200), st.integers(0, 6)), CELL,
+                              max_size=3)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(poll_edits=TABLE_EDITS, hist_edits=TABLE_EDITS, ev_edits=TABLE_EDITS)
+def test_arbitrary_cells_in_ingested_tables(poll_edits, hist_edits, ev_edits):
+    """A calibration from edited polls, historical and EV files exits 0 or 1,
+    and each poll or historical data row is either parsed or skipped, once."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        polls = _edit(POLL_ROWS, poll_edits, list(POLL_ROWS[0]))
+        historical = _edit(HISTORICAL_ROWS, hist_edits, list(HISTORICAL_ROWS[0]))
+        _write(tmp / "polls.csv", polls)
+        _write(tmp / "historical.csv", historical)
+        _write(tmp / "ev.csv", _edit(EV_ROWS, ev_edits, ("state", "ev")))
+        code = calibrate(tmp / "out", tmp / "polls.csv", tmp / "historical.csv",
+                         "--ev-table", tmp / "ev.csv")
+        assert code in (0, 1)
+        for path, rows, read in ((tmp / "polls.csv", polls, lambda f: parse_polls(f, ELECTION)),
+                                 (tmp / "historical.csv", historical, load_historical)):
+            try:
+                result = read(path)
+            except IngestError:
+                continue  # a fault of the file itself stops the read
+            assert len(result.records) + result.n_skipped == len(rows)
+            lines = [line for line, _ in result.skipped]
+            assert len(set(lines)) == len(lines) and all(line > 1 for line in lines)

@@ -73,6 +73,11 @@ class TestParsePolls:
         assert result.records == []
         assert result.n_skipped == len(rows)
 
+    def test_skipped_row_after_blank_line_names_its_physical_line(self):
+        src = polls_csv("A,US,2016-10-01,500,LV,48,44", "", "B,US,2016-10-01,0,LV,48,44")
+        result = parse_polls(src, ELECTION)
+        assert [line for line, _ in result.skipped] == [4]
+
     def test_extra_columns_become_pct_other(self):
         src = io.StringIO(
             HEADER.rstrip("\n") + ",johnson,stein\n"
