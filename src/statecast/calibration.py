@@ -11,7 +11,7 @@ smoothed series plus a sampling-error component from poll sample sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -241,26 +241,9 @@ def calibration_to_dict(
     market: MarketCalibration | None = None,
 ) -> dict:
     """JSON-ready document: states keyed by code, plus the market block."""
-    doc: dict = {
-        "states": {
-            c.state: {
-                "state": c.state,
-                "alpha": c.alpha,
-                "beta": c.beta,
-                "sigma_eps": c.sigma_eps,
-                "n_obs": c.n_obs,
-                "source": c.source,
-            }
-            for c in (cals[k] for k in sorted(cals))
-        }
-    }
+    doc: dict = {"states": {k: asdict(cals[k]) for k in sorted(cals)}}
     if market is not None:
-        doc["market"] = {
-            "sigma_samp": market.sigma_samp,
-            "sigma_m": market.sigma_m,
-            "m_current": market.m_current,
-            "horizon": market.horizon,
-        }
+        doc["market"] = asdict(market)
     return doc
 
 

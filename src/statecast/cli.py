@@ -519,26 +519,18 @@ def cmd_trade(cfg: RunConfig, out_dir: Path) -> int:
     ref = _trade_reference(cfg, panel)
     ref_on_panel = _reference_on_panel(ref, panel)
     omega = _trade_realization(cfg)
-    summary = []
     settled_series: list[trading.PnLSeries] = []
 
     def trade_one(name: str, times: np.ndarray, probs: np.ndarray) -> None:
         forecast = BinaryForecastSeries(name, times, probs)
         pos = trading.positions(forecast, ref)
         pnl = trading.mark_to_market(pos, ref, forecaster=name)
-        total_marked = pnl.total
-        settled = trading.settle(pnl, omega=omega)
-        settled_series.append(settled)
-        summary.append((name, total_marked, settled.total))
+        settled_series.append(trading.settle(pnl, omega=omega))
 
     if ref.kind == trading.KIND_PAIR_MEAN and panel.n_experts == 2:
         a = BinaryForecastSeries(panel.names[0], panel.times, panel.values[:, 0])
         b = BinaryForecastSeries(panel.names[1], panel.times, panel.values[:, 1])
-        for pnl in trading.pair_trading_scores(a, b, omega=omega):
-            settled_series.append(pnl)
-            summary.append((pnl.forecaster,
-                            float(pnl.cumulative[-2]) if len(pnl.cumulative) > 1 else 0.0,
-                            pnl.total))
+        settled_series.extend(trading.pair_trading_scores(a, b, omega=omega))
     else:
         for j, name in enumerate(panel.names):
             trade_one(name, panel.times, panel.values[:, j])
@@ -551,6 +543,11 @@ def cmd_trade(cfg: RunConfig, out_dir: Path) -> int:
 
     for pnl in settled_series:
         _write_pnl(out_dir, pnl)
+    # The marked total is the cumulative before the settlement increment.
+    summary = [(pnl.forecaster,
+                float(pnl.cumulative[-2]) if len(pnl.cumulative) > 1 else 0.0,
+                pnl.total)
+               for pnl in settled_series]
     _write_csv(out_dir / "pnl_summary.csv",
                ["forecaster", "total_marked", "total_settled"], summary)
     print(f"traded {len(settled_series)} forecaster(s); "
@@ -618,11 +615,8 @@ def cmd_curves(cfg: RunConfig, out_dir: Path) -> int:
     labels = [label for label, _ in densities]
     for metric in _CURVE_METRICS:
         table = scoring.score_curves(metric, densities, realizations)
-        rows = [
-            [int(w)] + [table[k, j] for j in range(len(labels))]
-            for k, w in enumerate(realizations)
-        ]
-        _write_csv(out_dir / f"curves_{metric}.csv", ["realization"] + labels, rows)
+        _write_csv(out_dir / f"curves_{metric}.csv", ["realization"] + labels,
+                   [[int(w), *row] for w, row in zip(realizations, table)])
     print(f"wrote {len(_CURVE_METRICS)} curve table(s) over {len(labels)} densities")
     return 0
 

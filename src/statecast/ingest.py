@@ -53,8 +53,6 @@ class PollRecord:
     """One poll: who asked, where, when, and the two major-candidate shares.
 
     ``days_to_election`` is derived from the poll date at parse time.
-    ``pct_other`` holds any additional named-candidate percentages found in
-    the file; they are carried along but never enter the spread.
     """
 
     pollster: str
@@ -65,7 +63,6 @@ class PollRecord:
     pct_c1: float
     pct_c2: float
     days_to_election: float
-    pct_other: tuple[tuple[str, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -147,9 +144,9 @@ def parse_polls(source, election_date: date) -> ParseResult:
     rows.
 
     Required columns are ``pollster,state,date,sample_size,sample_type,
-    pct_c1,pct_c2`` (ISO-8601 dates).  Any extra columns are read as
-    third-party percentages.  Rows with missing or invalid required fields
-    are skipped and reported in the result with their line, never raised.
+    pct_c1,pct_c2`` (ISO-8601 dates); any extra columns are ignored.  Rows
+    with missing or invalid required fields are skipped and reported in the
+    result with their line, never raised.
     """
     result = ParseResult(records=[])
 
@@ -191,15 +188,6 @@ def _parse_poll_row(row, election_date: date) -> PollRecord:
     if sample_type is None:
         raise ValueError(f"unknown sample_type {raw_type!r}")
 
-    others = []
-    for col, raw in row.items() if len(row) > len(POLL_COLUMNS) else ():
-        if col in POLL_COLUMNS or not col or not raw.strip():
-            continue
-        try:
-            others.append((col, float(raw)))
-        except ValueError:
-            continue  # non-numeric extras are not poll percentages
-
     return PollRecord(
         pollster=_require(row, "pollster"),
         state=state,
@@ -209,7 +197,6 @@ def _parse_poll_row(row, election_date: date) -> PollRecord:
         pct_c1=pct_c1,
         pct_c2=pct_c2,
         days_to_election=float((election_date - poll_date).days),
-        pct_other=tuple(others),
     )
 
 

@@ -4,7 +4,9 @@ Two input shapes are scored.  A :class:`BinaryForecastSeries` is a dated
 sequence of win probabilities judged against the realized 0/1 outcome
 (Brier, log-likelihood).  A histogram forecast is a probability vector over
 integer outcomes, here electoral votes 0..538, judged against the realized
-bin (Selten, spherical, log, CDF).
+bin (Selten, spherical, log, CDF).  Each density scorer takes one realized
+bin and returns a float, or an integer array of bins and returns an array
+of scores; a non-integer or out-of-range bin is a :class:`ScoreError`.
 
 Orientation is fixed per metric and never silently flipped: Brier and the
 CDF score are penalties (lower is better); log-likelihood, Selten, and
@@ -149,55 +151,58 @@ def _check_histogram(bins, tol: float = HISTOGRAM_TOL) -> np.ndarray:
     return h
 
 
-def _check_realized(h: np.ndarray, realized: int) -> int:
-    realized = int(realized)
-    if not 0 <= realized < h.size:
-        raise ScoreError(f"realized bin {realized} outside [0, {h.size - 1}]")
-    return realized
+def _check_realized(h: np.ndarray, realized) -> np.ndarray:
+    """``realized`` as integer bin index(es) of ``h``: one bin or an array."""
+    i = np.asarray(realized)
+    if i.dtype.kind not in "iu":
+        raise ScoreError(f"realized bin {realized!r} is not an integer in [0, {h.size - 1}]")
+    outside = (i < 0) | (i >= h.size)
+    if outside.any():
+        raise ScoreError(f"realized bin {i[outside].flat[0]} outside [0, {h.size - 1}]")
+    return i
 
 
-def selten(bins, realized: int) -> float:
+def selten(bins, realized):
     """Bin-wise Brier reward 2*p[realized] - sum(p^2), in [-1, 1].
 
     Bins are scored independently, so the result is blind to how far wrong
     mass sits from the realized bin.
     """
     h = _check_histogram(bins)
-    i = _check_realized(h, realized)
-    return float(2.0 * h[i] - np.dot(h, h))
+    return 2.0 * h[_check_realized(h, realized)] - np.dot(h, h)
 
 
-def spherical(bins, realized: int) -> float:
+def spherical(bins, realized):
     """p[realized] / ||p||_2, in [0, 1]."""
     h = _check_histogram(bins)
     i = _check_realized(h, realized)
     nrm = float(np.linalg.norm(h))
     if nrm == 0.0:
         raise ScoreError("spherical score undefined for a zero histogram")
-    return float(h[i] / nrm)
+    return h[i] / nrm
 
 
-def log_score(bins, realized: int) -> float:
+def log_score(bins, realized):
     """log p[realized]; -inf when the realized bin got no mass."""
     h = _check_histogram(bins)
     i = _check_realized(h, realized)
-    if h[i] <= 0.0:
-        return float("-inf")
-    return float(np.log(h[i]))
+    with np.errstate(divide="ignore"):
+        return np.log(h[i])
 
 
-def cdf_score(bins, realized: int) -> float:
+def cdf_score(bins, realized):
     """Integrated squared CDF error against the realized step function.
 
     sum_k (F(k) - [k >= realized])^2 over unit-width bins; 0 only for a
     point mass on the realized bin.  Equals the CRPS of the discrete
-    distribution, so misses are penalized by distance.
+    distribution, so misses are penalized by distance.  An array of
+    realized bins makes one row of gaps per bin, squared in place.
     """
     h = _check_histogram(bins)
     i = _check_realized(h, realized)
-    cdf = np.cumsum(h)
-    step = (np.arange(h.size) >= i).astype(float)
-    return float(np.sum((cdf - step) ** 2))
+    gaps = np.cumsum(h) - (np.arange(h.size) >= i[..., None])
+    gaps **= 2
+    return np.sum(gaps, axis=-1)
 
 
 _BINARY_FNS = {METRIC_BRIER: brier, METRIC_LOGLIK: log_likelihood}
@@ -280,10 +285,7 @@ def score_curves(metric: str, densities, realizations) -> np.ndarray:
     """
     if metric not in _DENSITY_FNS:
         raise ScoreError(f"unknown density metric {metric!r}")
-    fn = _DENSITY_FNS[metric]
-    realizations = np.asarray(realizations, dtype=int)
-    out = np.empty((realizations.size, len(densities)), dtype=float)
-    for j, (_, bins) in enumerate(densities):
-        for k, w in enumerate(realizations):
-            out[k, j] = fn(bins, int(w))
-    return out
+    if not densities:
+        raise ScoreError("no densities to score")
+    return np.column_stack([_DENSITY_FNS[metric](bins, realizations)
+                            for _, bins in densities])

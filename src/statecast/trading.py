@@ -100,25 +100,18 @@ def mark_to_market(pos: PositionSeries, ref: ReferenceSeries,
         raise AlignmentError("no positions to mark")
     if not np.all(np.isin(pos.times, ref.times)):
         raise AlignmentError("every position date must be a reference date")
-    by_time = dict(zip(pos.times.tolist(), pos.values.tolist()))
     start = int(np.searchsorted(ref.times, pos.times[0]))
-
-    held = by_time[float(ref.times[start])]
-    times, increments = [], []
-    for i in range(start + 1, len(ref.times)):
-        times.append(float(ref.times[i]))
-        increments.append(held * float(ref.values[i] - ref.values[i - 1]))
-        t = float(ref.times[i])
-        if t in by_time:
-            held = by_time[t]
-    increments = np.array(increments, dtype=float)
+    # The position held on each reference date: the latest one struck on or
+    # before it.
+    held = pos.values[np.searchsorted(pos.times, ref.times[start:], side="right") - 1]
+    increments = held[:-1] * np.diff(ref.values[start:])
     return PnLSeries(
         forecaster=forecaster,
-        times=np.array(times, dtype=float),
+        times=ref.times[start + 1:].copy(),
         increments=increments,
         cumulative=np.cumsum(increments),
         settled=False,
-        last_position=held,
+        last_position=float(held[-1]),
         last_price=float(ref.values[-1]),
         last_time=float(ref.times[-1]),
     )

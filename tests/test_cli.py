@@ -269,6 +269,28 @@ class TestTrade:
         oracle = sum((1 - s[t]) * (s[t + 1] - s[t]) for t in range(2)) + (1 - s[-1]) ** 2
         assert float(rows["UP"]["total_settled"]) == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("panel, reference", [
+        (None, ["--reference-file", FIXTURES / "reference.csv"]),
+        ("date,A\n2016-10-02,0.9\n", ["--reference-file", FIXTURES / "reference.csv"]),
+        ("date,A,B\n2016-10-01,0.8,0.4\n2016-10-02,0.7,0.5\n2016-10-03,0.9,0.3\n",
+         ["--reference", "pairmean"]),
+    ], ids=["market", "single_date", "pair"])
+    def test_total_marked_is_last_unsettled_cumulative(self, tmp_path, panel, reference):
+        experts = FIXTURES / "experts.csv"
+        if panel is not None:
+            experts = tmp_path / "experts.csv"
+            experts.write_text(panel)
+        assert run_cli("trade", "--experts", experts, *reference,
+                       "--outcomes", FIXTURES / "outcomes.csv", "--out-dir", tmp_path) == 0
+        summary = read_csv(tmp_path / "pnl_summary.csv")
+        assert len(summary) == len(list(tmp_path.glob("pnl_*.csv"))) - 1
+        for row in summary:
+            pnl = read_csv(tmp_path / f"pnl_{row['forecaster']}.csv")
+            # the last row is the settlement; the one before it is the last mark
+            marked = pnl[-2]["cumulative"] if len(pnl) > 1 else "0.0"
+            assert row["total_marked"] == marked
+            assert row["total_settled"] == pnl[-1]["cumulative"]
+
     def test_misaligned_dates_listed(self, tmp_path, capsys):
         experts = tmp_path / "experts.csv"
         experts.write_text("date,A\n2016-10-01,0.5\n2016-12-25,0.5\n")

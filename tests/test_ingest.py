@@ -78,13 +78,14 @@ class TestParsePolls:
         result = parse_polls(src, ELECTION)
         assert [line for line, _ in result.skipped] == [4]
 
-    def test_extra_columns_become_pct_other(self):
+    def test_extra_columns_are_ignored(self):
         src = io.StringIO(
             HEADER.rstrip("\n") + ",johnson,stein\n"
             "A,NM,2016-10-01,500,LV,40,29,16,2\n"
         )
         (rec,) = parse_polls(src, ELECTION).records
-        assert rec.pct_other == (("johnson", 16.0), ("stein", 2.0))
+        (plain,) = parse_polls(polls_csv("A,NM,2016-10-01,500,LV,40,29"), ELECTION).records
+        assert rec == plain
 
     def test_missing_required_column_is_ingest_error(self):
         with pytest.raises(IngestError, match="pct_c2"):

@@ -1,6 +1,8 @@
 """Scoring rules: frozen examples, algebraic identities, curve shapes."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from statecast.scoring import (
     aggregate_scores,
     brier,
     cdf_score,
+    default_curve_family,
     gaussian_histogram,
     log_likelihood,
     log_score,
@@ -29,6 +32,10 @@ from propriety import propriety_violations
 
 def series(probs, name="f"):
     return BinaryForecastSeries(name, np.arange(len(probs), dtype=float), probs)
+
+
+DENSITY_SCORERS = {"selten": selten, "spherical": spherical, "log": log_score,
+                   "cdf": cdf_score}
 
 
 def point_mass(i, n=539):
@@ -217,6 +224,56 @@ class TestAggregateScores:
             aggregate_scores([ScoreReport("f", "brier", 0.1, state="CA")], WEIGHT_EV)
 
 
+def scalar_score(metric, h, w):
+    """One cell of a score curve, by the per-bin formula of each score."""
+    if metric == "selten":
+        return float(2.0 * h[w] - np.dot(h, h))
+    if metric == "spherical":
+        return float(h[w] / float(np.linalg.norm(h)))
+    if metric == "log":
+        return float("-inf") if h[w] <= 0.0 else float(np.log(h[w]))
+    step = (np.arange(h.size) >= w).astype(float)
+    return float(np.sum((np.cumsum(h) - step) ** 2))
+
+
+def curves_by_loop(metric, densities, realizations):
+    """Oracle for score_curves: one scalar score per (realization, density)."""
+    out = np.empty((len(realizations), len(densities)), dtype=float)
+    for j, (_, bins) in enumerate(densities):
+        for k, w in enumerate(realizations):
+            out[k, j] = scalar_score(metric, bins, int(w))
+    return out
+
+
+class TestRealizedBins:
+    h = np.array([0.1, 0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize("fn", DENSITY_SCORERS.values())
+    @pytest.mark.parametrize("bad, named", [
+        (2.7, "2.7"), (float("nan"), "nan"), (np.float64(1.0), "1.0"),
+        (np.array([1.0, 2.0]), "1."), (np.array([0, 4]), "4"),
+        (np.array([2, -1]), "-1"), (4, "4"), (-1, "-1"), (2**70, str(2**70)),
+    ])
+    def test_rejected_with_the_value_named(self, fn, bad, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ScoreError, match=re.escape(named)):
+                fn(self.h, bad)
+
+    @pytest.mark.parametrize("fn", DENSITY_SCORERS.values())
+    def test_numpy_integers_accepted(self, fn):
+        for w in (np.int32(2), np.int64(2), np.uint8(2)):
+            assert fn(self.h, w) == fn(self.h, 2)
+        assert isinstance(fn(self.h, 2), np.float64)
+
+    @pytest.mark.parametrize("fn", DENSITY_SCORERS.values())
+    def test_array_scores_each_bin(self, fn):
+        realized = np.array([3, 0, 2, 2])
+        scores = fn(self.h, realized)
+        assert scores.shape == (4,)
+        assert scores.tobytes() == np.array([fn(self.h, int(w)) for w in realized]).tobytes()
+
+
 class TestScoreCurves:
     def setup_method(self):
         self.density = [("g", gaussian_histogram(269, 40))]
@@ -240,6 +297,18 @@ class TestScoreCurves:
     def test_unknown_metric(self):
         with pytest.raises(ScoreError):
             score_curves("nope", self.density, self.realizations)
+
+    def test_no_densities(self):
+        with pytest.raises(ScoreError, match="no densities"):
+            score_curves("cdf", [], self.realizations)
+
+    @pytest.mark.parametrize("metric", DENSITY_SCORERS)
+    def test_equals_scalar_loop_bit_for_bit(self, metric):
+        family = default_curve_family()
+        table = score_curves(metric, family, self.realizations)
+        oracle = curves_by_loop(metric, family, self.realizations)
+        assert table.shape == oracle.shape == (539, 6)
+        assert table.tobytes() == oracle.tobytes()
 
     def test_gaussian_histogram_normalized(self):
         h = gaussian_histogram(269, 40)

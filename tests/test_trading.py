@@ -62,7 +62,44 @@ class TestPositions:
         assert pos_a.values[0] == -pos_b.values[0]  # exact, not approximate
 
 
+def mark_by_loop(pos, r):
+    """Oracle for mark_to_market: walk the reference dates, re-striking the
+    held position whenever a position date is passed."""
+    by_time = dict(zip(pos.times.tolist(), pos.values.tolist()))
+    start = int(np.searchsorted(r.times, pos.times[0]))
+    held = by_time[float(r.times[start])]
+    times, increments = [], []
+    for i in range(start + 1, len(r.times)):
+        times.append(float(r.times[i]))
+        increments.append(held * float(r.values[i] - r.values[i - 1]))
+        if float(r.times[i]) in by_time:
+            held = by_time[float(r.times[i])]
+    increments = np.array(increments, dtype=float)
+    return (np.array(times, dtype=float), increments, np.cumsum(increments),
+            held, float(r.values[-1]), float(r.times[-1]))
+
+
 class TestMarkToMarket:
+    @pytest.mark.parametrize("case", ["gaps", "single_date", "every_date"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_date_loop_bit_for_bit(self, case, seed):
+        rng = np.random.default_rng(seed)
+        n = {"gaps": 12, "single_date": 1, "every_date": 9}[case]
+        r = ref(rng.uniform(0.0, 1.0, n), times=np.arange(n) * 1.5 + 3.0)
+        if case == "gaps":
+            # reference dates before, between and after the position dates
+            idx = np.sort(rng.choice(np.arange(2, 9), size=3, replace=False))
+        else:
+            idx = np.arange(n)
+        pos = PositionSeries(r.times[idx], rng.uniform(-1.0, 1.0, idx.size))
+        pnl = mark_to_market(pos, r)
+        times, increments, cumulative, held, price, time = mark_by_loop(pos, r)
+        assert pnl.times.tobytes() == times.tobytes()
+        assert pnl.increments.tobytes() == increments.tobytes()
+        assert pnl.cumulative.tobytes() == cumulative.tobytes()
+        assert (pnl.last_position, pnl.last_price, pnl.last_time) == (held, price, time)
+        assert np.float64(pnl.last_position).tobytes() == np.float64(held).tobytes()
+
     def test_constant_reference_earns_nothing(self):
         pos = positions(fc([0.8, 0.7, 0.9]), ref([0.6, 0.6, 0.6]))
         pnl = mark_to_market(pos, ref([0.6, 0.6, 0.6]))
