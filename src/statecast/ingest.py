@@ -156,40 +156,65 @@ def parse_polls(source, election_date: date) -> ParseResult:
     return read_rows(source, POLL_COLUMNS, parse, lambda: result, skipped=result.skipped)
 
 
+def _cell_fault(key, text, exc=None) -> ValueError:
+    """The fault of the required cell ``key``: empty, or ``text`` that did
+    not parse (``exc``)."""
+    return ValueError(f"bad {key}: {exc}" if text else f"missing {key}")
+
+
 def _require(row, key, kind=str):
     """The non-empty cell ``key`` of ``row``, parsed by ``kind``."""
     value = row[key].strip()
     if not value:
-        raise ValueError(f"missing {key}")
+        raise _cell_fault(key, value)
     try:
         return kind(value)
     except ValueError as exc:
-        raise ValueError(f"bad {key}: {exc}") from exc
+        raise _cell_fault(key, value, exc) from exc
 
 
 def _parse_poll_row(row, election_date: date) -> PollRecord:
-    state = _require(row, "state").upper()
+    # Each cell is stripped once; the checks run in a fixed order, so a row
+    # with several faults is always reported by the same one.
+    state = row["state"].strip().upper()
+    if not state:
+        raise _cell_fault("state", state)
     if state != NATIONAL and not is_state(state):
         raise ValueError(f"unknown state code {state!r}")
-    poll_date = _require(row, "date", date.fromisoformat)
+    text = row["date"].strip()
+    try:
+        poll_date = date.fromisoformat(text)
+    except ValueError as exc:
+        raise _cell_fault("date", text, exc) from exc
     if poll_date > election_date:
         raise ValueError("poll dated after the election")
-    sample_size = _require(row, "sample_size", int)
-    pct_c1 = _require(row, "pct_c1", float)
-    pct_c2 = _require(row, "pct_c2", float)
+    try:
+        key, text = "sample_size", row["sample_size"].strip()
+        sample_size = int(text)
+        key, text = "pct_c1", row["pct_c1"].strip()
+        pct_c1 = float(text)
+        key, text = "pct_c2", row["pct_c2"].strip()
+        pct_c2 = float(text)
+    except ValueError as exc:
+        raise _cell_fault(key, text, exc) from exc
     if sample_size < 1:
         raise ValueError(f"sample_size {sample_size} < 1")
     if not (0.0 <= pct_c1 <= 100.0 and 0.0 <= pct_c2 <= 100.0):
         raise ValueError("percentage outside [0, 100]")
     if pct_c1 + pct_c2 > 100.0:
         raise ValueError("pct_c1 + pct_c2 exceeds 100")
-    raw_type = _require(row, "sample_type")
+    raw_type = row["sample_type"].strip()
+    if not raw_type:
+        raise _cell_fault("sample_type", raw_type)
     sample_type = _SAMPLE_TYPE_ALIASES.get(raw_type.replace("_", " ").lower())
     if sample_type is None:
         raise ValueError(f"unknown sample_type {raw_type!r}")
+    pollster = row["pollster"].strip()
+    if not pollster:
+        raise _cell_fault("pollster", pollster)
 
     return PollRecord(
-        pollster=_require(row, "pollster"),
+        pollster=pollster,
         state=state,
         date=poll_date,
         sample_size=sample_size,

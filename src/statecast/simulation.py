@@ -11,7 +11,10 @@ electoral votes are summed to 0..538.
 No draw depends on the day; only the market's level and horizon do.  So
 the market and each state are drawn once, and every day of a run is settled
 from those same draws: a many-day time series and a one-day forecast run
-the same code, and each day matches a one-day run bit for bit.
+the same code, and each day matches a one-day run bit for bit.  Settling
+walks each state's days x paths in fixed tiles of ``_TILE`` elements
+through buffers that each worker allocates once, sized by the tile and not
+by the number of paths; a state's win share is its win count over n.
 
 Randomness uses counter-based Philox substreams: the market and each state
 own a stream keyed by (seed, stream index), and a path's draw sits at its
@@ -117,6 +120,7 @@ class ForecastDistribution:
 
 
 _MARKET_STREAM = 0
+_TILE = 1 << 16  # elements in one settle tile of days x paths
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -167,9 +171,13 @@ def simulate_paths(
 ) -> PathOutcomes:
     """All Monte Carlo paths settled against every market in ``markets``.
 
-    Each state is drawn once; every market is settled from those draws.
-    Workers take fixed strided chunks of states and each returns its own
-    integer EV accumulator, so the sum does not depend on ``cfg.workers``.
+    Each state is drawn once; every market is settled from those draws, in
+    tiles of at most ``_TILE`` days x paths computed in reused buffers with
+    the same floating-point operations, in the same order, as
+    ``intercept + slope * m + noise > win_threshold``.  ``p_state`` is each
+    state's win count divided by ``n_paths``.  Workers take fixed strided
+    chunks of states and each returns its own integer EV accumulator, so
+    the sum does not depend on ``cfg.workers``.
     """
     states = tuple(sorted(ev_table))
     missing = [s for s in states if s not in cals]
@@ -177,19 +185,40 @@ def simulate_paths(
         raise ConfigurationError(f"missing calibration for: {', '.join(missing)}")
 
     m = simulate_market_terminals(markets, cfg)
-    p_state = np.empty((len(markets), len(states)))
+    n_days, n = m.shape
+    cols = min(n, _TILE)
+    rows = max(1, min(n_days, _TILE // cols))
+    p_state = np.empty((n_days, len(states)))
 
     def settle(chunk: range) -> np.ndarray:
         ev_c1 = np.zeros(m.shape, dtype=np.int16)  # at most 538 votes
+        x = np.empty((rows, cols))
+        won = np.empty((rows, cols), dtype=bool)
+        inc = np.empty((rows, cols), dtype=np.int16)
         for i in chunk:
             rng = _stream(cfg.seed, 1 + i)
             intercept, slope, noise = sample_state_noise(
-                cals[states[i]], cfg.n_paths, cfg.noise_model, rng)
+                cals[states[i]], n, cfg.noise_model, rng)
             votes = np.int16(ev_table[states[i]])
-            for d, m_d in enumerate(m):
-                won = intercept + slope * m_d + noise > cfg.win_threshold
-                p_state[d, i] = won.mean()
-                ev_c1[d] += votes * won
+            wins = np.zeros(n_days, dtype=np.int64)
+            for c in range(0, n, cols):
+                pc = slice(c, c + cols)
+                # Gaussian lines are scalars; Student-T lines are per path
+                a, b, e = (v[pc] if np.ndim(v) else v for v in (intercept, slope, noise))
+                for r in range(0, n_days, rows):
+                    dr = slice(r, r + rows)
+                    m_t = m[dr, pc]
+                    x_t, won_t, inc_t = (buf[:m_t.shape[0], :m_t.shape[1]]
+                                         for buf in (x, won, inc))
+                    # intercept + slope * m + noise > threshold; x + a == a + x
+                    np.multiply(b, m_t, out=x_t)
+                    np.add(x_t, a, out=x_t)
+                    np.add(x_t, e, out=x_t)
+                    np.greater(x_t, cfg.win_threshold, out=won_t)
+                    wins[dr] += [np.count_nonzero(row) for row in won_t]
+                    np.multiply(won_t, votes, out=inc_t)
+                    ev_c1[dr, pc] += inc_t
+            p_state[:, i] = wins / n
         return ev_c1
 
     n_chunks = min(cfg.workers, len(states))

@@ -12,6 +12,7 @@ from statecast.simulation import (
     GaussianNoise,
     SimulationConfig,
     StudentTNoise,
+    _TILE,
     _stream,
     probability_time_series,
     run_forecast,
@@ -287,22 +288,24 @@ DAYS = [market(m=-1.0, horizon=40.0), market(m=0.5, horizon=20.0),
         market(m=1.5, horizon=5.0), market(m=0.0, horizon=0.0)]
 
 
-def rebuilt_spreads(cals, mkt, cfg):
-    """Every state's spread on every path, drawn straight from the Philox
-    streams in the order the simulator consumes them."""
+def rebuilt_spreads(cals, markets, cfg):
+    """Every state's spread on every path of each market, drawn straight
+    from the Philox streams in the order the simulator consumes them."""
     n, model = cfg.n_paths, cfg.noise_model
     z = _stream(cfg.seed, 0).standard_normal(n)
-    m = mkt.m_current + mkt.sigma_total * np.sqrt(mkt.horizon) * z
-    out = {}
+    ms = [mkt.m_current + mkt.sigma_total * np.sqrt(mkt.horizon) * z for mkt in markets]
+    out = [{} for _ in markets]
     for i, state in enumerate(sorted(cals)):
         rng, cal = _stream(cfg.seed, 1 + i), cals[state]
         if isinstance(model, GaussianNoise):
-            out[state] = cal.alpha + cal.beta * m + cal.sigma_eps * rng.standard_normal(n)
+            alpha, beta, noise = cal.alpha, cal.beta, cal.sigma_eps * rng.standard_normal(n)
         else:
             alpha = rng.normal(cal.alpha, model.sigma_alpha, n)
             beta = rng.normal(cal.beta, model.sigma_beta, n)
             scale = np.abs(rng.normal(0.0, cal.sigma_eps, n))
-            out[state] = alpha + beta * m + scale * rng.standard_t(model.nu, n)
+            noise = scale * rng.standard_t(model.nu, n)
+        for day, m in zip(out, ms):
+            day[state] = alpha + beta * m + noise
     return out
 
 
@@ -336,11 +339,11 @@ class TestSharedDraws:
         cals = contested_cals(ev)
         cfg = SimulationConfig(seed=41, n_paths=300, noise_model=model, workers=workers)
         # put the threshold exactly on OH's spread on path 0 of day 1
-        threshold = float(rebuilt_spreads(cals, DAYS[1], cfg)["OH"][0])
+        days = rebuilt_spreads(cals, DAYS, cfg)
+        threshold = float(days[1]["OH"][0])
         cfg = replace(cfg, win_threshold=threshold)
         paths = simulate_paths(cals, DAYS, ev, cfg)
-        for d, mkt in enumerate(DAYS):
-            spreads = rebuilt_spreads(cals, mkt, cfg)
+        for d, spreads in enumerate(days):
             expected = [
                 aggregate_electoral_votes({s: v[k] for s, v in spreads.items()}, ev, threshold)
                 for k in range(cfg.n_paths)
@@ -350,6 +353,32 @@ class TestSharedDraws:
         lower = replace(cfg, win_threshold=float(np.nextafter(threshold, -np.inf)))
         assert (simulate_paths(cals, [DAYS[1]], ev, lower).ev_c1[0, 0]
                 == paths.ev_c1[1, 0] + ev["OH"])
+
+
+# (paths, days, tie day, tie path): the first case crosses a path tile, the
+# second a day block of _TILE // 3001 days; each tie sits in the second tile.
+TILE_EDGES = [(_TILE + 7, 3, 1, _TILE + 3),
+              (3001, _TILE // 3001 + 4, _TILE // 3001 + 1, 1500)]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("model", MODELS, ids=["gaussian", "student_t"])
+@pytest.mark.parametrize("n_paths,n_days,tie_day,tie_path", TILE_EDGES,
+                         ids=["path_tile", "day_block"])
+def test_tiles_match_vectorized_oracle(model, workers, n_paths, n_days, tie_day, tie_path):
+    ev = default_ev_table()
+    cals = contested_cals(ev)
+    days = [market(m=-1.0 + 0.1 * d, horizon=float(n_days - d)) for d in range(n_days)]
+    cfg = SimulationConfig(seed=47, n_paths=n_paths, noise_model=model, workers=workers)
+    spreads = rebuilt_spreads(cals, days, cfg)
+    threshold = float(spreads[tie_day]["OH"][tie_path])
+    paths = simulate_paths(cals, days, ev, replace(cfg, win_threshold=threshold))
+    assert paths.ev_c1.shape == (n_days, n_paths)
+    for d in range(n_days):
+        won = {s: v > threshold for s, v in spreads[d].items()}
+        expected = sum(ev[s] * w.astype(np.int64) for s, w in won.items())
+        np.testing.assert_array_equal(paths.ev_c1[d], expected)
+        np.testing.assert_array_equal(paths.p_state[d], [won[s].mean() for s in paths.states])
 
 
 def test_more_threads_than_cores_under_fast_switching():
