@@ -1,8 +1,12 @@
-"""Golden bytes: `forecast` on the bundled fixtures writes exactly these files.
+"""Golden bytes: each subcommand on the bundled fixtures writes exactly these
+files and prints exactly this line.
 
-The digests were recorded from the per-day, per-state settle loop.  Any
-rewrite of the simulator must reproduce every byte of ``forecast.json`` and
-``timeseries.csv``, for either noise model and any worker count.
+The `forecast` digests were recorded from the per-day, per-state settle loop.
+Any rewrite of the simulator must reproduce every byte of ``forecast.json``
+and ``timeseries.csv``, for either noise model and any worker count.  The
+evaluation digests (`score`, `trade`, `aggregate`, `curves`) were recorded
+from the dict-per-row table reader; any rewrite of the readers, scorers or
+traders must reproduce every output file.
 """
 
 import hashlib
@@ -55,3 +59,90 @@ def test_forecast_bytes(tmp_path, seed, model, workers, capsys):
     assert capsys.readouterr().out == f"p_national = 1.0000 over 10000 paths (seed {seed})\n"
     assert (sha256(tmp_path / "forecast.json"),
             sha256(tmp_path / "timeseries.csv")) == GOLDEN[seed, model]
+
+
+# name -> (arguments, stdout, {output file: sha256}); every file the command
+# writes is listed.
+EVALUATIONS = {
+    "score": (
+        ["score", "--series", FIXTURES / "series.csv",
+         "--outcomes", FIXTURES / "outcomes.csv",
+         "--histograms", FIXTURES / "histograms.csv", "--ev-realization", "300",
+         "--metrics", "brier", "loglik", "selten", "spherical", "cdf"],
+        "wrote 9 score table(s)\n",
+        {
+            "scores.json": "6f911b912821759cc1aed84c36b0ee25c5ae0e39a72b0cbf519000685f107e2d",
+            "scores_brier_ev_weighted.csv": "677f4386659de407753135f67b38d866d26241dbbdb20ae6b62c5c1f7aebd581",
+            "scores_brier_overall.csv": "2f85fa64531c14dc29b704ac34ef0d34fbbb918b9a408ad574ac15d4b1e01cb7",
+            "scores_brier_state_average.csv": "cb4ac2341603900d2e017c462ff3779f287f46854ab6a0add2d2997b3fc7d757",
+            "scores_cdf_overall.csv": "102dd2ea7a1cfd95688a97870d478ed089b3e724a1cd78da43d86fd590d24ad2",
+            "scores_loglik_ev_weighted.csv": "1bbe999416a6939f379577e6611b1480a2710937e55ac39bcda3f9d4c8cc9980",
+            "scores_loglik_overall.csv": "78ff473caefc37a056c2fb17d03b8a9535b52463f4c8e705f87d7001897a6f12",
+            "scores_loglik_state_average.csv": "64945cbbf7466aae60b774190a9b34551894bcc4f7636421d6a3025a3d26abc8",
+            "scores_selten_overall.csv": "4f1889c1955e533ab89a536a36e2466c17cdfd7569b6f84fe5b904e64e9b59e3",
+            "scores_spherical_overall.csv": "0eca50c69bb83c07c81323c6b5b6781165ac3e9bc1f1669d115d4529ac163443",
+        },
+    ),
+    "trade_reference": (
+        ["trade", "--experts", FIXTURES / "experts.csv",
+         "--reference-file", FIXTURES / "reference.csv",
+         "--outcomes", FIXTURES / "outcomes.csv"],
+        "traded 4 forecaster(s); settled at realization\n",
+        {
+            "pnl_CAPM.csv": "dccd91c5c8ff7ea2024cf3c32508d9b3c7b70c672f886d1aed288056c3c4c1f2",
+            "pnl_FTE.csv": "6c0b2e6ebd2d6c77127eb77a2c556e090c55cf7fda13daa6730e766359fd9c99",
+            "pnl_ONLINE.csv": "a450f2a8939ac5235d66293b2ada2a6fb0097da40cc0dae9d01e4ebc415352a1",
+            "pnl_PEC.csv": "4ba684d4c17351b6c398577225dcf09a7e968714e8145b70017bfbde4648fe52",
+            "pnl_summary.csv": "20be57de1776d7e58114f691e10448a5d6f5bdd444e0f88b1e02a9bdf863aa04",
+        },
+    ),
+    "trade_pairmean": (
+        ["trade", "--experts", FIXTURES / "experts.csv", "--reference", "pairmean"],
+        "traded 4 forecaster(s); settled at final market price\n",
+        {
+            "pnl_CAPM.csv": "f303a20b750551c0690719d82b40bd9c8b6c196767a02837f6a1c7852e99c0f1",
+            "pnl_FTE.csv": "77e84c93c923d97a731d88335537fd6cd445f97deecd4848d7d3e3414a4b92b2",
+            "pnl_ONLINE.csv": "abe6c6119c4f243e0df9f4367a610b4b42f7e63220f8d6e29a95c46a1ff3fc2e",
+            "pnl_PEC.csv": "cab853451b6b8ac225e948bd256bf77140bcea52a58c1bb58c9305c8b212305f",
+            "pnl_summary.csv": "d91fe4fed5e6548c2b21de0f95a0a298910915cd14f83a39491db80be98544d2",
+        },
+    ),
+    "aggregate_quadratic": (
+        ["aggregate", "--experts", FIXTURES / "experts.csv",
+         "--reference-file", FIXTURES / "reference.csv", "--loss", "quadratic"],
+        "aggregated 3 experts over 11 rounds; regret 0.3343 (bound 2.4581)\n",
+        {
+            "aggregate.csv": "ce4fc4caeb6eecde0965f4b6def57ed53dc47ee0e11449924d9d246fc161e739",
+            "learner.json": "af79aff97edc7e587bfd5799632909c590cb9a882c4bb2bd1156f807f8919cac",
+            "mse.csv": "b1821a5aa85a6a2a663333567d0f48f98a081ea01bb3a7e85675a51cdf45bd4e",
+        },
+    ),
+    "aggregate_trading": (
+        ["aggregate", "--experts", FIXTURES / "experts.csv",
+         "--reference-file", FIXTURES / "reference.csv", "--loss", "trading"],
+        "aggregated 3 experts over 11 rounds; regret 0.0007 (bound 2.4581)\n",
+        {
+            "aggregate.csv": "032dcfee23e35fb4ba71a42e09b71f3513ed72fc78d14022787ac65a4d9b94b5",
+            "learner.json": "cb14a622a783bb64dcca86dca4fd3c958467f26b7fbe6a85087ee70b4694eb0a",
+            "mse.csv": "e9bbedae81ca968a9db0e39211fe2e1220c7bb165abd042695df750251994982",
+        },
+    ),
+    "curves": (
+        ["curves"],
+        "wrote 4 curve table(s) over 6 densities\n",
+        {
+            "curves_cdf.csv": "8c0a594b0bc27b1240c31ad93ceb847782c1600346265b00ad91e11c57523c18",
+            "curves_log.csv": "a4764b432495b8a5bb4ca196c55d2c75c320211920537b844e2c6cfd4efa3fc3",
+            "curves_selten.csv": "d8926b174993484a12a1bcbe478d6021acbf5ac02a7168e06b2d0701d9d74e43",
+            "curves_spherical.csv": "50efb9740bc4a440c46f73e66aaf763f3e2c0d78de401c7dafce8a2dd8a74560",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATIONS))
+def test_evaluation_bytes(tmp_path, name, capsys):
+    args, stdout, digests = EVALUATIONS[name]
+    assert main([*map(str, args), "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == stdout
+    assert {p.name: sha256(p) for p in tmp_path.iterdir()} == digests
