@@ -113,6 +113,34 @@ class TestSeriesRows:
         err = assert_rejected(self.score(series, tmp_path), capsys, series, 3)
         assert "2016-11-01" in err
 
+    def test_same_day_written_two_ways_is_repeated(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        series.write_text("forecaster,state,date,p\n"
+                          "F,US,2016-11-01,0.5\nF,US, 2016-11-01,0.6\n")
+        err = assert_rejected(self.score(series, tmp_path), capsys, series, 3)
+        assert "date 2016-11-01 is repeated" in err
+
+    def test_state_cells_written_two_ways_are_one_series(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        series.write_text("forecaster,state,date,p\n"
+                          "F,us,2016-11-01,0.5\nF,us,2016-11-02,0.5\n"
+                          "F, US ,2016-11-02,0.6\n")
+        err = assert_rejected(self.score(series, tmp_path), capsys, series, 4)
+        assert "date 2016-11-02 is repeated" in err
+
+    def test_bad_probability_is_reported_before_bad_date(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        series.write_text("forecaster,state,date,p\n"
+                          "F,US,2016-11-01,0.5\nF,US,2016-13-45,1.5\n")
+        err = assert_rejected(self.score(series, tmp_path), capsys, series, 3)
+        assert "'1.5' is not a probability in [0, 1]" in err
+
+    def test_missing_column_names_file(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        series.write_text("forecaster,state,date\nF,US,2016-11-01\n")
+        err = assert_rejected(self.score(series, tmp_path), capsys, series, 1)
+        assert "missing column(s) p" in err
+
     def test_same_date_in_another_series_is_no_repeat(self, tmp_path):
         series = tmp_path / "s.csv"
         series.write_text("forecaster,state,date,p\n"
@@ -128,6 +156,13 @@ class TestSeriesRows:
         outcomes.write_text(f"state,omega\nUS,1\nOH,{omega}\n")
         code = self.score(FIXTURES / "series.csv", tmp_path, outcomes)
         assert_rejected(code, capsys, outcomes, 3)
+
+    def test_outcomes_missing_column_names_file(self, tmp_path, capsys):
+        outcomes = tmp_path / "o.csv"
+        outcomes.write_text("state,result\nUS,1\n")
+        code = self.score(FIXTURES / "series.csv", tmp_path, outcomes)
+        err = assert_rejected(code, capsys, outcomes, 1)
+        assert "missing column(s) omega" in err
 
 
 class TestPanelAndReference:
@@ -163,6 +198,20 @@ class TestPanelAndReference:
         err = assert_rejected(self.trade(experts, FIXTURES / "reference.csv", tmp_path),
                               capsys, experts, 3)
         assert "2016-10-01" in err
+
+    def test_panel_missing_date_column_names_file(self, tmp_path, capsys):
+        experts = tmp_path / "experts.csv"
+        experts.write_text("day,A,B\n2016-10-01,0.5,0.5\n")
+        err = assert_rejected(self.trade(experts, FIXTURES / "reference.csv", tmp_path),
+                              capsys, experts, 1)
+        assert "missing column(s) date" in err
+
+    def test_reference_missing_column_names_file(self, tmp_path, capsys):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("date,value\n2016-10-01,0.6\n")
+        err = assert_rejected(self.trade(FIXTURES / "experts.csv", ref, tmp_path),
+                              capsys, ref, 1)
+        assert "missing column(s) price" in err
 
 
 class TestCalibrationDocument:
@@ -343,9 +392,9 @@ class TestPollAndHistoricalFiles:
 
 
 class TestEvTable:
-    def forecast(self, tmp_path, ev_lines):
+    def forecast(self, tmp_path, ev_lines, header="state,ev"):
         ev = tmp_path / "ev.csv"
-        ev.write_text("state,ev\n" + "".join(line + "\n" for line in ev_lines))
+        ev.write_text(header + "\n" + "".join(line + "\n" for line in ev_lines))
         cal = write_calibration(tmp_path / "cal.json")
         out = tmp_path / "out"
         code = run_cli("forecast", "--calibration", cal, "--ev-table", ev,
@@ -380,6 +429,11 @@ class TestEvTable:
         code, ev, out = self.forecast(tmp_path, self.lines(CA=50))
         err = assert_rejected(code, capsys, ev, out_dir=out)
         assert "538" in err
+
+    def test_missing_column_names_file(self, tmp_path, capsys):
+        code, ev, out = self.forecast(tmp_path, self.lines(), header="state,votes")
+        err = assert_rejected(code, capsys, ev, 1, out)
+        assert "missing column(s) ev" in err
 
 
 # The flag names of each subcommand, besides the common ones; the settings
