@@ -11,10 +11,10 @@ win.  Each setting is declared once, as a :class:`RunConfig` field: its flag
 is ``--`` plus the key with dashes (``--reference`` sets ``reference_mode``
 and ``--reference-file`` sets ``reference``), and the field's type and
 ``_CHOICES`` parse and check flag and config values alike.  Every input
-table goes through one row reader, :func:`.tables.read_rows`, which turns a
-malformed row into one ``file:line: reason`` error.  Every output lands under
-``--out-dir`` with a fixed name, and a fixed seed makes reruns
-byte-identical.
+table goes through one row reader, :func:`.tables.read_rows`, which hands
+its parser a tuple of each row's cells and turns a malformed row or header
+into one ``file:line: reason`` error.  Every output lands under
+``--out-dir`` with a fixed name; a fixed seed makes reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -187,14 +187,6 @@ def _day(text: str) -> float:
     return float(iso_date(text).toordinal())
 
 
-def _add_dated(values: dict[float, float], text: str, value: float) -> None:
-    """``values[day] = value`` for the date ``text``, which must be new."""
-    t = _day(text)
-    if t in values:
-        raise ValueError(f"date {text.strip()} is repeated")
-    values[t] = value
-
-
 def _probability(text: str) -> float:
     p = float(text)
     if not 0.0 <= p <= 1.0:
@@ -303,10 +295,23 @@ def cmd_calibrate(cfg: RunConfig, out_dir: Path) -> int:
 def _read_series_file(path: str):
     """Long CSV forecaster,state,date,p -> {(forecaster, state): series}."""
     points: dict[tuple[str, str], dict[float, float]] = {}
+    # Per-read memos: raw (forecaster, state) cells -> points, date cell -> day.
+    series: dict[tuple[str, str], dict[float, float]] = {}
+    days: dict[str, float] = {}
 
-    def parse(row, line):
-        key = (row["forecaster"].strip(), row["state"].strip().upper())
-        _add_dated(points.setdefault(key, {}), row["date"], _probability(row["p"]))
+    def parse(cells, line):
+        forecaster, state, text, p = cells
+        p = _probability(p)
+        pts = series.get((forecaster, state))
+        if pts is None:
+            pts = series[forecaster, state] = points.setdefault(
+                (forecaster.strip(), state.strip().upper()), {})
+        t = days.get(text)
+        if t is None:
+            t = days[text] = _day(text)
+        if t in pts:
+            raise ValueError(f"date {text.strip()} is repeated")
+        pts[t] = p
 
     def finish():
         return {key: BinaryForecastSeries(key[0], *zip(*sorted(pts.items())))
@@ -319,11 +324,12 @@ def _read_outcomes(path: str) -> dict[str, int]:
     """CSV state,omega -> {state: 0 or 1}."""
     out: dict[str, int] = {}
 
-    def parse(row, line):
-        omega = int(row["omega"])
+    def parse(cells, line):
+        state, omega = cells
+        omega = int(omega)
         if omega not in (0, 1):
             raise ValueError(f"omega = {omega} is not 0 or 1")
-        out[row["state"].strip().upper()] = omega
+        out[state.strip().upper()] = omega
 
     return read_rows(path, ("state", "omega"), parse, lambda: out)
 
@@ -332,13 +338,15 @@ def _read_histograms(path: str, n_bins: int = 539) -> dict[str, np.ndarray]:
     """Long CSV forecaster,ev,p -> normalized histogram per forecaster."""
     masses: dict[str, list[float]] = {}
 
-    def parse(row, line):
-        ev, p = int(row["ev"]), float(row["p"])
+    def parse(cells, line):
+        name, ev, text = cells
+        ev, p = int(ev), float(text)
         if not 0 <= ev < n_bins:
             raise ValueError(f"ev = {ev} is outside 0..{n_bins - 1}")
         if not 0.0 <= p < math.inf:
-            raise ValueError(f"p = {row['p']!r} is not a finite mass >= 0")
-        masses.setdefault(row["forecaster"].strip(), [0.0] * n_bins)[ev] += p
+            raise ValueError(f"p = {text!r} is not a finite mass >= 0")
+        name = name.strip()
+        (masses.get(name) or masses.setdefault(name, [0.0] * n_bins))[ev] += p
 
     def finish():
         out = {}
@@ -430,31 +438,39 @@ def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
 
 def _read_panel(path: str) -> online.ExpertPanel:
     """Wide CSV date,<expert>,... -> one row of predictions per date."""
+    names: list[str] = []
     times: list[float] = []
-    values: list[dict[str, float]] = []
+    values: list[list[float]] = []
 
-    def parse(row, line):
-        t = _day(row["date"])
+    def columns(header):
+        names.extend(name for name in header if name and name != "date")
+        return ("date", *names)
+
+    def parse(cells, line):
+        text, *predictions = cells
+        t = _day(text)
         if times and t <= times[-1]:
-            raise ValueError(f"date {row['date'].strip()} does not follow {_iso(times[-1])}")
+            raise ValueError(f"date {text.strip()} does not follow {_iso(times[-1])}")
         times.append(t)
-        values.append({name: _probability(v) for name, v in row.items()
-                       if name and name != "date"})
+        values.append([_probability(v) for v in predictions])
 
     def finish():
-        return online.ExpertPanel(names=list(values[0]) if values else [],
-                                  times=np.array(times),
-                                  values=np.array([list(v.values()) for v in values]))
+        return online.ExpertPanel(names=names if values else [],
+                                  times=np.array(times), values=np.array(values))
 
-    return read_rows(path, ("date",), parse, finish)
+    return read_rows(path, columns, parse, finish)
 
 
 def _read_reference(path: str) -> ReferenceSeries:
     """CSV date,price -> reference prices in date order."""
     prices: dict[float, float] = {}
 
-    def parse(row, line):
-        _add_dated(prices, row["date"], _probability(row["price"]))
+    def parse(cells, line):
+        text, price = cells
+        price, t = _probability(price), _day(text)
+        if t in prices:
+            raise ValueError(f"date {text.strip()} is repeated")
+        prices[t] = price
 
     def finish():
         times = sorted(prices)

@@ -150,8 +150,8 @@ def parse_polls(source, election_date: date) -> ParseResult:
     """
     result = ParseResult(records=[])
 
-    def parse(row, line):
-        result.records.append(_parse_poll_row(row, election_date))
+    def parse(cells, line):
+        result.records.append(_parse_poll_row(cells, election_date))
 
     return read_rows(source, POLL_COLUMNS, parse, lambda: result, skipped=result.skipped)
 
@@ -162,9 +162,9 @@ def _cell_fault(key, text, exc=None) -> ValueError:
     return ValueError(f"bad {key}: {exc}" if text else f"missing {key}")
 
 
-def _require(row, key, kind=str):
-    """The non-empty cell ``key`` of ``row``, parsed by ``kind``."""
-    value = row[key].strip()
+def _require(cell, key, kind=str):
+    """The non-empty ``cell`` of the column ``key``, parsed by ``kind``."""
+    value = cell.strip()
     if not value:
         raise _cell_fault(key, value)
     try:
@@ -173,15 +173,16 @@ def _require(row, key, kind=str):
         raise _cell_fault(key, value, exc) from exc
 
 
-def _parse_poll_row(row, election_date: date) -> PollRecord:
-    # Each cell is stripped once; the checks run in a fixed order, so a row
-    # with several faults is always reported by the same one.
-    state = row["state"].strip().upper()
+def _parse_poll_row(cells, election_date: date) -> PollRecord:
+    # Cells in POLL_COLUMNS order, each stripped once; the checks run in a
+    # fixed order, so a row with several faults is always reported by one.
+    pollster, state, text, sample_size, raw_type, pct_c1, pct_c2 = cells
+    state = state.strip().upper()
     if not state:
         raise _cell_fault("state", state)
     if state != NATIONAL and not is_state(state):
         raise ValueError(f"unknown state code {state!r}")
-    text = row["date"].strip()
+    text = text.strip()
     try:
         poll_date = date.fromisoformat(text)
     except ValueError as exc:
@@ -189,11 +190,11 @@ def _parse_poll_row(row, election_date: date) -> PollRecord:
     if poll_date > election_date:
         raise ValueError("poll dated after the election")
     try:
-        key, text = "sample_size", row["sample_size"].strip()
+        key, text = "sample_size", sample_size.strip()
         sample_size = int(text)
-        key, text = "pct_c1", row["pct_c1"].strip()
+        key, text = "pct_c1", pct_c1.strip()
         pct_c1 = float(text)
-        key, text = "pct_c2", row["pct_c2"].strip()
+        key, text = "pct_c2", pct_c2.strip()
         pct_c2 = float(text)
     except ValueError as exc:
         raise _cell_fault(key, text, exc) from exc
@@ -203,13 +204,13 @@ def _parse_poll_row(row, election_date: date) -> PollRecord:
         raise ValueError("percentage outside [0, 100]")
     if pct_c1 + pct_c2 > 100.0:
         raise ValueError("pct_c1 + pct_c2 exceeds 100")
-    raw_type = row["sample_type"].strip()
+    raw_type = raw_type.strip()
     if not raw_type:
         raise _cell_fault("sample_type", raw_type)
     sample_type = _SAMPLE_TYPE_ALIASES.get(raw_type.replace("_", " ").lower())
     if sample_type is None:
         raise ValueError(f"unknown sample_type {raw_type!r}")
-    pollster = row["pollster"].strip()
+    pollster = pollster.strip()
     if not pollster:
         raise _cell_fault("pollster", pollster)
 
@@ -298,13 +299,14 @@ def load_historical(source) -> ParseResult:
     """
     result = ParseResult(records=[])
 
-    def parse(row, line):
-        state = _require(row, "state").upper()
+    def parse(cells, line):
+        year, state, state_spread, national_spread = cells
+        state = _require(state, "state").upper()
         if not is_state(state):
             raise ValueError(f"unknown state code {state!r}")
-        year = _require(row, "year", int)
-        state_spread = _require(row, "state_spread", float)
-        national_spread = _require(row, "national_spread", float)
+        year = _require(year, "year", int)
+        state_spread = _require(state_spread, "state_spread", float)
+        national_spread = _require(national_spread, "national_spread", float)
         if not (math.isfinite(state_spread) and math.isfinite(national_spread)):
             raise ValueError("non-finite spread")
         if year < FIRST_HISTORICAL_YEAR:

@@ -42,13 +42,14 @@ def load_ev_table(source) -> dict[str, int]:
     """
     table: dict[str, int] = {}
 
-    def parse(row, line):
-        code = row["state"].strip().upper()
+    def parse(cells, line):
+        code, votes = cells
+        code = code.strip().upper()
         if code not in STATE_CODES:
             raise ValueError(f"unknown state code {code!r}")
         if code in table:
             raise ValueError(f"state {code} is listed twice")
-        votes = int(row["ev"])
+        votes = int(votes)
         if votes < 0:
             raise ValueError(f"ev = {votes} is negative")
         table[code] = votes

@@ -1,14 +1,16 @@
 """The one CSV reader: every input table of the package is read here.
 
-:func:`read_rows` hands each data row of a UTF-8 CSV table to the caller's
-parser and names where a fault is: ``file:line: reason`` for a bad row or a
-fault of the file itself, ``file: reason`` for a fault of the whole table.
+:func:`read_rows` hands the caller's parser a tuple of each data row's
+cells, under the columns the table names (or names by a function of the
+header), and names where a fault is: ``file:line: reason`` for a bad row or
+a fault of the file itself, ``file: reason`` for a fault of the whole table.
 """
 
 from __future__ import annotations
 
 import csv
 from contextlib import nullcontext
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import IngestError, StatecastError
@@ -26,9 +28,11 @@ def named(name, fn):
 
 
 def read_rows(source, columns, parse_row, finish, skipped=None):
-    """Call ``parse_row(row, line)`` on each data row of the CSV ``source``
-    (a path or a text stream), ``row`` keyed by the header, which must hold
-    ``columns``, and ``line`` its physical line; then return ``finish()``.
+    """Call ``parse_row(cells, line)`` on each data row of the CSV ``source``
+    (a path or a text stream), ``cells`` the tuple of the row's cells under
+    ``columns``, in that order, and ``line`` its physical line; then return
+    ``finish()``.  The header must hold each column once.  ``columns`` may
+    be a function of the header that returns them.
 
     A row that ``parse_row`` rejects or that has too few fields stops the
     read, unless ``skipped`` is a list: then ``(line, reason)`` is appended
@@ -44,14 +48,20 @@ def read_rows(source, columns, parse_row, finish, skipped=None):
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
+            columns = columns(header) if callable(columns) else columns
             missing = [c for c in columns if c not in header]
             if missing:
                 raise ValueError(f"missing column(s) {', '.join(missing)}")
+            repeated = [c for c in dict.fromkeys(columns) if header.count(c) > 1]
+            if repeated:
+                raise ValueError(f"repeated column(s) {', '.join(repeated)}")
+            at = [header.index(c) for c in columns]
+            cells = itemgetter(*at) if len(at) > 1 else lambda row: (row[at[0]],)
             for row in filter(None, reader):  # blank lines hold no row
                 try:
                     if len(row) < len(header):
                         raise ValueError("too few fields")
-                    parse_row(dict(zip(header, row)), reader.line_num)
+                    parse_row(cells(row), reader.line_num)
                 except INPUT_ERRORS as exc:
                     if skipped is None:
                         raise

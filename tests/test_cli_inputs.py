@@ -141,6 +141,12 @@ class TestSeriesRows:
         err = assert_rejected(self.score(series, tmp_path), capsys, series, 1)
         assert "missing column(s) p" in err
 
+    def test_repeated_column_names_file(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        series.write_text("forecaster,state,date,p,p\nF,US,2016-11-01,0.5,0.6\n")
+        err = assert_rejected(self.score(series, tmp_path), capsys, series, 1)
+        assert "repeated column(s) p" in err
+
     def test_same_date_in_another_series_is_no_repeat(self, tmp_path):
         series = tmp_path / "s.csv"
         series.write_text("forecaster,state,date,p\n"
@@ -205,6 +211,17 @@ class TestPanelAndReference:
         err = assert_rejected(self.trade(experts, FIXTURES / "reference.csv", tmp_path),
                               capsys, experts, 1)
         assert "missing column(s) date" in err
+
+    @pytest.mark.parametrize("header,row,name", [
+        ("date,E0,E0", "2016-10-01,0.5,0.6", "E0"),
+        ("date,A,date", "2016-10-01,0.5,2016-10-02", "date"),
+    ])
+    def test_panel_repeated_column_names_file(self, tmp_path, capsys, header, row, name):
+        experts = tmp_path / "experts.csv"
+        experts.write_text(f"{header}\n{row}\n")
+        err = assert_rejected(self.trade(experts, FIXTURES / "reference.csv", tmp_path),
+                              capsys, experts, 1)
+        assert f"repeated column(s) {name}" in err
 
     def test_reference_missing_column_names_file(self, tmp_path, capsys):
         ref = tmp_path / "ref.csv"
