@@ -61,6 +61,44 @@ def test_forecast_bytes(tmp_path, seed, model, workers, capsys):
             sha256(tmp_path / "timeseries.csv")) == GOLDEN[seed, model]
 
 
+# At --win-threshold 18 the fixture is close in many states: about 14% of
+# (state, path) pairs with seed 1 change sides over the grid, so settling
+# them exercises the per-day comparison, not only a whole-range bound.
+# noise model -> (p_national printed, sha256 of forecast.json, timeseries.csv)
+GOLDEN_THRESHOLD_18 = {
+    "gaussian": (
+        "0.9981",
+        "a5e9cabf121a076dc8f9ab5f7f45130ccafc790b34b63473d4bed661e5438504",
+        "0b8deed0a4abdd3eb129c238295faf71add690f6c7c00f56c83bbe0d18bcbcc0",
+    ),
+    "student_t": (
+        "0.9967",
+        "2b7977e3998cbe8df7e78e2aba4321647d7cd378c302a9ef2dc466e78fe600f4",
+        "2088021d2f64b4d18f6a44d643456aa09dd2a311911cb9d174ed58a8a58417e9",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("model", sorted(GOLDEN_THRESHOLD_18))
+def test_forecast_bytes_contested_threshold(tmp_path, model, workers, capsys):
+    assert main([
+        "forecast",
+        "--polls", str(FIXTURES / "polls.csv"),
+        "--historical", str(FIXTURES / "historical.csv"),
+        "--election-date", "2016-11-08",
+        "--seed", "1",
+        "--noise-model", model,
+        "--workers", str(workers),
+        "--win-threshold", "18",
+        "--out-dir", str(tmp_path),
+    ]) == 0
+    p_national, *digests = GOLDEN_THRESHOLD_18[model]
+    assert capsys.readouterr().out == f"p_national = {p_national} over 10000 paths (seed 1)\n"
+    assert [sha256(tmp_path / "forecast.json"),
+            sha256(tmp_path / "timeseries.csv")] == digests
+
+
 # name -> (arguments, stdout, {output file: sha256}); every file the command
 # writes is listed.
 EVALUATIONS = {
