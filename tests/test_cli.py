@@ -183,6 +183,20 @@ class TestScore:
         assert float(row["value"]) == float("-inf")
         assert row["value"] == "-inf"
 
+    def test_zero_probability_is_one_note(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text(
+            "forecaster,state,date,p\nDOOM,US,2016-11-01,0.0\n"
+            "DOOM,OH,2016-11-01,1.0\nDOOM,FL,2016-11-01,1.0\n"
+        )
+        assert run_cli(
+            "score", "--series", series, "--outcomes", FIXTURES / "outcomes.csv",
+            "--metrics", "brier", "loglik", "--out-dir", tmp_path,
+        ) == 0
+        assert capsys.readouterr().err == (
+            "note: DOOM assigned zero probability to the realized outcome; "
+            "log-likelihood is -inf\n")
+
     def test_topology_example_rows(self, tmp_path):
         hist = tmp_path / "hists.csv"
         hist.write_text(

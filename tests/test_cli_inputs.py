@@ -156,6 +156,16 @@ class TestSeriesRows:
         outcomes.write_text("state,omega\nUS,1\nOH,0\n")
         assert self.score(series, tmp_path, outcomes) == 0
 
+    def test_state_without_outcome_names_its_first_row(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        series.write_text("forecaster,state,date,p\n"
+                          "F,US,2016-11-01,0.5\nF,oh,2016-11-01,0.4\n"
+                          "G,OH,2016-11-01,0.3\nF,OH ,2016-11-02,0.4\n")
+        outcomes = tmp_path / "o.csv"
+        outcomes.write_text("state,omega\nUS,1\n")
+        err = assert_rejected(self.score(series, tmp_path, outcomes), capsys, series, 3)
+        assert "no outcome recorded for OH" in err
+
     @pytest.mark.parametrize("omega", ["2", "0.5", "yes"])
     def test_outcome_not_binary_names_line(self, tmp_path, capsys, omega):
         outcomes = tmp_path / "o.csv"
