@@ -24,6 +24,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from pathlib import Path
@@ -293,8 +294,10 @@ def cmd_calibrate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _read_series_file(path: str):
-    """Long CSV forecaster,state,date,p -> {(forecaster, state): series}."""
+    """Long CSV forecaster,state,date,p -> ({(forecaster, state): series},
+    {(forecaster, state): line of that series' first row})."""
     points: dict[tuple[str, str], dict[float, float]] = {}
+    first_line: dict[tuple[str, str], int] = {}
     # Per-read memos: raw (forecaster, state) cells -> points, date cell -> day.
     series: dict[tuple[str, str], dict[float, float]] = {}
     days: dict[str, float] = {}
@@ -304,8 +307,9 @@ def _read_series_file(path: str):
         p = _probability(p)
         pts = series.get((forecaster, state))
         if pts is None:
-            pts = series[forecaster, state] = points.setdefault(
-                (forecaster.strip(), state.strip().upper()), {})
+            key = (forecaster.strip(), state.strip().upper())
+            first_line.setdefault(key, line)
+            pts = series[forecaster, state] = points.setdefault(key, {})
         t = days.get(text)
         if t is None:
             t = days[text] = _day(text)
@@ -315,7 +319,7 @@ def _read_series_file(path: str):
 
     def finish():
         return {key: BinaryForecastSeries(key[0], *zip(*sorted(pts.items())))
-                for key, pts in points.items()}
+                for key, pts in points.items()}, first_line
 
     return read_rows(path, ("forecaster", "state", "date", "p"), parse, finish)
 
@@ -367,6 +371,24 @@ _DENSITY_SCORERS = {m: scoring._DENSITY_FNS[m] for m in scoring.DENSITY_METRICS}
 _SCORE_METRICS = (*_BINARY_SCORERS, *_DENSITY_SCORERS)
 
 
+def _score_series(tables, metric, series, outcomes, ev_table) -> None:
+    """Add ``metric``'s tables over every forecaster's series to ``tables``:
+    the national series overall, the state series averaged both ways."""
+    fn = _BINARY_SCORERS[metric]
+    for forecaster in sorted({f for f, _ in series}):
+        national = series.get((forecaster, NATIONAL))
+        if national is not None and NATIONAL in outcomes:
+            report = ScoreReport(forecaster, metric, fn(national, outcomes[NATIONAL]))
+            tables.setdefault((metric, scoring.WEIGHT_OVERALL), []).append(report)
+        per_state = [ScoreReport(forecaster, metric, fn(s, outcomes[state]), state=state)
+                     for (f, state), s in series.items()
+                     if f == forecaster and state != NATIONAL]
+        if per_state:
+            for weighting in (scoring.WEIGHT_STATE_AVERAGE, scoring.WEIGHT_EV):
+                agg = scoring.aggregate_scores(per_state, weighting, ev_table)
+                tables.setdefault((metric, weighting), []).append(agg)
+
+
 def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
     ev_table = _load_ev(cfg)
     outcomes = _read_outcomes(cfg.outcomes) if cfg.outcomes else {}
@@ -378,28 +400,21 @@ def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
             raise ConfigurationError("score needs a series file for Brier/log metrics")
         if not outcomes:
             raise ConfigurationError("score needs an outcomes file for Brier/log metrics")
-        series = _read_series_file(cfg.series)
-        forecasters = sorted({f for f, _ in series})
-        for metric in binary_metrics:
-            fn = _BINARY_SCORERS[metric]
-            for forecaster in forecasters:
-                national = series.get((forecaster, NATIONAL))
-                if national is not None and NATIONAL in outcomes:
-                    report = ScoreReport(forecaster, metric,
-                                         fn(national, outcomes[NATIONAL]))
-                    tables.setdefault((metric, scoring.WEIGHT_OVERALL), []).append(report)
-                per_state = []
-                for (f, state), s in series.items():
-                    if f != forecaster or state == NATIONAL:
-                        continue
-                    if state not in outcomes:
-                        raise ConfigurationError(f"no outcome recorded for {state}")
-                    per_state.append(ScoreReport(forecaster, metric, fn(s, outcomes[state]),
-                                                 state=state))
-                if per_state:
-                    for weighting in (scoring.WEIGHT_STATE_AVERAGE, scoring.WEIGHT_EV):
-                        agg = scoring.aggregate_scores(per_state, weighting, ev_table)
-                        tables.setdefault((metric, weighting), []).append(agg)
+        series, first_line = _read_series_file(cfg.series)
+        missing = {line: state for (_, state), line in first_line.items()
+                   if state != NATIONAL and state not in outcomes}
+        if missing:
+            line = min(missing)
+            raise ConfigurationError(
+                f"{cfg.series}:{line}: no outcome recorded for {missing[line]}")
+        # A 0 or 1 on the wrong side scores -inf with a warning, shown once
+        # per message as a note like every other diagnostic.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", scoring.HypersensitiveForecastWarning)
+            for metric in binary_metrics:
+                _score_series(tables, metric, series, outcomes, ev_table)
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"note: {message}", file=sys.stderr)
 
     density_metrics = [m for m in metrics if m in _DENSITY_SCORERS]
     if density_metrics:
