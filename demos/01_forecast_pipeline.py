@@ -98,6 +98,6 @@ markets = [
                       m_current=market.m_current, horizon=h)
     for h in days
 ]
-for h, p in probability_time_series(cals, markets, ev, cfg):
-    print(f"  {h:5.0f} days out: {p:.3f}")
+for h, day in zip(days, probability_time_series(cals, markets, ev, cfg)):
+    print(f"  {h:5.0f} days out: {day.p_national:.3f}")
 print("more time on the clock pulls the probability toward 1/2")

@@ -264,16 +264,18 @@ def cmd_forecast(cfg: RunConfig, out_dir: Path) -> int:
     cals, market, national, ev_table = _calibrate_from_files(cfg)
     sim_cfg = _sim_config(cfg)
 
-    dist = run_forecast(cals, market, ev_table, sim_cfg)
-    _write_json(out_dir / "forecast.json", dist.to_dict())
-
-    if national is not None:
+    if national is None:
+        markets = [market]
+        dists = [run_forecast(cals, market, ev_table, sim_cfg)]
+    else:
+        # one draw for the whole grid; day 0 is ``market`` itself
         markets = [replace(market, m_current=float(v), horizon=float(t))
                    for t, v in zip(national.grid, national.values)]
-        series = probability_time_series(cals, markets, ev_table, sim_cfg)
-    else:
-        series = [(market.horizon, dist.p_national)]
-    _write_csv(out_dir / "timeseries.csv", ["days_to_election", "p_national"], series)
+        dists = probability_time_series(cals, markets, ev_table, sim_cfg)
+    dist = dists[0]
+    _write_json(out_dir / "forecast.json", dist.to_dict())
+    _write_csv(out_dir / "timeseries.csv", ["days_to_election", "p_national"],
+               [(mkt.horizon, d.p_national) for mkt, d in zip(markets, dists)])
 
     print(f"p_national = {dist.p_national:.4f} over {dist.n_paths} paths "
           f"(seed {dist.seed})")

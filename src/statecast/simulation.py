@@ -11,10 +11,24 @@ electoral votes are summed to 0..538.
 No draw depends on the day; only the market's level and horizon do.  So
 the market and each state are drawn once, and every day of a run is settled
 from those same draws: a many-day time series and a one-day forecast run
-the same code, and each day matches a one-day run bit for bit.  Settling
-walks each state's days x paths in fixed tiles of ``_TILE`` elements
-through buffers that each worker allocates once, sized by the tile and not
-by the number of paths; a state's win share is its win count over n.
+the same code, and each day matches a one-day run bit for bit.
+
+Most paths of a state sit on one side of the threshold on every day, so
+settling first bounds each (state, path) pair over the whole day range.
+Rounding to nearest is monotone, so a path's spread
+``fl(fl(fl(slope * m) + intercept) + noise)`` is monotone in its market m
+(non-decreasing for slope >= 0, non-increasing for slope <= 0), and its
+least and greatest value over the days are that same expression at the
+path's lowest and highest m.  A pair whose least value beats the threshold
+wins on every day; one whose greatest value does not loses on every day.
+Only the rest, and any pair whose bound is NaN, are settled day by day,
+with the same operations in the same order; every count is an integer, so
+the outputs are those of settling every day of every path.  On the
+contested races of the benchmark (91 days) 86-91% of pairs are decided by
+the bound; on the bundled fixture 93-97% at threshold 0 and 86% at 18.
+Both passes walk fixed tiles of ``_TILE`` elements through buffers that
+each worker allocates once, sized by the tile and not by the number of
+paths; a state's win share is its win count over n.
 
 Randomness uses counter-based Philox substreams: the market and each state
 own a stream keyed by (seed, stream index), and a path's draw sits at its
@@ -92,7 +106,10 @@ class SimulationConfig:
 @dataclass
 class PathOutcomes:
     """Per-day results over one set of paths: candidate 1's electoral votes
-    on each path (days x paths) and each state's win share (days x states)."""
+    on each path (days x paths) and each state's win share (days x states).
+
+    ``ev_c1`` is the transposed view of a C-ordered paths x days array, so
+    each path's days are contiguous in memory and a day's row is strided."""
 
     states: tuple[str, ...]
     ev_c1: np.ndarray
@@ -120,7 +137,7 @@ class ForecastDistribution:
 
 
 _MARKET_STREAM = 0
-_TILE = 1 << 16  # elements in one settle tile of days x paths
+_TILE = 1 << 16  # elements in one settle tile: paths, or paths x days
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -133,12 +150,15 @@ def simulate_market_terminals(
     markets: list[MarketCalibration], cfg: SimulationConfig
 ) -> np.ndarray:
     """Terminal national spreads, one row per market, all from one draw of
-    the market stream: m + (sigma_samp + sigma_m) * sqrt(T) * Z."""
+    the market stream: m + (sigma_samp + sigma_m) * sqrt(T) * Z.
+
+    The rows are a (markets x paths) view of a paths x markets array, so
+    each path's markets are contiguous in memory."""
     z = _stream(cfg.seed, _MARKET_STREAM).standard_normal(cfg.n_paths)
-    m = np.empty((len(markets), cfg.n_paths))
-    for d, mkt in enumerate(markets):
-        m[d] = mkt.m_current + mkt.sigma_total * np.sqrt(mkt.horizon) * z
-    return m
+    # fl(m_current + fl(fl(sigma_total * sqrt(T)) * z)) for every (path, day)
+    m = np.multiply.outer(z, [mkt.sigma_total * np.sqrt(mkt.horizon) for mkt in markets])
+    m += [mkt.m_current for mkt in markets]
+    return m.T
 
 
 def sample_state_noise(
@@ -163,6 +183,24 @@ def sample_state_noise(
     raise TypeError(f"unknown noise model {model!r}")
 
 
+def _screen(lo: np.ndarray, hi: np.ndarray | None, threshold: float,
+            won: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Split paths by the bounds of their spread over the days.
+
+    Sets ``won`` where the path wins on every day (``lo > threshold``) and
+    returns the indices of the paths that neither win nor lose on every day
+    (``hi <= threshold`` loses), NaN bounds included.  ``hi`` None means one
+    day: ``lo`` is then the spread itself and every path is decided.
+    ``flat`` is scratch space of ``lo``'s length.
+    """
+    np.greater(lo, threshold, out=won)
+    if hi is None:
+        return np.empty(0, dtype=np.intp)
+    np.less_equal(hi, threshold, out=flat)
+    np.logical_or(flat, won, out=flat)
+    return np.flatnonzero(~flat)
+
+
 def simulate_paths(
     cals: dict[str, StateCalibration],
     markets: list[MarketCalibration],
@@ -171,30 +209,44 @@ def simulate_paths(
 ) -> PathOutcomes:
     """All Monte Carlo paths settled against every market in ``markets``.
 
-    Each state is drawn once; every market is settled from those draws, in
-    tiles of at most ``_TILE`` days x paths computed in reused buffers with
-    the same floating-point operations, in the same order, as
-    ``intercept + slope * m + noise > win_threshold``.  ``p_state`` is each
-    state's win count divided by ``n_paths``.  Workers take fixed strided
-    chunks of states and each returns its own integer EV accumulator, so
-    the sum does not depend on ``cfg.workers``.
+    Each state is drawn once and every market is settled from those draws:
+    a state wins a (path, day) when ``fl(fl(fl(slope * m) + intercept) +
+    noise)`` exceeds ``win_threshold``.  Each (state, path) pair is first
+    bounded over its days, in path tiles of ``_TILE`` (see the module
+    docstring).  A pair that wins on every day adds its votes to a per-path
+    base and its count to every day's wins; only the pairs the bound leaves
+    undecided are evaluated day by day, in chunks of ``_TILE // days``
+    paths.  With one day the bound is the spread itself, so the bound pass
+    is the whole settle.
+
+    ``p_state`` is each state's win count divided by ``n_paths``.  Workers
+    take fixed strided chunks of states and each returns its own integer
+    EV accumulator, so the sum does not depend on ``cfg.workers``.
     """
     states = tuple(sorted(ev_table))
     missing = [s for s in states if s not in cals]
     if missing:
         raise ConfigurationError(f"missing calibration for: {', '.join(missing)}")
 
-    m = simulate_market_terminals(markets, cfg)
-    n_days, n = m.shape
+    m = simulate_market_terminals(markets, cfg).T  # paths x days, path-contiguous
+    n, n_days = m.shape
+    if n_days == 1:
+        m_lo = m_hi = m[:, 0]
+    else:
+        m_lo, m_hi = m.min(axis=1), m.max(axis=1)
     cols = min(n, _TILE)
-    rows = max(1, min(n_days, _TILE // cols))
+    rows = max(1, _TILE // n_days)
+    threshold = cfg.win_threshold
     p_state = np.empty((n_days, len(states)))
 
     def settle(chunk: range) -> np.ndarray:
         ev_c1 = np.zeros(m.shape, dtype=np.int16)  # at most 538 votes
-        x = np.empty((rows, cols))
-        won = np.empty((rows, cols), dtype=bool)
-        inc = np.empty((rows, cols), dtype=np.int16)
+        # votes of the states won on every day; with one day, that day's
+        base = ev_c1[:, 0] if n_days == 1 else np.zeros(n, dtype=np.int16)
+        lo, hi, spare = np.empty(cols), np.empty(cols), np.empty(cols)
+        won, flat, inc = (np.empty(cols, dtype=t) for t in (bool, bool, np.int16))
+        m_u, x = np.empty((rows, n_days)), np.empty((rows, n_days))
+        won_u, inc_u = (np.empty((rows, n_days), dtype=t) for t in (bool, np.int16))
         for i in chunk:
             rng = _stream(cfg.seed, 1 + i)
             intercept, slope, noise = sample_state_noise(
@@ -205,27 +257,51 @@ def simulate_paths(
                 pc = slice(c, c + cols)
                 # Gaussian lines are scalars; Student-T lines are per path
                 a, b, e = (v[pc] if np.ndim(v) else v for v in (intercept, slope, noise))
-                for r in range(0, n_days, rows):
-                    dr = slice(r, r + rows)
-                    m_t = m[dr, pc]
-                    x_t, won_t, inc_t = (buf[:m_t.shape[0], :m_t.shape[1]]
-                                         for buf in (x, won, inc))
-                    # intercept + slope * m + noise > threshold; x + a == a + x
-                    np.multiply(b, m_t, out=x_t)
-                    np.add(x_t, a, out=x_t)
-                    np.add(x_t, e, out=x_t)
-                    np.greater(x_t, cfg.win_threshold, out=won_t)
-                    wins[dr] += [np.count_nonzero(row) for row in won_t]
-                    np.multiply(won_t, votes, out=inc_t)
-                    ev_c1[dr, pc] += inc_t
+                k = min(cols, n - c)
+                lo_t, won_t, inc_t = lo[:k], won[:k], inc[:k]
+                hi_t = None if n_days == 1 else hi[:k]  # one day: lo is the spread
+                # fl(slope * m) at the ends of the path's range of m
+                if hi_t is None:
+                    np.multiply(b, m_lo[pc], out=lo_t)
+                elif np.ndim(b):
+                    np.multiply(b, m_lo[pc], out=spare[:k])
+                    np.multiply(b, m_hi[pc], out=hi_t)
+                    np.minimum(spare[:k], hi_t, out=lo_t)
+                    np.maximum(spare[:k], hi_t, out=hi_t)
+                else:
+                    ends = (m_lo, m_hi) if b >= 0 else (m_hi, m_lo)
+                    np.multiply(b, ends[0][pc], out=lo_t)
+                    np.multiply(b, ends[1][pc], out=hi_t)
+                for y in (lo_t,) if hi_t is None else (lo_t, hi_t):
+                    np.add(y, a, out=y)  # x + a == a + x
+                    np.add(y, e, out=y)
+                undecided = _screen(lo_t, hi_t, threshold, won_t, flat[:k])
+                wins += np.count_nonzero(won_t)
+                np.multiply(won_t, votes, out=inc_t)
+                base[pc] += inc_t
+                for r in range(0, len(undecided), rows):
+                    at = undecided[r:r + rows]
+                    u = len(at)
+                    a_u, b_u, e_u = (v[at, None] if np.ndim(v) else v for v in (a, b, e))
+                    m_t, x_t, won_ut, inc_ut = (buf[:u] for buf in (m_u, x, won_u, inc_u))
+                    np.take(m, at + c, axis=0, out=m_t, mode="clip")
+                    np.multiply(b_u, m_t, out=x_t)
+                    np.add(x_t, a_u, out=x_t)
+                    np.add(x_t, e_u, out=x_t)
+                    np.greater(x_t, threshold, out=won_ut)
+                    wins += won_ut.view(np.uint8).sum(axis=0, dtype=np.int32)  # per day
+                    np.multiply(won_ut, votes, out=inc_ut)
+                    ev_c1[at + c] += inc_ut
             p_state[:, i] = wins / n
+        if n_days > 1:
+            ev_c1 += base[:, None]
         return ev_c1
 
     n_chunks = min(cfg.workers, len(states))
     chunks = [range(k, len(states), n_chunks) for k in range(n_chunks)]
     with ThreadPoolExecutor(max_workers=n_chunks) as pool:
         ev_c1 = sum(pool.map(settle, chunks))
-    return PathOutcomes(states=states, ev_c1=ev_c1, p_state=p_state)
+    return PathOutcomes(states=states, ev_c1=ev_c1.T, p_state=p_state)
 
 
 def _forecasts(paths: PathOutcomes, cfg: SimulationConfig) -> list[ForecastDistribution]:
@@ -258,13 +334,12 @@ def probability_time_series(
     markets: list[MarketCalibration],
     ev_table: dict[str, int],
     cfg: SimulationConfig,
-) -> list[tuple[float, float]]:
-    """National win probability for a sequence of market states.
+) -> list[ForecastDistribution]:
+    """One forecast per market in ``markets``, all from one set of draws.
 
     Each state is drawn once (same seed throughout) and every day is settled
     from those draws with that day's level and horizon, so each entry equals
     ``run_forecast`` on that day's market, and two days with identical data
     differ only through the remaining diffusion time.
     """
-    dists = _forecasts(simulate_paths(cals, markets, ev_table, cfg), cfg)
-    return [(mkt.horizon, dist.p_national) for mkt, dist in zip(markets, dists)]
+    return _forecasts(simulate_paths(cals, markets, ev_table, cfg), cfg)

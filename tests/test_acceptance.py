@@ -175,7 +175,7 @@ def test_criterion_9_time_uncertainty():
     ]
     series = probability_time_series(cals, markets, ev,
                                      SimulationConfig(seed=3, n_paths=10000))
-    (_, p_far), (_, p_near) = series
+    p_far, p_near = (dist.p_national for dist in series)
     ok = abs(p_far - 0.5) <= abs(p_near - 0.5) + 0.02
     report(9, f"a 100-day horizon ({p_far:.3f}) is no more decisive than a "
               f"1-day horizon ({p_near:.3f}) on the same modest lead", ok)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from statecast import simulation
 from statecast.calibration import MarketCalibration, StateCalibration
 from statecast.errors import ConfigurationError
 from statecast.simulation import (
@@ -13,6 +14,7 @@ from statecast.simulation import (
     SimulationConfig,
     StudentTNoise,
     _TILE,
+    _screen,
     _stream,
     probability_time_series,
     run_forecast,
@@ -247,7 +249,7 @@ class TestProbabilityTimeSeries:
             cals, [market(1.0, 1.0, m=2.0, horizon=0.0)], ev,
             SimulationConfig(seed=3, n_paths=500),
         )
-        assert series == [(0.0, 1.0)]
+        assert [dist.p_national for dist in series] == [1.0]
 
     def test_long_horizon_is_less_decisive(self):
         ev = default_ev_table()
@@ -259,8 +261,7 @@ class TestProbabilityTimeSeries:
             ev,
             SimulationConfig(seed=3, n_paths=10000),
         )
-        (h100, p100), (h1, p1) = series
-        assert (h100, h1) == (100.0, 1.0)
+        p100, p1 = (dist.p_national for dist in series)
         assert abs(p100 - 0.5) <= abs(p1 - 0.5) + 0.02
 
     def test_same_horizon_reproduces(self):
@@ -270,7 +271,7 @@ class TestProbabilityTimeSeries:
         cfg = SimulationConfig(seed=9, n_paths=2000)
         day_a = probability_time_series(cals, [market(m=1.0, horizon=30.0)], ev, cfg)
         day_b = probability_time_series(cals, [market(m=1.0, horizon=30.0)], ev, cfg)
-        assert day_a == day_b
+        assert [d.to_dict() for d in day_a] == [d.to_dict() for d in day_b]
 
 
 def contested_cals(ev):
@@ -330,9 +331,9 @@ class TestSharedDraws:
         cals = contested_cals(ev)
         cfg = SimulationConfig(seed=37, n_paths=3000, noise_model=model, workers=workers)
         series = probability_time_series(cals, DAYS, ev, cfg)
-        assert series == [(mkt.horizon, run_forecast(cals, mkt, ev, cfg).p_national)
-                          for mkt in DAYS]
-        assert all(0.05 < p < 0.95 for _, p in series)
+        assert ([dist.to_dict() for dist in series]
+                == [run_forecast(cals, mkt, ev, cfg).to_dict() for mkt in DAYS])
+        assert all(0.05 < dist.p_national < 0.95 for dist in series)
 
     def test_oracle_reproduces_every_path(self, model, workers):
         ev = default_ev_table()
@@ -356,7 +357,8 @@ class TestSharedDraws:
 
 
 # (paths, days, tie day, tie path): the first case crosses a path tile, the
-# second a day block of _TILE // 3001 days; each tie sits in the second tile.
+# second settles 25 days of 3,001 paths; each tie sits past the first
+# _TILE elements.
 TILE_EDGES = [(_TILE + 7, 3, 1, _TILE + 3),
               (3001, _TILE // 3001 + 4, _TILE // 3001 + 1, 1500)]
 
@@ -379,6 +381,93 @@ def test_tiles_match_vectorized_oracle(model, workers, n_paths, n_days, tie_day,
         expected = sum(ev[s] * w.astype(np.int64) for s, w in won.items())
         np.testing.assert_array_equal(paths.ev_c1[d], expected)
         np.testing.assert_array_equal(paths.p_state[d], [won[s].mean() for s in paths.states])
+
+
+def screen_cals(ev):
+    """Contested lines, one falling (beta < 0) and one flat (beta == 0.0)."""
+    cals = contested_cals(ev)
+    cals["OH"] = StateCalibration("OH", 1.0, -0.8, 2.0, 8, "polls")
+    cals["PA"] = StateCalibration("PA", 0.5, 0.0, 2.0, 8, "polls")
+    return cals
+
+
+def assert_matches_oracle(cals, days, cfg):
+    ev = default_ev_table()
+    spreads = rebuilt_spreads(cals, days, cfg)
+    paths = simulate_paths(cals, days, ev, cfg)
+    assert paths.ev_c1.shape == (len(days), cfg.n_paths)
+    for d in range(len(days)):
+        won = {s: v > cfg.win_threshold for s, v in spreads[d].items()}
+        expected = sum(ev[s] * w.astype(np.int64) for s, w in won.items())
+        np.testing.assert_array_equal(paths.ev_c1[d], expected)
+        np.testing.assert_array_equal(paths.p_state[d], [won[s].mean() for s in paths.states])
+
+
+# The day range of a path is screened by the spread at its lowest and
+# highest market; a path is settled day by day only when the screen cannot
+# decide it.  2,999 paths: not a multiple of _TILE.
+SCREEN_PATHS = 2999
+SCREEN_DAYS = [market(m=-2.0, horizon=40.0), market(m=1.0, horizon=25.0),
+               market(m=0.5, horizon=10.0), market(m=-0.5, horizon=1.0)]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("model", MODELS, ids=["gaussian", "student_t"])
+class TestScreen:
+    def test_slopes_of_both_signs_and_zero(self, model, workers):
+        cals = screen_cals(default_ev_table())
+        cfg = SimulationConfig(seed=53, n_paths=SCREEN_PATHS, noise_model=model,
+                               workers=workers)
+        if isinstance(model, StudentTNoise):  # per-path slopes of both signs
+            _, slope, _ = sample_state_noise(cals["TX"], SCREEN_PATHS, model,
+                                             _stream(53, 1 + sorted(cals).index("TX")))
+            assert (slope < 0).any() and (slope > 0).any()
+        assert_matches_oracle(cals, SCREEN_DAYS, cfg)
+
+    @pytest.mark.parametrize("end", [np.min, np.max], ids=["at_lo", "at_hi"])
+    @pytest.mark.parametrize("state", ["OH", "PA", "TX"])
+    def test_threshold_on_a_bound(self, model, workers, end, state):
+        # the threshold equals one path's lowest (or highest) spread over
+        # the days: at lo the path wins on every day but one, at hi it
+        # loses on every day
+        cals = screen_cals(default_ev_table())
+        cfg = SimulationConfig(seed=59, n_paths=SCREEN_PATHS, noise_model=model,
+                               workers=workers)
+        days = rebuilt_spreads(cals, SCREEN_DAYS, cfg)
+        spread = np.array([day[state][17] for day in days])
+        threshold = float(end(spread))
+        assert_matches_oracle(cals, SCREEN_DAYS, replace(cfg, win_threshold=threshold))
+
+    @pytest.mark.parametrize("tile", [7, 64])
+    def test_small_tiles(self, model, workers, tile, monkeypatch):
+        # 301 paths in tiles of 7 or 64 paths, undecided paths in chunks of
+        # 1 or 16: many partial tiles and chunks
+        monkeypatch.setattr(simulation, "_TILE", tile)
+        cfg = SimulationConfig(seed=67, n_paths=301, noise_model=model, workers=workers)
+        assert_matches_oracle(screen_cals(default_ev_table()), SCREEN_DAYS, cfg)
+
+    def test_single_day(self, model, workers):
+        cals = screen_cals(default_ev_table())
+        cfg = SimulationConfig(seed=61, n_paths=SCREEN_PATHS, noise_model=model,
+                               workers=workers)
+        [day] = rebuilt_spreads(cals, SCREEN_DAYS[1:2], cfg)
+        threshold = float(day["OH"][17])  # a tie goes to candidate 2
+        assert_matches_oracle(cals, SCREEN_DAYS[1:2], replace(cfg, win_threshold=threshold))
+
+
+def test_screen_splits_at_the_threshold():
+    t = 0.25
+    up = float(np.nextafter(t, np.inf))
+    lo = np.array([t, up, np.nan, t - 1.0, -np.inf])
+    hi = np.array([t + 1.0, up, np.nan, t, np.inf])
+    won, flat = np.empty(5, dtype=bool), np.empty(5, dtype=bool)
+    undecided = _screen(lo, hi, t, won, flat)
+    # lo == t may still lose a day; hi == t loses every day; NaN is undecided
+    np.testing.assert_array_equal(won, [False, True, False, False, False])
+    np.testing.assert_array_equal(undecided, [0, 2, 4])
+    # one day: lo is the spread, and every path is decided
+    assert len(_screen(lo, None, t, won, flat)) == 0
+    np.testing.assert_array_equal(won, [False, True, False, False, False])
 
 
 def test_more_threads_than_cores_under_fast_switching():
