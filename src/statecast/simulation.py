@@ -230,6 +230,9 @@ def simulate_paths(
 
     m = simulate_market_terminals(markets, cfg).T  # paths x days, path-contiguous
     n, n_days = m.shape
+    if n_days == 0:  # no day to settle, and no range to bound
+        return PathOutcomes(states=states, ev_c1=np.zeros((0, n), dtype=np.int16),
+                            p_state=np.empty((0, len(states))))
     if n_days == 1:
         m_lo = m_hi = m[:, 0]
     else:

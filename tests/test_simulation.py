@@ -264,6 +264,11 @@ class TestProbabilityTimeSeries:
         p100, p1 = (dist.p_national for dist in series)
         assert abs(p100 - 0.5) <= abs(p1 - 0.5) + 0.02
 
+    def test_no_markets_no_forecasts(self):
+        ev = default_ev_table()
+        assert probability_time_series(flat_cals(ev), [], ev,
+                                       SimulationConfig(seed=3, n_paths=50)) == []
+
     def test_same_horizon_reproduces(self):
         # identical data on consecutive days differ only through the horizon
         ev = default_ev_table()
@@ -356,6 +361,20 @@ class TestSharedDraws:
                 == paths.ev_c1[1, 0] + ev["OH"])
 
 
+def assert_matches_oracle(cals, days, cfg):
+    """Each day's EV on every path and win shares equal settling the
+    oracle's spreads with a strict ``>``."""
+    ev = default_ev_table()
+    spreads = rebuilt_spreads(cals, days, cfg)
+    paths = simulate_paths(cals, days, ev, cfg)
+    assert paths.ev_c1.shape == (len(days), cfg.n_paths)
+    for d in range(len(days)):
+        won = {s: v > cfg.win_threshold for s, v in spreads[d].items()}
+        expected = sum(ev[s] * w.astype(np.int64) for s, w in won.items())
+        np.testing.assert_array_equal(paths.ev_c1[d], expected)
+        np.testing.assert_array_equal(paths.p_state[d], [won[s].mean() for s in paths.states])
+
+
 # (paths, days, tie day, tie path): the first case crosses a path tile, the
 # second settles 25 days of 3,001 paths; each tie sits past the first
 # _TILE elements.
@@ -368,19 +387,11 @@ TILE_EDGES = [(_TILE + 7, 3, 1, _TILE + 3),
 @pytest.mark.parametrize("n_paths,n_days,tie_day,tie_path", TILE_EDGES,
                          ids=["path_tile", "day_block"])
 def test_tiles_match_vectorized_oracle(model, workers, n_paths, n_days, tie_day, tie_path):
-    ev = default_ev_table()
-    cals = contested_cals(ev)
+    cals = contested_cals(default_ev_table())
     days = [market(m=-1.0 + 0.1 * d, horizon=float(n_days - d)) for d in range(n_days)]
     cfg = SimulationConfig(seed=47, n_paths=n_paths, noise_model=model, workers=workers)
-    spreads = rebuilt_spreads(cals, days, cfg)
-    threshold = float(spreads[tie_day]["OH"][tie_path])
-    paths = simulate_paths(cals, days, ev, replace(cfg, win_threshold=threshold))
-    assert paths.ev_c1.shape == (n_days, n_paths)
-    for d in range(n_days):
-        won = {s: v > threshold for s, v in spreads[d].items()}
-        expected = sum(ev[s] * w.astype(np.int64) for s, w in won.items())
-        np.testing.assert_array_equal(paths.ev_c1[d], expected)
-        np.testing.assert_array_equal(paths.p_state[d], [won[s].mean() for s in paths.states])
+    threshold = float(rebuilt_spreads(cals, days, cfg)[tie_day]["OH"][tie_path])
+    assert_matches_oracle(cals, days, replace(cfg, win_threshold=threshold))
 
 
 def screen_cals(ev):
@@ -389,18 +400,6 @@ def screen_cals(ev):
     cals["OH"] = StateCalibration("OH", 1.0, -0.8, 2.0, 8, "polls")
     cals["PA"] = StateCalibration("PA", 0.5, 0.0, 2.0, 8, "polls")
     return cals
-
-
-def assert_matches_oracle(cals, days, cfg):
-    ev = default_ev_table()
-    spreads = rebuilt_spreads(cals, days, cfg)
-    paths = simulate_paths(cals, days, ev, cfg)
-    assert paths.ev_c1.shape == (len(days), cfg.n_paths)
-    for d in range(len(days)):
-        won = {s: v > cfg.win_threshold for s, v in spreads[d].items()}
-        expected = sum(ev[s] * w.astype(np.int64) for s, w in won.items())
-        np.testing.assert_array_equal(paths.ev_c1[d], expected)
-        np.testing.assert_array_equal(paths.p_state[d], [won[s].mean() for s in paths.states])
 
 
 # The day range of a path is screened by the spread at its lowest and
