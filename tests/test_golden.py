@@ -99,6 +99,43 @@ def test_forecast_bytes_contested_threshold(tmp_path, model, workers, capsys):
             sha256(tmp_path / "timeseries.csv")] == digests
 
 
+# A frozen calibration document (the `calibrate` output on the fixtures)
+# makes a one-day run, which settles its single day without a day-range
+# bound.  Recorded while the simulator still stored every (path, day)
+# market level.
+# noise model -> (p_national printed, sha256 of forecast.json, timeseries.csv)
+GOLDEN_ONE_DAY = {
+    "gaussian": (
+        "0.9987",
+        "2ea3f736044d260da1d676c2322b51eb94022bff01fd923efce38f754427f947",
+        "3860503e08a6e4fa649e819765f071e37968c8fca6861eee5209c2b47b5c80a8",
+    ),
+    "student_t": (
+        "0.9971",
+        "841405eb94e9781fe199e3e6bd63cac6b55df7a6e3c8a6c3119480a0fe7472ed",
+        "1a58dd8561c72c5e1d19ea7a7c220fbee7027823cc9cb561840da086ad2b92b8",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("model", sorted(GOLDEN_ONE_DAY))
+def test_forecast_bytes_frozen_calibration(tmp_path, model, workers, capsys):
+    assert main([
+        "forecast",
+        "--calibration", str(FIXTURES / "calibration.json"),
+        "--seed", "7",
+        "--noise-model", model,
+        "--workers", str(workers),
+        "--win-threshold", "18",
+        "--out-dir", str(tmp_path),
+    ]) == 0
+    p_national, *digests = GOLDEN_ONE_DAY[model]
+    assert capsys.readouterr().out == f"p_national = {p_national} over 10000 paths (seed 7)\n"
+    assert [sha256(tmp_path / "forecast.json"),
+            sha256(tmp_path / "timeseries.csv")] == digests
+
+
 # name -> (arguments, stdout, {output file: sha256}); every file the command
 # writes is listed.
 EVALUATIONS = {
