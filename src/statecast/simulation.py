@@ -11,7 +11,13 @@ electoral votes are summed to 0..538.
 No draw depends on the day; only the market's level and horizon do.  So
 the market and each state are drawn once, and every day of a run is settled
 from those same draws: a many-day time series and a one-day forecast run
-the same code, and each day matches a one-day run bit for bit.
+the same code, and each day matches a one-day run bit for bit.  A path's
+market on a day is ``fl(fl(z * sig) + m)`` from its one standard normal z
+and that day's scale sig = (sigma_samp + sigma_m) * sqrt(horizon) and level
+m; it is recomputed wherever it is needed (``_levels``) instead of stored
+for every (path, day), so the market costs memory per path, not per path
+and day.  The int16 electoral-vote table is the one array as large as the
+paths times the days.
 
 Most paths of a state sit on one side of the threshold on every day, so
 settling first bounds each (state, path) pair over the whole day range.
@@ -26,9 +32,9 @@ with the same operations in the same order; every count is an integer, so
 the outputs are those of settling every day of every path.  On the
 contested races of the benchmark (91 days) 86-91% of pairs are decided by
 the bound; on the bundled fixture 93-97% at threshold 0 and 86% at 18.
-Both passes walk fixed tiles of ``_TILE`` elements through buffers that
-each worker allocates once, sized by the tile and not by the number of
-paths; a state's win share is its win count over n.
+The bounds, taken once for all states, and both settle passes walk fixed
+tiles of ``_TILE`` elements through buffers sized by the tile and not by
+the number of paths; a state's win share is its win count over n.
 
 Randomness uses counter-based Philox substreams: the market and each state
 own a stream keyed by (seed, stream index), and a path's draw sits at its
@@ -39,17 +45,26 @@ states).
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 from numbers import Integral
 
 import numpy as np
 
-from .calibration import MarketCalibration, StateCalibration
+from .calibration import MarketCalibration, StateCalibration, _check_finite
 from .errors import ConfigurationError
 from .states import WIN_ELECTORAL_VOTES, TOTAL_ELECTORAL_VOTES
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _check_integer(obj, names) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +86,11 @@ class StudentTNoise:
     nu: int = 3
 
     def __post_init__(self):
+        _check_finite(self, ("sigma_alpha", "sigma_beta"))
+        for name in ("sigma_alpha", "sigma_beta"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+        _check_integer(self, ("nu",))
         if self.nu < 1:
             raise ValueError("nu must be >= 1")
 
@@ -93,14 +113,14 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
-            raise TypeError(f"seed must be an integer, got {self.seed!r}")
+        _check_integer(self, ("seed", "n_paths", "workers"))
         if not (0 <= self.seed <= _U64):
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        _check_finite(self, ("win_threshold",))
 
 
 @dataclass
@@ -146,6 +166,25 @@ def _stream(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _market_terms(markets: list[MarketCalibration], cfg: SimulationConfig):
+    """The market stream's one standard normal z per path, and each market's
+    scale sigma_total * sqrt(T) and level m: the terms of its terminals."""
+    z = _stream(cfg.seed, _MARKET_STREAM).standard_normal(cfg.n_paths)
+    sig = np.array([mkt.sigma_total * np.sqrt(mkt.horizon) for mkt in markets])
+    mc = np.array([mkt.m_current for mkt in markets])
+    return z, sig, mc
+
+
+def _levels(z, sig, mc, out: np.ndarray) -> np.ndarray:
+    """Terminal levels ``fl(fl(z * sig) + mc)`` into ``out``: one row per
+    path of ``z`` and one column per market of ``sig``/``mc`` (scalars: one
+    market, and ``out`` may be ``z`` itself).  Every market level the
+    simulator compares is rounded here, in this order."""
+    np.multiply.outer(z, sig, out=out)
+    np.add(out, mc, out=out)
+    return out
+
+
 def simulate_market_terminals(
     markets: list[MarketCalibration], cfg: SimulationConfig
 ) -> np.ndarray:
@@ -154,11 +193,8 @@ def simulate_market_terminals(
 
     The rows are a (markets x paths) view of a paths x markets array, so
     each path's markets are contiguous in memory."""
-    z = _stream(cfg.seed, _MARKET_STREAM).standard_normal(cfg.n_paths)
-    # fl(m_current + fl(fl(sigma_total * sqrt(T)) * z)) for every (path, day)
-    m = np.multiply.outer(z, [mkt.sigma_total * np.sqrt(mkt.horizon) for mkt in markets])
-    m += [mkt.m_current for mkt in markets]
-    return m.T
+    z, sig, mc = _market_terms(markets, cfg)
+    return _levels(z, sig, mc, np.empty((len(z), len(sig)))).T
 
 
 def sample_state_noise(
@@ -211,13 +247,17 @@ def simulate_paths(
 
     Each state is drawn once and every market is settled from those draws:
     a state wins a (path, day) when ``fl(fl(fl(slope * m) + intercept) +
-    noise)`` exceeds ``win_threshold``.  Each (state, path) pair is first
-    bounded over its days, in path tiles of ``_TILE`` (see the module
-    docstring).  A pair that wins on every day adds its votes to a per-path
-    base and its count to every day's wins; only the pairs the bound leaves
-    undecided are evaluated day by day, in chunks of ``_TILE // days``
-    paths.  With one day the bound is the spread itself, so the bound pass
-    is the whole settle.
+    noise)`` exceeds ``win_threshold``.  The market m is never stored per
+    (path, day): each path's lowest and highest m over the days are taken
+    from its market draw in tiles of ``_TILE // days`` paths, and the rows
+    settled day by day recompute their m into the spread buffer.  Each
+    (state, path) pair is first bounded over its days at those two ends, in
+    path tiles of ``_TILE`` (see the module docstring).  A pair that wins on
+    every day adds its votes to a per-path base and its count to every day's
+    wins; only the pairs the bound leaves undecided are evaluated day by
+    day, in chunks of ``_TILE // days`` paths.  With one day the market draw
+    becomes that day's m in place, the bound is the spread itself, and the
+    bound pass is the whole settle.
 
     ``p_state`` is each state's win count divided by ``n_paths``.  Workers
     take fixed strided chunks of states and each returns its own integer
@@ -228,27 +268,32 @@ def simulate_paths(
     if missing:
         raise ConfigurationError(f"missing calibration for: {', '.join(missing)}")
 
-    m = simulate_market_terminals(markets, cfg).T  # paths x days, path-contiguous
-    n, n_days = m.shape
+    z, sig, mc = _market_terms(markets, cfg)
+    n, n_days = len(z), len(sig)
     if n_days == 0:  # no day to settle, and no range to bound
         return PathOutcomes(states=states, ev_c1=np.zeros((0, n), dtype=np.int16),
                             p_state=np.empty((0, len(states))))
-    if n_days == 1:
-        m_lo = m_hi = m[:, 0]
-    else:
-        m_lo, m_hi = m.min(axis=1), m.max(axis=1)
     cols = min(n, _TILE)
     rows = max(1, _TILE // n_days)
+    if n_days == 1:  # z becomes the one day's market, the bound of its range
+        m_lo = m_hi = _levels(z, sig[0], mc[0], out=z)
+    else:  # each path's lowest and highest market, a tile of rows at a time
+        m_lo, m_hi, m_t = np.empty(n), np.empty(n), np.empty((rows, n_days))
+        for r in range(0, n, rows):
+            pr = slice(r, r + rows)
+            day_m = _levels(z[pr], sig, mc, out=m_t[:min(rows, n - r)])
+            day_m.min(axis=1, out=m_lo[pr])
+            day_m.max(axis=1, out=m_hi[pr])
     threshold = cfg.win_threshold
     p_state = np.empty((n_days, len(states)))
 
     def settle(chunk: range) -> np.ndarray:
-        ev_c1 = np.zeros(m.shape, dtype=np.int16)  # at most 538 votes
+        ev_c1 = np.zeros((n, n_days), dtype=np.int16)  # at most 538 votes
         # votes of the states won on every day; with one day, that day's
         base = ev_c1[:, 0] if n_days == 1 else np.zeros(n, dtype=np.int16)
         lo, hi, spare = np.empty(cols), np.empty(cols), np.empty(cols)
         won, flat, inc = (np.empty(cols, dtype=t) for t in (bool, bool, np.int16))
-        m_u, x = np.empty((rows, n_days)), np.empty((rows, n_days))
+        x = np.empty((rows, n_days))
         won_u, inc_u = (np.empty((rows, n_days), dtype=t) for t in (bool, np.int16))
         for i in chunk:
             rng = _stream(cfg.seed, 1 + i)
@@ -286,9 +331,9 @@ def simulate_paths(
                     at = undecided[r:r + rows]
                     u = len(at)
                     a_u, b_u, e_u = (v[at, None] if np.ndim(v) else v for v in (a, b, e))
-                    m_t, x_t, won_ut, inc_ut = (buf[:u] for buf in (m_u, x, won_u, inc_u))
-                    np.take(m, at + c, axis=0, out=m_t, mode="clip")
-                    np.multiply(b_u, m_t, out=x_t)
+                    x_t, won_ut, inc_ut = (buf[:u] for buf in (x, won_u, inc_u))
+                    _levels(z[at + c], sig, mc, out=x_t)  # the market on each day
+                    np.multiply(b_u, x_t, out=x_t)
                     np.add(x_t, a_u, out=x_t)
                     np.add(x_t, e_u, out=x_t)
                     np.greater(x_t, threshold, out=won_ut)
@@ -303,7 +348,7 @@ def simulate_paths(
     n_chunks = min(cfg.workers, len(states))
     chunks = [range(k, len(states), n_chunks) for k in range(n_chunks)]
     with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-        ev_c1 = sum(pool.map(settle, chunks))
+        ev_c1 = reduce(operator.iadd, pool.map(settle, chunks))  # summed in place
     return PathOutcomes(states=states, ev_c1=ev_c1.T, p_state=p_state)
 
 

@@ -1,6 +1,7 @@
 """Monte Carlo simulation: terminal law, state noise, EV aggregation."""
 
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -394,6 +395,22 @@ def test_tiles_match_vectorized_oracle(model, workers, n_paths, n_days, tie_day,
     assert_matches_oracle(cals, days, replace(cfg, win_threshold=threshold))
 
 
+def test_market_memory_is_per_path():
+    # The EV table (int16, paths x days) is the only array as large as the
+    # paths times the days; a float64 one of that size would be 9.6 MB.
+    ev = default_ev_table()
+    n_paths, n_days = 20_000, 60
+    days = [market(m=-1.0 + 0.05 * d, horizon=float(n_days - d)) for d in range(n_days)]
+    cfg = SimulationConfig(seed=71, n_paths=n_paths)
+    tracemalloc.start()
+    try:
+        simulate_paths(contested_cals(ev), days, ev, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_paths * n_days * np.dtype(np.float64).itemsize
+
+
 def screen_cals(ev):
     """Contested lines, one falling (beta < 0) and one flat (beta == 0.0)."""
     cals = contested_cals(ev)
@@ -504,3 +521,36 @@ class TestConfigValidation:
     def test_seed_must_be_an_integer(self, seed):
         with pytest.raises(TypeError):
             SimulationConfig(seed=seed)
+
+    # Each of these used to pass construction: a NaN or infinite threshold
+    # returned p_national = 0.0, and a fractional count failed inside numpy.
+    @pytest.mark.parametrize("name,value,error", [
+        ("n_paths", 10.5, TypeError),
+        ("n_paths", True, TypeError),
+        ("workers", 2.5, TypeError),
+        ("workers", True, TypeError),
+        ("win_threshold", float("nan"), ValueError),
+        ("win_threshold", float("inf"), ValueError),
+        ("win_threshold", "0", ValueError),
+    ])
+    def test_simulation_config_names_a_bad_field(self, name, value, error):
+        with pytest.raises(error, match=f"^{name} "):
+            SimulationConfig(seed=1, **{name: value})
+
+    # sigma_alpha = nan returned p_national = 0.0; a negative scale failed
+    # only at draw time, as numpy's "scale < 0".
+    @pytest.mark.parametrize("name,value,error", [
+        ("sigma_alpha", float("nan"), ValueError),
+        ("sigma_alpha", -1.0, ValueError),
+        ("sigma_beta", float("inf"), ValueError),
+        ("sigma_beta", -0.5, ValueError),
+        ("nu", 2.5, TypeError),
+        ("nu", True, TypeError),
+    ])
+    def test_student_t_names_a_bad_field(self, name, value, error):
+        with pytest.raises(error, match=f"^{name} "):
+            StudentTNoise(**{name: value})
+
+    def test_zero_spreads_are_allowed(self):
+        model = StudentTNoise(sigma_alpha=0.0, sigma_beta=0.0, nu=1)
+        SimulationConfig(seed=0, n_paths=1, noise_model=model, win_threshold=-3.5, workers=1)
