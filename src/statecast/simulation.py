@@ -348,7 +348,7 @@ def simulate_paths(
     n_chunks = min(cfg.workers, len(states))
     chunks = [range(k, len(states), n_chunks) for k in range(n_chunks)]
     with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-        ev_c1 = reduce(operator.iadd, pool.map(settle, chunks))  # summed in place
+        ev_c1 = reduce(operator.iadd, pool.map(settle, chunks))  # sum() would copy one
     return PathOutcomes(states=states, ev_c1=ev_c1.T, p_state=p_state)
 
 

@@ -550,7 +550,3 @@ class TestConfigValidation:
     def test_student_t_names_a_bad_field(self, name, value, error):
         with pytest.raises(error, match=f"^{name} "):
             StudentTNoise(**{name: value})
-
-    def test_zero_spreads_are_allowed(self):
-        model = StudentTNoise(sigma_alpha=0.0, sigma_beta=0.0, nu=1)
-        SimulationConfig(seed=0, n_paths=1, noise_model=model, win_threshold=-3.5, workers=1)
