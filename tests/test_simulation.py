@@ -481,6 +481,11 @@ def test_screen_splits_at_the_threshold():
     # lo == t may still lose a day; hi == t loses every day; NaN is undecided
     np.testing.assert_array_equal(won, [False, True, False, False, False])
     np.testing.assert_array_equal(undecided, [0, 2, 4])
+    # the two ends in either order: a falling slope puts the greater
+    # spread at the lowest market
+    undecided = _screen(hi, lo, t, won, flat)
+    np.testing.assert_array_equal(won, [False, True, False, False, False])
+    np.testing.assert_array_equal(undecided, [0, 2, 4])
     # one day: lo is the spread, and every path is decided
     assert len(_screen(lo, None, t, won, flat)) == 0
     np.testing.assert_array_equal(won, [False, True, False, False, False])
