@@ -217,6 +217,11 @@ class TestRunForecast:
         with pytest.raises(ConfigurationError, match="OH"):
             run_forecast(cals, market(), ev, SimulationConfig(seed=1, n_paths=10))
 
+    def test_empty_ev_table_raises(self):
+        cals = flat_cals(default_ev_table())
+        with pytest.raises(ConfigurationError, match="electoral-vote table is empty"):
+            simulate_paths(cals, [market()], {}, SimulationConfig(seed=1, n_paths=10))
+
     def test_wide_horizon_tends_to_half(self):
         # one beta-coalition holds >= 270 EV, so an enormous diffusion makes
         # the race a fair coin on the market's sign
