@@ -20,21 +20,21 @@ and day.  The int16 electoral-vote table is the one array as large as the
 paths times the days.
 
 Most paths of a state sit on one side of the threshold on every day, so
-settling first bounds each (state, path) pair over the whole day range.
+settling first screens each (state, path) pair over the whole day range.
 Rounding to nearest is monotone, so a path's spread
-``fl(fl(fl(slope * m) + intercept) + noise)`` is monotone in its market m
-(non-decreasing for slope >= 0, non-increasing for slope <= 0), and its
-least and greatest value over the days are that same expression at the
-path's lowest and highest m.  A pair whose least value beats the threshold
-wins on every day; one whose greatest value does not loses on every day.
-Only the rest, and any pair whose bound is NaN, are settled day by day,
-with the same operations in the same order; every count is an integer, so
-the outputs are those of settling every day of every path.  On the
-contested races of the benchmark (91 days) 86-91% of pairs are decided by
-the bound; on the bundled fixture 93-97% at threshold 0 and 86% at 18.
-The bounds, taken once for all states, and both settle passes walk fixed
-tiles of ``_TILE`` elements through buffers sized by the tile and not by
-the number of paths; a state's win share is its win count over n.
+``fl(fl(fl(slope * m) + intercept) + noise)`` (``_spreads``) is monotone in
+its market m, rising or falling with the slope's sign, and its spreads at
+the path's lowest and highest m bracket every day's spread, in either
+order.  A pair whose two spreads both beat the threshold wins on every day;
+one whose two spreads both do not loses on every day.  Only the rest, NaN
+included, are settled day by day through the same ``_spreads``; every
+count is an integer, so the outputs are those of settling every day of
+every path.  On the contested races of the benchmark (91 days) 86-91% of
+pairs are decided by the screen; on the bundled fixture 93-97% at
+threshold 0 and 86% at 18.  The market ranges, taken once for all states,
+and both settle passes walk fixed tiles of ``_TILE`` elements through
+buffers sized by the tile and not by the number of paths; a state's win
+share is its win count over n.
 
 Randomness uses counter-based Philox substreams: the market and each state
 own a stream keyed by (seed, stream index), and a path's draw sits at its
@@ -219,21 +219,36 @@ def sample_state_noise(
     raise TypeError(f"unknown noise model {model!r}")
 
 
-def _screen(lo: np.ndarray, hi: np.ndarray | None, threshold: float,
-            won: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Split paths by the bounds of their spread over the days.
+def _spreads(a, b, e, m, out: np.ndarray) -> np.ndarray:
+    """State spreads ``fl(fl(fl(b * m) + a) + e)`` into ``out`` (which may be
+    ``m``) from the line's intercept ``a``, slope ``b`` and noise ``e`` at
+    the market ``m``.  Every state spread the simulator compares is rounded
+    here, in this order."""
+    np.multiply(b, m, out=out)
+    np.add(out, a, out=out)
+    np.add(out, e, out=out)
+    return out
 
-    Sets ``won`` where the path wins on every day (``lo > threshold``) and
-    returns the indices of the paths that neither win nor lose on every day
-    (``hi <= threshold`` loses), NaN bounds included.  ``hi`` None means one
-    day: ``lo`` is then the spread itself and every path is decided.
-    ``flat`` is scratch space of ``lo``'s length.
+
+def _screen(s_lo: np.ndarray, s_hi: np.ndarray | None, threshold: float,
+            won: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Split paths by their spreads at the two ends of their market range.
+
+    The two spreads bracket every day's spread, in either order.  Sets
+    ``won`` where both beat the threshold (the path wins on every day) and
+    returns the indices of the paths whose two spreads do not fall on the
+    same side of it (both ``<= threshold`` loses on every day), NaN
+    included.  ``s_hi`` None means one day: ``s_lo`` is then the spread
+    itself and every path is decided.  ``flat`` is scratch space of
+    ``s_lo``'s length.
     """
-    np.greater(lo, threshold, out=won)
-    if hi is None:
+    np.greater(s_lo, threshold, out=won)
+    if s_hi is None:
         return np.empty(0, dtype=np.intp)
-    np.less_equal(hi, threshold, out=flat)
-    np.logical_or(flat, won, out=flat)
+    np.less_equal(s_lo, threshold, out=flat)
+    flat &= s_hi <= threshold  # both at or below: lost on every day
+    won &= s_hi > threshold  # both above: won on every day
+    flat |= won
     return np.flatnonzero(~flat)
 
 
@@ -251,13 +266,14 @@ def simulate_paths(
     (path, day): each path's lowest and highest m over the days are taken
     from its market draw in tiles of ``_TILE // days`` paths, and the rows
     settled day by day recompute their m into the spread buffer.  Each
-    (state, path) pair is first bounded over its days at those two ends, in
-    path tiles of ``_TILE`` (see the module docstring).  A pair that wins on
-    every day adds its votes to a per-path base and its count to every day's
-    wins; only the pairs the bound leaves undecided are evaluated day by
-    day, in chunks of ``_TILE // days`` paths.  With one day the market draw
-    becomes that day's m in place, the bound is the spread itself, and the
-    bound pass is the whole settle.
+    (state, path) pair is first screened by its spreads at those two ends,
+    which bracket its spread on every day in either order, in path tiles of
+    ``_TILE`` (see the module docstring).  A pair that wins on every day
+    adds its votes to a per-path base and its count to every day's wins;
+    only the pairs the screen leaves undecided are evaluated day by day, in
+    chunks of ``_TILE // days`` paths.  With one day the market draw becomes
+    that day's m in place, its spread is the day's spread, and the screen is
+    the whole settle.
 
     ``p_state`` is each state's win count divided by ``n_paths``.  Workers
     take fixed strided chunks of states and each returns its own integer
@@ -270,12 +286,12 @@ def simulate_paths(
 
     z, sig, mc = _market_terms(markets, cfg)
     n, n_days = len(z), len(sig)
-    if n_days == 0:  # no day to settle, and no range to bound
+    if n_days == 0:  # no day to settle, and no range to screen
         return PathOutcomes(states=states, ev_c1=np.zeros((0, n), dtype=np.int16),
                             p_state=np.empty((0, len(states))))
     cols = min(n, _TILE)
     rows = max(1, _TILE // n_days)
-    if n_days == 1:  # z becomes the one day's market, the bound of its range
+    if n_days == 1:  # z becomes the one day's market, both ends of its range
         m_lo = m_hi = _levels(z, sig[0], mc[0], out=z)
     else:  # each path's lowest and highest market, a tile of rows at a time
         m_lo, m_hi, m_t = np.empty(n), np.empty(n), np.empty((rows, n_days))
@@ -291,7 +307,7 @@ def simulate_paths(
         ev_c1 = np.zeros((n, n_days), dtype=np.int16)  # at most 538 votes
         # votes of the states won on every day; with one day, that day's
         base = ev_c1[:, 0] if n_days == 1 else np.zeros(n, dtype=np.int16)
-        lo, hi, spare = np.empty(cols), np.empty(cols), np.empty(cols)
+        lo, hi = np.empty(cols), np.empty(cols)
         won, flat, inc = (np.empty(cols, dtype=t) for t in (bool, bool, np.int16))
         x = np.empty((rows, n_days))
         won_u, inc_u = (np.empty((rows, n_days), dtype=t) for t in (bool, np.int16))
@@ -306,24 +322,11 @@ def simulate_paths(
                 # Gaussian lines are scalars; Student-T lines are per path
                 a, b, e = (v[pc] if np.ndim(v) else v for v in (intercept, slope, noise))
                 k = min(cols, n - c)
-                lo_t, won_t, inc_t = lo[:k], won[:k], inc[:k]
-                hi_t = None if n_days == 1 else hi[:k]  # one day: lo is the spread
-                # fl(slope * m) at the ends of the path's range of m
-                if hi_t is None:
-                    np.multiply(b, m_lo[pc], out=lo_t)
-                elif np.ndim(b):
-                    np.multiply(b, m_lo[pc], out=spare[:k])
-                    np.multiply(b, m_hi[pc], out=hi_t)
-                    np.minimum(spare[:k], hi_t, out=lo_t)
-                    np.maximum(spare[:k], hi_t, out=hi_t)
-                else:
-                    ends = (m_lo, m_hi) if b >= 0 else (m_hi, m_lo)
-                    np.multiply(b, ends[0][pc], out=lo_t)
-                    np.multiply(b, ends[1][pc], out=hi_t)
-                for y in (lo_t,) if hi_t is None else (lo_t, hi_t):
-                    np.add(y, a, out=y)  # x + a == a + x
-                    np.add(y, e, out=y)
-                undecided = _screen(lo_t, hi_t, threshold, won_t, flat[:k])
+                won_t, inc_t = won[:k], inc[:k]
+                # the spread at the path's lowest and highest market
+                s_lo = _spreads(a, b, e, m_lo[pc], out=lo[:k])
+                s_hi = None if n_days == 1 else _spreads(a, b, e, m_hi[pc], out=hi[:k])
+                undecided = _screen(s_lo, s_hi, threshold, won_t, flat[:k])
                 wins += np.count_nonzero(won_t)
                 np.multiply(won_t, votes, out=inc_t)
                 base[pc] += inc_t
@@ -333,9 +336,7 @@ def simulate_paths(
                     a_u, b_u, e_u = (v[at, None] if np.ndim(v) else v for v in (a, b, e))
                     x_t, won_ut, inc_ut = (buf[:u] for buf in (x, won_u, inc_u))
                     _levels(z[at + c], sig, mc, out=x_t)  # the market on each day
-                    np.multiply(b_u, x_t, out=x_t)
-                    np.add(x_t, a_u, out=x_t)
-                    np.add(x_t, e_u, out=x_t)
+                    _spreads(a_u, b_u, e_u, x_t, out=x_t)
                     np.greater(x_t, threshold, out=won_ut)
                     wins += won_ut.view(np.uint8).sum(axis=0, dtype=np.int32)  # per day
                     np.multiply(won_ut, votes, out=inc_ut)
