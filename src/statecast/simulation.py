@@ -280,6 +280,8 @@ def simulate_paths(
     EV accumulator, so the sum does not depend on ``cfg.workers``.
     """
     states = tuple(sorted(ev_table))
+    if not states:
+        raise ConfigurationError("the electoral-vote table is empty")
     missing = [s for s in states if s not in cals]
     if missing:
         raise ConfigurationError(f"missing calibration for: {', '.join(missing)}")
