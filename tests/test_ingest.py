@@ -177,6 +177,14 @@ class TestSmoothNational:
         assert series.value_at(-3.0) == series.values[0]
         assert series.value_at(40.0) == series.values[2]
 
+    def test_nearest_grid_lookup_past_the_last_point(self):
+        # |t - 5| and |10 - t| round to the same value, and that tie must
+        # not pull t back from past the last grid point
+        series = smooth_national(us_obs([(0.0, 0.0), (10.0, 10.0)]),
+                                 bandwidth=5.0, grid=[0.0, 5.0, 10.0])
+        np.testing.assert_array_equal(series.values_at([np.inf, 1e301, -np.inf, -1e301]),
+                                      series.values[[2, 2, 0, 0]])
+
 
 HIST_HEADER = "year,state,state_spread,national_spread\n"
 
