@@ -125,18 +125,14 @@ class SmoothedSeries:
             raise ValueError("bandwidth must be positive")
 
     def values_at(self, ts) -> np.ndarray:
-        """Smoothed value at the grid point nearest each requested time."""
+        """Smoothed value at the grid point nearest each requested time; a
+        time halfway between two points takes the earlier one."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         idx = np.searchsorted(self.grid, ts)
-        idx = np.clip(idx, 1, len(self.grid) - 1) if len(self.grid) > 1 else np.zeros_like(idx)
-        left = self.grid[idx - 1] if len(self.grid) > 1 else self.grid[idx]
-        right = self.grid[idx]
-        use_left = np.abs(ts - left) <= np.abs(right - ts)
-        nearest = np.where(use_left, idx - 1, idx) if len(self.grid) > 1 else idx
-        return self.values[nearest]
-
-    def value_at(self, t: float) -> float:
-        return float(self.values_at([t])[0])
+        left = np.maximum(idx - 1, 0)
+        right = np.minimum(idx, len(self.grid) - 1)
+        use_left = np.abs(ts - self.grid[left]) <= np.abs(self.grid[right] - ts)
+        return self.values[np.where(use_left, left, right)]
 
 
 def parse_polls(source, election_date: date) -> ParseResult:

@@ -190,7 +190,7 @@ class TestCalibrateStates:
         for state in sorted(STATE_CODES):
             if state in DATA_POOR:
                 continue  # no polls at all for these
-            obs.extend(state_obs(state, [(t, 1.0 + 0.9 * nat.value_at(t)) for t in range(6)]))
+            obs.extend(state_obs(state, [(t, 1.0 + 0.9 * nat.values_at(t)[0]) for t in range(6)]))
         cals = calibrate_states(obs, nat, self._historical(), states=STATE_CODES)
         assert len(cals) == 51
         for state in DATA_POOR:

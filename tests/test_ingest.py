@@ -172,10 +172,10 @@ class TestSmoothNational:
     def test_nearest_grid_lookup(self):
         series = smooth_national(us_obs([(0.0, 0.0), (10.0, 10.0)]),
                                  bandwidth=5.0, grid=[0.0, 5.0, 10.0])
-        assert series.value_at(6.9) == series.values[1]
-        assert series.value_at(7.5) == series.values[1]  # tie goes low
-        assert series.value_at(-3.0) == series.values[0]
-        assert series.value_at(40.0) == series.values[2]
+        assert series.values_at(6.9)[0] == series.values[1]
+        assert series.values_at(7.5)[0] == series.values[1]  # tie goes low
+        assert series.values_at(-3.0)[0] == series.values[0]
+        assert series.values_at(40.0)[0] == series.values[2]
 
     def test_nearest_grid_lookup_past_the_last_point(self):
         # |t - 5| and |10 - t| round to the same value, and that tie must
