@@ -126,7 +126,7 @@ class SmoothedSeries:
 
     def values_at(self, ts) -> np.ndarray:
         """Smoothed value at the grid point nearest each requested time; a
-        time halfway between two points takes the earlier one."""
+        time halfway between two points takes the lower one."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         idx = np.searchsorted(self.grid, ts)
         left = np.maximum(idx - 1, 0)
