@@ -6,7 +6,9 @@ Any rewrite of the simulator must reproduce every byte of ``forecast.json``
 and ``timeseries.csv``, for either noise model and any worker count.  The
 evaluation digests (`score`, `trade`, `aggregate`, `curves`) were recorded
 from the dict-per-row table reader; any rewrite of the readers, scorers or
-traders must reproduce every output file.
+traders must reproduce every output file.  The `calibrate` bytes were
+recorded while each poll was parsed into its own record object; a rewrite of
+poll ingest or calibration must reproduce them.
 """
 
 import hashlib
@@ -221,3 +223,65 @@ def test_evaluation_bytes(tmp_path, name, capsys):
     assert main([*map(str, args), "--out-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out == stdout
     assert {p.name: sha256(p) for p in tmp_path.iterdir()} == digests
+
+
+def test_calibrate_fixture_bytes(tmp_path, capsys):
+    assert main([
+        "calibrate",
+        "--polls", str(FIXTURES / "polls.csv"),
+        "--historical", str(FIXTURES / "historical.csv"),
+        "--election-date", "2016-11-08",
+        "--out-dir", str(tmp_path),
+    ]) == 0
+    assert capsys.readouterr().out == "calibrated 51 states (46 from historical data)\n"
+    assert (tmp_path / "calibration.json").read_bytes() == (FIXTURES / "calibration.json").read_bytes()
+
+
+# States interleaved in file order; four malformed rows (the first one is
+# named in the note); a national row with both shares 0, which has no
+# two-party share and is left out of sigma_samp; OH at exactly min_polls
+# (fitted from its polls), PA one poll short of it, and FL with every poll on
+# one day, so its regressor is constant: PA and FL fall back to history.
+SMALL_POLLS = """\
+pollster,state,date,sample_size,sample_type,pct_c1,pct_c2
+N0,US,2016-09-01,900,LV,47,43
+O0,OH,2016-09-02,600,RV,44,46
+F0,FL,2016-10-01,700,LV,46,45
+N1,US,2016-09-08,1200,RV,45.5,44.5
+P0,PA,2016-09-10,800,LV,48,42
+Bad0,OH,2016-09-12,,RV,44,46
+N2,US,2016-09-15,1000,LV,0,0
+O1,OH,2016-09-20,650,likely voters,45,45
+F1,fl,2016-10-01,700,LV,47,44
+Bad1,ZZ,2016-09-21,500,LV,40,40
+N3,US,2016-09-25,1500,All,48.5,41
+P1,PA,2016-09-28,800,LV,49,41
+O2, OH ,2016-10-05,700,RV,43,47
+F2,FL,2016-10-01,650,RV,45,46
+Bad2,US,2016-11-09,900,LV,47,43
+N4,US,2016-10-10,1100,LV,46,44.5
+O3,OH,2016-10-20,700,LV,46.5,44
+F3,FL,2016-10-01,700,LV,46,46
+Bad3,US,2016-10-11,900,households,47,43
+N5,US,2016-10-25,950,RV,47,42
+P2,PA,2016-10-30,800,LV,47,44
+"""
+
+
+def test_calibrate_small_table_bytes(tmp_path, capsys):
+    polls = tmp_path / "polls.csv"
+    polls.write_text(SMALL_POLLS, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([
+        "calibrate",
+        "--polls", str(polls),
+        "--historical", str(FIXTURES / "historical.csv"),
+        "--election-date", "2016-11-08",
+        "--out-dir", str(out),
+    ]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "calibrated 51 states (50 from historical data)\n"
+    assert captured.err == (f"note: skipped 4 poll row(s) of {polls}; "
+                            "first at line 7: missing sample_size\n")
+    assert sha256(out / "calibration.json") == (
+        "680ce6e2c80cacdcbe7fd688aaa5820363279b8b8a73f9dca0b073f1f3daccc7")
