@@ -9,6 +9,7 @@ import pytest
 from statecast.errors import CalibrationError, IngestError
 from statecast.ingest import (
     SampleType,
+    SmoothedSeries,
     SpreadObservation,
     load_historical,
     parse_polls,
@@ -136,6 +137,14 @@ class TestSmoothNational:
     def test_empty_observations(self):
         with pytest.raises(CalibrationError):
             smooth_national([], bandwidth=5.0)
+
+    def test_empty_grid_is_rejected(self):
+        with pytest.raises(ValueError, match="grid must not be empty"):
+            SmoothedSeries(grid=[], values=[], bandwidth=5.0)
+
+    def test_mismatched_lengths_are_rejected(self):
+        with pytest.raises(ValueError, match="same length"):
+            smooth_national([0.0, 1.0], [2.0], bandwidth=5.0)
 
     def test_underflow_falls_back_to_nearest(self):
         obs = us_obs([(0.0, 2.0), (1.0, 4.0)])
