@@ -119,7 +119,9 @@ class SmoothedSeries:
         self.values = np.asarray(self.values, dtype=float)
         if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
             raise ValueError("grid and values must be 1-D and the same length")
-        if self.grid.size and not np.all(np.diff(self.grid) > 0):
+        if not self.grid.size:
+            raise ValueError("grid must not be empty")
+        if not np.all(np.diff(self.grid) > 0):
             raise ValueError("grid must be strictly ascending")
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
