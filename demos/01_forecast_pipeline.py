@@ -64,18 +64,19 @@ def synthetic_historical() -> str:
 polls = parse_polls(io.StringIO(synthetic_polls()), ELECTION)
 print(f"parsed {len(polls.records)} polls ({polls.n_skipped} skipped)")
 
-spreads = to_spreads(polls.records)
-national = smooth_national([o for o in spreads if o.state == NATIONAL], bandwidth=5.0)
+table = polls.records  # one column per field, one entry per poll
+us = table.state == NATIONAL
+national = smooth_national(table.t[us], to_spreads(table)[us], bandwidth=5.0)
 print(f"smoothed national spread: {national.values[0]:+.2f} at "
       f"{national.grid[0]:.0f} days out (grid of {len(national.grid)} days)")
 
 historical = load_historical(io.StringIO(synthetic_historical())).records
 ev = default_ev_table()
-cals = calibrate_states(spreads, national, historical, states=ev)
+cals = calibrate_states(table, national, historical, states=ev)
 n_poll = sum(1 for c in cals.values() if c.source == "polls")
 print(f"calibrated 51 states: {n_poll} from polls, {51 - n_poll} from history")
 
-market = calibrate_market(national, [r for r in polls.records if r.state == NATIONAL])
+market = calibrate_market(national, table)
 print(f"market: level {market.m_current:+.2f}, horizon {market.horizon:.0f} days, "
       f"sigma {market.sigma_total:.2f}/sqrt(day)")
 

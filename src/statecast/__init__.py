@@ -30,10 +30,8 @@ from .errors import (
 )
 from .ingest import (
     HistoricalResult,
-    PollRecord,
-    SampleType,
+    Polls,
     SmoothedSeries,
-    SpreadObservation,
     load_historical,
     parse_polls,
     smooth_national,
@@ -101,14 +99,12 @@ __all__ = [
     "MIN_POLLS",
     "OnlineRunResult",
     "PnLSeries",
-    "PollRecord",
+    "Polls",
     "ReferenceSeries",
-    "SampleType",
     "ScoreError",
     "ScoreReport",
     "SimulationConfig",
     "SmoothedSeries",
-    "SpreadObservation",
     "STATE_CODES",
     "StateCalibration",
     "StatecastError",

@@ -1,11 +1,12 @@
 """Per-state regression calibration and market-volatility estimation.
 
 Each state's spread is regressed (OLS, in levels) on the kernel-smoothed
-national spread evaluated at the nearest grid point to each poll.  States
-with too few polls are calibrated instead from historical election results:
-state spread on national spread across past cycles.  The market side
-estimates a per-sqrt(day) diffusion volatility from one-day changes of the
-smoothed series plus a sampling-error component from poll sample sizes.
+national spread evaluated at the nearest grid point to each of its polls,
+its rows of the poll table in file order.  States with too few polls are
+calibrated instead from historical election results: state spread on
+national spread across past cycles.  The market side estimates a
+per-sqrt(day) diffusion volatility from one-day changes of the smoothed
+series plus a sampling-error component from national poll sample sizes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     DegenerateDesignError,
     InsufficientDataError,
 )
-from .ingest import PollRecord, SmoothedSeries, SpreadObservation
+from .ingest import Polls, SmoothedSeries, to_spreads
 from .states import NATIONAL
 
 #: Fewer state polls than this is considered uninformative.
@@ -105,33 +106,30 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 
 def calibrate_state(
-    state_obs: list[SpreadObservation],
+    state: str,
+    t,
+    spreads,
     national: SmoothedSeries,
     min_polls: int = MIN_POLLS,
 ) -> StateCalibration:
-    """OLS of a state's poll spreads on the smoothed national spread.
+    """OLS of one state's poll spreads on the smoothed national spread.
 
-    Each poll is matched to the national value at the nearest grid point to
-    its days-to-election.  Raises :class:`InsufficientDataError` when fewer
-    than ``min_polls`` observations exist (callers fall back to history) and
-    :class:`DegenerateDesignError` when the matched national values are
+    ``t`` and ``spreads`` are the state's polls' days-to-election and
+    spreads; each poll is matched to the national value at the grid point
+    nearest its ``t``.  Raises :class:`InsufficientDataError` when fewer
+    than ``min_polls`` (or 2) polls exist, so callers fall back to history,
+    and :class:`DegenerateDesignError` when the matched national values are
     constant.
     """
-    state_obs = list(state_obs)
-    if not state_obs:
-        raise InsufficientDataError("no poll observations for state")
-    codes = {o.state for o in state_obs}
-    if len(codes) != 1:
-        raise ValueError(f"observations mix states: {sorted(codes)}")
-    state = state_obs[0].state
-    n = len(state_obs)
+    n = len(t)
+    if len(spreads) != n:
+        raise ValueError("t and spreads must be the same length")
     if n < min_polls:
         raise InsufficientDataError(
             f"{state}: {n} poll(s) < min_polls={min_polls}"
         )
-    m = national.values_at([o.t for o in state_obs])
-    s = np.array([o.spread for o in state_obs], dtype=float)
-    alpha, beta, sigma = _ols(m, s)
+    m = national.values_at(t)
+    alpha, beta, sigma = _ols(m, np.asarray(spreads, dtype=float))
     return StateCalibration(state=state, alpha=alpha, beta=beta,
                             sigma_eps=sigma, n_obs=n, source=SOURCE_POLLS)
 
@@ -153,17 +151,18 @@ def calibrate_from_historical(state: str, rows) -> StateCalibration:
 
 def calibrate_market(
     national: SmoothedSeries,
-    us_polls: list[PollRecord] | None = None,
+    polls: Polls | None = None,
     sigma_samp: float | None = None,
 ) -> MarketCalibration:
     """Estimate the diffusion inputs from the smoothed national series.
 
     sigma_m is the sample standard deviation of the smoothed series'
     increments scaled to one day (increment / sqrt(dt)).  sigma_samp is the
-    mean binomial standard error of the spread implied by poll sample sizes,
-    2 * sqrt(p(1-p)/n) with p the two-party candidate-1 share, in percentage
-    points; pass ``sigma_samp`` to override it.  The current level and the
-    horizon come from the grid point nearest election day.
+    mean binomial standard error of the spread over the national rows of
+    ``polls`` with a two-party share (0 without any), 2 * sqrt(p(1-p)/n)
+    with p the two-party candidate-1 share, in percentage points; pass
+    ``sigma_samp`` to override it.  The current level and the horizon come
+    from the grid point nearest election day.
     """
     if len(national.grid) < 2:
         raise InsufficientDataError("need at least 2 grid points for sigma_m")
@@ -172,19 +171,14 @@ def calibrate_market(
     sigma_m = float(np.std(increments, ddof=1)) if len(increments) > 1 else 0.0
 
     if sigma_samp is None:
-        if us_polls:
-            ses = []
-            for rec in us_polls:
-                if rec.state != NATIONAL:
-                    continue
-                two_party = rec.pct_c1 + rec.pct_c2
-                if two_party <= 0:
-                    continue
-                p = rec.pct_c1 / two_party
-                ses.append(2.0 * math.sqrt(p * (1.0 - p) / rec.sample_size) * 100.0)
-            sigma_samp = float(np.mean(ses)) if ses else 0.0
-        else:
-            sigma_samp = 0.0
+        sigma_samp = 0.0
+        if polls is not None:
+            two_party = polls.pct_c1 + polls.pct_c2
+            rows = (polls.state == NATIONAL) & (two_party > 0)
+            p = polls.pct_c1[rows] / two_party[rows]
+            ses = 2.0 * np.sqrt(p * (1.0 - p) / polls.sample_size[rows]) * 100.0
+            if ses.size:
+                sigma_samp = float(np.mean(ses))
 
     return MarketCalibration(
         sigma_samp=sigma_samp,
@@ -194,18 +188,8 @@ def calibrate_market(
     )
 
 
-def group_by_state(obs) -> dict[str, list[SpreadObservation]]:
-    """Split spread observations by state code, national excluded."""
-    grouped: dict[str, list[SpreadObservation]] = {}
-    for o in obs:
-        if o.state == NATIONAL:
-            continue
-        grouped.setdefault(o.state, []).append(o)
-    return grouped
-
-
 def calibrate_states(
-    obs,
+    polls: Polls,
     national: SmoothedSeries,
     historical_rows,
     states,
@@ -213,16 +197,18 @@ def calibrate_states(
 ) -> dict[str, StateCalibration]:
     """Calibrate every requested state, falling back to historical data.
 
-    A state routes to :func:`calibrate_from_historical` when it has fewer
-    than ``min_polls`` polls or its poll design is degenerate.  A state with
-    no viable route raises :class:`CalibrationError` naming it.
+    Each state is fitted on its rows of ``polls``, in file order.  A state
+    routes to :func:`calibrate_from_historical` when it has fewer than
+    ``min_polls`` polls or its poll design is degenerate.  A state with no
+    viable route raises :class:`CalibrationError` naming it.
     """
-    grouped = group_by_state(obs)
+    spreads = to_spreads(polls)
     historical_rows = list(historical_rows)
     out: dict[str, StateCalibration] = {}
     for state in sorted(states):
+        rows = polls.state == state
         try:
-            out[state] = calibrate_state(grouped.get(state, []), national, min_polls)
+            out[state] = calibrate_state(state, polls.t[rows], spreads[rows], national, min_polls)
             continue
         except (InsufficientDataError, DegenerateDesignError):
             pass

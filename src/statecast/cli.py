@@ -241,9 +241,10 @@ def _calibrate_from_files(cfg: RunConfig):
 
     parsed = ingest.parse_polls(cfg.polls, cfg.election_date)
     _note_skipped(parsed, "poll", cfg.polls)
-    spreads = ingest.to_spreads(parsed.records)
-    us_obs = [o for o in spreads if o.state == NATIONAL]
-    national = ingest.smooth_national(us_obs, bandwidth=cfg.bandwidth)
+    polls = parsed.records
+    us = polls.state == NATIONAL
+    national = ingest.smooth_national(polls.t[us], ingest.to_spreads(polls)[us],
+                                      bandwidth=cfg.bandwidth)
 
     historical_rows = []
     if cfg.historical:
@@ -251,12 +252,10 @@ def _calibrate_from_files(cfg: RunConfig):
         _note_skipped(hist, "historical", cfg.historical)
         historical_rows = hist.records
 
-    cals = cal_mod.calibrate_states(spreads, national, historical_rows,
+    cals = cal_mod.calibrate_states(polls, national, historical_rows,
                                     states=ev_table.keys(),
                                     min_polls=cfg.min_polls)
-    us_records = [r for r in parsed.records if r.state == NATIONAL]
-    market = cal_mod.calibrate_market(national, us_records,
-                                      sigma_samp=cfg.sigma_samp)
+    market = cal_mod.calibrate_market(national, polls, sigma_samp=cfg.sigma_samp)
     return cals, market, national, ev_table
 
 

@@ -1,16 +1,17 @@
 """Poll and historical-result ingestion, spread computation, kernel smoothing.
 
 Input files are UTF-8 CSVs with a header row, read by :mod:`.tables`.
-Polls carry two major-candidate percentages; the modeled quantity everywhere
-downstream is their *spread* (candidate-1 percent minus candidate-2 percent).
-Time is measured in days-to-election, so t = 0 is election day and larger t
-is earlier in the campaign.
+Polls parse into one :class:`Polls` table of columns, in file order: state,
+days-to-election, the two major-candidate percentages and the sample size.
+The modeled quantity everywhere downstream is their *spread* (candidate-1
+percent minus candidate-2 percent).  Time is measured in days-to-election,
+so t = 0 is election day and larger t is earlier in the campaign.
 """
 
 from __future__ import annotations
 
-import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from datetime import date
@@ -22,22 +23,10 @@ from .states import NATIONAL, is_state
 from .tables import read_rows
 
 
-class SampleType(enum.Enum):
-    REGISTERED_VOTERS = "RegisteredVoters"
-    LIKELY_VOTERS = "LikelyVoters"
-    ALL = "All"
-
-
-_SAMPLE_TYPE_ALIASES = {
-    "registeredvoters": SampleType.REGISTERED_VOTERS,
-    "registered voters": SampleType.REGISTERED_VOTERS,
-    "rv": SampleType.REGISTERED_VOTERS,
-    "likelyvoters": SampleType.LIKELY_VOTERS,
-    "likely voters": SampleType.LIKELY_VOTERS,
-    "lv": SampleType.LIKELY_VOTERS,
-    "all": SampleType.ALL,
-    "a": SampleType.ALL,
-}
+#: Accepted ``sample_type`` spellings (lower case, ``_`` read as a space):
+#: registered voters, likely voters, or all adults.
+_SAMPLE_TYPES = frozenset({"registeredvoters", "registered voters", "rv",
+                          "likelyvoters", "likely voters", "lv", "all", "a"})
 
 #: Columns every poll CSV must provide, in any order.
 POLL_COLUMNS = ("pollster", "state", "date", "sample_size", "sample_type",
@@ -48,31 +37,30 @@ HISTORICAL_COLUMNS = ("year", "state", "state_spread", "national_spread")
 FIRST_HISTORICAL_YEAR = 1976
 
 
-@dataclass(frozen=True)
-class PollRecord:
-    """One poll: who asked, where, when, and the two major-candidate shares.
-
-    ``days_to_election`` is derived from the poll date at parse time.
+@dataclass(eq=False)
+class Polls:
+    """Polls as columns, one entry per poll in file order: state code,
+    days-to-election ``t`` (from the poll date), the two major-candidate
+    percentages and the sample size.  A poll's pollster, date and sample type
+    are checked when it is parsed, not kept.
     """
 
-    pollster: str
-    state: str
-    date: date
-    sample_size: int
-    sample_type: SampleType
-    pct_c1: float
-    pct_c2: float
-    days_to_election: float
+    state: np.ndarray
+    t: np.ndarray
+    pct_c1: np.ndarray
+    pct_c2: np.ndarray
+    sample_size: np.ndarray
 
+    def __post_init__(self):
+        self.state = np.asarray(self.state, dtype=str)
+        for name in ("t", "pct_c1", "pct_c2", "sample_size"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        columns = (self.state, self.t, self.pct_c1, self.pct_c2, self.sample_size)
+        if any(col.ndim != 1 or len(col) != len(self.t) for col in columns):
+            raise ValueError("poll columns must be 1-D and the same length")
 
-@dataclass(frozen=True)
-class SpreadObservation:
-    """A poll reduced to (state, days-to-election, c1-minus-c2 spread)."""
-
-    state: str
-    t: float
-    spread: float
-    sample_size: int
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass(frozen=True)
@@ -89,11 +77,12 @@ class HistoricalResult:
 class ParseResult:
     """Parsed rows plus a report of rows that were skipped or flagged.
 
-    ``skipped`` and ``flagged`` hold (line number, reason) pairs; flagged rows
-    were kept.
+    ``records`` is a :class:`Polls` table for polls and a list of rows for
+    historical results.  ``skipped`` and ``flagged`` hold (line number,
+    reason) pairs; flagged rows were kept.
     """
 
-    records: list
+    records: Polls | list
     skipped: list[tuple[int, str]] = field(default_factory=list)
     flagged: list[tuple[int, str]] = field(default_factory=list)
 
@@ -138,20 +127,23 @@ class SmoothedSeries:
 
 
 def parse_polls(source, election_date: date) -> ParseResult:
-    """Parse a poll CSV (a path or a text stream) into :class:`PollRecord`
-    rows.
+    """Parse a poll CSV (a path or a text stream) into a :class:`Polls`
+    table.
 
     Required columns are ``pollster,state,date,sample_size,sample_type,
     pct_c1,pct_c2`` (ISO-8601 dates); any extra columns are ignored.  Rows
     with missing or invalid required fields are skipped and reported in the
     result with their line, never raised.
     """
-    result = ParseResult(records=[])
+    rows, skipped = [], []
 
     def parse(cells, line):
-        result.records.append(_parse_poll_row(cells, election_date))
+        rows.append(_parse_poll_row(cells, election_date))
 
-    return read_rows(source, POLL_COLUMNS, parse, lambda: result, skipped=result.skipped)
+    def finish():
+        return ParseResult(records=Polls(*(list(zip(*rows)) or [()] * 5)), skipped=skipped)
+
+    return read_rows(source, POLL_COLUMNS, parse, finish, skipped=skipped)
 
 
 def _cell_fault(key, text, exc=None) -> ValueError:
@@ -171,9 +163,10 @@ def _require(cell, key, kind=str):
         raise _cell_fault(key, value, exc) from exc
 
 
-def _parse_poll_row(cells, election_date: date) -> PollRecord:
+def _parse_poll_row(cells, election_date: date) -> tuple:
     # Cells in POLL_COLUMNS order, each stripped once; the checks run in a
     # fixed order, so a row with several faults is always reported by one.
+    # Returns the row's Polls columns, in field order.
     pollster, state, text, sample_size, raw_type, pct_c1, pct_c2 = cells
     state = state.strip().upper()
     if not state:
@@ -198,6 +191,8 @@ def _parse_poll_row(cells, election_date: date) -> PollRecord:
         raise _cell_fault(key, text, exc) from exc
     if sample_size < 1:
         raise ValueError(f"sample_size {sample_size} < 1")
+    if sample_size > sys.float_info.max:  # Polls holds it as a float
+        raise ValueError("sample_size is too large")
     if not (0.0 <= pct_c1 <= 100.0 and 0.0 <= pct_c2 <= 100.0):
         raise ValueError("percentage outside [0, 100]")
     if pct_c1 + pct_c2 > 100.0:
@@ -205,67 +200,39 @@ def _parse_poll_row(cells, election_date: date) -> PollRecord:
     raw_type = raw_type.strip()
     if not raw_type:
         raise _cell_fault("sample_type", raw_type)
-    sample_type = _SAMPLE_TYPE_ALIASES.get(raw_type.replace("_", " ").lower())
-    if sample_type is None:
+    if raw_type.replace("_", " ").lower() not in _SAMPLE_TYPES:
         raise ValueError(f"unknown sample_type {raw_type!r}")
-    pollster = pollster.strip()
-    if not pollster:
-        raise _cell_fault("pollster", pollster)
-
-    return PollRecord(
-        pollster=pollster,
-        state=state,
-        date=poll_date,
-        sample_size=sample_size,
-        sample_type=sample_type,
-        pct_c1=pct_c1,
-        pct_c2=pct_c2,
-        days_to_election=float((election_date - poll_date).days),
-    )
+    if not pollster.strip():
+        raise _cell_fault("pollster", "")
+    return state, float((election_date - poll_date).days), pct_c1, pct_c2, sample_size
 
 
-def to_spreads(polls) -> list[SpreadObservation]:
-    """Turn poll records into spread observations, preserving order."""
-    return [
-        SpreadObservation(
-            state=rec.state,
-            t=rec.days_to_election,
-            spread=rec.pct_c1 - rec.pct_c2,
-            sample_size=rec.sample_size,
-        )
-        for rec in polls
-    ]
+def to_spreads(polls: Polls) -> np.ndarray:
+    """The spread column, ``pct_c1 - pct_c2``, in the table's order."""
+    return polls.pct_c1 - polls.pct_c2
 
 
-def default_grid(obs) -> np.ndarray:
-    """Daily grid (integer days-to-election) spanning the observations."""
-    ts = [o.t for o in obs]
-    if not ts:
-        raise CalibrationError("no observations to build a grid from")
-    lo = math.floor(min(ts))
-    hi = math.ceil(max(ts))
-    return np.arange(lo, hi + 1, dtype=float)
-
-
-def smooth_national(obs, bandwidth: float = 5.0, grid=None) -> SmoothedSeries:
+def smooth_national(t, spreads, bandwidth: float = 5.0, grid=None) -> SmoothedSeries:
     """Nadaraya-Watson estimate of the national spread on a daily grid.
 
-    value(t) = sum_k K((t - t_k)/h) * spread_k / sum_k K((t - t_k)/h) with
-    K(u) = exp(-u^2 / 2).  If every kernel weight underflows to zero at some
-    grid point, that point falls back to the nearest observation's spread and
-    a warning reports how many points did so.
+    ``t`` and ``spreads`` are the national polls' days-to-election and
+    spreads.  value(g) = sum_k K((g - t_k)/h) * spread_k / sum_k K((g -
+    t_k)/h) with K(u) = exp(-u^2 / 2).  The default grid is every whole day
+    from the earliest to the latest poll.  If every kernel weight underflows
+    to zero at some grid point, that point falls back to the nearest poll's
+    spread and a warning reports how many points did so.
     """
-    obs = list(obs)
-    if not obs:
+    t_obs = np.asarray(t, dtype=float)
+    spreads = np.asarray(spreads, dtype=float)
+    if t_obs.ndim != 1 or t_obs.shape != spreads.shape:
+        raise ValueError("t and spreads must be 1-D and the same length")
+    if not t_obs.size:
         raise CalibrationError("cannot smooth an empty observation list")
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     if grid is None:
-        grid = default_grid(obs)
+        grid = np.arange(math.floor(t_obs.min()), math.ceil(t_obs.max()) + 1, dtype=float)
     grid = np.asarray(grid, dtype=float)
-
-    t_obs = np.array([o.t for o in obs], dtype=float)
-    spreads = np.array([o.spread for o in obs], dtype=float)
 
     u = (grid[:, None] - t_obs[None, :]) / bandwidth
     weights = np.exp(-0.5 * u * u)

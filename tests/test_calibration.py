@@ -6,6 +6,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statecast.calibration import (
     SOURCE_HISTORICAL,
@@ -27,11 +29,11 @@ from statecast.errors import (
 )
 from statecast.ingest import (
     HistoricalResult,
+    Polls,
     SmoothedSeries,
-    SpreadObservation,
     parse_polls,
 )
-from statecast.states import STATE_CODES
+from statecast.states import NATIONAL, STATE_CODES
 
 # States that had too few 2016 polls and must take the historical route.
 DATA_POOR = ["AL", "AK", "HI", "KY", "MT", "NE", "ND", "OK",
@@ -44,8 +46,16 @@ def identity_series(ts):
     return SmoothedSeries(grid=ts, values=ts, bandwidth=5.0)
 
 
-def state_obs(state, points):
-    return [SpreadObservation(state, t, s, 500) for t, s in points]
+def state_obs(points):
+    """(t, spreads) arrays of one state's (t, spread) points."""
+    t, spreads = zip(*points)
+    return np.array(t, dtype=float), np.array(spreads, dtype=float)
+
+
+def poll_table(states, ts, spreads):
+    """Polls whose spreads are ``spreads`` exactly: pct_c1 = spread, pct_c2 = 0."""
+    n = len(states)
+    return Polls(states, ts, spreads, np.zeros(n), np.full(n, 500))
 
 
 def ols_oracle(x, y):
@@ -61,7 +71,7 @@ def ols_oracle(x, y):
 class TestCalibrateState:
     def test_exact_double_of_national(self):
         nat = identity_series([0, 1, 2, 3, 4])
-        cal = calibrate_state(state_obs("OH", [(t, 2.0 * t) for t in range(5)]), nat)
+        cal = calibrate_state("OH", *state_obs([(t, 2.0 * t) for t in range(5)]), nat)
         assert cal.alpha == pytest.approx(0.0, abs=1e-12)
         assert cal.beta == pytest.approx(2.0, abs=1e-12)
         assert cal.sigma_eps == pytest.approx(0.0, abs=1e-12)
@@ -69,14 +79,14 @@ class TestCalibrateState:
 
     def test_flat_response(self):
         nat = identity_series([0, 1, 2, 3])
-        cal = calibrate_state(state_obs("PA", [(t, 7.0) for t in range(4)]), nat)
+        cal = calibrate_state("PA", *state_obs([(t, 7.0) for t in range(4)]), nat)
         assert cal.alpha == pytest.approx(7.0, abs=1e-12)
         assert cal.beta == pytest.approx(0.0, abs=1e-12)
 
     def test_four_point_hand_fit(self):
         # (M, S) = (0,1),(1,3),(2,5),(3,8): beta = cov/var = 11.5/5 = 2.3
         nat = identity_series([0, 1, 2, 3])
-        cal = calibrate_state(state_obs("FL", [(0, 1.0), (1, 3.0), (2, 5.0), (3, 8.0)]), nat)
+        cal = calibrate_state("FL", *state_obs([(0, 1.0), (1, 3.0), (2, 5.0), (3, 8.0)]), nat)
         assert cal.beta == pytest.approx(2.3, abs=1e-12)
         assert cal.alpha == pytest.approx(0.8, abs=1e-12)
 
@@ -86,7 +96,7 @@ class TestCalibrateState:
         nat_vals = rng.normal(1.0, 4.0, 12)
         nat = SmoothedSeries(grid=ts, values=nat_vals, bandwidth=5.0)
         spreads = 1.4 + 0.8 * nat_vals + rng.normal(0, 0.5, 12)
-        cal = calibrate_state(state_obs("NC", list(zip(ts, spreads))), nat)
+        cal = calibrate_state("NC", ts, spreads, nat)
         a, b, s = ols_oracle(nat_vals, spreads)
         assert cal.alpha == pytest.approx(a, abs=1e-10)
         assert cal.beta == pytest.approx(b, abs=1e-10)
@@ -96,9 +106,7 @@ class TestCalibrateState:
         rng = np.random.default_rng(5)
         ts = np.arange(9.0)
         nat = SmoothedSeries(grid=ts, values=rng.normal(0, 3, 9), bandwidth=5.0)
-        cal = calibrate_state(
-            state_obs("MI", [(t, -1.25 + 0.6 * v) for t, v in zip(ts, nat.values)]), nat
-        )
+        cal = calibrate_state("MI", ts, -1.25 + 0.6 * nat.values, nat)
         assert cal.alpha == pytest.approx(-1.25, abs=1e-10)
         assert cal.beta == pytest.approx(0.6, abs=1e-10)
 
@@ -107,7 +115,7 @@ class TestCalibrateState:
         ts = np.arange(20.0)
         nat = SmoothedSeries(grid=ts, values=rng.normal(0, 5, 20), bandwidth=5.0)
         spreads = 2.0 + 1.1 * nat.values + rng.normal(0, 2, 20)
-        cal = calibrate_state(state_obs("WI", list(zip(ts, spreads))), nat)
+        cal = calibrate_state("WI", ts, spreads, nat)
         resid = spreads - (cal.alpha + cal.beta * nat.values)
         scale = max(np.abs(spreads).max(), 1.0)
         assert abs(float(resid @ nat.values)) <= 1e-8 * len(ts) * scale
@@ -117,20 +125,25 @@ class TestCalibrateState:
         ts = np.arange(10.0)
         nat = SmoothedSeries(grid=ts, values=rng.normal(0, 3, 10), bandwidth=5.0)
         spreads = 0.5 * nat.values + rng.normal(0, 1, 10)
-        base = calibrate_state(state_obs("VA", list(zip(ts, spreads))), nat)
-        shifted = calibrate_state(state_obs("VA", list(zip(ts, spreads + 4.0))), nat)
+        base = calibrate_state("VA", ts, spreads, nat)
+        shifted = calibrate_state("VA", ts, spreads + 4.0, nat)
         assert shifted.beta == pytest.approx(base.beta, abs=1e-12)
         assert shifted.alpha == pytest.approx(base.alpha + 4.0, abs=1e-10)
 
     def test_too_few_polls(self):
         nat = identity_series([0, 1, 2])
         with pytest.raises(InsufficientDataError):
-            calibrate_state(state_obs("IA", [(0, 1.0), (1, 2.0), (2, 3.0)]), nat)
+            calibrate_state("IA", *state_obs([(0, 1.0), (1, 2.0), (2, 3.0)]), nat)
+
+    def test_unequal_lengths_are_rejected(self):
+        nat = identity_series([0, 1, 2, 3])
+        with pytest.raises(ValueError, match="same length"):
+            calibrate_state("CO", [0.0, 1.0, 2.0, 3.0], [1.0], nat, min_polls=2)
 
     def test_constant_national_is_degenerate(self):
         nat = SmoothedSeries(grid=[0, 1, 2, 3], values=[2.0] * 4, bandwidth=5.0)
         with pytest.raises(DegenerateDesignError):
-            calibrate_state(state_obs("CO", [(t, float(t)) for t in range(4)]), nat)
+            calibrate_state("CO", *state_obs([(t, float(t)) for t in range(4)]), nat)
 
 
 class TestCalibrateFromHistorical:
@@ -186,12 +199,10 @@ class TestCalibrateStates:
     def test_data_poor_states_route_to_historical(self):
         ts = np.arange(30.0)
         nat = SmoothedSeries(grid=ts, values=2.0 + 0.05 * ts, bandwidth=5.0)
-        obs = []
-        for state in sorted(STATE_CODES):
-            if state in DATA_POOR:
-                continue  # no polls at all for these
-            obs.extend(state_obs(state, [(t, 1.0 + 0.9 * nat.values_at(t)[0]) for t in range(6)]))
-        cals = calibrate_states(obs, nat, self._historical(), states=STATE_CODES)
+        polled = sorted(STATE_CODES - set(DATA_POOR))  # no polls at all for DATA_POOR
+        ts = np.tile(np.arange(6.0), len(polled))
+        polls = poll_table(np.repeat(polled, 6), ts, 1.0 + 0.9 * nat.values_at(ts))
+        cals = calibrate_states(polls, nat, self._historical(), states=STATE_CODES)
         assert len(cals) == 51
         for state in DATA_POOR:
             assert cals[state].source == SOURCE_HISTORICAL
@@ -200,7 +211,48 @@ class TestCalibrateStates:
     def test_unresolvable_state_names_it(self):
         nat = identity_series(np.arange(6.0))
         with pytest.raises(CalibrationError, match="WY"):
-            calibrate_states([], nat, [], states=["WY"])
+            calibrate_states(poll_table([], [], []), nat, [], states=["WY"])
+
+    def test_state_rows_in_file_order(self):
+        # OH, PA and national rows interleaved: each state is fitted on its
+        # own rows, exactly as calibrate_state fits them
+        rng = np.random.default_rng(8)
+        nat = SmoothedSeries(grid=np.arange(20.0), values=rng.normal(0, 3, 20), bandwidth=5.0)
+        states = rng.choice(["OH", "PA", NATIONAL], 60)
+        ts = rng.integers(0, 20, 60).astype(float)
+        spreads = rng.normal(1.0, 4.0, 60)
+        cals = calibrate_states(poll_table(states, ts, spreads), nat, [], states=["OH", "PA"])
+        for state in ("OH", "PA"):
+            rows = states == state
+            assert cals[state] == calibrate_state(state, ts[rows], spreads[rows], nat)
+            assert cals[state].n_obs == rows.sum()
+
+
+def sigma_samp_loop(rows):
+    """sigma_samp as the per-row loop over parsed polls computed it before
+    polls were columns: the reference the columnar form must equal bit for
+    bit.  ``rows`` are (state, t, pct_c1, pct_c2, sample_size) tuples."""
+    ses = []
+    for state, _, pct_c1, pct_c2, sample_size in rows:
+        if state != NATIONAL:
+            continue
+        two_party = pct_c1 + pct_c2
+        if two_party <= 0:
+            continue
+        p = pct_c1 / two_party
+        ses.append(2.0 * math.sqrt(p * (1.0 - p) / sample_size) * 100.0)
+    return float(np.mean(ses)) if ses else 0.0
+
+
+@st.composite
+def poll_rows(draw):
+    """One parsed poll row: national or state, with a share pair that sums
+    to at most 100, sometimes both 0 (no two-party share)."""
+    state = draw(st.sampled_from([NATIONAL, NATIONAL, "OH", "WY"]))
+    pct_c1 = draw(st.one_of(st.just(0.0), st.floats(0.0, 100.0)))
+    pct_c2 = draw(st.one_of(st.just(0.0), st.floats(0.0, 100.0 - pct_c1)))
+    sample_size = draw(st.integers(1, 10**9))
+    return state, float(draw(st.integers(0, 120))), pct_c1, pct_c2, sample_size
 
 
 class TestCalibrateMarket:
@@ -235,6 +287,20 @@ class TestCalibrateMarket:
     def test_sigma_samp_override(self):
         nat = SmoothedSeries(grid=[0.0, 1.0], values=[1.0, 2.0], bandwidth=5.0)
         assert calibrate_market(nat, sigma_samp=0.75).sigma_samp == 0.75
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(poll_rows(), max_size=30))
+    def test_sigma_samp_equals_row_loop(self, rows):
+        nat = SmoothedSeries(grid=[0.0, 1.0], values=[0.0, 0.0], bandwidth=5.0)
+        polls = Polls(*(list(zip(*rows)) or [()] * 5))
+        assert calibrate_market(nat, polls).sigma_samp == sigma_samp_loop(rows)
+        assert calibrate_market(nat, polls, sigma_samp=0.75).sigma_samp == 0.75
+
+    def test_no_national_rows_zero_sigma_samp(self):
+        nat = SmoothedSeries(grid=[0.0, 1.0], values=[0.0, 0.0], bandwidth=5.0)
+        for polls in (poll_table(["OH", "PA"], [1.0, 2.0], [3.0, 4.0]),
+                      Polls([NATIONAL], [1.0], [0.0], [0.0], [500])):
+            assert calibrate_market(nat, polls).sigma_samp == 0.0
 
     def test_current_level_is_latest_grid_point(self):
         nat = SmoothedSeries(grid=[3.0, 4.0, 5.0], values=[1.5, 2.0, 2.5], bandwidth=5.0)

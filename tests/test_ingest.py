@@ -8,9 +8,8 @@ import pytest
 
 from statecast.errors import CalibrationError, IngestError
 from statecast.ingest import (
-    SampleType,
+    Polls,
     SmoothedSeries,
-    SpreadObservation,
     load_historical,
     parse_polls,
     smooth_national,
@@ -30,17 +29,32 @@ class TestParsePolls:
     def test_single_national_row(self):
         result = parse_polls(polls_csv("ABC,US,2016-10-01,900,LV,48,44"), ELECTION)
         assert result.n_skipped == 0
-        (rec,) = result.records
-        assert rec.state == "US"
-        assert rec.sample_type is SampleType.LIKELY_VOTERS
-        assert rec.pct_c1 == 48.0 and rec.pct_c2 == 44.0
-        assert rec.days_to_election == 38.0
-        (spread,) = to_spreads([rec])
-        assert spread.spread == 4.0
+        polls = result.records
+        assert len(polls) == 1
+        assert polls.state.tolist() == ["US"]
+        assert polls.pct_c1.tolist() == [48.0] and polls.pct_c2.tolist() == [44.0]
+        assert polls.t.tolist() == [38.0]
+        assert polls.sample_size.tolist() == [900.0]
+        assert to_spreads(polls).tolist() == [4.0]
+
+    def test_columns_in_file_order(self):
+        polls = parse_polls(polls_csv("A,OH,2016-10-01,500,LV,48,44",
+                                      "B,us,2016-10-03,600,RV,44,48",
+                                      "C, OH ,2016-11-08,700,All,45,45"), ELECTION).records
+        assert polls.state.tolist() == ["OH", "US", "OH"]
+        assert polls.t.tolist() == [38.0, 36.0, 0.0]
+        assert polls.sample_size.tolist() == [500.0, 600.0, 700.0]
+
+    @pytest.mark.parametrize("spelling", ["LV", "likely voters", "Likely_Voters", "LikelyVoters",
+                                          "RV", "registered_voters", "All", "a"])
+    def test_sample_type_spellings_accepted(self, spelling):
+        result = parse_polls(polls_csv(f"A,US,2016-10-01,500,{spelling},48,44"), ELECTION)
+        assert (len(result.records), result.n_skipped) == (1, 0)
 
     def test_header_only_file(self):
         result = parse_polls(polls_csv(), ELECTION)
-        assert result.records == []
+        assert len(result.records) == 0
+        assert result.records.state.shape == result.records.t.shape == (0,)
         assert result.n_skipped == 0
 
     def test_one_malformed_row_in_ten(self):
@@ -57,7 +71,7 @@ class TestParsePolls:
                       "B,PA,2016-10-02,500,LV,48,44"),
             ELECTION,
         )
-        assert [r.state for r in result.records] == ["PA"]
+        assert result.records.state.tolist() == ["PA"]
         assert result.n_skipped == 1
         assert "ZZ" in result.skipped[0][1]
 
@@ -69,10 +83,21 @@ class TestParsePolls:
             "D,US,2016-13-01,500,LV,48,44",      # bad date
             "E,US,2016-11-09,500,LV,48,44",      # after the election
             "F,US,2016-10-01,500,households,48,44",  # bad sample_type
+            " ,US,2016-10-01,500,LV,48,44",      # no pollster
+            "H,US,2016-10-01,1" + "0" * 400 + ",LV,48,44",  # past the float range
         ]
         result = parse_polls(polls_csv(*rows), ELECTION)
-        assert result.records == []
-        assert result.n_skipped == len(rows)
+        assert len(result.records) == 0
+        assert [reason for _, reason in result.skipped] == [
+            "sample_size 0 < 1",
+            "pct_c1 + pct_c2 exceeds 100",
+            "percentage outside [0, 100]",
+            "bad date: month must be in 1..12",
+            "poll dated after the election",
+            "unknown sample_type 'households'",
+            "missing pollster",
+            "sample_size is too large",
+        ]
 
     def test_skipped_row_after_blank_line_names_its_physical_line(self):
         src = polls_csv("A,US,2016-10-01,500,LV,48,44", "", "B,US,2016-10-01,0,LV,48,44")
@@ -84,9 +109,10 @@ class TestParsePolls:
             HEADER.rstrip("\n") + ",johnson,stein\n"
             "A,NM,2016-10-01,500,LV,40,29,16,2\n"
         )
-        (rec,) = parse_polls(src, ELECTION).records
-        (plain,) = parse_polls(polls_csv("A,NM,2016-10-01,500,LV,40,29"), ELECTION).records
-        assert rec == plain
+        wide = parse_polls(src, ELECTION).records
+        plain = parse_polls(polls_csv("A,NM,2016-10-01,500,LV,40,29"), ELECTION).records
+        for name in ("state", "t", "pct_c1", "pct_c2", "sample_size"):
+            np.testing.assert_array_equal(getattr(wide, name), getattr(plain, name))
 
     def test_missing_required_column_is_ingest_error(self):
         with pytest.raises(IngestError, match="pct_c2"):
@@ -100,43 +126,49 @@ class TestParsePolls:
         rows = ["A,US,2016-10-01,500,LV,48,44", "B,OH,2016-10-03,600,RV,44,48"]
         a = to_spreads(parse_polls(polls_csv(*rows), ELECTION).records)
         b = to_spreads(parse_polls(polls_csv(*rows), ELECTION).records)
-        assert a == b
+        np.testing.assert_array_equal(a, b)
+
+
+class TestPolls:
+    def test_columns_must_be_one_length(self):
+        with pytest.raises(ValueError, match="same length"):
+            Polls(["US"], [1.0, 2.0], [48.0], [44.0], [500])
+        with pytest.raises(ValueError, match="same length"):
+            Polls("US", 1.0, 48.0, 44.0, 500)
+
+    def test_len_counts_polls(self):
+        assert len(Polls(["US", "OH"], [1, 2], [48, 45], [44, 45], [500, 600])) == 2
 
 
 class TestToSpreads:
     @pytest.mark.parametrize("c1,c2,expected", [(48, 44, 4.0), (44, 48, -4.0), (50, 50, 0.0)])
     def test_spread_sign(self, c1, c2, expected):
         result = parse_polls(polls_csv(f"A,US,2016-10-01,500,LV,{c1},{c2}"), ELECTION)
-        (spread,) = to_spreads(result.records)
-        assert spread.spread == expected
+        assert to_spreads(result.records).tolist() == [expected]
 
     def test_order_preserved(self):
         rows = [f"P,US,2016-10-{d:02d},500,LV,{40+d},40" for d in range(1, 6)]
         spreads = to_spreads(parse_polls(polls_csv(*rows), ELECTION).records)
-        assert [s.spread for s in spreads] == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-
-def us_obs(points):
-    return [SpreadObservation("US", t, s, 500) for t, s in points]
+        assert spreads.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 class TestSmoothNational:
     def test_single_observation_everywhere(self):
-        series = smooth_national(us_obs([(0.0, 5.0)]), bandwidth=5.0, grid=[0.0, 3.0, 10.0])
+        series = smooth_national([0.0], [5.0], bandwidth=5.0, grid=[0.0, 3.0, 10.0])
         assert np.allclose(series.values, 5.0)
 
     def test_symmetry_midpoint(self):
-        series = smooth_national(us_obs([(-1.0, 4.0), (1.0, 6.0)]), bandwidth=2.0, grid=[0.0])
+        series = smooth_national([-1.0, 1.0], [4.0, 6.0], bandwidth=2.0, grid=[0.0])
         assert series.values[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_two_term_kernel_sum(self):
         # hand oracle: 10*exp(-2) / (1 + exp(-2)) at t=0 with h=5
-        series = smooth_national(us_obs([(0.0, 0.0), (10.0, 10.0)]), bandwidth=5.0, grid=[0.0])
+        series = smooth_national([0.0, 10.0], [0.0, 10.0], bandwidth=5.0, grid=[0.0])
         assert series.values[0] == pytest.approx(1.1920292202211755, abs=1e-12)
 
     def test_empty_observations(self):
         with pytest.raises(CalibrationError):
-            smooth_national([], bandwidth=5.0)
+            smooth_national([], [], bandwidth=5.0)
 
     def test_empty_grid_is_rejected(self):
         with pytest.raises(ValueError, match="grid must not be empty"):
@@ -147,39 +179,38 @@ class TestSmoothNational:
             smooth_national([0.0, 1.0], [2.0], bandwidth=5.0)
 
     def test_underflow_falls_back_to_nearest(self):
-        obs = us_obs([(0.0, 2.0), (1.0, 4.0)])
         with pytest.warns(RuntimeWarning, match="underflow"):
-            series = smooth_national(obs, bandwidth=1.0, grid=[0.0, 500.0])
+            series = smooth_national([0.0, 1.0], [2.0, 4.0], bandwidth=1.0, grid=[0.0, 500.0])
         assert series.values[1] == 4.0  # nearest observation to t=500
 
     def test_shift_equivariance(self):
         rng = np.random.default_rng(3)
         ts = np.sort(rng.uniform(0, 60, 25))
         spreads = rng.normal(2.0, 3.0, 25)
-        base = smooth_national(us_obs(zip(ts, spreads)), bandwidth=5.0)
-        shifted = smooth_national(us_obs(zip(ts, spreads + 7.5)), bandwidth=5.0)
+        base = smooth_national(ts, spreads, bandwidth=5.0)
+        shifted = smooth_national(ts, spreads + 7.5, bandwidth=5.0)
         np.testing.assert_allclose(shifted.values, base.values + 7.5, atol=1e-9)
 
     def test_values_within_observed_range(self):
         rng = np.random.default_rng(4)
         ts = np.sort(rng.uniform(0, 90, 40))
         spreads = rng.normal(0.0, 6.0, 40)
-        series = smooth_national(us_obs(zip(ts, spreads)), bandwidth=5.0)
+        series = smooth_national(ts, spreads, bandwidth=5.0)
         eps = 1e-9
         assert series.values.min() >= spreads.min() - eps
         assert series.values.max() <= spreads.max() + eps
 
     def test_small_bandwidth_recovers_observation(self):
-        obs = us_obs([(0.0, 1.0), (5.0, 9.0), (10.0, -3.0)])
-        series = smooth_national(obs, bandwidth=1e-3, grid=[0.0, 5.0, 10.0])
+        series = smooth_national([0.0, 5.0, 10.0], [1.0, 9.0, -3.0], bandwidth=1e-3,
+                                 grid=[0.0, 5.0, 10.0])
         np.testing.assert_allclose(series.values, [1.0, 9.0, -3.0], atol=1e-9)
 
     def test_default_grid_is_daily(self):
-        series = smooth_national(us_obs([(2.5, 1.0), (6.2, 3.0)]), bandwidth=5.0)
+        series = smooth_national([2.5, 6.2], [1.0, 3.0], bandwidth=5.0)
         np.testing.assert_array_equal(series.grid, np.arange(2.0, 8.0))
 
     def test_nearest_grid_lookup(self):
-        series = smooth_national(us_obs([(0.0, 0.0), (10.0, 10.0)]),
+        series = smooth_national([0.0, 10.0], [0.0, 10.0],
                                  bandwidth=5.0, grid=[0.0, 5.0, 10.0])
         assert series.values_at(6.9)[0] == series.values[1]
         assert series.values_at(7.5)[0] == series.values[1]  # tie goes low
@@ -189,7 +220,7 @@ class TestSmoothNational:
     def test_nearest_grid_lookup_past_the_last_point(self):
         # |t - 5| and |10 - t| round to the same value, and that tie must
         # not pull t back from past the last grid point
-        series = smooth_national(us_obs([(0.0, 0.0), (10.0, 10.0)]),
+        series = smooth_national([0.0, 10.0], [0.0, 10.0],
                                  bandwidth=5.0, grid=[0.0, 5.0, 10.0])
         np.testing.assert_array_equal(series.values_at([np.inf, 1e301, -np.inf, -1e301]),
                                       series.values[[2, 2, 0, 0]])
