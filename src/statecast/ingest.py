@@ -41,8 +41,8 @@ FIRST_HISTORICAL_YEAR = 1976
 class Polls:
     """Polls as columns, one entry per poll in file order: state code,
     days-to-election ``t`` (from the poll date), the two major-candidate
-    percentages and the sample size.  A poll's pollster, date and sample type
-    are checked when it is parsed, not kept.
+    percentages and the sample size (a float).  A poll's pollster, date and
+    sample type are checked when it is parsed, not kept.
     """
 
     state: np.ndarray
