@@ -136,9 +136,6 @@ class TestPolls:
         with pytest.raises(ValueError, match="same length"):
             Polls("US", 1.0, 48.0, 44.0, 500)
 
-    def test_len_counts_polls(self):
-        assert len(Polls(["US", "OH"], [1, 2], [48, 45], [44, 45], [500, 600])) == 2
-
 
 class TestToSpreads:
     @pytest.mark.parametrize("c1,c2,expected", [(48, 44, 4.0), (44, 48, -4.0), (50, 50, 0.0)])
