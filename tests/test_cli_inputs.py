@@ -173,6 +173,14 @@ class TestSeriesRows:
         code = self.score(FIXTURES / "series.csv", tmp_path, outcomes)
         assert_rejected(code, capsys, outcomes, 3)
 
+    @pytest.mark.parametrize("first", ["US", " us "])
+    def test_repeated_outcome_state_names_line(self, tmp_path, capsys, first):
+        outcomes = tmp_path / "o.csv"
+        outcomes.write_text(f"state,omega\n{first},1\nOH,0\nUS,0\n")
+        code = self.score(FIXTURES / "series.csv", tmp_path, outcomes)
+        err = assert_rejected(code, capsys, outcomes, 4)
+        assert "state US is repeated" in err
+
     def test_outcomes_missing_column_names_file(self, tmp_path, capsys):
         outcomes = tmp_path / "o.csv"
         outcomes.write_text("state,result\nUS,1\n")
@@ -232,6 +240,17 @@ class TestPanelAndReference:
         err = assert_rejected(self.trade(experts, FIXTURES / "reference.csv", tmp_path),
                               capsys, experts, 1)
         assert f"repeated column(s) {name}" in err
+
+    def test_repeated_outcome_state_names_line(self, tmp_path, capsys):
+        outcomes = tmp_path / "o.csv"
+        outcomes.write_text("state,omega\nUS,1\nUS,0\n")
+        out = tmp_path / "out"
+        code = run_cli("trade", "--experts", FIXTURES / "experts.csv",
+                       "--reference-file", FIXTURES / "reference.csv",
+                       "--outcomes", outcomes, "--out-dir", out)
+        err = assert_rejected(code, capsys, outcomes, 3)
+        assert "state US is repeated" in err
+        assert not (out / "pnl_summary.csv").exists()
 
     def test_reference_missing_column_names_file(self, tmp_path, capsys):
         ref = tmp_path / "ref.csv"
