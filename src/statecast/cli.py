@@ -334,7 +334,10 @@ def _read_outcomes(path: str) -> dict[str, int]:
         omega = int(omega)
         if omega not in (0, 1):
             raise ValueError(f"omega = {omega} is not 0 or 1")
-        out[state.strip().upper()] = omega
+        state = state.strip().upper()
+        if state in out:
+            raise ValueError(f"state {state} is repeated")
+        out[state] = omega
 
     return read_rows(path, ("state", "omega"), parse, lambda: out)
 
