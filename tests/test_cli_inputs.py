@@ -252,6 +252,16 @@ class TestPanelAndReference:
         assert "state US is repeated" in err
         assert not (out / "pnl_summary.csv").exists()
 
+    @pytest.mark.parametrize("command", ["trade", "aggregate"])
+    def test_header_only_panel_names_file(self, tmp_path, capsys, command):
+        experts = tmp_path / "p.csv"
+        experts.write_text("date,A,B\n")
+        out = tmp_path / "out"
+        code = run_cli(command, "--experts", experts,
+                       "--reference-file", FIXTURES / "reference.csv", "--out-dir", out)
+        err = assert_rejected(code, capsys, experts)
+        assert err == f"error [{command}]: {experts}: panel has no dates\n"
+
     def test_reference_missing_column_names_file(self, tmp_path, capsys):
         ref = tmp_path / "ref.csv"
         ref.write_text("date,value\n2016-10-01,0.6\n")
