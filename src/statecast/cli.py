@@ -474,8 +474,9 @@ def _read_panel(path: str) -> online.ExpertPanel:
         values.append([_probability(v) for v in predictions])
 
     def finish():
-        return online.ExpertPanel(names=names if values else [],
-                                  times=np.array(times), values=np.array(values))
+        if not times:
+            raise ValueError("panel has no dates")
+        return online.ExpertPanel(names=names, times=np.array(times), values=np.array(values))
 
     return read_rows(path, columns, parse, finish)
 
