@@ -394,6 +394,16 @@ class TestCurves:
         col = [float(r["mu232_sd20"]) for r in rows]
         assert np.max(np.abs(np.diff(col)[480:])) < 1e-9  # flat tail
 
+    def test_out_dir_under_a_file_names_the_path(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "x"
+        assert run_cli("curves", "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith("error [curves]: NotADirectoryError: "), err
+        assert f"'{out}'" in err
+
 
 class TestConfigFile:
     def test_config_with_flag_override(self, tmp_path):
