@@ -13,7 +13,6 @@ import numpy as np
 
 from statecast import (
     BinaryForecastSeries,
-    ReferenceSeries,
     mark_to_market,
     pair_trading_scores,
     positions,
@@ -22,9 +21,9 @@ from statecast import (
 
 # --- a backtest against a drifting market ------------------------------------
 days = np.arange(10, dtype=float)
-market = ReferenceSeries(times=days,
-                         values=np.array([0.62, 0.60, 0.57, 0.55, 0.50,
-                                          0.47, 0.42, 0.38, 0.30, 0.18]))
+market = BinaryForecastSeries("market", days,
+                              np.array([0.62, 0.60, 0.57, 0.55, 0.50,
+                                        0.47, 0.42, 0.38, 0.30, 0.18]))
 bull = BinaryForecastSeries("bull", days, np.full(10, 0.90))
 bear = BinaryForecastSeries("bear", days, np.full(10, 0.20))
 

@@ -71,13 +71,10 @@ from .simulation import (
 from .states import STATE_CODES, default_ev_table, load_ev_table
 from .trading import (
     PnLSeries,
-    ReferenceSeries,
     mark_to_market,
-    pair_mean_reference,
     pair_trading_scores,
     positions,
     settle,
-    trading_score,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +97,6 @@ __all__ = [
     "OnlineRunResult",
     "PnLSeries",
     "Polls",
-    "ReferenceSeries",
     "ScoreError",
     "ScoreReport",
     "SimulationConfig",
@@ -124,7 +120,6 @@ __all__ = [
     "log_likelihood",
     "log_score",
     "mark_to_market",
-    "pair_mean_reference",
     "pair_trading_scores",
     "parse_polls",
     "positions",
@@ -140,5 +135,4 @@ __all__ = [
     "smooth_national",
     "spherical",
     "to_spreads",
-    "trading_score",
 ]

@@ -45,7 +45,6 @@ from .simulation import (
 )
 from .states import NATIONAL, default_ev_table, load_ev_table
 from .tables import named, read_rows
-from .trading import ReferenceSeries
 
 ONLINE_NAME = "ONLINE"
 
@@ -75,7 +74,6 @@ class RunConfig:
     loss: str = "quadratic"
     reference_mode: str = "market"
     ev_realization: int | None = None
-    realization: int | None = None
     polls: str | None = None
     historical: str | None = None
     ev_table: str | None = None
@@ -91,8 +89,7 @@ class RunConfig:
 _CHOICES = {
     "noise_model": ("gaussian", "student_t"),
     "loss": ("quadratic", "trading"),
-    "reference_mode": (trading.KIND_MARKET, trading.KIND_PAIR_MEAN),
-    "realization": (0, 1),
+    "reference_mode": ("market", "pairmean"),
 }
 #: Flags whose name is not ``--`` plus the key with dashes.
 _FLAGS = {"reference_mode": "--reference", "reference": "--reference-file"}
@@ -443,7 +440,6 @@ def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
                    [(r.forecaster, r.metric, weighting, r.value) for r in reports])
         for r in reports:
             row = r.to_row()
-            row["weighting"] = weighting
             row["value"] = str(row["value"]) if math.isinf(row["value"]) else row["value"]
             all_rows.append(row)
     _write_json(out_dir / "scores.json", all_rows)
@@ -481,7 +477,7 @@ def _read_panel(path: str) -> online.ExpertPanel:
     return read_rows(path, columns, parse, finish)
 
 
-def _read_reference(path: str) -> ReferenceSeries:
+def _read_reference(path: str) -> BinaryForecastSeries:
     """CSV date,price -> reference prices in date order."""
     prices: dict[float, float] = {}
 
@@ -494,28 +490,30 @@ def _read_reference(path: str) -> ReferenceSeries:
 
     def finish():
         times = sorted(prices)
-        return ReferenceSeries(times=times, values=[prices[t] for t in times])
+        return BinaryForecastSeries("market", times, [prices[t] for t in times])
 
     return read_rows(path, ("date", "price"), parse, finish)
 
 
-def _trade_reference(cfg: RunConfig, panel: online.ExpertPanel) -> ReferenceSeries:
+def _trade_reference(cfg: RunConfig, panel: online.ExpertPanel) -> BinaryForecastSeries:
     if cfg.reference_mode == "pairmean":
-        return ReferenceSeries(times=panel.times.copy(),
-                               values=panel.values.mean(axis=1),
-                               kind=trading.KIND_PAIR_MEAN)
+        return BinaryForecastSeries("pairmean", panel.times.copy(), panel.values.mean(axis=1))
     if not cfg.reference:
         raise ConfigurationError("market reference mode needs a reference file")
     return _read_reference(cfg.reference)
 
 
-def _reference_on_panel(ref: ReferenceSeries, panel: online.ExpertPanel) -> np.ndarray:
-    """Reference values on the panel's dates; every panel date must have one."""
+def _iso(t: float) -> str:
+    return str(date.fromordinal(int(t)))
+
+
+def _reference_on_panel(ref: BinaryForecastSeries, panel: online.ExpertPanel) -> np.ndarray:
+    """Reference prices on the panel's dates; every panel date must have one."""
     missing = sorted(set(panel.times.tolist()) - set(ref.times.tolist()))
     if missing:
-        days = ", ".join(str(date.fromordinal(int(t))) for t in missing)
+        days = ", ".join(map(_iso, missing))
         raise AlignmentError(f"reference series missing expert dates: {days}")
-    return ref.values[np.isin(ref.times, panel.times)]
+    return ref.probs[np.isin(ref.times, panel.times)]
 
 
 def _online_mixture(cfg: RunConfig, panel: online.ExpertPanel, ref_on_panel: np.ndarray):
@@ -524,20 +522,6 @@ def _online_mixture(cfg: RunConfig, panel: online.ExpertPanel, ref_on_panel: np.
     loss_fn = online.trading_losses if cfg.loss == "trading" else online.quadratic_losses
     trimmed = online.ExpertPanel(panel.names, panel.times[:-1], panel.values[:-1])
     return trimmed, online.run(trimmed, loss_fn(panel.values, ref_on_panel))
-
-
-def _trade_realization(cfg: RunConfig) -> float | None:
-    if cfg.realization is not None:
-        return float(cfg.realization)
-    if cfg.outcomes:
-        outcomes = _read_outcomes(cfg.outcomes)
-        if NATIONAL in outcomes:
-            return float(outcomes[NATIONAL])
-    return None
-
-
-def _iso(t: float) -> str:
-    return str(date.fromordinal(int(t)))
 
 
 def _write_pnl(out_dir: Path, pnl: trading.PnLSeries) -> None:
@@ -554,7 +538,8 @@ def cmd_trade(cfg: RunConfig, out_dir: Path) -> int:
     panel = _read_panel(cfg.experts)
     ref = _trade_reference(cfg, panel)
     ref_on_panel = _reference_on_panel(ref, panel)
-    omega = _trade_realization(cfg)
+    # Settled at the national outcome, or at the final price without one.
+    omega = _read_outcomes(cfg.outcomes).get(NATIONAL) if cfg.outcomes else None
     settled_series: list[trading.PnLSeries] = []
 
     def trade_one(name: str, times: np.ndarray, probs: np.ndarray) -> None:
@@ -563,7 +548,7 @@ def cmd_trade(cfg: RunConfig, out_dir: Path) -> int:
         pnl = trading.mark_to_market(pos, ref, forecaster=name)
         settled_series.append(trading.settle(pnl, omega=omega))
 
-    if ref.kind == trading.KIND_PAIR_MEAN and panel.n_experts == 2:
+    if cfg.reference_mode == "pairmean" and panel.n_experts == 2:
         a = BinaryForecastSeries(panel.names[0], panel.times, panel.values[:, 0])
         b = BinaryForecastSeries(panel.names[1], panel.times, panel.values[:, 1])
         settled_series.extend(trading.pair_trading_scores(a, b, omega=omega))

@@ -1,13 +1,15 @@
 """Mark-to-market trading score for probability forecasters.
 
-A forecaster's daily position is their probability minus a reference price
-(a betting market, or the mean of a forecaster pair), entered at that price.
-The position is re-struck each day: yesterday's holding is closed at today's
-reference, so the day's P&L increment is position * price change.  At the
-end the final position settles at the realized 0/1 outcome (or at the final
-market price when no realization is supplied).  The running cumulative P&L
-ranks forecasters at any date, before the event resolves; the settled total
-is a strictly proper score in pair mode.
+A forecaster's daily position is their probability minus a reference price,
+entered at that price.  A reference is a :class:`BinaryForecastSeries` of
+prices: a betting market, named ``"market"``, or the mean of a forecaster
+pair, named ``"pairmean"``.  The position is re-struck each day: yesterday's
+holding is closed at today's reference, so the day's P&L increment is
+position * price change.  At the end the final position settles at the
+realized 0/1 outcome (or at the final reference price when no realization is
+supplied).  The running cumulative P&L ranks forecasters at any date, before
+the event resolves; the settled total is a strictly proper score in pair
+mode.
 """
 
 from __future__ import annotations
@@ -18,28 +20,6 @@ import numpy as np
 
 from .errors import AlignmentError, StatecastError
 from .scoring import BinaryForecastSeries
-
-KIND_MARKET = "market"
-KIND_PAIR_MEAN = "pairmean"
-
-
-@dataclass
-class ReferenceSeries:
-    """Dated reference prices in [0, 1] that positions are struck against."""
-
-    times: np.ndarray
-    values: np.ndarray
-    kind: str = KIND_MARKET
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.times.shape != self.values.shape or self.times.ndim != 1:
-            raise ValueError("times and values must be 1-D and the same length")
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
-        if self.values.size and not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
-            raise ValueError("reference prices must lie in [0, 1]")
 
 
 @dataclass
@@ -81,13 +61,13 @@ def _align(times_a: np.ndarray, times_b: np.ndarray):
     return common, ia, ib
 
 
-def positions(forecast: BinaryForecastSeries, ref: ReferenceSeries) -> PositionSeries:
+def positions(forecast: BinaryForecastSeries, ref: BinaryForecastSeries) -> PositionSeries:
     """Daily positions forecast - reference on the common dates (inner join)."""
     common, i_f, i_r = _align(forecast.times, ref.times)
-    return PositionSeries(times=common, values=forecast.probs[i_f] - ref.values[i_r])
+    return PositionSeries(times=common, values=forecast.probs[i_f] - ref.probs[i_r])
 
 
-def mark_to_market(pos: PositionSeries, ref: ReferenceSeries,
+def mark_to_market(pos: PositionSeries, ref: BinaryForecastSeries,
                    forecaster: str = "") -> PnLSeries:
     """Re-value the held position at every reference date.
 
@@ -104,7 +84,7 @@ def mark_to_market(pos: PositionSeries, ref: ReferenceSeries,
     # The position held on each reference date: the latest one struck on or
     # before it.
     held = pos.values[np.searchsorted(pos.times, ref.times[start:], side="right") - 1]
-    increments = held[:-1] * np.diff(ref.values[start:])
+    increments = held[:-1] * np.diff(ref.probs[start:])
     return PnLSeries(
         forecaster=forecaster,
         times=ref.times[start + 1:].copy(),
@@ -112,7 +92,7 @@ def mark_to_market(pos: PositionSeries, ref: ReferenceSeries,
         cumulative=np.cumsum(increments),
         settled=False,
         last_position=float(held[-1]),
-        last_price=float(ref.values[-1]),
+        last_price=float(ref.probs[-1]),
         last_time=float(ref.times[-1]),
     )
 
@@ -139,42 +119,17 @@ def settle(pnl: PnLSeries, omega: float | None = None) -> PnLSeries:
     )
 
 
-def trading_score(forecast: BinaryForecastSeries, ref: ReferenceSeries,
-                  omega: float | None = None) -> float:
-    """Settled cumulative P&L of trading the forecast against the reference."""
-    pos = positions(forecast, ref)
-    pnl = mark_to_market(pos, ref, forecaster=forecast.forecaster)
-    return settle(pnl, omega=omega).total
-
-
-def pair_mean_reference(a: BinaryForecastSeries,
-                        b: BinaryForecastSeries) -> ReferenceSeries:
-    """Reference at the mean of two forecasters on their common dates."""
-    common, ia, ib = _align(a.times, b.times)
-    return ReferenceSeries(times=common,
-                           values=(a.probs[ia] + b.probs[ib]) / 2.0,
-                           kind=KIND_PAIR_MEAN)
-
-
-def pair_positions(a: BinaryForecastSeries,
-                   b: BinaryForecastSeries) -> tuple[PositionSeries, PositionSeries]:
-    """Positions of two forecasters against their own mean, computed jointly
-    as +/-(a - b)/2 so the two are exactly opposite in floating point."""
-    common, ia, ib = _align(a.times, b.times)
-    half_gap = (a.probs[ia] - b.probs[ib]) / 2.0
-    return (PositionSeries(common, half_gap),
-            PositionSeries(common.copy(), -half_gap))
-
-
 def pair_trading_scores(a: BinaryForecastSeries, b: BinaryForecastSeries,
                         omega: float | None = None) -> tuple[PnLSeries, PnLSeries]:
     """Settled P&L of two forecasters trading against their own mean.
 
-    Because the joint positions cancel exactly, the game is zero-sum bit for
-    bit: the two settled totals always sum to 0.0.
+    The positions are +/-(a - b)/2 from one subtraction, so they cancel
+    exactly and the game is zero-sum bit for bit: the two settled totals
+    always sum to 0.0.
     """
-    pos_a, pos_b = pair_positions(a, b)
-    ref = pair_mean_reference(a, b)
-    pnl_a = mark_to_market(pos_a, ref, a.forecaster)
-    pnl_b = mark_to_market(pos_b, ref, b.forecaster)
+    common, ia, ib = _align(a.times, b.times)
+    ref = BinaryForecastSeries("pairmean", common, (a.probs[ia] + b.probs[ib]) / 2.0)
+    half_gap = (a.probs[ia] - b.probs[ib]) / 2.0
+    pnl_a = mark_to_market(PositionSeries(common, half_gap), ref, a.forecaster)
+    pnl_b = mark_to_market(PositionSeries(common, -half_gap), ref, b.forecaster)
     return settle(pnl_a, omega=omega), settle(pnl_b, omega=omega)

@@ -6,16 +6,11 @@ import pytest
 from statecast.errors import AlignmentError, StatecastError
 from statecast.scoring import BinaryForecastSeries
 from statecast.trading import (
-    KIND_PAIR_MEAN,
     PositionSeries,
-    ReferenceSeries,
     mark_to_market,
-    pair_mean_reference,
-    pair_positions,
     pair_trading_scores,
     positions,
     settle,
-    trading_score,
 )
 
 
@@ -26,7 +21,12 @@ def fc(probs, times=None, name="a"):
 
 def ref(values, times=None):
     times = np.arange(len(values), dtype=float) if times is None else times
-    return ReferenceSeries(times=times, values=values)
+    return BinaryForecastSeries("market", times, values)
+
+
+def trading_score(forecast, r, omega=None):
+    """Settled cumulative P&L of trading the forecast against the reference."""
+    return settle(mark_to_market(positions(forecast, r), r), omega=omega).total
 
 
 class TestPositions:
@@ -56,10 +56,13 @@ class TestPositions:
         np.testing.assert_allclose(shifted.values, base.values, atol=1e-12)
 
     def test_pair_positions_exactly_opposite(self):
-        pos_a, pos_b = pair_positions(fc([0.8], name="a"), fc([0.4], name="b"))
-        assert pos_a.values[0] == 0.2
-        assert pos_b.values[0] == -0.2
-        assert pos_a.values[0] == -pos_b.values[0]  # exact, not approximate
+        pnl_a, pnl_b = pair_trading_scores(fc([0.8], name="a"), fc([0.4], name="b"),
+                                           omega=1.0)
+        assert pnl_a.last_position == 0.2
+        assert pnl_b.last_position == -0.2
+        assert pnl_a.last_position == -pnl_b.last_position  # exact, not approximate
+        # the settlement increments are opposite bit for bit
+        assert pnl_a.increments[-1].tobytes() == (-pnl_b.increments[-1]).tobytes()
 
 
 def mark_by_loop(pos, r):
@@ -71,12 +74,12 @@ def mark_by_loop(pos, r):
     times, increments = [], []
     for i in range(start + 1, len(r.times)):
         times.append(float(r.times[i]))
-        increments.append(held * float(r.values[i] - r.values[i - 1]))
+        increments.append(held * float(r.probs[i] - r.probs[i - 1]))
         if float(r.times[i]) in by_time:
             held = by_time[float(r.times[i])]
     increments = np.array(increments, dtype=float)
     return (np.array(times, dtype=float), increments, np.cumsum(increments),
-            held, float(r.values[-1]), float(r.times[-1]))
+            held, float(r.probs[-1]), float(r.times[-1]))
 
 
 class TestMarkToMarket:
@@ -202,9 +205,10 @@ class TestTradingScore:
         assert abs(grid[int(np.argmax(scores))] - p) <= 0.01 + 1e-12
 
     def test_pair_mean_reference_kind(self):
-        r = pair_mean_reference(fc([0.8, 0.6]), fc([0.4, 0.2], name="b"))
-        assert r.kind == KIND_PAIR_MEAN
-        np.testing.assert_allclose(r.values, [0.6, 0.4], atol=1e-12)
+        # the pair trades against its mean, 0.6 then 0.4
+        pnl_a, _ = pair_trading_scores(fc([0.8, 0.6]), fc([0.4, 0.2], name="b"))
+        assert pnl_a.last_price == pytest.approx(0.4, abs=1e-12)
+        assert pnl_a.increments[0] == pytest.approx(0.2 * (0.4 - 0.6), abs=1e-12)
 
 
 class TestReferenceChecks:
