@@ -120,9 +120,7 @@ GOLDEN_ONE_DAY = {
 }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("model", sorted(GOLDEN_ONE_DAY))
-def test_forecast_bytes_frozen_calibration(tmp_path, model, workers, capsys):
+def assert_frozen_calibration_bytes(out_dir, model, workers, paths, golden, capsys):
     assert main([
         "forecast",
         "--calibration", str(FIXTURES / "calibration.json"),
@@ -130,16 +128,53 @@ def test_forecast_bytes_frozen_calibration(tmp_path, model, workers, capsys):
         "--noise-model", model,
         "--workers", str(workers),
         "--win-threshold", "18",
-        "--out-dir", str(tmp_path),
+        "--paths", str(paths),
+        "--out-dir", str(out_dir),
     ]) == 0
-    p_national, *digests = GOLDEN_ONE_DAY[model]
-    assert capsys.readouterr().out == f"p_national = {p_national} over 10000 paths (seed 7)\n"
-    assert [sha256(tmp_path / "forecast.json"),
-            sha256(tmp_path / "timeseries.csv")] == digests
+    p_national, *digests = golden
+    assert capsys.readouterr().out == f"p_national = {p_national} over {paths} paths (seed 7)\n"
+    assert [sha256(out_dir / "forecast.json"),
+            sha256(out_dir / "timeseries.csv")] == digests
 
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("model", sorted(GOLDEN_ONE_DAY))
+def test_forecast_bytes_frozen_calibration(tmp_path, model, workers, capsys):
+    assert_frozen_calibration_bytes(tmp_path, model, workers, 10000,
+                                    GOLDEN_ONE_DAY[model], capsys)
+
+
+# The same run at 70,001 paths: more than one ``_TILE`` (65,536) and not a
+# multiple of it, so each state's draws and its settle span a whole tile
+# and a partial one.  Recorded while each state's noise was still drawn in
+# one piece.
+GOLDEN_ONE_DAY_70001 = {
+    "gaussian": (
+        "0.9984",
+        "171fc36c6af57bae3095f538c112d37ed6e64ea6a833ce0dbd7b19202dbffb57",
+        "6d75e530a8b3b4991995aba30a106c008b55a6feedd81de9f817c1109618c15f",
+    ),
+    "student_t": (
+        "0.9973",
+        "2dd3f0035b709183f90e7dce16847232e19bd0e7d67a016188b7f7504dd2f7d3",
+        "06cea711d92967c4b42c81bd65ba09de2c863a17f416354197d1a618edae9aa2",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("model", sorted(GOLDEN_ONE_DAY_70001))
+def test_forecast_bytes_above_one_tile(tmp_path, model, workers, capsys):
+    assert_frozen_calibration_bytes(tmp_path, model, workers, 70001,
+                                    GOLDEN_ONE_DAY_70001[model], capsys)
+
+
+# The first two experts of experts.csv, written as their own panel: with
+# two experts, `trade --reference pairmean` plays the pair game.
+PAIR_PANEL = "pair_panel.csv"
 
 # name -> (arguments, stdout, {output file: sha256}); every file the command
-# writes is listed.
+# writes is listed.  PAIR_PANEL stands for the path of that panel.
 EVALUATIONS = {
     "score": (
         ["score", "--series", FIXTURES / "series.csv",
@@ -184,6 +219,27 @@ EVALUATIONS = {
             "pnl_summary.csv": "d91fe4fed5e6548c2b21de0f95a0a298910915cd14f83a39491db80be98544d2",
         },
     ),
+    "trade_pair": (
+        ["trade", "--experts", PAIR_PANEL, "--reference", "pairmean"],
+        "traded 3 forecaster(s); settled at final market price\n",
+        {
+            "pnl_CAPM.csv": "901d1a1efc4a2a931783fc808dfbdfd8bd00561d219027b87474e260d75fc689",
+            "pnl_FTE.csv": "00ce4843d55e8e6c47c3e021e1f2fb2fe66be16dd0b13d6f425c4c677a7cb957",
+            "pnl_ONLINE.csv": "1f69a4d69517ce742de97f8db88b4b60ff4f7f96f53af776912c125797bada8b",
+            "pnl_summary.csv": "452868450641eb643e4dc39d60ce9e962b098d9c68d2a043db048a8faf50e181",
+        },
+    ),
+    "trade_pair_outcomes": (
+        ["trade", "--experts", PAIR_PANEL, "--reference", "pairmean",
+         "--outcomes", FIXTURES / "outcomes.csv"],
+        "traded 3 forecaster(s); settled at realization\n",
+        {
+            "pnl_CAPM.csv": "5eec192de026c842d3d5912a21623df0f45a9a48f5626cda3aa63b12a8f154f5",
+            "pnl_FTE.csv": "7af576dde0166f2b6a8778149c7292cba86b8ab4987af43d903190a28d1b2b17",
+            "pnl_ONLINE.csv": "92d5160e94a21a40f2d189991a31a51f408917ad321b8e9807abb5509cad9b0d",
+            "pnl_summary.csv": "139c85805f5016683cdcf0e63ab55a65ad45a51bd644f0e116c0403dad488d13",
+        },
+    ),
     "aggregate_quadratic": (
         ["aggregate", "--experts", FIXTURES / "experts.csv",
          "--reference-file", FIXTURES / "reference.csv", "--loss", "quadratic"],
@@ -220,9 +276,14 @@ EVALUATIONS = {
 @pytest.mark.parametrize("name", sorted(EVALUATIONS))
 def test_evaluation_bytes(tmp_path, name, capsys):
     args, stdout, digests = EVALUATIONS[name]
-    assert main([*map(str, args), "--out-dir", str(tmp_path)]) == 0
+    pair = tmp_path / PAIR_PANEL
+    pair.write_text("".join(",".join(line.split(",")[:3]) + "\n" for line in
+                            (FIXTURES / "experts.csv").read_text().splitlines()))
+    out = tmp_path / "out"
+    args = [pair if a == PAIR_PANEL else a for a in args]
+    assert main([*map(str, args), "--out-dir", str(out)]) == 0
     assert capsys.readouterr().out == stdout
-    assert {p.name: sha256(p) for p in tmp_path.iterdir()} == digests
+    assert {p.name: sha256(p) for p in out.iterdir()} == digests
 
 
 def test_calibrate_fixture_bytes(tmp_path, capsys):

@@ -120,6 +120,29 @@ class TestStateNoise:
         assert spread.shape == (1,) and spread[0] == 2.5
 
 
+# Each kind of draw sample_state_noise takes, as (stream, count) -> values.
+DRAWS = {
+    "normal": lambda rng, k: rng.normal(1.5, 2.0, k),
+    "standard_normal": lambda rng, k: rng.standard_normal(k),
+    "standard_t": lambda rng, k: rng.standard_t(3, k),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(DRAWS))
+def test_a_draw_in_tiles_equals_the_whole_draw(draw):
+    # numpy gives the same values from a stream whether a draw is taken
+    # whole or in _TILE pieces, and leaves the stream at the same place; the
+    # per-tile Student-T draw relies on this.  2 * _TILE + 7 paths: not a
+    # multiple of _TILE.
+    n = 2 * _TILE + 7
+    whole_rng, tiled_rng = _stream(31, 4), _stream(31, 4)
+    whole = DRAWS[draw](whole_rng, n)
+    tiled = np.concatenate([DRAWS[draw](tiled_rng, min(_TILE, n - c))
+                            for c in range(0, n, _TILE)])
+    assert tiled.tobytes() == whole.tobytes()
+    assert tiled_rng.standard_normal(3).tobytes() == whole_rng.standard_normal(3).tobytes()
+
+
 class TestAggregateElectoralVotes:
     def test_sweep(self):
         ev = default_ev_table()
