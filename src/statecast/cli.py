@@ -571,8 +571,9 @@ def cmd_trade(cfg: RunConfig, out_dir: Path) -> int:
                for pnl in settled_series]
     _write_csv(out_dir / "pnl_summary.csv",
                ["forecaster", "total_marked", "total_settled"], summary)
-    print(f"traded {len(settled_series)} forecaster(s); "
-          f"settled at {'realization' if omega is not None else 'final market price'}")
+    price = "pair-mean" if cfg.reference_mode == "pairmean" else "market"
+    settled_at = "realization" if omega is not None else f"final {price} price"
+    print(f"traded {len(settled_series)} forecaster(s); settled at {settled_at}")
     return 0
 
 

@@ -17,7 +17,9 @@ and that day's scale sig = (sigma_samp + sigma_m) * sqrt(horizon) and level
 m; it is recomputed wherever it is needed (``_levels``) instead of stored
 for every (path, day), so the market costs memory per path, not per path
 and day.  The int16 electoral-vote table is the one array as large as the
-paths times the days.
+paths times the days.  A worker holds one state's draws at a time, and
+frees them before it draws the next state: 3 arrays of n floats for
+Student-T (intercept, slope and noise), 1 for Gaussian (the noise).
 
 Most paths of a state sit on one side of the threshold on every day, so
 settling first screens each (state, path) pair over the whole day range.
@@ -207,15 +209,23 @@ def sample_state_noise(
 
     The state's spread on a path with terminal market m is
     ``intercept + slope * m + noise``.  Gaussian: the fitted line (scalars)
-    plus sigma_eps * Z; Student-T: a per-path line plus scale * t.
+    plus sigma_eps * Z; Student-T: a per-path line plus scale * t.  The
+    noise is formed in place: the draw holds no more than it returns, and
+    Student-T one ``_TILE`` of t more.
     """
     if isinstance(model, GaussianNoise):
-        return cal.alpha, cal.beta, cal.sigma_eps * rng.standard_normal(n_paths)
+        noise = rng.standard_normal(n_paths)
+        noise *= cal.sigma_eps
+        return cal.alpha, cal.beta, noise
     if isinstance(model, StudentTNoise):
         alpha = rng.normal(cal.alpha, model.sigma_alpha, n_paths)
         beta = rng.normal(cal.beta, model.sigma_beta, n_paths)
-        scale = np.abs(rng.normal(0.0, cal.sigma_eps, n_paths))
-        return alpha, beta, scale * rng.standard_t(model.nu, n_paths)
+        noise = rng.normal(0.0, cal.sigma_eps, n_paths)
+        np.abs(noise, out=noise)  # the scale
+        # t a tile at a time: the stream gives the same values as one draw
+        for c in range(0, n_paths, _TILE):
+            noise[c:c + _TILE] *= rng.standard_t(model.nu, min(_TILE, n_paths - c))
+        return alpha, beta, noise
     raise TypeError(f"unknown noise model {model!r}")
 
 
@@ -277,7 +287,9 @@ def simulate_paths(
 
     ``p_state`` is each state's win count divided by ``n_paths``.  Workers
     take fixed strided chunks of states and each returns its own integer
-    EV accumulator, so the sum does not depend on ``cfg.workers``.
+    EV accumulator, so the sum does not depend on ``cfg.workers``.  A worker
+    holds one state's draws at a time: 3 arrays of n floats for Student-T,
+    1 for Gaussian.
     """
     states = tuple(sorted(ev_table))
     if not states:
@@ -313,7 +325,10 @@ def simulate_paths(
         won, flat, inc = (np.empty(cols, dtype=t) for t in (bool, bool, np.int16))
         x = np.empty((rows, n_days))
         won_u, inc_u = (np.empty((rows, n_days), dtype=t) for t in (bool, np.int16))
-        for i in chunk:
+
+        def settle_state(i: int) -> None:
+            """Draw state ``i`` and settle it; its draws are freed on return,
+            before the next state is drawn."""
             rng = _stream(cfg.seed, 1 + i)
             intercept, slope, noise = sample_state_noise(
                 cals[states[i]], n, cfg.noise_model, rng)
@@ -344,6 +359,9 @@ def simulate_paths(
                     np.multiply(won_ut, votes, out=inc_ut)
                     ev_c1[at + c] += inc_ut
             p_state[:, i] = wins / n
+
+        for i in chunk:
+            settle_state(i)
         if n_days > 1:
             ev_c1 += base[:, None]
         return ev_c1

@@ -210,7 +210,7 @@ EVALUATIONS = {
     ),
     "trade_pairmean": (
         ["trade", "--experts", FIXTURES / "experts.csv", "--reference", "pairmean"],
-        "traded 4 forecaster(s); settled at final market price\n",
+        "traded 4 forecaster(s); settled at final pair-mean price\n",
         {
             "pnl_CAPM.csv": "f303a20b750551c0690719d82b40bd9c8b6c196767a02837f6a1c7852e99c0f1",
             "pnl_FTE.csv": "77e84c93c923d97a731d88335537fd6cd445f97deecd4848d7d3e3414a4b92b2",
@@ -221,7 +221,7 @@ EVALUATIONS = {
     ),
     "trade_pair": (
         ["trade", "--experts", PAIR_PANEL, "--reference", "pairmean"],
-        "traded 3 forecaster(s); settled at final market price\n",
+        "traded 3 forecaster(s); settled at final pair-mean price\n",
         {
             "pnl_CAPM.csv": "901d1a1efc4a2a931783fc808dfbdfd8bd00561d219027b87474e260d75fc689",
             "pnl_FTE.csv": "00ce4843d55e8e6c47c3e021e1f2fb2fe66be16dd0b13d6f425c4c677a7cb957",

@@ -439,6 +439,38 @@ def test_market_memory_is_per_path():
     assert peak < n_paths * n_days * np.dtype(np.float64).itemsize
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_worker_holds_one_states_draws(workers):
+    # A worker frees each state's draws before it draws the next state.  In
+    # floats of 8 bytes, with one day, Student-T noise and n paths, the
+    # traced peak is at most:
+    #   the market draw z, shared by the workers:                 n
+    #   per worker, one state's draws (intercept, slope, noise):  3n
+    #     and one _TILE of t while the noise is formed:           _TILE
+    #   per worker, its int16 EV table:                           n / 4
+    #   per worker, the settle tiles (lo, hi and x, and 7 bytes
+    #     of bool and int16 for each of their elements):          < 4 _TILE
+    #   the interpreter's own objects (thread states, frames):    < _TILE
+    # Holding the previous state's three arrays while drawing the next (and
+    # drawing a state's noise whole) comes to about 10n with one worker.
+    # 3 * _TILE + 7 paths: the draws span whole tiles and a partial one.
+    ev = default_ev_table()
+    n = 3 * _TILE + 7
+    cals = contested_cals(ev)
+    model = StudentTNoise()
+    simulate_paths(cals, [market()], ev,  # warm-up: first-use imports
+                   SimulationConfig(seed=71, n_paths=7, noise_model=model))
+    cfg = SimulationConfig(seed=71, n_paths=n, noise_model=model, workers=workers)
+    tracemalloc.start()
+    try:
+        simulate_paths(cals, [market()], ev, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = n + workers * (3 * n + _TILE + n / 4 + 4 * _TILE) + _TILE
+    assert peak <= bound * np.dtype(np.float64).itemsize
+
+
 def screen_cals(ev):
     """Contested lines, one falling (beta < 0) and one flat (beta == 0.0)."""
     cals = contested_cals(ev)
