@@ -170,7 +170,8 @@ def test_forecast_bytes_above_one_tile(tmp_path, model, workers, capsys):
 
 
 # The first two experts of experts.csv, written as their own panel: with
-# two experts, `trade --reference pairmean` plays the pair game.
+# two experts, `trade --reference pairmean` plays the pair game.  Its
+# digests were recorded after the one price-series type for trading.
 PAIR_PANEL = "pair_panel.csv"
 
 # name -> (arguments, stdout, {output file: sha256}); every file the command

@@ -458,7 +458,7 @@ def test_a_worker_holds_one_states_draws(workers):
     n = 3 * _TILE + 7
     cals = contested_cals(ev)
     model = StudentTNoise()
-    simulate_paths(cals, [market()], ev,  # warm-up: first-use imports
+    simulate_paths(cals, [market()], ev,  # warm-up: numpy.random imports on first use
                    SimulationConfig(seed=71, n_paths=7, noise_model=model))
     cfg = SimulationConfig(seed=71, n_paths=n, noise_model=model, workers=workers)
     tracemalloc.start()
