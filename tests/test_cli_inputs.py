@@ -166,6 +166,30 @@ class TestSeriesRows:
         err = assert_rejected(self.score(series, tmp_path, outcomes), capsys, series, 3)
         assert "no outcome recorded for OH" in err
 
+    def test_unknown_outcome_state_names_line(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        series.write_text("forecaster,state,date,p\nF,US,2016-11-01,0.5\nF,ZZ,2016-11-01,0.4\n")
+        outcomes = tmp_path / "o.csv"
+        outcomes.write_text("state,omega\nUS,1\nZZ,0\n")
+        err = assert_rejected(self.score(series, tmp_path, outcomes), capsys, outcomes, 3)
+        assert "unknown state code 'ZZ'" in err
+
+    def test_state_missing_from_ev_table_names_its_row(self, tmp_path, capsys):
+        # a custom table with DC's 3 votes folded into MD's
+        table = default_ev_table()
+        table["MD"] += table.pop("DC")
+        ev = tmp_path / "ev.csv"
+        ev.write_text("state,ev\n" + "".join(f"{s},{v}\n" for s, v in table.items()))
+        series = tmp_path / "s.csv"
+        series.write_text("forecaster,state,date,p\n"
+                          "F,US,2016-11-01,0.5\nF,DC,2016-11-01,0.9\n")
+        outcomes = tmp_path / "o.csv"
+        outcomes.write_text("state,omega\nUS,1\nDC,1\n")
+        code = run_cli("score", "--series", series, "--outcomes", outcomes,
+                       "--ev-table", ev, "--metrics", "brier", "--out-dir", tmp_path)
+        err = assert_rejected(code, capsys, series, 3)
+        assert "state DC has no EV table entry" in err
+
     @pytest.mark.parametrize("omega", ["2", "0.5", "yes"])
     def test_outcome_not_binary_names_line(self, tmp_path, capsys, omega):
         outcomes = tmp_path / "o.csv"
@@ -252,6 +276,28 @@ class TestPanelAndReference:
         assert "state US is repeated" in err
         assert not (out / "pnl_summary.csv").exists()
 
+    def test_unknown_outcome_state_names_line(self, tmp_path, capsys):
+        outcomes = tmp_path / "o.csv"
+        outcomes.write_text("state,omega\nUS,1\nZZ,0\n")
+        code = run_cli("trade", "--experts", FIXTURES / "experts.csv",
+                       "--reference-file", FIXTURES / "reference.csv",
+                       "--outcomes", outcomes, "--out-dir", tmp_path)
+        err = assert_rejected(code, capsys, outcomes, 3)
+        assert "unknown state code 'ZZ'" in err
+
+    @pytest.mark.parametrize("command", ["trade", "aggregate"])
+    def test_panel_date_without_reference_price_names_line(self, tmp_path, capsys, command):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("".join(line for line in
+                               (FIXTURES / "reference.csv").read_text().splitlines(True)
+                               if not line.startswith("2016-10-03")))
+        experts = FIXTURES / "experts.csv"
+        code = run_cli(command, "--experts", experts, "--reference-file", ref,
+                       "--out-dir", tmp_path)
+        err = assert_rejected(code, capsys, experts, 4)
+        assert err == (f"error [{command}]: {experts}:4: "
+                       "date 2016-10-03 has no reference price\n")
+
     @pytest.mark.parametrize("command", ["trade", "aggregate"])
     def test_header_only_panel_names_file(self, tmp_path, capsys, command):
         experts = tmp_path / "p.csv"
@@ -292,6 +338,16 @@ class TestCalibrationDocument:
         cal.write_text(json.dumps(doc))
         err = assert_rejected(self.forecast(cal, tmp_path), capsys, cal)
         assert "WY" in err and "beta" in err
+
+    def test_state_missing_from_document_names_file(self, tmp_path, capsys):
+        cal = write_calibration(tmp_path / "cal.json")
+        doc = json.loads(cal.read_text())
+        del doc["states"]["AK"]
+        cal.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        err = assert_rejected(self.forecast(cal, out), capsys, cal)
+        assert "AK" in err
+        assert not (out / "forecast.json").exists()
 
     def test_nan_market_volatility_names_file(self, tmp_path, capsys):
         cal = write_calibration(tmp_path / "cal.json",
@@ -514,6 +570,13 @@ def test_subcommands_accept_the_same_flags():
     for name, parser in subparsers.items():
         flags = {s for a in parser._actions for s in a.option_strings}
         assert flags == common | COMMAND_FLAGS[name], name
+
+
+@pytest.mark.parametrize("command", ["calibrate", "score", "trade", "aggregate", "curves"])
+def test_only_forecast_takes_a_seed(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--seed", "4", "--out-dir", tmp_path)
+    assert exc.value.code == 2
 
 
 def test_flags_land_on_their_fields():

@@ -180,6 +180,11 @@ class TestSmoothNational:
             series = smooth_national([0.0, 1.0], [2.0, 4.0], bandwidth=1.0, grid=[0.0, 500.0])
         assert series.values[1] == 4.0  # nearest observation to t=500
 
+    def test_overflowed_kernel_weight_is_zero(self):
+        # u^2 overflows to +inf, and exp(-inf) = 0 is the weight it stands for
+        series = smooth_national([0.0, 1.0], [2.0, 4.0], bandwidth=1e-300)
+        np.testing.assert_array_equal(series.values, [2.0, 4.0])
+
     def test_shift_equivariance(self):
         rng = np.random.default_rng(3)
         ts = np.sort(rng.uniform(0, 60, 25))
