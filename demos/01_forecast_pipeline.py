@@ -70,7 +70,7 @@ national = smooth_national(table.t[us], to_spreads(table)[us], bandwidth=5.0)
 print(f"smoothed national spread: {national.values[0]:+.2f} at "
       f"{national.grid[0]:.0f} days out (grid of {len(national.grid)} days)")
 
-historical = load_historical(io.StringIO(synthetic_historical())).records
+historical = load_historical(io.StringIO(synthetic_historical())).records  # state -> arrays
 ev = default_ev_table()
 cals = calibrate_states(table, national, historical, states=ev)
 n_poll = sum(1 for c in cals.values() if c.source == "polls")

@@ -29,7 +29,6 @@ from .errors import (
     StatecastError,
 )
 from .ingest import (
-    HistoricalResult,
     Polls,
     SmoothedSeries,
     load_historical,
@@ -88,7 +87,6 @@ __all__ = [
     "ExpertPanel",
     "ForecastDistribution",
     "GaussianNoise",
-    "HistoricalResult",
     "IngestError",
     "InsufficientDataError",
     "LearnerState",

@@ -134,19 +134,16 @@ def calibrate_state(
                             sigma_eps=sigma, n_obs=n, source=SOURCE_POLLS)
 
 
-def calibrate_from_historical(state: str, rows) -> StateCalibration:
-    """OLS of a state's past spreads on the national spread across elections."""
-    rows = [r for r in rows if r.state == state]
-    if len(rows) < 2:
-        raise InsufficientDataError(
-            f"{state}: {len(rows)} historical row(s), need at least 2"
-        )
-    x = np.array([r.national_spread for r in rows], dtype=float)
-    y = np.array([r.state_spread for r in rows], dtype=float)
+def calibrate_from_historical(state: str, national_spread, state_spread) -> StateCalibration:
+    """OLS of a state's past spreads on the national spread, one entry per past election."""
+    x, y = np.asarray(national_spread, dtype=float), np.asarray(state_spread, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError("national_spread and state_spread must be the same length")
+    if len(x) < 2:
+        raise InsufficientDataError(f"{state}: {len(x)} historical row(s), need at least 2")
     alpha, beta, sigma = _ols(x, y)
     return StateCalibration(state=state, alpha=alpha, beta=beta,
-                            sigma_eps=sigma, n_obs=len(rows),
-                            source=SOURCE_HISTORICAL)
+                            sigma_eps=sigma, n_obs=len(x), source=SOURCE_HISTORICAL)
 
 
 def calibrate_market(
@@ -191,19 +188,19 @@ def calibrate_market(
 def calibrate_states(
     polls: Polls,
     national: SmoothedSeries,
-    historical_rows,
+    historical,
     states,
     min_polls: int = MIN_POLLS,
 ) -> dict[str, StateCalibration]:
     """Calibrate every requested state, falling back to historical data.
 
     Each state is fitted on its rows of ``polls``, in file order.  A state
-    routes to :func:`calibrate_from_historical` when it has fewer than
+    routes to :func:`calibrate_from_historical` on its ``historical[state]``
+    ``(national_spread, state_spread)`` arrays when it has fewer than
     ``min_polls`` polls or its poll design is degenerate.  A state with no
     viable route raises :class:`CalibrationError` naming it.
     """
     spreads = to_spreads(polls)
-    historical_rows = list(historical_rows)
     out: dict[str, StateCalibration] = {}
     for state in sorted(states):
         rows = polls.state == state
@@ -213,7 +210,7 @@ def calibrate_states(
         except (InsufficientDataError, DegenerateDesignError):
             pass
         try:
-            out[state] = calibrate_from_historical(state, historical_rows)
+            out[state] = calibrate_from_historical(state, *historical.get(state, ((), ())))
         except CalibrationError as exc:
             raise CalibrationError(
                 f"state {state} cannot be calibrated: too few polls and no "

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import calibration as cal_mod
 from . import ingest, online, scoring, trading
-from .errors import AlignmentError, ConfigurationError, StatecastError
+from .errors import ConfigurationError, StatecastError
 from .scoring import BinaryForecastSeries, ScoreReport
 from .simulation import (
     GaussianNoise,
@@ -43,7 +43,7 @@ from .simulation import (
     probability_time_series,
     run_forecast,
 )
-from .states import NATIONAL, default_ev_table, load_ev_table
+from .states import NATIONAL, default_ev_table, is_state, load_ev_table
 from .tables import named, read_rows
 
 ONLINE_NAME = "ONLINE"
@@ -229,6 +229,10 @@ def _calibrate_from_files(cfg: RunConfig):
                                  lambda: cal_mod.calibration_from_dict(json.load(fh)))
         if market is None:
             raise ConfigurationError(f"{cfg.calibration} has no market block; cannot simulate")
+        missing = [s for s in ev_table if s not in cals]
+        if missing:
+            raise ConfigurationError(
+                f"{cfg.calibration}: missing calibration for: {', '.join(missing)}")
         return cals, market, None, ev_table
 
     if not cfg.polls:
@@ -243,13 +247,13 @@ def _calibrate_from_files(cfg: RunConfig):
     national = ingest.smooth_national(polls.t[us], ingest.to_spreads(polls)[us],
                                       bandwidth=cfg.bandwidth)
 
-    historical_rows = []
+    historical = {}
     if cfg.historical:
         hist = ingest.load_historical(cfg.historical)
         _note_skipped(hist, "historical", cfg.historical)
-        historical_rows = hist.records
+        historical = hist.records
 
-    cals = cal_mod.calibrate_states(polls, national, historical_rows,
+    cals = cal_mod.calibrate_states(polls, national, historical,
                                     states=ev_table.keys(),
                                     min_polls=cfg.min_polls)
     market = cal_mod.calibrate_market(national, polls, sigma_samp=cfg.sigma_samp)
@@ -291,11 +295,11 @@ def cmd_calibrate(cfg: RunConfig, out_dir: Path) -> int:
 # scoring
 
 
-def _read_series_file(path: str):
-    """Long CSV forecaster,state,date,p -> ({(forecaster, state): series},
-    {(forecaster, state): line of that series' first row})."""
+def _read_series_file(path: str, outcomes: dict[str, int], ev_table: dict[str, int]):
+    """Long CSV forecaster,state,date,p -> {(forecaster, state): series}.
+    A state other than US needs an outcome and an EV entry, checked at its
+    first row."""
     points: dict[tuple[str, str], dict[float, float]] = {}
-    first_line: dict[tuple[str, str], int] = {}
     # Per-read memos: raw (forecaster, state) cells -> points, date cell -> day.
     series: dict[tuple[str, str], dict[float, float]] = {}
     days: dict[str, float] = {}
@@ -306,7 +310,10 @@ def _read_series_file(path: str):
         pts = series.get((forecaster, state))
         if pts is None:
             key = (forecaster.strip(), state.strip().upper())
-            first_line.setdefault(key, line)
+            if key[1] != NATIONAL and key[1] not in outcomes:
+                raise ValueError(f"no outcome recorded for {key[1]}")
+            if key[1] != NATIONAL and key[1] not in ev_table:
+                raise ValueError(f"state {key[1]} has no EV table entry")
             pts = series[forecaster, state] = points.setdefault(key, {})
         t = days.get(text)
         if t is None:
@@ -317,7 +324,7 @@ def _read_series_file(path: str):
 
     def finish():
         return {key: BinaryForecastSeries(key[0], *zip(*sorted(pts.items())))
-                for key, pts in points.items()}, first_line
+                for key, pts in points.items()}
 
     return read_rows(path, ("forecaster", "state", "date", "p"), parse, finish)
 
@@ -332,6 +339,8 @@ def _read_outcomes(path: str) -> dict[str, int]:
         if omega not in (0, 1):
             raise ValueError(f"omega = {omega} is not 0 or 1")
         state = state.strip().upper()
+        if state != NATIONAL and not is_state(state):
+            raise ValueError(f"unknown state code {state!r}")
         if state in out:
             raise ValueError(f"state {state} is repeated")
         out[state] = omega
@@ -401,13 +410,7 @@ def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
             raise ConfigurationError("score needs a series file for Brier/log metrics")
         if not outcomes:
             raise ConfigurationError("score needs an outcomes file for Brier/log metrics")
-        series, first_line = _read_series_file(cfg.series)
-        missing = {line: state for (_, state), line in first_line.items()
-                   if state != NATIONAL and state not in outcomes}
-        if missing:
-            line = min(missing)
-            raise ConfigurationError(
-                f"{cfg.series}:{line}: no outcome recorded for {missing[line]}")
+        series = _read_series_file(cfg.series, outcomes, ev_table)
         # A 0 or 1 on the wrong side scores -inf with a warning, shown once
         # per message as a note like every other diagnostic.
         with warnings.catch_warnings(record=True) as caught:
@@ -451,8 +454,9 @@ def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
 # trading / aggregation
 
 
-def _read_panel(path: str) -> online.ExpertPanel:
-    """Wide CSV date,<expert>,... -> one row of predictions per date."""
+def _read_panel(path: str, prices: dict[float, float] | None = None) -> online.ExpertPanel:
+    """Wide CSV date,<expert>,... -> one row of predictions per date; with
+    ``prices``, every date must have a price."""
     names: list[str] = []
     times: list[float] = []
     values: list[list[float]] = []
@@ -466,6 +470,8 @@ def _read_panel(path: str) -> online.ExpertPanel:
         t = _day(text)
         if times and t <= times[-1]:
             raise ValueError(f"date {text.strip()} does not follow {_iso(times[-1])}")
+        if prices is not None and t not in prices:
+            raise ValueError(f"date {text.strip()} has no reference price")
         times.append(t)
         values.append([_probability(v) for v in predictions])
 
@@ -477,8 +483,8 @@ def _read_panel(path: str) -> online.ExpertPanel:
     return read_rows(path, columns, parse, finish)
 
 
-def _read_reference(path: str) -> BinaryForecastSeries:
-    """CSV date,price -> reference prices in date order."""
+def _read_reference(path: str) -> dict[float, float]:
+    """CSV date,price -> {day: price} in date order."""
     prices: dict[float, float] = {}
 
     def parse(cells, line):
@@ -488,32 +494,29 @@ def _read_reference(path: str) -> BinaryForecastSeries:
             raise ValueError(f"date {text.strip()} is repeated")
         prices[t] = price
 
-    def finish():
-        times = sorted(prices)
-        return BinaryForecastSeries("market", times, [prices[t] for t in times])
-
-    return read_rows(path, ("date", "price"), parse, finish)
+    return read_rows(path, ("date", "price"), parse, lambda: dict(sorted(prices.items())))
 
 
-def _trade_reference(cfg: RunConfig, panel: online.ExpertPanel) -> BinaryForecastSeries:
-    if cfg.reference_mode == "pairmean":
-        return BinaryForecastSeries("pairmean", panel.times.copy(), panel.values.mean(axis=1))
-    if not cfg.reference:
-        raise ConfigurationError("market reference mode needs a reference file")
-    return _read_reference(cfg.reference)
+def _panel_and_reference(cfg: RunConfig, command: str, pairmean: bool = False):
+    """The experts panel, its reference price series and the reference
+    prices on the panel's dates.  The reference is the panel's mean
+    (``pairmean``) or the reference file, which must price every panel date."""
+    if not cfg.experts:
+        raise ConfigurationError(f"{command} needs an experts panel file")
+    if pairmean:
+        panel = _read_panel(cfg.experts)
+        ref = BinaryForecastSeries("pairmean", panel.times.copy(), panel.values.mean(axis=1))
+    elif not cfg.reference:
+        raise ConfigurationError(f"{command} needs a reference file")
+    else:
+        prices = _read_reference(cfg.reference)
+        panel = _read_panel(cfg.experts, prices)
+        ref = BinaryForecastSeries("market", list(prices), list(prices.values()))
+    return panel, ref, ref.probs[np.isin(ref.times, panel.times)]
 
 
 def _iso(t: float) -> str:
     return str(date.fromordinal(int(t)))
-
-
-def _reference_on_panel(ref: BinaryForecastSeries, panel: online.ExpertPanel) -> np.ndarray:
-    """Reference prices on the panel's dates; every panel date must have one."""
-    missing = sorted(set(panel.times.tolist()) - set(ref.times.tolist()))
-    if missing:
-        days = ", ".join(map(_iso, missing))
-        raise AlignmentError(f"reference series missing expert dates: {days}")
-    return ref.probs[np.isin(ref.times, panel.times)]
 
 
 def _online_mixture(cfg: RunConfig, panel: online.ExpertPanel, ref_on_panel: np.ndarray):
@@ -533,11 +536,8 @@ def _write_pnl(out_dir: Path, pnl: trading.PnLSeries) -> None:
 
 
 def cmd_trade(cfg: RunConfig, out_dir: Path) -> int:
-    if not cfg.experts:
-        raise ConfigurationError("trade needs an experts panel file")
-    panel = _read_panel(cfg.experts)
-    ref = _trade_reference(cfg, panel)
-    ref_on_panel = _reference_on_panel(ref, panel)
+    pairmean = cfg.reference_mode == "pairmean"
+    panel, ref, ref_on_panel = _panel_and_reference(cfg, "trade", pairmean)
     # Settled at the national outcome, or at the final price without one.
     omega = _read_outcomes(cfg.outcomes).get(NATIONAL) if cfg.outcomes else None
     settled_series: list[trading.PnLSeries] = []
@@ -548,7 +548,7 @@ def cmd_trade(cfg: RunConfig, out_dir: Path) -> int:
         pnl = trading.mark_to_market(pos, ref, forecaster=name)
         settled_series.append(trading.settle(pnl, omega=omega))
 
-    if cfg.reference_mode == "pairmean" and panel.n_experts == 2:
+    if pairmean and panel.n_experts == 2:
         a = BinaryForecastSeries(panel.names[0], panel.times, panel.values[:, 0])
         b = BinaryForecastSeries(panel.names[1], panel.times, panel.values[:, 1])
         settled_series.extend(trading.pair_trading_scores(a, b, omega=omega))
@@ -571,19 +571,14 @@ def cmd_trade(cfg: RunConfig, out_dir: Path) -> int:
                for pnl in settled_series]
     _write_csv(out_dir / "pnl_summary.csv",
                ["forecaster", "total_marked", "total_settled"], summary)
-    price = "pair-mean" if cfg.reference_mode == "pairmean" else "market"
+    price = "pair-mean" if pairmean else "market"
     settled_at = "realization" if omega is not None else f"final {price} price"
     print(f"traded {len(settled_series)} forecaster(s); settled at {settled_at}")
     return 0
 
 
 def cmd_aggregate(cfg: RunConfig, out_dir: Path) -> int:
-    if not cfg.experts:
-        raise ConfigurationError("aggregate needs an experts panel file")
-    panel = _read_panel(cfg.experts)
-    if not cfg.reference:
-        raise ConfigurationError("aggregate needs a reference file for losses")
-    ref_on_panel = _reference_on_panel(_read_reference(cfg.reference), panel)
+    panel, _, ref_on_panel = _panel_and_reference(cfg, "aggregate")
 
     if len(panel.times) < 2:
         print("warning: panel has a single date; nothing to aggregate",
@@ -647,12 +642,11 @@ def cmd_curves(cfg: RunConfig, out_dir: Path) -> int:
 # argument parsing
 
 
-#: Subcommand -> (handler, help, settings it takes besides seed, paths and
-#: workers).
+#: Subcommand -> (handler, help, settings it takes as flags).
 _COMMANDS = {
     "forecast": (cmd_forecast, "simulate win probabilities and the EV histogram",
-                 ("polls", "historical", "ev_table", "calibration", "election_date",
-                  "bandwidth", "noise_model", "win_threshold")),
+                 ("seed", "paths", "workers", "polls", "historical", "ev_table", "calibration",
+                  "election_date", "bandwidth", "noise_model", "win_threshold")),
     "calibrate": (cmd_calibrate, "dump the calibration document as JSON",
                   ("polls", "historical", "ev_table", "election_date", "bandwidth")),
     "score": (cmd_score, "score expert series and histograms",
@@ -675,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--out-dir", default=".", help="directory for outputs")
-        for key in ("seed", "paths", "workers", *keys):
+        for key in keys:
             p.add_argument(_FLAGS.get(key, "--" + key.replace("_", "-")), dest=key,
                            type=_TYPES[key], choices=_CHOICES.get(key), help=_HELP.get(key))
         if command == "score":

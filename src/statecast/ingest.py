@@ -63,26 +63,17 @@ class Polls:
         return len(self.t)
 
 
-@dataclass(frozen=True)
-class HistoricalResult:
-    """A past election's state and national popular-vote spreads."""
-
-    year: int
-    state: str
-    state_spread: float
-    national_spread: float
-
-
 @dataclass
 class ParseResult:
     """Parsed rows plus a report of rows that were skipped or flagged.
 
-    ``records`` is a :class:`Polls` table for polls and a list of rows for
-    historical results.  ``skipped`` and ``flagged`` hold (line number,
-    reason) pairs; flagged rows were kept.
+    ``records`` is a :class:`Polls` table for polls and, for historical
+    results, ``{state: (national_spread, state_spread)}`` float arrays in
+    file order.  ``skipped`` and ``flagged`` hold (line number, reason)
+    pairs; flagged rows were kept.
     """
 
-    records: Polls | list
+    records: Polls | dict[str, tuple[np.ndarray, np.ndarray]]
     skipped: list[tuple[int, str]] = field(default_factory=list)
     flagged: list[tuple[int, str]] = field(default_factory=list)
 
@@ -234,8 +225,10 @@ def smooth_national(t, spreads, bandwidth: float = 5.0, grid=None) -> SmoothedSe
         grid = np.arange(math.floor(t_obs.min()), math.ceil(t_obs.max()) + 1, dtype=float)
     grid = np.asarray(grid, dtype=float)
 
-    u = (grid[:, None] - t_obs[None, :]) / bandwidth
-    weights = np.exp(-0.5 * u * u)
+    # A u^2 that overflows is +inf, and exp(-inf) = 0 is the weight it stands for.
+    with np.errstate(over="ignore"):
+        u = (grid[:, None] - t_obs[None, :]) / bandwidth
+        weights = np.exp(-0.5 * u * u)
     wsum = weights.sum(axis=1)
 
     values = np.empty_like(grid)
@@ -256,13 +249,15 @@ def smooth_national(t, spreads, bandwidth: float = 5.0, grid=None) -> SmoothedSe
 
 def load_historical(source) -> ParseResult:
     """Parse a ``year,state,state_spread,national_spread`` CSV (a path or a
-    text stream).
+    text stream) into each state's ``(national_spread, state_spread)``
+    arrays, its rows in file order.
 
     Malformed rows are skipped and reported with their line.  Rows before
-    1976 are kept but flagged.  Duplicate (year, state) rows are all kept;
-    deduplication is the calibrator's concern.
+    1976 are kept but flagged; the year is checked, not kept.  Duplicate
+    (year, state) rows are all kept.
     """
-    result = ParseResult(records=[])
+    rows: dict[str, tuple[list[float], list[float]]] = {}
+    result = ParseResult(records={})
 
     def parse(cells, line):
         year, state, state_spread, national_spread = cells
@@ -276,9 +271,13 @@ def load_historical(source) -> ParseResult:
             raise ValueError("non-finite spread")
         if year < FIRST_HISTORICAL_YEAR:
             result.flagged.append((line, f"year {year} precedes {FIRST_HISTORICAL_YEAR}"))
-        result.records.append(HistoricalResult(year=year, state=state,
-                                               state_spread=state_spread,
-                                               national_spread=national_spread))
+        national, spreads = rows.setdefault(state, ([], []))
+        national.append(national_spread)
+        spreads.append(state_spread)
 
-    return read_rows(source, HISTORICAL_COLUMNS, parse, lambda: result,
-                     skipped=result.skipped)
+    def finish():
+        result.records = {state: (np.array(national), np.array(spreads))
+                          for state, (national, spreads) in rows.items()}
+        return result
+
+    return read_rows(source, HISTORICAL_COLUMNS, parse, finish, skipped=result.skipped)

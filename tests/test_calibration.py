@@ -28,9 +28,9 @@ from statecast.errors import (
     InsufficientDataError,
 )
 from statecast.ingest import (
-    HistoricalResult,
     Polls,
     SmoothedSeries,
+    load_historical,
     parse_polls,
 )
 from statecast.states import NATIONAL, STATE_CODES
@@ -148,11 +148,7 @@ class TestCalibrateState:
 
 class TestCalibrateFromHistorical:
     def test_two_rows_exact_line(self):
-        rows = [
-            HistoricalResult(2008, "UT", -10.0, 7.0),
-            HistoricalResult(2012, "UT", -20.0, 4.0),
-        ]
-        cal = calibrate_from_historical("UT", rows)
+        cal = calibrate_from_historical("UT", np.array([7.0, 4.0]), np.array([-10.0, -20.0]))
         assert cal.sigma_eps == 0.0
         assert cal.source == SOURCE_HISTORICAL and cal.n_obs == 2
 
@@ -160,11 +156,7 @@ class TestCalibrateFromHistorical:
         rng = np.random.default_rng(13)
         national = rng.normal(2.0, 6.0, 11)
         spreads = -3.0 + 1.2 * national + rng.normal(0, 1.5, 11)
-        rows = [
-            HistoricalResult(1976 + 4 * i, "KY", spreads[i], national[i])
-            for i in range(11)
-        ]
-        cal = calibrate_from_historical("KY", rows)
+        cal = calibrate_from_historical("KY", national, spreads)
         a, b, s = ols_oracle(national, spreads)
         assert cal.alpha == pytest.approx(a, abs=1e-10)
         assert cal.beta == pytest.approx(b, abs=1e-10)
@@ -172,29 +164,30 @@ class TestCalibrateFromHistorical:
 
     def test_single_row_insufficient(self):
         with pytest.raises(InsufficientDataError):
-            calibrate_from_historical("WY", [HistoricalResult(2012, "WY", -40.0, 4.0)])
+            calibrate_from_historical("WY", np.array([4.0]), np.array([-40.0]))
 
     def test_constant_national_degenerate(self):
-        rows = [HistoricalResult(2008, "ID", -20.0, 3.0),
-                HistoricalResult(2012, "ID", -25.0, 3.0)]
         with pytest.raises(DegenerateDesignError):
-            calibrate_from_historical("ID", rows)
+            calibrate_from_historical("ID", np.array([3.0, 3.0]), np.array([-20.0, -25.0]))
+
+    def test_mismatched_lengths_are_rejected(self):
+        with pytest.raises(ValueError, match="same length"):
+            calibrate_from_historical("ID", np.array([3.0, 4.0]), np.array([-20.0]))
 
     def test_other_states_rows_ignored(self):
-        rows = [HistoricalResult(2008, "MT", -2.0, 7.0),
-                HistoricalResult(2012, "MT", -13.0, 4.0),
-                HistoricalResult(2012, "CA", 23.0, 4.0)]
-        cal = calibrate_from_historical("MT", rows)
+        # the reader gives each state its own rows
+        historical = load_historical(io.StringIO(
+            "year,state,state_spread,national_spread\n"
+            "2008,MT,-2.0,7.0\n2012,CA,23.0,4.0\n2012,MT,-13.0,4.0\n")).records
+        cal = calibrate_from_historical("MT", *historical["MT"])
         assert cal.n_obs == 2
+        assert cal == calibrate_from_historical("MT", [7.0, 4.0], [-2.0, -13.0])
 
 
 class TestCalibrateStates:
     def _historical(self):
-        rows = []
-        for state in sorted(STATE_CODES):
-            for i, nat in enumerate([2.06, -9.74, 9.74]):
-                rows.append(HistoricalResult(1976 + 4 * i, state, 1.0 + 0.9 * nat, nat))
-        return rows
+        nat = np.array([2.06, -9.74, 9.74])
+        return {state: (nat, 1.0 + 0.9 * nat) for state in STATE_CODES}
 
     def test_data_poor_states_route_to_historical(self):
         ts = np.arange(30.0)
@@ -211,7 +204,7 @@ class TestCalibrateStates:
     def test_unresolvable_state_names_it(self):
         nat = identity_series(np.arange(6.0))
         with pytest.raises(CalibrationError, match="WY"):
-            calibrate_states(poll_table([], [], []), nat, [], states=["WY"])
+            calibrate_states(poll_table([], [], []), nat, {}, states=["WY"])
 
     def test_state_rows_in_file_order(self):
         # OH, PA and national rows interleaved: each state is fitted on its
@@ -221,7 +214,7 @@ class TestCalibrateStates:
         states = rng.choice(["OH", "PA", NATIONAL], 60)
         ts = rng.integers(0, 20, 60).astype(float)
         spreads = rng.normal(1.0, 4.0, 60)
-        cals = calibrate_states(poll_table(states, ts, spreads), nat, [], states=["OH", "PA"])
+        cals = calibrate_states(poll_table(states, ts, spreads), nat, {}, states=["OH", "PA"])
         for state in ("OH", "PA"):
             rows = states == state
             assert cals[state] == calibrate_state(state, ts[rows], spreads[rows], nat)

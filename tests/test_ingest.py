@@ -233,28 +233,30 @@ HIST_HEADER = "year,state,state_spread,national_spread\n"
 
 class TestLoadHistorical:
     def test_round_trip_row(self):
-        result = load_historical(io.StringIO(HIST_HEADER + "1976,OH,-0.27,2.06\n"))
-        (row,) = result.records
-        assert (row.year, row.state) == (1976, "OH")
-        assert row.state_spread == -0.27
-        assert row.national_spread == 2.06
+        result = load_historical(io.StringIO(HIST_HEADER + "1976, oh ,-0.27,2.06\n"))
+        assert list(result.records) == ["OH"]
+        national, spreads = result.records["OH"]
+        assert national.dtype == spreads.dtype == np.float64
+        assert national.tolist() == [2.06]
+        assert spreads.tolist() == [-0.27]
 
     def test_empty_file(self):
         result = load_historical(io.StringIO(HIST_HEADER))
-        assert result.records == []
+        assert result.records == {}
 
     def test_duplicates_kept(self):
         src = io.StringIO(HIST_HEADER + "2000,FL,0.1,0.5\n2000,FL,0.2,0.5\n")
-        assert len(load_historical(src).records) == 2
+        national, spreads = load_historical(src).records["FL"]
+        assert (national.tolist(), spreads.tolist()) == ([0.5, 0.5], [0.1, 0.2])
 
     def test_pre_1976_kept_but_flagged(self):
         result = load_historical(io.StringIO(HIST_HEADER + "1972,OH,-10.0,-23.2\n"))
-        assert len(result.records) == 1
+        assert result.records["OH"][0].tolist() == [-23.2]
         assert result.n_skipped == 0
         assert result.flagged and "1972" in result.flagged[0][1]
 
     def test_malformed_skipped_and_counted(self):
         src = io.StringIO(HIST_HEADER + "1980,OH,abc,1.0\n1984,OH,2.0,1.5\n")
         result = load_historical(src)
-        assert len(result.records) == 1
+        assert result.records["OH"][1].tolist() == [2.0]
         assert result.n_skipped == 1

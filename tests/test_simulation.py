@@ -1,14 +1,17 @@
 """Monte Carlo simulation: terminal law, state noise, EV aggregation."""
 
+import json
+import math
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from statecast import simulation
-from statecast.calibration import MarketCalibration, StateCalibration
+from statecast.calibration import MarketCalibration, StateCalibration, calibration_from_dict
 from statecast.errors import ConfigurationError
 from statecast.simulation import (
     GaussianNoise,
@@ -261,6 +264,46 @@ class TestRunForecast:
         mkt = market(5.0, 5.0, m=0.0, horizon=10000.0)
         dist = run_forecast(cals, mkt, ev, SimulationConfig(seed=1, n_paths=10000))
         assert 0.45 <= dist.p_national <= 0.55
+
+
+def phi(x: float) -> float:
+    """The standard normal CDF."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+FIXTURE_CALIBRATION = Path(__file__).parent / "fixtures" / "calibration.json"
+
+
+@pytest.mark.parametrize("threshold", [0.0, 18.0])
+@pytest.mark.parametrize("seed", [1, 7, 99])
+def test_p_state_matches_closed_form(seed, threshold):
+    """Under Gaussian noise a state's spread is normal with mean a + b*m and
+    variance s_eps^2 + b^2 s_tot^2 T, so p_state is Phi((a + b*m - theta) /
+    sd), to within 5 standard errors plus one path.  States share the market
+    draw, so one seed's errors are correlated: the bound holds per state."""
+    cals, mkt = calibration_from_dict(json.loads(FIXTURE_CALIBRATION.read_text()))
+    n = 20_000
+    dist = run_forecast(cals, mkt, default_ev_table(),
+                        SimulationConfig(seed=seed, n_paths=n, win_threshold=threshold))
+    for state, c in cals.items():
+        sd = math.sqrt(c.sigma_eps ** 2 + c.beta ** 2 * mkt.sigma_total ** 2 * mkt.horizon)
+        p = phi((c.alpha + c.beta * mkt.m_current - threshold) / sd)
+        assert abs(dist.p_state[state] - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n) + 1.0 / n, state
+
+
+def test_p_state_without_noise_or_time_is_the_line_against_the_threshold():
+    """With s_eps = 0 and T = 0 every path has the spread a + b*m, so p_state
+    is exactly 1[a + b*m > theta]; a tie, a + b*m = theta, loses under the
+    strict ``>``."""
+    ev = default_ev_table()
+    cals = flat_cals(ev, alpha=0.0, beta=1.0, sigma=0.0)  # 2.0: above
+    cals["OH"] = StateCalibration("OH", -1.5, 1.0, 0.0, 5, "polls")  # 0.5: below
+    cals["PA"] = StateCalibration("PA", -1.0, 1.0, 0.0, 5, "polls")  # 1.0: a tie
+    cals["FL"] = StateCalibration("FL", 5.0, -2.0, 0.0, 5, "polls")  # 1.0: a tie
+    dist = run_forecast(cals, market(m=2.0, horizon=0.0), ev,
+                        SimulationConfig(seed=3, n_paths=1000, win_threshold=1.0))
+    assert (dist.p_state["OH"], dist.p_state["PA"], dist.p_state["FL"]) == (0.0, 0.0, 0.0)
+    assert all(dist.p_state[s] == 1.0 for s in ev if s not in ("OH", "PA", "FL"))
 
 
 class TestProbabilityTimeSeries:
