@@ -309,12 +309,12 @@ def _read_series_file(path: str, outcomes: dict[str, int], ev_table: dict[str, i
         p = _probability(p)
         pts = series.get((forecaster, state))
         if pts is None:
-            key = (forecaster.strip(), state.strip().upper())
-            if key[1] != NATIONAL and key[1] not in outcomes:
-                raise ValueError(f"no outcome recorded for {key[1]}")
-            if key[1] != NATIONAL and key[1] not in ev_table:
-                raise ValueError(f"state {key[1]} has no EV table entry")
-            pts = series[forecaster, state] = points.setdefault(key, {})
+            code = state.strip().upper()
+            if code != NATIONAL and code not in outcomes:
+                raise ValueError(f"no outcome recorded for {code}")
+            if code != NATIONAL and code not in ev_table:
+                raise ValueError(f"state {code} has no EV table entry")
+            pts = series[forecaster, state] = points.setdefault((forecaster.strip(), code), {})
         t = days.get(text)
         if t is None:
             t = days[text] = _day(text)
