@@ -106,6 +106,12 @@ class TestForecast:
         )
         assert code != 0
 
+    def test_kernel_underflow_is_one_note(self, tmp_path, forecast_args, capsys):
+        assert run_cli(*forecast_args, "--paths", "300", "--bandwidth", "1e-300") == 0
+        assert capsys.readouterr().err == (
+            "note: kernel weights underflowed at 56 grid point(s); "
+            "used nearest observation there\n")
+
     def test_student_t_noise_model(self, tmp_path, forecast_args):
         assert run_cli(*forecast_args, "--noise-model", "student_t") == 0
         doc = json.loads((tmp_path / "forecast.json").read_text())

@@ -166,6 +166,14 @@ class TestSeriesRows:
         err = assert_rejected(self.score(series, tmp_path, outcomes), capsys, series, 3)
         assert "no outcome recorded for OH" in err
 
+    @pytest.mark.parametrize("state", ["", "ZZ"])
+    def test_unknown_series_state_names_its_row(self, tmp_path, capsys, state):
+        series = tmp_path / "s.csv"
+        series.write_text("forecaster,state,date,p\n"
+                          f"F,US,2016-11-01,0.5\nF,{state},2016-11-01,0.4\n")
+        err = assert_rejected(self.score(series, tmp_path), capsys, series, 3)
+        assert f"unknown state code {state!r}" in err
+
     def test_unknown_outcome_state_names_line(self, tmp_path, capsys):
         series = tmp_path / "s.csv"
         series.write_text("forecaster,state,date,p\nF,US,2016-11-01,0.5\nF,ZZ,2016-11-01,0.4\n")
@@ -372,6 +380,15 @@ class TestConfigValues:
         out = tmp_path / "out"
         code = run_cli("forecast", "--config", cfg, "--out-dir", out)
         assert_rejected(code, capsys, cfg, 4, out)
+
+    def test_key_set_twice_names_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\npaths = 300\nseed = 2\n")
+        out = tmp_path / "out"
+        code = run_cli("forecast", "--config", cfg,
+                       "--calibration", write_calibration(tmp_path / "cal.json"), "--out-dir", out)
+        err = assert_rejected(code, capsys, cfg, 3, out)
+        assert err == f"error [forecast]: {cfg}:3: seed: set twice; first at line 1\n"
 
     def test_unknown_loss_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

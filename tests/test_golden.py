@@ -287,6 +287,16 @@ def test_evaluation_bytes(tmp_path, name, capsys):
     assert {p.name: sha256(p) for p in out.iterdir()} == digests
 
 
+def test_pairmean_names_the_reference_file_it_does_not_read(tmp_path, capsys):
+    args, stdout, digests = EVALUATIONS["trade_pairmean"]
+    absent, out = tmp_path / "absent.csv", tmp_path / "out"
+    assert main([*map(str, args), "--reference-file", str(absent), "--out-dir", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == stdout
+    assert captured.err == f"note: --reference pairmean does not read the reference file {absent}\n"
+    assert {p.name: sha256(p) for p in out.iterdir()} == digests
+
+
 def test_calibrate_fixture_bytes(tmp_path, capsys):
     assert main([
         "calibrate",

@@ -12,6 +12,7 @@ from statecast.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
+SIMULATOR_CALLS = ("simulation.probability_time_series", "simulation.run_forecast")
 
 
 def load_spans():
@@ -29,13 +30,19 @@ def test_tracer_patches_and_restores_every_name(tmp_path):
     tracer = load_spans().Tracer()
     tracer.install()
     patched = list(tracer._restore)
+    inputs = {
+        "polls": ["--polls", FIXTURES / "polls.csv", "--historical", FIXTURES / "historical.csv",
+                  "--election-date", "2016-11-08"],
+        "calibration": ["--calibration", FIXTURES / "calibration.json"],
+    }
+    simulator_spans = {}
     try:
-        assert main([
-            "forecast", "--polls", str(FIXTURES / "polls.csv"),
-            "--historical", str(FIXTURES / "historical.csv"),
-            "--election-date", "2016-11-08", "--seed", "5", "--paths", "200",
-            "--out-dir", str(tmp_path / "forecast"),
-        ]) == 0
+        for kind, args in inputs.items():
+            first = len(tracer.spans)
+            assert main(["forecast", *map(str, args), "--seed", "5", "--paths", "200",
+                         "--out-dir", str(tmp_path / kind)]) == 0
+            simulator_spans[kind] = [span[2] for span in tracer.spans[first:]
+                                     if span[2] in SIMULATOR_CALLS]
         assert main([
             "score", "--series", str(FIXTURES / "series.csv"),
             "--outcomes", str(FIXTURES / "outcomes.csv"),
@@ -44,6 +51,8 @@ def test_tracer_patches_and_restores_every_name(tmp_path):
         ]) == 0
     finally:
         tracer.uninstall()
+    # every forecast, whatever its input, is one simulator call
+    assert simulator_spans == {kind: ["simulation.probability_time_series"] for kind in inputs}
     names = {span[2] for span in tracer.spans}
     assert {"simulation.sample_state_noise", "scoring.binary", "scoring.density"} <= names
     assert patched
