@@ -41,7 +41,7 @@ from .simulation import (
     SimulationConfig,
     StudentTNoise,
     probability_time_series,
-    run_forecast,
+    run_forecast,  # not called here; perfbench/spans.py wraps cli.run_forecast by name
 )
 from .states import NATIONAL, default_ev_table, is_state, load_ev_table
 from .tables import named, read_rows
@@ -221,7 +221,9 @@ def _note_skipped(parsed: ingest.ParseResult, kind: str, path: str) -> None:
 
 
 def _calibrate_from_files(cfg: RunConfig):
-    """Returns (cals, market, smoothed national or None, ev_table)."""
+    """Returns (cals, days, ev_table): ``days`` is the market on each day to
+    forecast, day 0 first.  A frozen calibration is one day; polls give one
+    per grid day of the smoothed national spread."""
     ev_table = _load_ev(cfg)
     if cfg.calibration:
         with open(cfg.calibration, encoding="utf-8") as fh:
@@ -233,7 +235,7 @@ def _calibrate_from_files(cfg: RunConfig):
         if missing:
             raise ConfigurationError(
                 f"{cfg.calibration}: missing calibration for: {', '.join(missing)}")
-        return cals, market, None, ev_table
+        return cals, [market], ev_table
 
     if not cfg.polls:
         raise ConfigurationError("polls file is required (or a calibration file)")
@@ -257,25 +259,19 @@ def _calibrate_from_files(cfg: RunConfig):
                                     states=ev_table.keys(),
                                     min_polls=cfg.min_polls)
     market = cal_mod.calibrate_market(national, polls, sigma_samp=cfg.sigma_samp)
-    return cals, market, national, ev_table
+    # day 0 is ``market`` itself
+    return cals, [replace(market, m_current=float(v), horizon=float(t))
+                  for t, v in zip(national.grid, national.values)], ev_table
 
 
 def cmd_forecast(cfg: RunConfig, out_dir: Path) -> int:
-    cals, market, national, ev_table = _calibrate_from_files(cfg)
-    sim_cfg = _sim_config(cfg)
-
-    if national is None:
-        markets = [market]
-        dists = [run_forecast(cals, market, ev_table, sim_cfg)]
-    else:
-        # one draw for the whole grid; day 0 is ``market`` itself
-        markets = [replace(market, m_current=float(v), horizon=float(t))
-                   for t, v in zip(national.grid, national.values)]
-        dists = probability_time_series(cals, markets, ev_table, sim_cfg)
+    cals, days, ev_table = _calibrate_from_files(cfg)
+    # one draw for every day
+    dists = probability_time_series(cals, days, ev_table, _sim_config(cfg))
     dist = dists[0]
     _write_json(out_dir / "forecast.json", dist.to_dict())
     _write_csv(out_dir / "timeseries.csv", ["days_to_election", "p_national"],
-               [(mkt.horizon, d.p_national) for mkt, d in zip(markets, dists)])
+               [(mkt.horizon, d.p_national) for mkt, d in zip(days, dists)])
 
     print(f"p_national = {dist.p_national:.4f} over {dist.n_paths} paths "
           f"(seed {dist.seed})")
@@ -283,9 +279,8 @@ def cmd_forecast(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig, out_dir: Path) -> int:
-    cals, market, _, _ = _calibrate_from_files(cfg)
-    _write_json(out_dir / "calibration.json",
-                cal_mod.calibration_to_dict(cals, market))
+    cals, days, _ = _calibrate_from_files(cfg)
+    _write_json(out_dir / "calibration.json", cal_mod.calibration_to_dict(cals, days[0]))
     n_hist = sum(1 for c in cals.values() if c.source == cal_mod.SOURCE_HISTORICAL)
     print(f"calibrated {len(cals)} states ({n_hist} from historical data)")
     return 0

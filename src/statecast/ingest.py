@@ -92,7 +92,6 @@ class SmoothedSeries:
 
     grid: np.ndarray
     values: np.ndarray
-    bandwidth: float
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -103,8 +102,6 @@ class SmoothedSeries:
             raise ValueError("grid must not be empty")
         if not np.all(np.diff(self.grid) > 0):
             raise ValueError("grid must be strictly ascending")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
 
     def values_at(self, ts) -> np.ndarray:
         """Smoothed value at the grid point nearest each requested time; a
@@ -244,7 +241,7 @@ def smooth_national(t, spreads, bandwidth: float = 5.0, grid=None) -> SmoothedSe
             RuntimeWarning,
             stacklevel=2,
         )
-    return SmoothedSeries(grid=grid, values=values, bandwidth=bandwidth)
+    return SmoothedSeries(grid=grid, values=values)
 
 
 def load_historical(source) -> ParseResult:

@@ -43,7 +43,7 @@ DATA_POOR = ["AL", "AK", "HI", "KY", "MT", "NE", "ND", "OK",
 def identity_series(ts):
     """Smoothed series whose value at day t is exactly t."""
     ts = np.asarray(ts, dtype=float)
-    return SmoothedSeries(grid=ts, values=ts, bandwidth=5.0)
+    return SmoothedSeries(grid=ts, values=ts)
 
 
 def state_obs(points):
@@ -94,7 +94,7 @@ class TestCalibrateState:
         rng = np.random.default_rng(11)
         ts = np.arange(12.0)
         nat_vals = rng.normal(1.0, 4.0, 12)
-        nat = SmoothedSeries(grid=ts, values=nat_vals, bandwidth=5.0)
+        nat = SmoothedSeries(grid=ts, values=nat_vals)
         spreads = 1.4 + 0.8 * nat_vals + rng.normal(0, 0.5, 12)
         cal = calibrate_state("NC", ts, spreads, nat)
         a, b, s = ols_oracle(nat_vals, spreads)
@@ -105,7 +105,7 @@ class TestCalibrateState:
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(5)
         ts = np.arange(9.0)
-        nat = SmoothedSeries(grid=ts, values=rng.normal(0, 3, 9), bandwidth=5.0)
+        nat = SmoothedSeries(grid=ts, values=rng.normal(0, 3, 9))
         cal = calibrate_state("MI", ts, -1.25 + 0.6 * nat.values, nat)
         assert cal.alpha == pytest.approx(-1.25, abs=1e-10)
         assert cal.beta == pytest.approx(0.6, abs=1e-10)
@@ -113,7 +113,7 @@ class TestCalibrateState:
     def test_residuals_orthogonal_to_regressor(self):
         rng = np.random.default_rng(6)
         ts = np.arange(20.0)
-        nat = SmoothedSeries(grid=ts, values=rng.normal(0, 5, 20), bandwidth=5.0)
+        nat = SmoothedSeries(grid=ts, values=rng.normal(0, 5, 20))
         spreads = 2.0 + 1.1 * nat.values + rng.normal(0, 2, 20)
         cal = calibrate_state("WI", ts, spreads, nat)
         resid = spreads - (cal.alpha + cal.beta * nat.values)
@@ -123,7 +123,7 @@ class TestCalibrateState:
     def test_beta_invariant_under_spread_shift(self):
         rng = np.random.default_rng(7)
         ts = np.arange(10.0)
-        nat = SmoothedSeries(grid=ts, values=rng.normal(0, 3, 10), bandwidth=5.0)
+        nat = SmoothedSeries(grid=ts, values=rng.normal(0, 3, 10))
         spreads = 0.5 * nat.values + rng.normal(0, 1, 10)
         base = calibrate_state("VA", ts, spreads, nat)
         shifted = calibrate_state("VA", ts, spreads + 4.0, nat)
@@ -141,7 +141,7 @@ class TestCalibrateState:
             calibrate_state("CO", [0.0, 1.0, 2.0, 3.0], [1.0], nat, min_polls=2)
 
     def test_constant_national_is_degenerate(self):
-        nat = SmoothedSeries(grid=[0, 1, 2, 3], values=[2.0] * 4, bandwidth=5.0)
+        nat = SmoothedSeries(grid=[0, 1, 2, 3], values=[2.0] * 4)
         with pytest.raises(DegenerateDesignError):
             calibrate_state("CO", *state_obs([(t, float(t)) for t in range(4)]), nat)
 
@@ -191,7 +191,7 @@ class TestCalibrateStates:
 
     def test_data_poor_states_route_to_historical(self):
         ts = np.arange(30.0)
-        nat = SmoothedSeries(grid=ts, values=2.0 + 0.05 * ts, bandwidth=5.0)
+        nat = SmoothedSeries(grid=ts, values=2.0 + 0.05 * ts)
         polled = sorted(STATE_CODES - set(DATA_POOR))  # no polls at all for DATA_POOR
         ts = np.tile(np.arange(6.0), len(polled))
         polls = poll_table(np.repeat(polled, 6), ts, 1.0 + 0.9 * nat.values_at(ts))
@@ -210,7 +210,7 @@ class TestCalibrateStates:
         # OH, PA and national rows interleaved: each state is fitted on its
         # own rows, exactly as calibrate_state fits them
         rng = np.random.default_rng(8)
-        nat = SmoothedSeries(grid=np.arange(20.0), values=rng.normal(0, 3, 20), bandwidth=5.0)
+        nat = SmoothedSeries(grid=np.arange(20.0), values=rng.normal(0, 3, 20))
         states = rng.choice(["OH", "PA", NATIONAL], 60)
         ts = rng.integers(0, 20, 60).astype(float)
         spreads = rng.normal(1.0, 4.0, 60)
@@ -250,7 +250,7 @@ def poll_rows(draw):
 
 class TestCalibrateMarket:
     def test_constant_series_zero_sigma_m(self):
-        nat = SmoothedSeries(grid=np.arange(10.0), values=np.full(10, 3.0), bandwidth=5.0)
+        nat = SmoothedSeries(grid=np.arange(10.0), values=np.full(10, 3.0))
         mkt = calibrate_market(nat)
         assert mkt.sigma_m == 0.0
         assert mkt.m_current == 3.0
@@ -260,7 +260,7 @@ class TestCalibrateMarket:
         # 11 grid points, values 0,1,0,1,... -> 10 increments of +-1,
         # sample std sqrt(n/(n-1)) with n = 10
         values = np.array([float(i % 2) for i in range(11)])
-        nat = SmoothedSeries(grid=np.arange(11.0), values=values, bandwidth=5.0)
+        nat = SmoothedSeries(grid=np.arange(11.0), values=values)
         mkt = calibrate_market(nat)
         assert mkt.sigma_m == pytest.approx(math.sqrt(10.0 / 9.0), abs=1e-12)
 
@@ -273,45 +273,44 @@ class TestCalibrateMarket:
             ),
             date(2016, 11, 8),
         ).records
-        nat = SmoothedSeries(grid=[0.0, 1.0], values=[0.0, 0.0], bandwidth=5.0)
+        nat = SmoothedSeries(grid=[0.0, 1.0], values=[0.0, 0.0])
         mkt = calibrate_market(nat, polls)
         assert mkt.sigma_samp == pytest.approx(5.0, abs=1e-12)
 
     def test_sigma_samp_override(self):
-        nat = SmoothedSeries(grid=[0.0, 1.0], values=[1.0, 2.0], bandwidth=5.0)
+        nat = SmoothedSeries(grid=[0.0, 1.0], values=[1.0, 2.0])
         assert calibrate_market(nat, sigma_samp=0.75).sigma_samp == 0.75
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(rows=st.lists(poll_rows(), max_size=30))
     def test_sigma_samp_equals_row_loop(self, rows):
-        nat = SmoothedSeries(grid=[0.0, 1.0], values=[0.0, 0.0], bandwidth=5.0)
+        nat = SmoothedSeries(grid=[0.0, 1.0], values=[0.0, 0.0])
         polls = Polls(*(list(zip(*rows)) or [()] * 5))
         assert calibrate_market(nat, polls).sigma_samp == sigma_samp_loop(rows)
         assert calibrate_market(nat, polls, sigma_samp=0.75).sigma_samp == 0.75
 
     def test_no_national_rows_zero_sigma_samp(self):
-        nat = SmoothedSeries(grid=[0.0, 1.0], values=[0.0, 0.0], bandwidth=5.0)
+        nat = SmoothedSeries(grid=[0.0, 1.0], values=[0.0, 0.0])
         for polls in (poll_table(["OH", "PA"], [1.0, 2.0], [3.0, 4.0]),
                       Polls([NATIONAL], [1.0], [0.0], [0.0], [500])):
             assert calibrate_market(nat, polls).sigma_samp == 0.0
 
     def test_current_level_is_latest_grid_point(self):
-        nat = SmoothedSeries(grid=[3.0, 4.0, 5.0], values=[1.5, 2.0, 2.5], bandwidth=5.0)
+        nat = SmoothedSeries(grid=[3.0, 4.0, 5.0], values=[1.5, 2.0, 2.5])
         mkt = calibrate_market(nat)
         assert mkt.m_current == 1.5  # day closest to the election
         assert mkt.horizon == 3.0
 
     def test_too_few_grid_points(self):
-        nat = SmoothedSeries(grid=[5.0], values=[1.0], bandwidth=5.0)
+        nat = SmoothedSeries(grid=[5.0], values=[1.0])
         with pytest.raises(InsufficientDataError):
             calibrate_market(nat)
 
     def test_nonuniform_grid_scaled_per_day(self):
         # values t on grid spacing 4: increments 4/sqrt(4) = 2 per sqrt(day)
-        nat = SmoothedSeries(grid=[0.0, 4.0, 8.0, 12.0], values=[0.0, 4.0, 8.0, 12.0],
-                             bandwidth=5.0)
+        nat = SmoothedSeries(grid=[0.0, 4.0, 8.0, 12.0], values=[0.0, 4.0, 8.0, 12.0])
         assert calibrate_market(nat).sigma_m == pytest.approx(0.0, abs=1e-12)
-        nat2 = SmoothedSeries(grid=[0.0, 4.0, 8.0], values=[0.0, 4.0, 0.0], bandwidth=5.0)
+        nat2 = SmoothedSeries(grid=[0.0, 4.0, 8.0], values=[0.0, 4.0, 0.0])
         # scaled increments +2, -2 -> sample std sqrt(2)*2/sqrt(2)... direct oracle:
         scaled = np.diff(nat2.values) / np.sqrt(np.diff(nat2.grid))
         assert calibrate_market(nat2).sigma_m == pytest.approx(np.std(scaled, ddof=1), abs=1e-12)

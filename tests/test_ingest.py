@@ -169,7 +169,7 @@ class TestSmoothNational:
 
     def test_empty_grid_is_rejected(self):
         with pytest.raises(ValueError, match="grid must not be empty"):
-            SmoothedSeries(grid=[], values=[], bandwidth=5.0)
+            SmoothedSeries(grid=[], values=[])
 
     def test_mismatched_lengths_are_rejected(self):
         with pytest.raises(ValueError, match="same length"):
