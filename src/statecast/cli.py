@@ -25,6 +25,7 @@ import json
 import math
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from pathlib import Path
@@ -134,9 +135,11 @@ def _setting(key: str, text: str):
 def load_config(path: str | Path) -> RunConfig:
     """Read a flat ``key = value`` file.  A value may be double-quoted or end
     in a ``# comment``; it is parsed as its setting's flag would be, and
-    relative paths are resolved against the config file's directory."""
+    relative paths are resolved against the config file's directory.  A key
+    set twice is an error at its second line."""
     path = Path(path)
     cfg = RunConfig()
+    first: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -149,6 +152,8 @@ def load_config(path: str | Path) -> RunConfig:
                 raise ValueError("unknown config key")
             quoted = len(raw) >= 2 and raw[0] == raw[-1] == '"'
             value = _setting(key, raw[1:-1] if quoted else raw.split("#", 1)[0].strip())
+            if first.setdefault(key, lineno) != lineno:
+                raise ValueError(f"set twice; first at line {first[key]}")
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: {key}: {exc}") from exc
         if key in _PATH_KEYS:
@@ -209,6 +214,21 @@ def _write_json(path: Path, doc) -> None:
         fh.write("\n")
 
 
+@contextmanager
+def _notes(category):
+    """Print each distinct message of the ``category`` warnings raised inside
+    once, as a ``note:`` line; show any other warning as usual."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", category)
+        yield
+    for w in caught:
+        if not issubclass(w.category, category):
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    for message in dict.fromkeys(str(w.message) for w in caught
+                                 if issubclass(w.category, category)):
+        print(f"note: {message}", file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # calibration pipeline shared by forecast/calibrate
 
@@ -246,8 +266,9 @@ def _calibrate_from_files(cfg: RunConfig):
     _note_skipped(parsed, "poll", cfg.polls)
     polls = parsed.records
     us = polls.state == NATIONAL
-    national = ingest.smooth_national(polls.t[us], ingest.to_spreads(polls)[us],
-                                      bandwidth=cfg.bandwidth)
+    with _notes(ingest.KernelUnderflowWarning):
+        national = ingest.smooth_national(polls.t[us], ingest.to_spreads(polls)[us],
+                                          bandwidth=cfg.bandwidth)
 
     historical = {}
     if cfg.historical:
@@ -292,8 +313,8 @@ def cmd_calibrate(cfg: RunConfig, out_dir: Path) -> int:
 
 def _read_series_file(path: str, outcomes: dict[str, int], ev_table: dict[str, int]):
     """Long CSV forecaster,state,date,p -> {(forecaster, state): series}.
-    A state other than US needs an outcome and an EV entry, checked at its
-    first row."""
+    A state other than US must be a state code and needs an outcome and an
+    EV entry, checked at its first row."""
     points: dict[tuple[str, str], dict[float, float]] = {}
     # Per-read memos: raw (forecaster, state) cells -> points, date cell -> day.
     series: dict[tuple[str, str], dict[float, float]] = {}
@@ -305,6 +326,8 @@ def _read_series_file(path: str, outcomes: dict[str, int], ev_table: dict[str, i
         pts = series.get((forecaster, state))
         if pts is None:
             code = state.strip().upper()
+            if code != NATIONAL and not is_state(code):
+                raise ValueError(f"unknown state code {code!r}")
             if code != NATIONAL and code not in outcomes:
                 raise ValueError(f"no outcome recorded for {code}")
             if code != NATIONAL and code not in ev_table:
@@ -406,14 +429,10 @@ def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
         if not outcomes:
             raise ConfigurationError("score needs an outcomes file for Brier/log metrics")
         series = _read_series_file(cfg.series, outcomes, ev_table)
-        # A 0 or 1 on the wrong side scores -inf with a warning, shown once
-        # per message as a note like every other diagnostic.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", scoring.HypersensitiveForecastWarning)
+        # A 0 or 1 on the wrong side scores -inf with a warning.
+        with _notes(scoring.HypersensitiveForecastWarning):
             for metric in binary_metrics:
                 _score_series(tables, metric, series, outcomes, ev_table)
-        for message in dict.fromkeys(str(w.message) for w in caught):
-            print(f"note: {message}", file=sys.stderr)
 
     density_metrics = [m for m in metrics if m in _DENSITY_SCORERS]
     if density_metrics:
@@ -501,6 +520,9 @@ def _panel_and_reference(cfg: RunConfig, command: str, pairmean: bool = False):
     if pairmean:
         panel = _read_panel(cfg.experts)
         ref = BinaryForecastSeries("pairmean", panel.times.copy(), panel.values.mean(axis=1))
+        if cfg.reference:
+            print(f"note: --reference pairmean does not read the reference file {cfg.reference}",
+                  file=sys.stderr)
     elif not cfg.reference:
         raise ConfigurationError(f"{command} needs a reference file")
     else:

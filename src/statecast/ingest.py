@@ -37,6 +37,11 @@ HISTORICAL_COLUMNS = ("year", "state", "state_spread", "national_spread")
 FIRST_HISTORICAL_YEAR = 1976
 
 
+class KernelUnderflowWarning(RuntimeWarning):
+    """Every kernel weight underflowed at some grid points, so the smoother
+    used the nearest observation there."""
+
+
 @dataclass(eq=False)
 class Polls:
     """Polls as columns, one entry per poll in file order: state code,
@@ -208,7 +213,8 @@ def smooth_national(t, spreads, bandwidth: float = 5.0, grid=None) -> SmoothedSe
     t_k)/h) with K(u) = exp(-u^2 / 2).  The default grid is every whole day
     from the earliest to the latest poll.  If every kernel weight underflows
     to zero at some grid point, that point falls back to the nearest poll's
-    spread and a warning reports how many points did so.
+    spread and a :class:`KernelUnderflowWarning` reports how many points did
+    so.
     """
     t_obs = np.asarray(t, dtype=float)
     spreads = np.asarray(spreads, dtype=float)
@@ -238,7 +244,7 @@ def smooth_national(t, spreads, bandwidth: float = 5.0, grid=None) -> SmoothedSe
         warnings.warn(
             f"kernel weights underflowed at {n_fallback} grid point(s); "
             "used nearest observation there",
-            RuntimeWarning,
+            KernelUnderflowWarning,
             stacklevel=2,
         )
     return SmoothedSeries(grid=grid, values=values)
