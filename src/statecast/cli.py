@@ -287,7 +287,6 @@ def _calibrate_from_files(cfg: RunConfig):
 
 def cmd_forecast(cfg: RunConfig, out_dir: Path) -> int:
     cals, days, ev_table = _calibrate_from_files(cfg)
-    # one draw for every day
     dists = probability_time_series(cals, days, ev_table, _sim_config(cfg))
     dist = dists[0]
     _write_json(out_dir / "forecast.json", dist.to_dict())
