@@ -198,6 +198,20 @@ class TestSeriesRows:
         err = assert_rejected(code, capsys, series, 3)
         assert "state DC has no EV table entry" in err
 
+    def test_us_series_without_us_outcome_names_its_row(self, tmp_path, capsys):
+        series = FIXTURES / "series.csv"
+        line = 2 + [r["state"] for r in SERIES_ROWS].index("US")  # after the header
+        outcomes = tmp_path / "o.csv"
+        outcomes.write_text("".join(row for row in
+                                    (FIXTURES / "outcomes.csv").read_text().splitlines(True)
+                                    if not row.startswith("US,")))
+        out = tmp_path / "out"
+        code = run_cli("score", "--series", series, "--outcomes", outcomes,
+                       "--metrics", "brier", "--out-dir", out)
+        err = assert_rejected(code, capsys, series, line, out)
+        assert err == f"error [score]: {series}:{line}: no outcome recorded for US\n"
+        assert not list(out.glob("scores_*.csv"))
+
     @pytest.mark.parametrize("omega", ["2", "0.5", "yes"])
     def test_outcome_not_binary_names_line(self, tmp_path, capsys, omega):
         outcomes = tmp_path / "o.csv"
@@ -315,6 +329,17 @@ class TestPanelAndReference:
                        "--reference-file", FIXTURES / "reference.csv", "--out-dir", out)
         err = assert_rejected(code, capsys, experts)
         assert err == f"error [{command}]: {experts}: panel has no dates\n"
+
+    def test_single_date_panel_is_refused_by_aggregate(self, tmp_path, capsys):
+        experts = tmp_path / "p.csv"
+        experts.write_text("date,A,B\n2016-10-02,0.5,0.6\n")
+        out = tmp_path / "out"
+        code = run_cli("aggregate", "--experts", experts,
+                       "--reference-file", FIXTURES / "reference.csv", "--out-dir", out)
+        err = assert_rejected(code, capsys, experts)
+        assert err == (f"error [aggregate]: {experts}: "
+                       "aggregate needs a panel of 2 or more dates\n")
+        assert not list(out.glob("*"))
 
     def test_reference_missing_column_names_file(self, tmp_path, capsys):
         ref = tmp_path / "ref.csv"
