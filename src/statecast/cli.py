@@ -44,7 +44,7 @@ from .simulation import (
     probability_time_series,
     run_forecast,  # not called here; perfbench/spans.py wraps cli.run_forecast by name
 )
-from .states import NATIONAL, default_ev_table, is_state, load_ev_table
+from .states import EV_BINS, NATIONAL, default_ev_table, load_ev_table, state_code
 from .tables import named, read_rows
 
 ONLINE_NAME = "ONLINE"
@@ -312,8 +312,8 @@ def cmd_calibrate(cfg: RunConfig, out_dir: Path) -> int:
 
 def _read_series_file(path: str, outcomes: dict[str, int], ev_table: dict[str, int]):
     """Long CSV forecaster,state,date,p -> {(forecaster, state): series}.
-    A state other than US must be a state code and needs an outcome and an
-    EV entry, checked at its first row."""
+    A series' state must be US or a state code and needs an outcome; a state
+    other than US also needs an EV entry.  Each is checked at its first row."""
     points: dict[tuple[str, str], dict[float, float]] = {}
     # Per-read memos: raw (forecaster, state) cells -> points, date cell -> day.
     series: dict[tuple[str, str], dict[float, float]] = {}
@@ -324,10 +324,8 @@ def _read_series_file(path: str, outcomes: dict[str, int], ev_table: dict[str, i
         p = _probability(p)
         pts = series.get((forecaster, state))
         if pts is None:
-            code = state.strip().upper()
-            if code != NATIONAL and not is_state(code):
-                raise ValueError(f"unknown state code {code!r}")
-            if code != NATIONAL and code not in outcomes:
+            code = state_code(state, national=True)
+            if code not in outcomes:
                 raise ValueError(f"no outcome recorded for {code}")
             if code != NATIONAL and code not in ev_table:
                 raise ValueError(f"state {code} has no EV table entry")
@@ -355,9 +353,7 @@ def _read_outcomes(path: str) -> dict[str, int]:
         omega = int(omega)
         if omega not in (0, 1):
             raise ValueError(f"omega = {omega} is not 0 or 1")
-        state = state.strip().upper()
-        if state != NATIONAL and not is_state(state):
-            raise ValueError(f"unknown state code {state!r}")
+        state = state_code(state, national=True)
         if state in out:
             raise ValueError(f"state {state} is repeated")
         out[state] = omega
@@ -365,19 +361,19 @@ def _read_outcomes(path: str) -> dict[str, int]:
     return read_rows(path, ("state", "omega"), parse, lambda: out)
 
 
-def _read_histograms(path: str, n_bins: int = 539) -> dict[str, np.ndarray]:
+def _read_histograms(path: str) -> dict[str, np.ndarray]:
     """Long CSV forecaster,ev,p -> normalized histogram per forecaster."""
     masses: dict[str, list[float]] = {}
 
     def parse(cells, line):
         name, ev, text = cells
         ev, p = int(ev), float(text)
-        if not 0 <= ev < n_bins:
-            raise ValueError(f"ev = {ev} is outside 0..{n_bins - 1}")
+        if not 0 <= ev < EV_BINS:
+            raise ValueError(f"ev = {ev} is outside 0..{EV_BINS - 1}")
         if not 0.0 <= p < math.inf:
             raise ValueError(f"p = {text!r} is not a finite mass >= 0")
         name = name.strip()
-        (masses.get(name) or masses.setdefault(name, [0.0] * n_bins))[ev] += p
+        (masses.get(name) or masses.setdefault(name, [0.0] * EV_BINS))[ev] += p
 
     def finish():
         out = {}
@@ -404,7 +400,7 @@ def _score_series(tables, metric, series, outcomes, ev_table) -> None:
     fn = _BINARY_SCORERS[metric]
     for forecaster in sorted({f for f, _ in series}):
         national = series.get((forecaster, NATIONAL))
-        if national is not None and NATIONAL in outcomes:
+        if national is not None:
             report = ScoreReport(forecaster, metric, fn(national, outcomes[NATIONAL]))
             tables.setdefault((metric, scoring.WEIGHT_OVERALL), []).append(report)
         per_state = [ScoreReport(forecaster, metric, fn(s, outcomes[state]), state=state)
@@ -595,24 +591,15 @@ def cmd_trade(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_aggregate(cfg: RunConfig, out_dir: Path) -> int:
     panel, _, ref_on_panel = _panel_and_reference(cfg, "aggregate")
-
     if len(panel.times) < 2:
-        print("warning: panel has a single date; nothing to aggregate",
-              file=sys.stderr)
-        _write_csv(out_dir / "aggregate.csv", ["date", "prediction"], [])
-        _write_json(out_dir / "learner.json", {
-            "loss": cfg.loss, "names": panel.names, "rounds": 0,
-            "regret": 0.0,
-        })
-        _write_csv(out_dir / "mse.csv", ["forecaster", "mse"], [])
-        return 0
-
+        raise ConfigurationError(f"{cfg.experts}: aggregate needs a panel of 2 or more dates")
     trimmed, result = _online_mixture(cfg, panel, ref_on_panel)
 
     _write_csv(out_dir / "aggregate.csv", ["date", "prediction"],
                [(_iso(t), p) for t, p in zip(trimmed.times, result.aggregate)])
 
     n_rounds = len(trimmed.times)
+    bound = online.regret_bound(panel.n_experts, n_rounds)
     _write_json(out_dir / "learner.json", {
         "loss": cfg.loss,
         "names": panel.names,
@@ -622,7 +609,7 @@ def cmd_aggregate(cfg: RunConfig, out_dir: Path) -> int:
         "cumulative_losses": dict(zip(panel.names,
                                       map(float, result.state.cumulative_losses))),
         "regret": result.regret,
-        "regret_bound": online.regret_bound(panel.n_experts, n_rounds),
+        "regret_bound": bound,
     })
 
     # MSE against the next day's reference price, experts and mixture alike.
@@ -634,8 +621,7 @@ def cmd_aggregate(cfg: RunConfig, out_dir: Path) -> int:
     mse_rows.append((ONLINE_NAME, float(np.mean((result.aggregate - next_ref) ** 2))))
     _write_csv(out_dir / "mse.csv", ["forecaster", "mse"], mse_rows)
     print(f"aggregated {panel.n_experts} experts over {n_rounds} rounds; "
-          f"regret {result.regret:.4f} (bound "
-          f"{online.regret_bound(panel.n_experts, n_rounds):.4f})")
+          f"regret {result.regret:.4f} (bound {bound:.4f})")
     return 0
 
 
@@ -644,7 +630,7 @@ _CURVE_METRICS = tuple(scoring._DENSITY_FNS)
 
 def cmd_curves(cfg: RunConfig, out_dir: Path) -> int:
     densities = scoring.default_curve_family()
-    realizations = np.arange(539)
+    realizations = np.arange(EV_BINS)
     labels = [label for label, _ in densities]
     for metric in _CURVE_METRICS:
         table = scoring.score_curves(metric, densities, realizations)

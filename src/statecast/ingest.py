@@ -19,7 +19,7 @@ from datetime import date
 import numpy as np
 
 from .errors import CalibrationError
-from .states import NATIONAL, is_state
+from .states import state_code
 from .tables import read_rows
 
 
@@ -161,11 +161,9 @@ def _parse_poll_row(cells, election_date: date) -> tuple:
     # fixed order, so a row with several faults is always reported by one.
     # Returns the row's Polls columns, in field order.
     pollster, state, text, sample_size, raw_type, pct_c1, pct_c2 = cells
-    state = state.strip().upper()
-    if not state:
-        raise _cell_fault("state", state)
-    if state != NATIONAL and not is_state(state):
-        raise ValueError(f"unknown state code {state!r}")
+    if not state.strip():
+        raise _cell_fault("state", "")
+    state = state_code(state, national=True)
     text = text.strip()
     try:
         poll_date = date.fromisoformat(text)
@@ -264,9 +262,7 @@ def load_historical(source) -> ParseResult:
 
     def parse(cells, line):
         year, state, state_spread, national_spread = cells
-        state = _require(state, "state").upper()
-        if not is_state(state):
-            raise ValueError(f"unknown state code {state!r}")
+        state = state_code(_require(state, "state"))
         year = _require(year, "year", int)
         state_spread = _require(state_spread, "state_spread", float)
         national_spread = _require(national_spread, "national_spread", float)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ScoreError
+from .states import EV_BINS
 
 METRIC_BRIER = "brier"
 METRIC_LOGLIK = "loglik"
@@ -138,15 +139,15 @@ def log_likelihood(series: BinaryForecastSeries, omega) -> float:
     return float(np.sum(np.log(terms)))
 
 
-def _check_histogram(bins, tol: float = HISTOGRAM_TOL) -> np.ndarray:
+def _check_histogram(bins) -> np.ndarray:
     h = np.asarray(bins, dtype=float)
     if h.ndim != 1 or h.size == 0:
         raise ScoreError("histogram must be a nonempty 1-D probability vector")
     # Written so that NaN, which fails every comparison, fails the checks.
-    if not h.min() >= -tol:
+    if not h.min() >= -HISTOGRAM_TOL:
         raise ScoreError("histogram has negative or NaN mass")
     total = float(h.sum())
-    if not abs(total - 1.0) <= tol:
+    if not abs(total - 1.0) <= HISTOGRAM_TOL:
         raise ScoreError(f"histogram sums to {total!r}, not 1")
     return h
 
@@ -256,11 +257,12 @@ def aggregate_scores(
                        weighting=weighting)
 
 
-def gaussian_histogram(mean: float, std: float, n_bins: int = 539) -> np.ndarray:
-    """A Gaussian discretized onto unit-width integer bins and renormalized."""
+def gaussian_histogram(mean: float, std: float) -> np.ndarray:
+    """A Gaussian discretized onto the unit-width EV bins 0..538 and
+    renormalized."""
     if std <= 0:
         raise ValueError("std must be positive")
-    edges = np.arange(n_bins + 1) - 0.5
+    edges = np.arange(EV_BINS + 1) - 0.5
     cdf = np.array([0.5 * math.erfc((mean - x) / (std * math.sqrt(2))) for x in edges])
     h = np.diff(cdf)
     return h / h.sum()
@@ -268,11 +270,11 @@ def gaussian_histogram(mean: float, std: float, n_bins: int = 539) -> np.ndarray
 
 #: Densities behind the score-shape comparison: Gaussians of varying center
 #: and width on the EV axis.
-def default_curve_family(n_bins: int = 539) -> list[tuple[str, np.ndarray]]:
+def default_curve_family() -> list[tuple[str, np.ndarray]]:
     family = []
     for mean in (232, 269, 306):
         for std in (20, 45):
-            family.append((f"mu{mean}_sd{std}", gaussian_histogram(mean, std, n_bins)))
+            family.append((f"mu{mean}_sd{std}", gaussian_histogram(mean, std)))
     return family
 
 

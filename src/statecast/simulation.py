@@ -57,7 +57,7 @@ import numpy as np
 
 from .calibration import MarketCalibration, StateCalibration, _check_finite
 from .errors import ConfigurationError
-from .states import WIN_ELECTORAL_VOTES, TOTAL_ELECTORAL_VOTES
+from .states import EV_BINS, WIN_ELECTORAL_VOTES
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -377,7 +377,7 @@ def _forecasts(paths: PathOutcomes, cfg: SimulationConfig) -> list[ForecastDistr
     """One forecast per market row of ``paths``."""
     out = []
     for ev_c1, p_state in zip(paths.ev_c1, paths.p_state):
-        histogram = np.bincount(ev_c1, minlength=TOTAL_ELECTORAL_VOTES + 1) / cfg.n_paths
+        histogram = np.bincount(ev_c1, minlength=EV_BINS) / cfg.n_paths
         out.append(ForecastDistribution(
             p_state={s: float(p) for s, p in zip(paths.states, p_state)},
             p_national=float(histogram[WIN_ELECTORAL_VOTES:].sum()),

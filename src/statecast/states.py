@@ -27,10 +27,17 @@ NATIONAL = "US"
 
 TOTAL_ELECTORAL_VOTES = 538
 WIN_ELECTORAL_VOTES = 270
+#: Bins of an EV histogram: one per vote count 0..538.
+EV_BINS = TOTAL_ELECTORAL_VOTES + 1
 
 
-def is_state(code: str) -> bool:
-    return code in STATE_CODES
+def state_code(cell: str, national: bool = False) -> str:
+    """The state code in a table cell, stripped and upper-cased: one of the
+    51 codes, or ``US`` when ``national``.  Anything else is a ValueError."""
+    code = cell.strip().upper()
+    if code not in STATE_CODES and not (national and code == NATIONAL):
+        raise ValueError(f"unknown state code {code!r}")
+    return code
 
 
 def load_ev_table(source) -> dict[str, int]:
@@ -44,9 +51,7 @@ def load_ev_table(source) -> dict[str, int]:
 
     def parse(cells, line):
         code, votes = cells
-        code = code.strip().upper()
-        if code not in STATE_CODES:
-            raise ValueError(f"unknown state code {code!r}")
+        code = state_code(code)
         if code in table:
             raise ValueError(f"state {code} is listed twice")
         votes = int(votes)
