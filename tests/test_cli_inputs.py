@@ -544,6 +544,12 @@ class TestPollAndHistoricalFiles:
         err = capsys.readouterr().err
         assert f"note: skipped 1 historical row(s) of {hist}; first at line {line}: " in err
 
+    def test_flagged_historical_row_note_names_file_and_line(self, tmp_path, capsys):
+        hist, line = fixture_plus(tmp_path, "historical.csv", "1968,OH,1.0,2.0")
+        assert calibrate(tmp_path, historical=hist) == 0
+        err = capsys.readouterr().err
+        assert err == (f"note: flagged 1 historical row(s) of {hist}; first at line {line}: "
+                       "year 1968 precedes 1976\n")
 
 class TestEvTable:
     def forecast(self, tmp_path, ev_lines, header="state,ev"):
