@@ -233,11 +233,13 @@ def _notes(category):
 # calibration pipeline shared by forecast/calibrate
 
 
-def _note_skipped(parsed: ingest.ParseResult, kind: str, path: str) -> None:
-    if parsed.skipped:
-        line, reason = parsed.skipped[0]
-        print(f"note: skipped {parsed.n_skipped} {kind} row(s) of {path}; "
-              f"first at line {line}: {reason}", file=sys.stderr)
+def _note_rows(parsed: ingest.ParseResult, kind: str, path: str) -> None:
+    """One ``note:`` line each for the skipped and the flagged rows, if any."""
+    for verb, rows in (("skipped", parsed.skipped), ("flagged", parsed.flagged)):
+        if rows:
+            line, reason = rows[0]
+            print(f"note: {verb} {len(rows)} {kind} row(s) of {path}; "
+                  f"first at line {line}: {reason}", file=sys.stderr)
 
 
 def _calibrate_from_files(cfg: RunConfig):
@@ -263,7 +265,7 @@ def _calibrate_from_files(cfg: RunConfig):
         raise ConfigurationError("election_date is required to date the polls")
 
     parsed = ingest.parse_polls(cfg.polls, cfg.election_date)
-    _note_skipped(parsed, "poll", cfg.polls)
+    _note_rows(parsed, "poll", cfg.polls)
     polls = parsed.records
     us = polls.state == NATIONAL
     with _notes(ingest.KernelUnderflowWarning):
@@ -273,7 +275,7 @@ def _calibrate_from_files(cfg: RunConfig):
     historical = {}
     if cfg.historical:
         hist = ingest.load_historical(cfg.historical)
-        _note_skipped(hist, "historical", cfg.historical)
+        _note_rows(hist, "historical", cfg.historical)
         historical = hist.records
 
     cals = cal_mod.calibrate_states(polls, national, historical,
