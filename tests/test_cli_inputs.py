@@ -74,6 +74,14 @@ class TestHistogramRows:
         out = tmp_path / "out"
         assert_rejected(self.score(hist, out), capsys, hist, 2, out)
 
+    @pytest.mark.parametrize("row", ["A,232,0.5", " A ,0232 ,0.25"])
+    def test_repeated_bin_names_line(self, tmp_path, capsys, row):
+        hist = tmp_path / "h.csv"
+        hist.write_text(f"forecaster,ev,p\nA,232,0.5\nB,232,0.5\n{row}\n")
+        out = tmp_path / "out"
+        err = assert_rejected(self.score(hist, out), capsys, hist, 4, out)
+        assert err == f"error [score]: {hist}:4: ev 232 of A is repeated\n"
+
     def test_all_zero_histogram_names_file(self, tmp_path, capsys):
         hist = tmp_path / "h.csv"
         hist.write_text("forecaster,ev,p\nA,232,1.0\nB,10,0\nB,20,0\n")

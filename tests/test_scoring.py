@@ -219,6 +219,13 @@ class TestAggregateScores:
         with pytest.raises(ScoreError):
             aggregate_scores(reports, WEIGHT_STATE_AVERAGE)
 
+    @pytest.mark.parametrize("weighting", [WEIGHT_STATE_AVERAGE, WEIGHT_EV])
+    @pytest.mark.parametrize("metric", DENSITY_SCORERS)
+    def test_every_density_metric_refuses_state_weighting(self, metric, weighting):
+        reports = [ScoreReport("f", metric, -1.0, state="OH")]
+        with pytest.raises(ScoreError, match=f"{metric} supports only the overall weighting"):
+            aggregate_scores(reports, weighting, default_ev_table())
+
     def test_ev_weighting_needs_table(self):
         with pytest.raises(ConfigurationError):
             aggregate_scores([ScoreReport("f", "brier", 0.1, state="CA")], WEIGHT_EV)
