@@ -364,8 +364,9 @@ def _read_outcomes(path: str) -> dict[str, int]:
 
 
 def _read_histograms(path: str) -> dict[str, np.ndarray]:
-    """Long CSV forecaster,ev,p -> normalized histogram per forecaster."""
-    masses: dict[str, list[float]] = {}
+    """Long CSV forecaster,ev,p -> normalized histogram per forecaster; a
+    (forecaster, ev) pair given twice is an error at its second row."""
+    masses: dict[str, list[float | None]] = {}  # None: no row for that bin yet
 
     def parse(cells, line):
         name, ev, text = cells
@@ -375,11 +376,15 @@ def _read_histograms(path: str) -> dict[str, np.ndarray]:
         if not 0.0 <= p < math.inf:
             raise ValueError(f"p = {text!r} is not a finite mass >= 0")
         name = name.strip()
-        (masses.get(name) or masses.setdefault(name, [0.0] * EV_BINS))[ev] += p
+        m = masses.get(name) or masses.setdefault(name, [None] * EV_BINS)
+        if m[ev] is not None:
+            raise ValueError(f"ev {ev} of {name} is repeated")
+        m[ev] = p
 
     def finish():
         out = {}
         for name, m in masses.items():
+            m = [p or 0.0 for p in m]  # no row, and a -0.0 row, give a 0.0 bin
             if not 0.0 < sum(m) < math.inf:
                 raise ValueError(f"histogram {name!r} has total mass {sum(m)}, not > 0")
             h = np.array(m)
