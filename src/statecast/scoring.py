@@ -231,7 +231,7 @@ def aggregate_scores(
     if len(metrics) != 1:
         raise ScoreError(f"mixed metrics in aggregation: {sorted(metrics)}")
     metric = metrics.pop()
-    if metric in DENSITY_METRICS and weighting != WEIGHT_OVERALL:
+    if metric in _DENSITY_FNS and weighting != WEIGHT_OVERALL:
         raise ScoreError(f"{metric} supports only the overall weighting")
     forecasters = {r.forecaster for r in reports}
     forecaster = forecasters.pop() if len(forecasters) == 1 else ",".join(sorted(forecasters))
