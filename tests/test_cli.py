@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -409,6 +411,25 @@ class TestCurves:
         assert err.count("\n") == 1, err
         assert err.startswith("error [curves]: NotADirectoryError: "), err
         assert f"'{out}'" in err
+
+
+class TestModuleEntryPoint:
+    """``python -m statecast`` runs the same CLI, exit codes included."""
+
+    def run_module(self, *args):
+        # the child inherits this process's environment and working directory
+        return subprocess.run([sys.executable, "-m", "statecast", *map(str, args)],
+                              capture_output=True, text=True, timeout=120)
+
+    def test_curves_writes_its_tables(self, tmp_path):
+        proc = self.run_module("curves", "--out-dir", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(tmp_path.glob("curves_*.csv"))) == 4
+
+    def test_score_without_inputs_is_one_error_line(self, tmp_path):
+        proc = self.run_module("score", "--out-dir", tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error [score]: ")
 
 
 class TestConfigFile:

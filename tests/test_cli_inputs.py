@@ -593,6 +593,14 @@ class TestEvTable:
         code, ev, out = self.forecast(tmp_path, lines)
         assert_rejected(code, capsys, ev, 2 + lines.index("OH,x"), out)
 
+    @pytest.mark.parametrize("state", ["US", "ZZ"])
+    def test_non_state_code_names_line(self, tmp_path, capsys, state):
+        lines = self.lines()
+        lines.insert(3, f"{state},3")
+        code, ev, out = self.forecast(tmp_path, lines)
+        err = assert_rejected(code, capsys, ev, 5, out)
+        assert err == f"error [forecast]: {ev}:5: unknown state code {state!r}\n"
+
     def test_wrong_total_names_file(self, tmp_path, capsys):
         code, ev, out = self.forecast(tmp_path, self.lines(CA=50))
         err = assert_rejected(code, capsys, ev, out_dir=out)

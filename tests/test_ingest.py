@@ -255,6 +255,13 @@ class TestLoadHistorical:
         assert result.n_skipped == 0
         assert result.flagged and "1972" in result.flagged[0][1]
 
+    @pytest.mark.parametrize("state", ["US", " zz "])
+    def test_non_state_code_is_skipped(self, state):
+        src = io.StringIO(HIST_HEADER + f"1980,{state},1.0,2.0\n1984,OH,2.0,1.5\n")
+        result = load_historical(src)
+        assert list(result.records) == ["OH"]
+        assert result.skipped == [(2, f"unknown state code {state.strip().upper()!r}")]
+
     def test_malformed_skipped_and_counted(self):
         src = io.StringIO(HIST_HEADER + "1980,OH,abc,1.0\n1984,OH,2.0,1.5\n")
         result = load_historical(src)
