@@ -7,10 +7,11 @@ P&L per expert plus the online mixture), ``aggregate`` (exponential-weights
 combination with regret accounting), and ``curves`` (score-shape tables).
 
 Runs are configured by a flat ``key = value`` config file plus flags; flags
-win.  Each setting is declared once, as a :class:`RunConfig` field: its flag
-is ``--`` plus the key with dashes (``--reference`` sets ``reference_mode``
-and ``--reference-file`` sets ``reference``), and the field's type and
-``_CHOICES`` parse and check flag and config values alike.  Every input
+win.  Each setting is declared once, as a :class:`RunConfig` field, and each
+field is a flag of some subcommand: ``--`` plus the key with dashes
+(``--reference`` sets ``reference_mode``, ``--reference-file`` sets
+``reference``).  The field's type and ``_CHOICES`` parse and check flag and
+config values alike.  Every input
 table goes through one row reader, :func:`.tables.read_rows`, which hands
 its parser a tuple of each row's cells and turns a malformed row or header
 into one ``file:line: reason`` error.  Every output lands under
@@ -58,20 +59,15 @@ _PATH_KEYS = (
 @dataclass
 class RunConfig:
     """Everything a run needs; every field has a config-file key of the
-    same name and most have a flag override."""
+    same name and is a flag of some subcommand."""
 
     election_date: date | None = None
     seed: int | None = None
     paths: int = 10000
     bandwidth: float = 5.0
     noise_model: str = "gaussian"
-    sigma_alpha: float = 0.01
-    sigma_beta: float = 1.0
-    nu: int = 3
     win_threshold: float = 0.0
     workers: int = 1
-    min_polls: int = cal_mod.MIN_POLLS
-    sigma_samp: float | None = None
     loss: str = "quadratic"
     reference_mode: str = "market"
     ev_realization: int | None = None
@@ -86,10 +82,13 @@ class RunConfig:
     calibration: str | None = None
 
 
+#: What each value of a choice setting selects; its keys are the choices.
+_NOISE_MODELS = {"gaussian": GaussianNoise(), "student_t": StudentTNoise()}
+_LOSSES = {"quadratic": online.quadratic_losses, "trading": online.trading_losses}
 #: Allowed values of the settings that take one of a fixed set.
 _CHOICES = {
-    "noise_model": ("gaussian", "student_t"),
-    "loss": ("quadratic", "trading"),
+    "noise_model": tuple(_NOISE_MODELS),
+    "loss": tuple(_LOSSES),
     "reference_mode": ("market", "pairmean"),
 }
 #: Flags whose name is not ``--`` plus the key with dashes.
@@ -170,18 +169,11 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _noise_model(cfg: RunConfig):
-    if cfg.noise_model == "student_t":
-        return StudentTNoise(sigma_alpha=cfg.sigma_alpha,
-                             sigma_beta=cfg.sigma_beta, nu=cfg.nu)
-    return GaussianNoise()
-
-
 def _sim_config(cfg: RunConfig) -> SimulationConfig:
     if cfg.seed is None:
         raise ConfigurationError("seed is required (set it in the config or pass --seed)")
     return SimulationConfig(seed=cfg.seed, n_paths=cfg.paths,
-                            noise_model=_noise_model(cfg),
+                            noise_model=_NOISE_MODELS[cfg.noise_model],
                             win_threshold=cfg.win_threshold,
                             workers=cfg.workers)
 
@@ -278,10 +270,8 @@ def _calibrate_from_files(cfg: RunConfig):
         _note_rows(hist, "historical", cfg.historical)
         historical = hist.records
 
-    cals = cal_mod.calibrate_states(polls, national, historical,
-                                    states=ev_table.keys(),
-                                    min_polls=cfg.min_polls)
-    market = cal_mod.calibrate_market(national, polls, sigma_samp=cfg.sigma_samp)
+    cals = cal_mod.calibrate_states(polls, national, historical, states=ev_table.keys())
+    market = cal_mod.calibrate_market(national, polls)
     # day 0 is ``market`` itself
     return cals, [replace(market, m_current=float(v), horizon=float(t))
                   for t, v in zip(national.grid, national.values)], ev_table
@@ -541,9 +531,8 @@ def _iso(t: float) -> str:
 def _online_mixture(cfg: RunConfig, panel: online.ExpertPanel, ref_on_panel: np.ndarray):
     """Exponential weights over all but the panel's last date, under the
     configured loss.  Returns (trimmed panel, run result)."""
-    loss_fn = online.trading_losses if cfg.loss == "trading" else online.quadratic_losses
     trimmed = online.ExpertPanel(panel.names, panel.times[:-1], panel.values[:-1])
-    return trimmed, online.run(trimmed, loss_fn(panel.values, ref_on_panel))
+    return trimmed, online.run(trimmed, _LOSSES[cfg.loss](panel.values, ref_on_panel))
 
 
 def _write_pnl(out_dir: Path, pnl: trading.PnLSeries) -> None:

@@ -3,6 +3,7 @@ file (and the line, for a row-level fault), never with a traceback or an
 output holding NaN."""
 
 import csv
+import dataclasses
 import json
 import math
 import tempfile
@@ -407,7 +408,8 @@ class TestConfigValues:
     @pytest.mark.parametrize("line", ["seed = 1e3", "paths = 1e3", "seed = true",
                                       "seed = 7.0", "noise_model = t",
                                       "noise_model = Student_T", "bandwidth = nan",
-                                      "realization = 2"])
+                                      "realization = 2", "nu = 5", "sigma_alpha = 0.1",
+                                      "sigma_beta = 1", "min_polls = 3", "sigma_samp = 1"])
     def test_bad_value_names_file_and_line(self, tmp_path, capsys, line):
         cfg = self.write_config(tmp_path, "seed = 5", "paths = 200", line)
         out = tmp_path / "out"
@@ -435,9 +437,9 @@ class TestConfigValues:
 
     def test_float_key_takes_integer_literal_as_float(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("sigma_samp = 1\nseed = 3 # a comment\nloss = \"trading\"\n")
+        cfg.write_text("bandwidth = 1\nseed = 3 # a comment\nloss = \"trading\"\n")
         loaded = cli.load_config(cfg)
-        assert loaded.sigma_samp == 1.0 and isinstance(loaded.sigma_samp, float)
+        assert loaded.bandwidth == 1.0 and isinstance(loaded.bandwidth, float)
         assert loaded.seed == 3 and loaded.loss == "trading"
 
     def test_non_finite_flag_is_usage_error(self, tmp_path):
@@ -636,6 +638,9 @@ def test_subcommands_accept_the_same_flags():
     for name, parser in subparsers.items():
         flags = {s for a in parser._actions for s in a.option_strings}
         assert flags == common | COMMAND_FLAGS[name], name
+    # every setting is a flag of some subcommand
+    settings = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    assert settings == set().union(*(keys for _, _, keys in cli._COMMANDS.values()))
 
 
 @pytest.mark.parametrize("command", ["calibrate", "score", "trade", "aggregate", "curves"])
