@@ -46,7 +46,7 @@ from .simulation import (
     run_forecast,  # not called here; perfbench/spans.py wraps cli.run_forecast by name
 )
 from .states import EV_BINS, NATIONAL, default_ev_table, load_ev_table, state_code
-from .tables import named, read_rows
+from .tables import iso_date, named, read_rows
 
 ONLINE_NAME = "ONLINE"
 
@@ -105,11 +105,6 @@ def finite(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not a finite number")
     return value
-
-
-def iso_date(text: str) -> date:
-    """Parser of date settings and cells: a ``YYYY-MM-DD`` day."""
-    return date.fromisoformat(text.strip())
 
 
 def _value_type(hint):
@@ -260,6 +255,8 @@ def _calibrate_from_files(cfg: RunConfig):
     _note_rows(parsed, "poll", cfg.polls)
     polls = parsed.records
     us = polls.state == NATIONAL
+    if not us.any():
+        raise ConfigurationError(f"{cfg.polls}: no national (US) poll row")
     with _notes(ingest.KernelUnderflowWarning):
         national = ingest.smooth_national(polls.t[us], ingest.to_spreads(polls)[us],
                                           bandwidth=cfg.bandwidth)
@@ -418,7 +415,7 @@ def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
     if binary_metrics:
         if not cfg.series:
             raise ConfigurationError("score needs a series file for Brier/log metrics")
-        if not outcomes:
+        if not cfg.outcomes:
             raise ConfigurationError("score needs an outcomes file for Brier/log metrics")
         series = _read_series_file(cfg.series, outcomes, ev_table)
         # A 0 or 1 on the wrong side scores -inf with a warning.
@@ -440,8 +437,6 @@ def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
                                      fn(histograms[name], cfg.ev_realization))
                 tables.setdefault((metric, scoring.WEIGHT_OVERALL), []).append(report)
 
-    if not tables:
-        raise ConfigurationError("nothing to score with the given inputs")
     all_rows = []
     for (metric, weighting), reports in sorted(tables.items()):
         path = out_dir / f"scores_{metric}_{weighting}.csv"
@@ -482,8 +477,6 @@ def _read_panel(path: str, prices: dict[float, float] | None = None) -> online.E
         values.append([_probability(v) for v in predictions])
 
     def finish():
-        if not times:
-            raise ValueError("panel has no dates")
         return online.ExpertPanel(names=names, times=np.array(times), values=np.array(values))
 
     return read_rows(path, columns, parse, finish)

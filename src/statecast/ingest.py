@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CalibrationError
 from .states import state_code
-from .tables import read_rows
+from .tables import iso_date, read_rows
 
 
 #: Accepted ``sample_type`` spellings (lower case, ``_`` read as a space):
@@ -124,7 +124,7 @@ def parse_polls(source, election_date: date) -> ParseResult:
     table.
 
     Required columns are ``pollster,state,date,sample_size,sample_type,
-    pct_c1,pct_c2`` (ISO-8601 dates); any extra columns are ignored.  Rows
+    pct_c1,pct_c2`` (``YYYY-MM-DD`` dates); any extra columns are ignored.  Rows
     with missing or invalid required fields are skipped and reported in the
     result with their line, never raised.
     """
@@ -164,11 +164,10 @@ def _parse_poll_row(cells, election_date: date) -> tuple:
     if not state.strip():
         raise _cell_fault("state", "")
     state = state_code(state, national=True)
-    text = text.strip()
     try:
-        poll_date = date.fromisoformat(text)
+        poll_date = iso_date(text)
     except ValueError as exc:
-        raise _cell_fault("date", text, exc) from exc
+        raise _cell_fault("date", text.strip(), exc) from exc
     if poll_date > election_date:
         raise ValueError("poll dated after the election")
     try:

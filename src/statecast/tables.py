@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from contextlib import nullcontext
+from datetime import date
 from operator import itemgetter
 from pathlib import Path
 
@@ -36,7 +37,8 @@ def read_rows(source, columns, parse_row, finish, skipped=None):
 
     A row that ``parse_row`` rejects or that has too few fields stops the
     read, unless ``skipped`` is a list: then ``(line, reason)`` is appended
-    to it and reading goes on.  A fault of the file itself always stops it.
+    to it and reading goes on; else a table with no row stops it too.  A
+    fault of the file itself always stops it.
     """
     is_path = isinstance(source, (str, Path))
     name = source if is_path else getattr(source, "name", "<stream>")
@@ -57,6 +59,7 @@ def read_rows(source, columns, parse_row, finish, skipped=None):
                 raise ValueError(f"repeated column(s) {', '.join(repeated)}")
             at = [header.index(c) for c in columns]
             cells = itemgetter(*at) if len(at) > 1 else lambda row: (row[at[0]],)
+            row = None
             for row in filter(None, reader):  # blank lines hold no row
                 try:
                     if len(row) < len(header):
@@ -71,7 +74,18 @@ def read_rows(source, columns, parse_row, finish, skipped=None):
             raise IngestError(f"{name}:{line}: not UTF-8: {exc.reason}") from exc
         except (csv.Error, *INPUT_ERRORS) as exc:
             raise IngestError(f"{name}:{max(reader.line_num, 1)}: {exc}") from exc
+    if row is None and skipped is None:
+        raise IngestError(f"{name}: no rows")
     return named(name, finish)
+
+
+def iso_date(text: str) -> date:
+    """A ``YYYY-MM-DD`` day; forms only some Pythons read, such as
+    ``20161108``, are refused with the message of those that refuse them."""
+    text = text.strip()
+    if len(text) != 10 or text[4] != "-" or text[7] != "-" or not text.isascii():
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
 
 
 def _undecodable_line(path) -> int:

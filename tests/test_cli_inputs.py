@@ -144,6 +144,18 @@ class TestSeriesRows:
         err = assert_rejected(self.score(series, tmp_path), capsys, series, 3)
         assert "'1.5' is not a probability in [0, 1]" in err
 
+    @pytest.mark.parametrize("text,reason", [
+        ("2016-13-45", "month must be in 1..12"),
+        ("20161102", "Invalid isoformat string: '20161102'"),
+        ("2016-W44-3", "Invalid isoformat string: '2016-W44-3'"),
+    ])
+    def test_bad_date_names_line(self, tmp_path, capsys, text, reason):
+        series = tmp_path / "s.csv"
+        series.write_text("forecaster,state,date,p\n"
+                          f"F,US,2016-11-01,0.5\nF,US,{text},0.6\n")
+        err = assert_rejected(self.score(series, tmp_path), capsys, series, 3)
+        assert err == f"error [score]: {series}:3: {reason}\n"
+
     def test_missing_column_names_file(self, tmp_path, capsys):
         series = tmp_path / "s.csv"
         series.write_text("forecaster,state,date\nF,US,2016-11-01\n")
@@ -278,6 +290,23 @@ class TestPanelAndReference:
                               capsys, experts, 3)
         assert "2016-10-01" in err
 
+    @pytest.mark.parametrize("text", ["20161003", "2016-W40-1", "2016-10-3"])
+    def test_bad_reference_date_names_line(self, tmp_path, capsys, text):
+        ref = tmp_path / "ref.csv"
+        ref.write_text(f"date,price\n2016-10-01,0.5\n{text},0.6\n")
+        err = assert_rejected(self.trade(FIXTURES / "experts.csv", ref, tmp_path),
+                              capsys, ref, 3)
+        assert err == f"error [trade]: {ref}:3: Invalid isoformat string: {text!r}\n"
+
+    @pytest.mark.parametrize("text", ["20161002", "2016-W39-7", " 2016-10-2"])
+    def test_bad_panel_date_names_line(self, tmp_path, capsys, text):
+        experts = tmp_path / "experts.csv"
+        experts.write_text(f"date,A,B\n2016-10-01,0.5,0.5\n{text},0.5,0.6\n")
+        err = assert_rejected(self.trade(experts, FIXTURES / "reference.csv", tmp_path),
+                              capsys, experts, 3)
+        assert err == (f"error [trade]: {experts}:3: "
+                       f"Invalid isoformat string: {text.strip()!r}\n")
+
     def test_panel_missing_date_column_names_file(self, tmp_path, capsys):
         experts = tmp_path / "experts.csv"
         experts.write_text("day,A,B\n2016-10-01,0.5,0.5\n")
@@ -337,7 +366,7 @@ class TestPanelAndReference:
         code = run_cli(command, "--experts", experts,
                        "--reference-file", FIXTURES / "reference.csv", "--out-dir", out)
         err = assert_rejected(code, capsys, experts)
-        assert err == f"error [{command}]: {experts}: panel has no dates\n"
+        assert err == f"error [{command}]: {experts}: no rows\n"
 
     def test_single_date_panel_is_refused_by_aggregate(self, tmp_path, capsys):
         experts = tmp_path / "p.csv"
@@ -448,19 +477,27 @@ class TestConfigValues:
         assert exc.value.code == 2
 
 
+# 2016-13-45 is no day; the others are forms that only some Pythons read.
+BAD_DATES = ("2016-13-45", "20161108", "2016-W45-2", "2016-11-8")
+
+
 class TestElectionDate:
     def test_bad_flag_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("calibrate", "--polls", FIXTURES / "polls.csv",
-                    "--election-date", "2016-13-45", "--out-dir", tmp_path)
-        assert exc.value.code == 2
+        for text in BAD_DATES:
+            with pytest.raises(SystemExit) as exc:
+                run_cli("calibrate", "--polls", FIXTURES / "polls.csv",
+                        "--election-date", text, "--out-dir", tmp_path)
+            assert exc.value.code == 2, text
 
     def test_bad_config_value_names_file_and_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f'polls = "{FIXTURES / "polls.csv"}"\nelection_date = 2016-13-45\n')
-        code = run_cli("calibrate", "--config", cfg, "--out-dir", tmp_path)
-        err = assert_rejected(code, capsys, cfg, 2)
-        assert "election_date" in err
+        for text in BAD_DATES:
+            cfg.write_text(f'polls = "{FIXTURES / "polls.csv"}"\nelection_date = {text}\n')
+            code = run_cli("calibrate", "--config", cfg, "--out-dir", tmp_path)
+            err = assert_rejected(code, capsys, cfg, 2)
+            assert f"{cfg}:2: election_date: " in err
+            if text != "2016-13-45":
+                assert err.endswith(f"Invalid isoformat string: {text!r}\n")
 
     def test_config_value_is_a_date(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -560,6 +597,49 @@ class TestPollAndHistoricalFiles:
         err = capsys.readouterr().err
         assert err == (f"note: flagged 1 historical row(s) of {hist}; first at line {line}: "
                        "year 1968 precedes 1976\n")
+
+    @pytest.mark.parametrize("keep", [lambda row: row.split(",")[1] != "US",
+                                      lambda row: False])
+    def test_polls_without_national_row_name_file(self, tmp_path, capsys, keep):
+        header, *rows = (FIXTURES / "polls.csv").read_text().splitlines(True)
+        polls = tmp_path / "polls.csv"
+        polls.write_text(header + "".join(filter(keep, rows)))
+        out = tmp_path / "out"
+        err = assert_rejected(calibrate(out, polls), capsys, polls, out_dir=out)
+        assert err == f"error [calibrate]: {polls}: no national (US) poll row\n"
+        assert not list(out.glob("*"))
+
+
+# Each strict table (every table but the polls and the historical results),
+# as the header of a file with no rows and a run that reads it from "{}".
+HEADER_ONLY_RUNS = [
+    ("state,omega", ["score", "--series", FIXTURES / "series.csv", "--outcomes", "{}",
+                     "--metrics", "brier"]),
+    ("forecaster,state,date,p", ["score", "--series", "{}",
+                                 "--outcomes", FIXTURES / "outcomes.csv", "--metrics", "brier"]),
+    ("forecaster,ev,p", ["score", "--histograms", "{}", "--ev-realization", "3",
+                         "--metrics", "cdf"]),
+    ("state,omega", ["trade", "--experts", FIXTURES / "experts.csv",
+                     "--reference-file", FIXTURES / "reference.csv", "--outcomes", "{}"]),
+    ("date,price", ["trade", "--experts", FIXTURES / "experts.csv", "--reference-file", "{}"]),
+    ("date,price", ["aggregate", "--experts", FIXTURES / "experts.csv",
+                    "--reference-file", "{}"]),
+    ("state,ev", ["calibrate", "--polls", FIXTURES / "polls.csv",
+                  "--election-date", "2016-11-08", "--ev-table", "{}"]),
+]
+
+
+@pytest.mark.parametrize("blank", ["", "\n\n"])
+@pytest.mark.parametrize("header,args", HEADER_ONLY_RUNS)
+def test_header_only_strict_table_names_file(tmp_path, capsys, header, args, blank):
+    table = tmp_path / "t.csv"
+    table.write_text(f"{header}\n{blank}")
+    out = tmp_path / "out"
+    code = run_cli(*(table if a == "{}" else a for a in args), "--out-dir", out)
+    err = assert_rejected(code, capsys, table, out_dir=out)
+    assert err == f"error [{args[0]}]: {table}: no rows\n"
+    assert not list(out.glob("*"))
+
 
 class TestEvTable:
     def forecast(self, tmp_path, ev_lines, header="state,ev"):

@@ -85,6 +85,8 @@ class TestParsePolls:
             "F,US,2016-10-01,500,households,48,44",  # bad sample_type
             " ,US,2016-10-01,500,LV,48,44",      # no pollster
             "H,US,2016-10-01,1" + "0" * 400 + ",LV,48,44",  # past the float range
+            "I,US,20161001,500,LV,48,44",        # a date not YYYY-MM-DD
+            "J,US,2016-W39-6,500,LV,48,44",
         ]
         result = parse_polls(polls_csv(*rows), ELECTION)
         assert len(result.records) == 0
@@ -97,6 +99,8 @@ class TestParsePolls:
             "unknown sample_type 'households'",
             "missing pollster",
             "sample_size is too large",
+            "bad date: Invalid isoformat string: '20161001'",
+            "bad date: Invalid isoformat string: '2016-W39-6'",
         ]
 
     def test_skipped_row_after_blank_line_names_its_physical_line(self):
