@@ -238,6 +238,30 @@ class TestScore:
         (row,) = read_csv(tmp_path / "scores_brier_ev_weighted.csv")
         assert float(row["value"]) == pytest.approx(3.0 / 58.0, abs=1e-12)
 
+    @pytest.mark.parametrize("metrics,unread", [
+        (["brier"], ["histograms"]),
+        (["brier", "loglik"], ["histograms"]),
+        (["cdf"], ["series", "outcomes"]),
+        (["selten", "spherical"], ["series", "outcomes"]),
+    ], ids=["brier", "binary", "cdf", "density"])
+    def test_unread_files_are_noted(self, tmp_path, capsys, metrics, unread):
+        given = {"series": FIXTURES / "series.csv", "outcomes": FIXTURES / "outcomes.csv",
+                 "histograms": FIXTURES / "histograms.csv"}
+        args = ["score", "--ev-realization", "232", "--metrics", *metrics]
+        assert run_cli(*args, *(a for key in given if key not in unread
+                                for a in (f"--{key}", given[key])),
+                       "--out-dir", tmp_path / "a") == 0
+        assert capsys.readouterr().err == ""
+        absent = {key: tmp_path / f"absent_{key}.csv" for key in unread}
+        assert run_cli(*args, *(a for key in given
+                                for a in (f"--{key}", absent.get(key, given[key]))),
+                       "--out-dir", tmp_path / "b") == 0
+        assert capsys.readouterr().err == "".join(
+            f"note: --metrics {' '.join(metrics)} does not read the {key} file {absent[key]}\n"
+            for key in unread)
+        assert ({p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
+                == {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()})
+
     def test_unknown_metric_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("score", "--metrics", "quadratic", "--out-dir", tmp_path)

@@ -256,6 +256,17 @@ class TestSeriesRows:
         assert "missing column(s) omega" in err
 
 
+def reversed_rows(src, dst):
+    """Write ``src``'s header and then its rows in reverse order to ``dst``."""
+    header, *rows = src.read_text().splitlines()
+    dst.write_text("\n".join([header, *reversed(rows)]) + "\n")
+    return dst
+
+
+def output_bytes(out_dir):
+    return {p.name: p.read_bytes() for p in Path(out_dir).iterdir()}
+
+
 class TestPanelAndReference:
     def trade(self, experts, ref, out):
         return run_cli("trade", "--experts", experts, "--reference-file", ref,
@@ -288,7 +299,50 @@ class TestPanelAndReference:
         experts.write_text("date,A,B\n2016-10-01,0.5,0.5\n2016-10-01,0.6,0.4\n")
         err = assert_rejected(self.trade(experts, FIXTURES / "reference.csv", tmp_path),
                               capsys, experts, 3)
-        assert "2016-10-01" in err
+        assert "date 2016-10-01 is repeated" in err
+
+    def test_reversed_reference_gives_the_fixture_bytes(self, tmp_path):
+        ref = reversed_rows(FIXTURES / "reference.csv", tmp_path / "ref.csv")
+        experts = FIXTURES / "experts.csv"
+        assert self.trade(experts, FIXTURES / "reference.csv", tmp_path / "a") == 0
+        assert self.trade(experts, ref, tmp_path / "b") == 0
+        assert output_bytes(tmp_path / "b") == output_bytes(tmp_path / "a")
+
+    @pytest.mark.parametrize("command", ["trade", "aggregate"])
+    def test_reversed_panel_gives_the_fixture_bytes(self, tmp_path, command):
+        experts = reversed_rows(FIXTURES / "experts.csv", tmp_path / "experts.csv")
+        for panel, out in ((FIXTURES / "experts.csv", "a"), (experts, "b")):
+            assert run_cli(command, "--experts", panel,
+                           "--reference-file", FIXTURES / "reference.csv",
+                           "--out-dir", tmp_path / out) == 0
+        assert output_bytes(tmp_path / "b") == output_bytes(tmp_path / "a")
+
+    def test_reference_row_with_bad_date_and_price_names_the_date(self, tmp_path, capsys):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("date,price\n2016-10-01,0.5\n2016-13-01,1.5\n")
+        err = assert_rejected(self.trade(FIXTURES / "experts.csv", ref, tmp_path),
+                              capsys, ref, 3)
+        assert err == f"error [trade]: {ref}:3: month must be in 1..12\n"
+
+    @pytest.mark.parametrize("command", ["trade", "aggregate"])
+    @pytest.mark.parametrize("header,other,name,safe", [
+        ("date,a b,a_b", "expert 'a b'", "a_b", "a_b"),
+        ("date,x/y,B,x y", "expert 'x/y'", "x y", "x_y"),
+        ("date,A,ONLINE", "the online mixture", "ONLINE", "ONLINE"),
+        ("date,summary,B", "the P&L summary", "summary", "summary"),
+    ], ids=["space", "slash", "online", "summary"])
+    def test_expert_output_names_collide(self, tmp_path, capsys, command, header, other,
+                                         name, safe):
+        n = header.count(",")
+        experts = tmp_path / "experts.csv"
+        experts.write_text(f"{header}\n2016-10-01{',0.5' * n}\n2016-10-02{',0.6' * n}\n")
+        out = tmp_path / "out"
+        code = run_cli(command, "--experts", experts,
+                       "--reference-file", FIXTURES / "reference.csv", "--out-dir", out)
+        err = assert_rejected(code, capsys, experts, 1)
+        assert err == (f"error [{command}]: {experts}:1: expert {name!r} and {other} "
+                       f"both have the output name {safe}\n")
+        assert not list(out.glob("*"))
 
     @pytest.mark.parametrize("text", ["20161003", "2016-W40-1", "2016-10-3"])
     def test_bad_reference_date_names_line(self, tmp_path, capsys, text):
@@ -475,6 +529,39 @@ class TestConfigValues:
         with pytest.raises(SystemExit) as exc:
             run_cli("forecast", "--bandwidth", "inf", "--out-dir", tmp_path)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command,flag,text", [
+        ("forecast", "--paths", "0"), ("forecast", "--workers", "0"),
+        ("forecast", "--seed", "-1"), ("forecast", "--seed", str(2**64)),
+        ("forecast", "--bandwidth", "0"), ("calibrate", "--bandwidth", "-1"),
+        ("score", "--ev-realization", "600"), ("score", "--ev-realization", "-1"),
+    ])
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, command, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, flag, text, "--out-dir", tmp_path)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("line,reason", [
+        ("seed = -1", f"seed: must be in 0..{2**64 - 1}, not '-1'"),
+        ("paths = 0", "paths: must be >= 1, not '0'"),
+        ("workers = 0", "workers: must be >= 1, not '0'"),
+        ("bandwidth = 0", "bandwidth: must be > 0, not '0'"),
+        ("ev_realization = 600", "ev_realization: must be in 0..538, not '600'"),
+    ], ids=["seed", "paths", "workers", "bandwidth", "ev_realization"])
+    def test_out_of_range_config_value_names_its_range(self, tmp_path, capsys, line, reason):
+        cfg = self.write_config(tmp_path, line)
+        out = tmp_path / "out"
+        code = run_cli("forecast", "--config", cfg, "--seed", "5", "--out-dir", out)
+        err = assert_rejected(code, capsys, cfg, 2, out)
+        assert err == f"error [forecast]: {cfg}:2: {reason}\n"
+
+    def test_range_ends_are_accepted(self, tmp_path):
+        cfg = self.write_config(tmp_path, f"seed = {2**64 - 1}", "paths = 1", "workers = 1",
+                                "bandwidth = 1e-300", "ev_realization = 538")
+        loaded = cli.load_config(cfg)
+        assert (loaded.seed, loaded.paths, loaded.ev_realization) == (2**64 - 1, 1, 538)
+        assert cli.load_config(self.write_config(tmp_path, "seed = 0",
+                                                 "ev_realization = 0")).seed == 0
 
 
 # 2016-13-45 is no day; the others are forms that only some Pythons read.

@@ -87,6 +87,16 @@ class TestParsePolls:
             "H,US,2016-10-01,1" + "0" * 400 + ",LV,48,44",  # past the float range
             "I,US,20161001,500,LV,48,44",        # a date not YYYY-MM-DD
             "J,US,2016-W39-6,500,LV,48,44",
+            "K, ,2016-10-01,500,LV,48,44",       # no state
+            "L,ZZ,2016-10-01,500,LV,48,44",      # unknown state
+            "M,US, ,500,LV,48,44",               # no date
+            "N,US,2016-10-01,,LV,48,44",         # no sample_size
+            "O,US,2016-10-01,9.5,LV,48,44",      # sample_size not an integer
+            "P,US,2016-10-01,500,LV,,44",        # no pct_c1
+            "Q,US,2016-10-01,500,LV,x,44",       # pct_c1 not a number
+            "R,US,2016-10-01,500,LV,48,",        # no pct_c2
+            "S,US,2016-10-01,500, ,48,44",       # no sample_type
+            " ,US,2016-10-01,500,LV,x,44",       # bad pct_c1 and no pollster
         ]
         result = parse_polls(polls_csv(*rows), ELECTION)
         assert len(result.records) == 0
@@ -101,6 +111,16 @@ class TestParsePolls:
             "sample_size is too large",
             "bad date: Invalid isoformat string: '20161001'",
             "bad date: Invalid isoformat string: '2016-W39-6'",
+            "missing state",
+            "unknown state code 'ZZ'",
+            "missing date",
+            "missing sample_size",
+            "bad sample_size: invalid literal for int() with base 10: '9.5'",
+            "missing pct_c1",
+            "bad pct_c1: could not convert string to float: 'x'",
+            "missing pct_c2",
+            "missing sample_type",
+            "bad pct_c1: could not convert string to float: 'x'",
         ]
 
     def test_skipped_row_after_blank_line_names_its_physical_line(self):
