@@ -455,51 +455,41 @@ def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
 # trading / aggregation
 
 
-def _read_panel(path: str, prices: dict[float, float] | None = None) -> online.ExpertPanel:
-    """Wide CSV date,<expert>,... -> one row of predictions per date; with
-    ``prices``, every date must have a price."""
-    names: list[str] = []
-    times: list[float] = []
-    values: list[list[float]] = []
+def _read_panel(path: str, prices: dict[float, float] | None = None,
+                columns: tuple[str, ...] | None = None) -> online.ExpertPanel:
+    """Wide CSV date,<column>,... -> one row of probabilities per date, in
+    date order; the columns are ``columns``, or else every header cell but
+    ``date``.  With ``prices``, every date must have a price."""
+    names = list(columns or ())
+    rows: dict[float, list[float]] = {}
 
-    def columns(header):
-        names.extend(name for name in header if name and name != "date")
+    def header_columns(header):
+        if columns is None:
+            names.extend(name for name in header if name and name != "date")
         return ("date", *names)
 
     def parse(cells, line):
-        text, *predictions = cells
+        text, *values = cells
         t = _day(text)
-        if times and t <= times[-1]:
-            raise ValueError(f"date {text.strip()} does not follow {_iso(times[-1])}")
+        if t in rows:
+            raise ValueError(f"date {text.strip()} is repeated")
         if prices is not None and t not in prices:
             raise ValueError(f"date {text.strip()} has no reference price")
-        times.append(t)
-        values.append([_probability(v) for v in predictions])
+        rows[t] = [_probability(v) for v in values]
 
     def finish():
-        return online.ExpertPanel(names=names, times=np.array(times), values=np.array(values))
+        times = sorted(rows)
+        return online.ExpertPanel(names=names, times=np.array(times),
+                                  values=np.array([rows[t] for t in times]))
 
-    return read_rows(path, columns, parse, finish)
-
-
-def _read_reference(path: str) -> dict[float, float]:
-    """CSV date,price -> {day: price} in date order."""
-    prices: dict[float, float] = {}
-
-    def parse(cells, line):
-        text, price = cells
-        price, t = _probability(price), _day(text)
-        if t in prices:
-            raise ValueError(f"date {text.strip()} is repeated")
-        prices[t] = price
-
-    return read_rows(path, ("date", "price"), parse, lambda: dict(sorted(prices.items())))
+    return read_rows(path, header_columns, parse, finish)
 
 
 def _panel_and_reference(cfg: RunConfig, command: str, pairmean: bool = False):
     """The experts panel, its reference price series and the reference
     prices on the panel's dates.  The reference is the panel's mean
-    (``pairmean``) or the reference file, which must price every panel date."""
+    (``pairmean``) or the reference file, a one-column panel that must price
+    every date of the experts panel."""
     if not cfg.experts:
         raise ConfigurationError(f"{command} needs an experts panel file")
     if pairmean:
@@ -511,9 +501,9 @@ def _panel_and_reference(cfg: RunConfig, command: str, pairmean: bool = False):
     elif not cfg.reference:
         raise ConfigurationError(f"{command} needs a reference file")
     else:
-        prices = _read_reference(cfg.reference)
-        panel = _read_panel(cfg.experts, prices)
-        ref = BinaryForecastSeries("market", list(prices), list(prices.values()))
+        market = _read_panel(cfg.reference, columns=("price",))
+        ref = BinaryForecastSeries("market", market.times, market.values[:, 0])
+        panel = _read_panel(cfg.experts, dict(zip(ref.times.tolist(), ref.probs.tolist())))
     return panel, ref, ref.probs[np.isin(ref.times, panel.times)]
 
 

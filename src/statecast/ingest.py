@@ -139,46 +139,30 @@ def parse_polls(source, election_date: date) -> ParseResult:
     return read_rows(source, POLL_COLUMNS, parse, finish, skipped=skipped)
 
 
-def _cell_fault(key, text, exc=None) -> ValueError:
-    """The fault of the required cell ``key``: empty, or ``text`` that did
-    not parse (``exc``)."""
-    return ValueError(f"bad {key}: {exc}" if text else f"missing {key}")
-
-
 def _require(cell, key, kind=str):
-    """The non-empty ``cell`` of the column ``key``, parsed by ``kind``."""
+    """The non-empty ``cell`` of the column ``key``, parsed by ``kind``; an
+    empty cell is ``missing <key>``, one ``kind`` refuses is ``bad <key>``."""
     value = cell.strip()
     if not value:
-        raise _cell_fault(key, value)
+        raise ValueError(f"missing {key}")
     try:
         return kind(value)
     except ValueError as exc:
-        raise _cell_fault(key, value, exc) from exc
+        raise ValueError(f"bad {key}: {exc}") from exc
 
 
 def _parse_poll_row(cells, election_date: date) -> tuple:
-    # Cells in POLL_COLUMNS order, each stripped once; the checks run in a
-    # fixed order, so a row with several faults is always reported by one.
-    # Returns the row's Polls columns, in field order.
-    pollster, state, text, sample_size, raw_type, pct_c1, pct_c2 = cells
-    if not state.strip():
-        raise _cell_fault("state", "")
-    state = state_code(state, national=True)
-    try:
-        poll_date = iso_date(text)
-    except ValueError as exc:
-        raise _cell_fault("date", text.strip(), exc) from exc
+    # Cells in POLL_COLUMNS order; the checks run in a fixed order, so a row
+    # with several faults is always reported by one.  Returns the row's Polls
+    # columns, in field order.
+    pollster, state, poll_date, sample_size, sample_type, pct_c1, pct_c2 = cells
+    state = state_code(_require(state, "state"), national=True)
+    poll_date = _require(poll_date, "date", iso_date)
     if poll_date > election_date:
         raise ValueError("poll dated after the election")
-    try:
-        key, text = "sample_size", sample_size.strip()
-        sample_size = int(text)
-        key, text = "pct_c1", pct_c1.strip()
-        pct_c1 = float(text)
-        key, text = "pct_c2", pct_c2.strip()
-        pct_c2 = float(text)
-    except ValueError as exc:
-        raise _cell_fault(key, text, exc) from exc
+    sample_size = _require(sample_size, "sample_size", int)
+    pct_c1 = _require(pct_c1, "pct_c1", float)
+    pct_c2 = _require(pct_c2, "pct_c2", float)
     if sample_size < 1:
         raise ValueError(f"sample_size {sample_size} < 1")
     if sample_size > sys.float_info.max:  # Polls holds it as a float
@@ -187,13 +171,10 @@ def _parse_poll_row(cells, election_date: date) -> tuple:
         raise ValueError("percentage outside [0, 100]")
     if pct_c1 + pct_c2 > 100.0:
         raise ValueError("pct_c1 + pct_c2 exceeds 100")
-    raw_type = raw_type.strip()
-    if not raw_type:
-        raise _cell_fault("sample_type", raw_type)
-    if raw_type.replace("_", " ").lower() not in _SAMPLE_TYPES:
-        raise ValueError(f"unknown sample_type {raw_type!r}")
-    if not pollster.strip():
-        raise _cell_fault("pollster", "")
+    sample_type = _require(sample_type, "sample_type")
+    if sample_type.replace("_", " ").lower() not in _SAMPLE_TYPES:
+        raise ValueError(f"unknown sample_type {sample_type!r}")
+    _require(pollster, "pollster")
     return state, float((election_date - poll_date).days), pct_c1, pct_c2, sample_size
 
 
