@@ -10,8 +10,8 @@ Runs are configured by a flat ``key = value`` config file plus flags; flags
 win.  Each setting is declared once, as a :class:`RunConfig` field, and each
 field is a flag of some subcommand: ``--`` plus the key with dashes
 (``--reference`` sets ``reference_mode``, ``--reference-file`` sets
-``reference``).  The field's type and ``_CHOICES`` parse and check flag and
-config values alike.  Every input
+``reference``).  The field's type, ``_RANGES`` and ``_CHOICES`` parse and
+check flag and config values alike.  Every input
 table goes through one row reader, :func:`.tables.read_rows`, which hands
 its parser a tuple of each row's cells and turns a malformed row or header
 into one ``file:line: reason`` error.  Every output lands under
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import calibration as cal_mod
 from . import ingest, online, scoring, trading
-from .errors import ConfigurationError, StatecastError
+from .errors import ConfigurationError, IngestError, StatecastError
 from .scoring import BinaryForecastSeries, ScoreReport
 from .simulation import (
     GaussianNoise,
@@ -107,13 +107,36 @@ def finite(text: str) -> float:
     return value
 
 
-def _value_type(hint):
-    """The parser of a field annotated ``T`` or ``T | None``."""
+#: The range of each numeric setting that has one: a test and what it asks.
+_RANGES = {
+    "seed": (lambda v: 0 <= v < 2**64, f"in 0..{2**64 - 1}"),
+    "paths": (lambda v: v >= 1, ">= 1"),
+    "workers": (lambda v: v >= 1, ">= 1"),
+    "bandwidth": (lambda v: v > 0, "> 0"),
+    "ev_realization": (lambda v: 0 <= v < EV_BINS, f"in 0..{EV_BINS - 1}"),
+}
+
+
+def _value_type(key, hint):
+    """The parser of the field ``key`` annotated ``T`` or ``T | None``; a
+    value outside the field's range is refused."""
     (kind,) = [t for t in get_args(hint) or (hint,) if t is not type(None)]
-    return {float: finite, date: iso_date}.get(kind, kind)
+    parse = {float: finite, date: iso_date}.get(kind, kind)
+    if key not in _RANGES:
+        return parse
+    test, allowed = _RANGES[key]
+
+    def parse_in_range(text):
+        value = parse(text)
+        if not test(value):
+            raise ValueError(f"must be {allowed}, not {text!r}")
+        return value
+
+    parse_in_range.__name__ = f"{key} ({allowed})"  # argparse's name for the value
+    return parse_in_range
 
 
-_TYPES = {key: _value_type(hint) for key, hint in get_type_hints(RunConfig).items()}
+_TYPES = {key: _value_type(key, hint) for key, hint in get_type_hints(RunConfig).items()}
 
 
 def _setting(key: str, text: str):
@@ -408,22 +431,28 @@ def _score_series(tables, metric, series, outcomes, ev_table) -> None:
 
 def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
     ev_table = _load_ev(cfg)
-    outcomes = _read_outcomes(cfg.outcomes) if cfg.outcomes else {}
     tables: dict[tuple[str, str], list[ScoreReport]] = {}
-
     binary_metrics = [m for m in metrics if m in _BINARY_SCORERS]
+    density_metrics = [m for m in metrics if m in _DENSITY_SCORERS]
+    # A file that no requested metric reads is not opened.
+    for key, readers in (("series", binary_metrics), ("outcomes", binary_metrics),
+                         ("histograms", density_metrics)):
+        if getattr(cfg, key) and not readers:
+            print(f"note: --metrics {' '.join(metrics)} does not read the {key} file "
+                  f"{getattr(cfg, key)}", file=sys.stderr)
+
     if binary_metrics:
         if not cfg.series:
             raise ConfigurationError("score needs a series file for Brier/log metrics")
         if not cfg.outcomes:
             raise ConfigurationError("score needs an outcomes file for Brier/log metrics")
+        outcomes = _read_outcomes(cfg.outcomes)
         series = _read_series_file(cfg.series, outcomes, ev_table)
         # A 0 or 1 on the wrong side scores -inf with a warning.
         with _notes(scoring.HypersensitiveForecastWarning):
             for metric in binary_metrics:
                 _score_series(tables, metric, series, outcomes, ev_table)
 
-    density_metrics = [m for m in metrics if m in _DENSITY_SCORERS]
     if density_metrics:
         if not cfg.histograms:
             raise ConfigurationError("score needs a histograms file for density metrics")
@@ -504,6 +533,14 @@ def _panel_and_reference(cfg: RunConfig, command: str, pairmean: bool = False):
         market = _read_panel(cfg.reference, columns=("price",))
         ref = BinaryForecastSeries("market", market.times, market.values[:, 0])
         panel = _read_panel(cfg.experts, dict(zip(ref.times.tolist(), ref.probs.tolist())))
+    # An output name stands for one forecaster: no two of them share a file.
+    taken = {ONLINE_NAME: "the online mixture", "summary": "the P&L summary"}
+    for name in panel.names:
+        safe = _output_name(name)
+        if safe in taken:
+            raise IngestError(f"{cfg.experts}:1: expert {name!r} and {taken[safe]} both "
+                              f"have the output name {safe}")
+        taken[safe] = f"expert {name!r}"
     return panel, ref, ref.probs[np.isin(ref.times, panel.times)]
 
 
@@ -518,9 +555,13 @@ def _online_mixture(cfg: RunConfig, panel: online.ExpertPanel, ref_on_panel: np.
     return trimmed, online.run(trimmed, _LOSSES[cfg.loss](panel.values, ref_on_panel))
 
 
+def _output_name(forecaster: str) -> str:
+    """The name a forecaster's output file takes: ``/`` and space become ``_``."""
+    return forecaster.replace("/", "_").replace(" ", "_")
+
+
 def _write_pnl(out_dir: Path, pnl: trading.PnLSeries) -> None:
-    safe = pnl.forecaster.replace("/", "_").replace(" ", "_")
-    _write_csv(out_dir / f"pnl_{safe}.csv",
+    _write_csv(out_dir / f"pnl_{_output_name(pnl.forecaster)}.csv",
                ["date", "increment", "cumulative"],
                [(_iso(t), inc, cum)
                 for t, inc, cum in zip(pnl.times, pnl.increments, pnl.cumulative)])
