@@ -31,7 +31,7 @@ values[:, 4] = rng.uniform(0, 1, T)
 panel = ExpertPanel(names, np.arange(T, dtype=float), values)
 losses = quadratic_losses(np.vstack([values, values[-1:]]), price)[:T]
 
-result = run(panel, losses, horizon=T)
+result = run(panel, losses)
 bound = regret_bound(N, T)
 
 print(f"{T} rounds, {N} experts, eta = {result.state.eta:.4f}\n")

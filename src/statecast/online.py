@@ -130,13 +130,14 @@ class OnlineRunResult:
     learner_losses: np.ndarray
 
 
-def run(panel: ExpertPanel, losses, horizon: int | None = None) -> OnlineRunResult:
+def run(panel: ExpertPanel, losses) -> OnlineRunResult:
     """Run the full prequential loop over a panel.
 
     ``losses`` is (n_rounds, n_experts) and must match the panel row for
     row: the round-t aggregate is emitted from the pre-round weights, the
     learner is charged the weight-averaged round-t loss, and only then are
-    the losses folded in.  Regret is the learner's cumulative loss minus the
+    the losses folded in.  The learning rate is tuned to the number of
+    rounds (at least 1).  Regret is the learner's cumulative loss minus the
     best expert's.
     """
     losses = np.asarray(losses, dtype=float)
@@ -146,7 +147,7 @@ def run(panel: ExpertPanel, losses, horizon: int | None = None) -> OnlineRunResu
             f"{(len(panel.times), panel.n_experts)}"
         )
     n_rounds = losses.shape[0]
-    state = init(panel.n_experts, horizon if horizon is not None else max(n_rounds, 1))
+    state = init(panel.n_experts, max(n_rounds, 1))
     aggregate = np.empty(n_rounds)
     learner_losses = np.empty(n_rounds)
     for t in range(n_rounds):

@@ -89,13 +89,13 @@ def test_criterion_4_regret_bound():
     for _ in range(1000):
         losses = rng.uniform(0.0, 1.0, (horizon, n_experts))
         panel = ExpertPanel(names, times, rng.uniform(0, 1, (horizon, n_experts)))
-        worst = max(worst, run(panel, losses, horizon=horizon).regret)
+        worst = max(worst, run(panel, losses).regret)
     # adversary: the best expert switches every 20 rounds
     losses = np.ones((horizon, n_experts))
     for seg in range(n_experts):
         losses[20 * seg:20 * (seg + 1), seg] = 0.0
     panel = ExpertPanel(names, times, np.full((horizon, n_experts), 0.5))
-    worst = max(worst, run(panel, losses, horizon=horizon).regret)
+    worst = max(worst, run(panel, losses).regret)
     report(4, f"worst regret {worst:.3f} <= sqrt(T/2 ln N) = {bound:.3f} "
               "over 1000 random + 1 adversarial sequences", worst <= bound)
 

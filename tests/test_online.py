@@ -120,7 +120,7 @@ class TestRun:
         T = 20
         values = np.tile([[0.6, 0.6, 0.6]], (T, 1))
         losses = np.tile([[0.3, 0.3, 0.3]], (T, 1))
-        result = run(panel_of(values), losses, horizon=T)
+        result = run(panel_of(values), losses)
         np.testing.assert_allclose(result.aggregate, 0.6, atol=1e-15)
         assert result.regret == pytest.approx(0.0, abs=1e-12)
 
@@ -128,7 +128,7 @@ class TestRun:
         T = 50
         values = np.tile([[0.9, 0.1]], (T, 1))
         losses = np.tile([[0.1, 0.9]], (T, 1))
-        result = run(panel_of(values), losses, horizon=T)
+        result = run(panel_of(values), losses)
         state = result.state
         # closed form: w2/w1 = exp(-eta * T * 0.8)
         expected_ratio = math.exp(-state.eta * T * 0.8)
@@ -138,7 +138,7 @@ class TestRun:
     def test_prequential_first_prediction_uses_uniform_weights(self):
         values = np.array([[1.0, 0.0], [1.0, 0.0]])
         losses = np.array([[0.0, 1.0], [0.0, 1.0]])
-        result = run(panel_of(values), losses, horizon=2)
+        result = run(panel_of(values), losses)
         assert result.aggregate[0] == pytest.approx(0.5, abs=1e-15)
         assert result.aggregate[1] > 0.5  # weight has shifted to expert 0
 
@@ -148,8 +148,8 @@ class TestRun:
         values = rng.uniform(0, 1, (T, N))
         losses = rng.uniform(0, 1, (T, N))
         perm = np.array([2, 0, 3, 1])
-        base = run(panel_of(values), losses, horizon=T)
-        permuted = run(panel_of(values[:, perm]), losses[:, perm], horizon=T)
+        base = run(panel_of(values), losses)
+        permuted = run(panel_of(values[:, perm]), losses[:, perm])
         np.testing.assert_allclose(permuted.aggregate, base.aggregate, atol=1e-12)
         np.testing.assert_allclose(permuted.state.weights, base.state.weights[perm], atol=1e-12)
 
@@ -158,7 +158,7 @@ class TestRun:
         T, N = 10, 3
         values = rng.uniform(0, 1, (T, N))
         losses = rng.uniform(0, 1, (T, N))
-        result = run(panel_of(values), losses, horizon=T)
+        result = run(panel_of(values), losses)
         state = dataclasses.replace(init(N, T), eta=0.0)
         means = []
         for t in range(T):
@@ -173,7 +173,7 @@ class TestRun:
         for _ in range(50):
             losses = rng.uniform(0, 1, (T, N))
             values = rng.uniform(0, 1, (T, N))
-            result = run(panel_of(values), losses, horizon=T)
+            result = run(panel_of(values), losses)
             assert result.regret <= bound
 
     def test_regret_bound_on_switching_adversary(self):
@@ -181,7 +181,7 @@ class TestRun:
         losses = np.ones((T, N))
         for seg in range(N):
             losses[20 * seg:20 * (seg + 1), seg] = 0.0
-        result = run(panel_of(np.full((T, N), 0.5)), losses, horizon=T)
+        result = run(panel_of(np.full((T, N), 0.5)), losses)
         assert result.regret <= regret_bound(N, T)
 
     def test_shape_mismatch(self):
