@@ -441,8 +441,10 @@ class TestModuleEntryPoint:
     """``python -m statecast`` runs the same CLI, exit codes included."""
 
     def run_module(self, *args):
-        # the child inherits this process's environment and working directory
-        return subprocess.run([sys.executable, "-m", "statecast", *map(str, args)],
+        # the child inherits this process's environment and working directory,
+        # but not pytest's filterwarnings setting, hence -W error
+        return subprocess.run([sys.executable, "-W", "error", "-m", "statecast",
+                               *map(str, args)],
                               capture_output=True, text=True, timeout=120)
 
     def test_curves_writes_its_tables(self, tmp_path):
