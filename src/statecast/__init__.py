@@ -45,7 +45,6 @@ from .online import (
 )
 from .scoring import (
     BinaryForecastSeries,
-    ScoreReport,
     aggregate_scores,
     brier,
     cdf_score,
@@ -96,7 +95,6 @@ __all__ = [
     "PnLSeries",
     "Polls",
     "ScoreError",
-    "ScoreReport",
     "SimulationConfig",
     "SmoothedSeries",
     "STATE_CODES",

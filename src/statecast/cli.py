@@ -37,7 +37,7 @@ import numpy as np
 from . import calibration as cal_mod
 from . import ingest, online, scoring, trading
 from .errors import ConfigurationError, IngestError, StatecastError
-from .scoring import BinaryForecastSeries, ScoreReport
+from .scoring import BinaryForecastSeries
 from .simulation import (
     GaussianNoise,
     SimulationConfig,
@@ -412,26 +412,27 @@ _SCORE_METRICS = (*_BINARY_SCORERS, *_DENSITY_SCORERS)
 
 
 def _score_series(tables, metric, series, outcomes, ev_table) -> None:
-    """Add ``metric``'s tables over every forecaster's series to ``tables``:
-    the national series overall, the state series averaged both ways."""
+    """Add ``metric``'s ``(forecaster, value)`` rows over every forecaster's
+    series to ``tables``, keyed by ``(metric, weighting)``: the national
+    series scored overall, the state series scored per state and averaged
+    both ways."""
     fn = _BINARY_SCORERS[metric]
     for forecaster in sorted({f for f, _ in series}):
         national = series.get((forecaster, NATIONAL))
         if national is not None:
-            report = ScoreReport(forecaster, metric, fn(national, outcomes[NATIONAL]))
-            tables.setdefault((metric, scoring.WEIGHT_OVERALL), []).append(report)
-        per_state = [ScoreReport(forecaster, metric, fn(s, outcomes[state]), state=state)
-                     for (f, state), s in series.items()
-                     if f == forecaster and state != NATIONAL]
+            tables.setdefault((metric, scoring.WEIGHT_OVERALL), []).append(
+                (forecaster, fn(national, outcomes[NATIONAL])))
+        per_state = {state: fn(s, outcomes[state]) for (f, state), s in series.items()
+                     if f == forecaster and state != NATIONAL}
         if per_state:
             for weighting in (scoring.WEIGHT_STATE_AVERAGE, scoring.WEIGHT_EV):
-                agg = scoring.aggregate_scores(per_state, weighting, ev_table)
-                tables.setdefault((metric, weighting), []).append(agg)
+                tables.setdefault((metric, weighting), []).append(
+                    (forecaster, scoring.aggregate_scores(per_state, weighting, ev_table)))
 
 
 def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
     ev_table = _load_ev(cfg)
-    tables: dict[tuple[str, str], list[ScoreReport]] = {}
+    tables: dict[tuple[str, str], list[tuple[str, float]]] = {}
     binary_metrics = [m for m in metrics if m in _BINARY_SCORERS]
     density_metrics = [m for m in metrics if m in _DENSITY_SCORERS]
     # A file that no requested metric reads is not opened.
@@ -461,20 +462,17 @@ def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
         histograms = _read_histograms(cfg.histograms)
         for metric in density_metrics:
             fn = _DENSITY_SCORERS[metric]
-            for name in sorted(histograms):
-                report = ScoreReport(name, metric,
-                                     fn(histograms[name], cfg.ev_realization))
-                tables.setdefault((metric, scoring.WEIGHT_OVERALL), []).append(report)
+            tables[metric, scoring.WEIGHT_OVERALL] = [
+                (name, fn(histograms[name], cfg.ev_realization)) for name in sorted(histograms)]
 
     all_rows = []
-    for (metric, weighting), reports in sorted(tables.items()):
-        path = out_dir / f"scores_{metric}_{weighting}.csv"
-        _write_csv(path, ["forecaster", "metric", "weighting", "value"],
-                   [(r.forecaster, r.metric, weighting, r.value) for r in reports])
-        for r in reports:
-            row = r.to_row()
-            row["value"] = str(row["value"]) if math.isinf(row["value"]) else row["value"]
-            all_rows.append(row)
+    for (metric, weighting), scores in sorted(tables.items()):
+        _write_csv(out_dir / f"scores_{metric}_{weighting}.csv",
+                   ["forecaster", "metric", "weighting", "value"],
+                   [(forecaster, metric, weighting, value) for forecaster, value in scores])
+        all_rows += [{"forecaster": forecaster, "metric": metric, "weighting": weighting,
+                      "value": str(value) if math.isinf(value) else value}
+                     for forecaster, value in scores]
     _write_json(out_dir / "scores.json", all_rows)
     print(f"wrote {len(tables)} score table(s)")
     return 0

@@ -72,28 +72,6 @@ class BinaryForecastSeries:
         return len(self.times)
 
 
-@dataclass
-class ScoreReport:
-    """One scored (forecaster, metric, weighting) cell, optionally per state."""
-
-    forecaster: str
-    metric: str
-    value: float
-    weighting: str = WEIGHT_OVERALL
-    state: str | None = None
-
-    def to_row(self) -> dict:
-        row = {
-            "forecaster": self.forecaster,
-            "metric": self.metric,
-            "weighting": self.weighting,
-            "value": self.value,
-        }
-        if self.state is not None:
-            row["state"] = self.state
-        return row
-
-
 def _as_omegas(omega, n: int) -> np.ndarray:
     arr = np.asarray(omega, dtype=float)
     if arr.ndim == 0:
@@ -215,46 +193,23 @@ _DENSITY_FNS = {
 }
 
 
-def aggregate_scores(
-    reports: list[ScoreReport],
-    weighting: str,
-    ev_table: dict[str, int] | None = None,
-) -> ScoreReport:
-    """Average per-state reports, unweighted or by electoral votes.
-
-    All inputs must share a metric (and forecaster).  Density metrics are
-    single-event national scores and cannot be state-aggregated.
-    """
-    if not reports:
-        raise ScoreError("cannot aggregate zero score reports")
-    metrics = {r.metric for r in reports}
-    if len(metrics) != 1:
-        raise ScoreError(f"mixed metrics in aggregation: {sorted(metrics)}")
-    metric = metrics.pop()
-    if metric in _DENSITY_FNS and weighting != WEIGHT_OVERALL:
-        raise ScoreError(f"{metric} supports only the overall weighting")
-    forecasters = {r.forecaster for r in reports}
-    forecaster = forecasters.pop() if len(forecasters) == 1 else ",".join(sorted(forecasters))
-
-    values = np.array([r.value for r in reports], dtype=float)
-    if weighting == WEIGHT_STATE_AVERAGE or weighting == WEIGHT_OVERALL:
-        value = float(np.mean(values))
-    elif weighting == WEIGHT_EV:
-        if ev_table is None:
-            raise ConfigurationError("EV weighting requires an EV table")
-        weights = []
-        for r in reports:
-            if r.state is None or r.state not in ev_table:
-                raise ConfigurationError(
-                    f"report for {r.state!r} has no EV entry"
-                )
-            weights.append(ev_table[r.state])
-        weights = np.array(weights, dtype=float)
-        value = float(np.sum(weights * values) / np.sum(weights))
-    else:
+def aggregate_scores(scores: dict[str, float], weighting: str,
+                     ev_table: dict[str, int]) -> float:
+    """Average a forecaster's per-state scores, ``{state: score}``, plainly
+    (``state_average``) or weighted by each state's electoral votes
+    (``ev_weighted``), taking the states in the map's order."""
+    if not scores:
+        raise ScoreError("cannot aggregate zero state scores")
+    values = np.array(list(scores.values()), dtype=float)
+    if weighting == WEIGHT_STATE_AVERAGE:
+        return float(np.mean(values))
+    if weighting != WEIGHT_EV:
         raise ScoreError(f"unknown weighting {weighting!r}")
-    return ScoreReport(forecaster=forecaster, metric=metric, value=value,
-                       weighting=weighting)
+    missing = [state for state in scores if state not in ev_table]
+    if missing:
+        raise ConfigurationError(f"state {missing[0]!r} has no EV entry")
+    weights = np.array([ev_table[state] for state in scores], dtype=float)
+    return float(np.sum(weights * values) / np.sum(weights))
 
 
 def gaussian_histogram(mean: float, std: float) -> np.ndarray:

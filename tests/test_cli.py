@@ -191,6 +191,24 @@ class TestScore:
         assert float(row["value"]) == float("-inf")
         assert row["value"] == "-inf"
 
+    def test_json_rows_are_the_table_rows(self, tmp_path):
+        series = tmp_path / "series.csv"
+        series.write_text((FIXTURES / "series.csv").read_text() + "DOOM,US,2016-11-01,0.0\n")
+        assert run_cli(
+            "score", "--series", series, "--outcomes", FIXTURES / "outcomes.csv",
+            "--histograms", FIXTURES / "histograms.csv", "--ev-realization", "232",
+            "--out-dir", tmp_path,
+        ) == 0
+        table_rows = [row for path in sorted(tmp_path.glob("scores_*.csv"))
+                      for row in read_csv(path)]
+        json_rows = json.loads((tmp_path / "scores.json").read_text())
+        assert [{key: str(value) for key, value in row.items()} for row in json_rows] \
+            == table_rows
+        assert {"forecaster": "DOOM", "metric": "loglik", "weighting": "overall",
+                "value": "-inf"} in json_rows
+        assert all(isinstance(row["value"], float) for row in json_rows
+                   if row["value"] != "-inf")
+
     def test_zero_probability_is_one_note(self, tmp_path, capsys):
         series = tmp_path / "series.csv"
         series.write_text(

@@ -10,10 +10,10 @@ import pytest
 from statecast.errors import ConfigurationError, ScoreError
 from statecast.scoring import (
     WEIGHT_EV,
+    WEIGHT_OVERALL,
     WEIGHT_STATE_AVERAGE,
     BinaryForecastSeries,
     HypersensitiveForecastWarning,
-    ScoreReport,
     aggregate_scores,
     brier,
     cdf_score,
@@ -187,48 +187,32 @@ class TestLogScore:
 
 class TestAggregateScores:
     def test_single_state_identity(self):
-        report = ScoreReport("f", "brier", 0.42, state="OH")
-        agg = aggregate_scores([report], WEIGHT_STATE_AVERAGE, default_ev_table())
-        assert agg.value == 0.42
-        assert agg.weighting == WEIGHT_STATE_AVERAGE
+        for weighting in (WEIGHT_STATE_AVERAGE, WEIGHT_EV):
+            assert aggregate_scores({"OH": 0.42}, weighting, default_ev_table()) == 0.42
 
     def test_equal_scores_any_weighting(self):
-        reports = [ScoreReport("f", "brier", 0.3, state=s) for s in ("CA", "WY")]
+        scores = {"CA": 0.3, "WY": 0.3}
         ev = default_ev_table()
-        assert aggregate_scores(reports, WEIGHT_STATE_AVERAGE, ev).value == pytest.approx(0.3)
-        assert aggregate_scores(reports, WEIGHT_EV, ev).value == pytest.approx(0.3)
+        assert aggregate_scores(scores, WEIGHT_STATE_AVERAGE, ev) == pytest.approx(0.3)
+        assert aggregate_scores(scores, WEIGHT_EV, ev) == pytest.approx(0.3)
 
     def test_ev_weighted_ca_wy(self):
-        reports = [ScoreReport("f", "brier", 0.0, state="CA"),
-                   ScoreReport("f", "brier", 1.0, state="WY")]
-        agg = aggregate_scores(reports, WEIGHT_EV, default_ev_table())
-        assert agg.value == pytest.approx(3.0 / 58.0, abs=1e-12)
+        value = aggregate_scores({"CA": 0.0, "WY": 1.0}, WEIGHT_EV, default_ev_table())
+        assert value == pytest.approx(3.0 / 58.0, abs=1e-12)
 
     def test_empty_undefined(self):
         with pytest.raises(ScoreError):
-            aggregate_scores([], WEIGHT_STATE_AVERAGE)
+            aggregate_scores({}, WEIGHT_STATE_AVERAGE, default_ev_table())
 
-    def test_mixed_metrics_rejected(self):
-        reports = [ScoreReport("f", "brier", 0.1, state="CA"),
-                   ScoreReport("f", "loglik", -0.1, state="WY")]
-        with pytest.raises(ScoreError):
-            aggregate_scores(reports, WEIGHT_STATE_AVERAGE)
+    def test_state_without_ev_entry(self):
+        ev = {"CA": 55}
+        with pytest.raises(ConfigurationError, match="'WY' has no EV entry"):
+            aggregate_scores({"CA": 0.1, "WY": 0.2}, WEIGHT_EV, ev)
 
-    def test_density_metrics_only_overall(self):
-        reports = [ScoreReport("f", "selten", 0.5, state="CA")]
-        with pytest.raises(ScoreError):
-            aggregate_scores(reports, WEIGHT_STATE_AVERAGE)
-
-    @pytest.mark.parametrize("weighting", [WEIGHT_STATE_AVERAGE, WEIGHT_EV])
-    @pytest.mark.parametrize("metric", DENSITY_SCORERS)
-    def test_every_density_metric_refuses_state_weighting(self, metric, weighting):
-        reports = [ScoreReport("f", metric, -1.0, state="OH")]
-        with pytest.raises(ScoreError, match=f"{metric} supports only the overall weighting"):
-            aggregate_scores(reports, weighting, default_ev_table())
-
-    def test_ev_weighting_needs_table(self):
-        with pytest.raises(ConfigurationError):
-            aggregate_scores([ScoreReport("f", "brier", 0.1, state="CA")], WEIGHT_EV)
+    @pytest.mark.parametrize("weighting", [WEIGHT_OVERALL, "median"])
+    def test_unknown_weighting(self, weighting):
+        with pytest.raises(ScoreError, match="unknown weighting"):
+            aggregate_scores({"CA": 0.1}, weighting, default_ev_table())
 
 
 def scalar_score(metric, h, w):
