@@ -49,6 +49,8 @@ from .states import EV_BINS, NATIONAL, default_ev_table, load_ev_table, state_co
 from .tables import iso_date, named, read_rows
 
 ONLINE_NAME = "ONLINE"
+#: The longest file name, in bytes, that the usual file systems take.
+NAME_MAX = 255
 
 _PATH_KEYS = (
     "polls", "historical", "ev_table", "experts", "series", "outcomes",
@@ -239,6 +241,13 @@ def _notes(category):
         print(f"note: {message}", file=sys.stderr)
 
 
+def _note_unread(why: str, key: str, path: str | None) -> None:
+    """A ``note:`` line for a ``key`` file that was given but that the run,
+    because of ``why``, does not read."""
+    if path:
+        print(f"note: {why} does not read the {key} file {path}", file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # calibration pipeline shared by forecast/calibrate
 
@@ -258,6 +267,8 @@ def _calibrate_from_files(cfg: RunConfig):
     per grid day of the smoothed national spread."""
     ev_table = _load_ev(cfg)
     if cfg.calibration:
+        for key in ("polls", "historical"):
+            _note_unread("--calibration", key, getattr(cfg, key))
         with open(cfg.calibration, encoding="utf-8") as fh:
             cals, market = named(cfg.calibration,
                                  lambda: cal_mod.calibration_from_dict(json.load(fh)))
@@ -291,7 +302,7 @@ def _calibrate_from_files(cfg: RunConfig):
         historical = hist.records
 
     cals = cal_mod.calibrate_states(polls, national, historical, states=ev_table.keys())
-    market = cal_mod.calibrate_market(national, polls)
+    market = named(cfg.polls, lambda: cal_mod.calibrate_market(national, polls))
     # day 0 is ``market`` itself
     return cals, [replace(market, m_current=float(v), horizon=float(t))
                   for t, v in zip(national.grid, national.values)], ev_table
@@ -438,9 +449,8 @@ def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
     # A file that no requested metric reads is not opened.
     for key, readers in (("series", binary_metrics), ("outcomes", binary_metrics),
                          ("histograms", density_metrics)):
-        if getattr(cfg, key) and not readers:
-            print(f"note: --metrics {' '.join(metrics)} does not read the {key} file "
-                  f"{getattr(cfg, key)}", file=sys.stderr)
+        if not readers:
+            _note_unread(f"--metrics {' '.join(metrics)}", key, getattr(cfg, key))
 
     if binary_metrics:
         if not cfg.series:
@@ -486,13 +496,17 @@ def _read_panel(path: str, prices: dict[float, float] | None = None,
                 columns: tuple[str, ...] | None = None) -> online.ExpertPanel:
     """Wide CSV date,<column>,... -> one row of probabilities per date, in
     date order; the columns are ``columns``, or else every header cell but
-    ``date``.  With ``prices``, every date must have a price."""
+    ``date``, each of which must have a name.  With ``prices``, every date
+    must have a price."""
     names = list(columns or ())
     rows: dict[float, list[float]] = {}
 
     def header_columns(header):
         if columns is None:
-            names.extend(name for name in header if name and name != "date")
+            for i, name in enumerate(header, 1):
+                if not name.strip():
+                    raise ValueError(f"column {i} has no name")
+            names.extend(name for name in header if name != "date")
         return ("date", *names)
 
     def parse(cells, line):
@@ -522,22 +536,26 @@ def _panel_and_reference(cfg: RunConfig, command: str, pairmean: bool = False):
     if pairmean:
         panel = _read_panel(cfg.experts)
         ref = BinaryForecastSeries("pairmean", panel.times.copy(), panel.values.mean(axis=1))
-        if cfg.reference:
-            print(f"note: --reference pairmean does not read the reference file {cfg.reference}",
-                  file=sys.stderr)
+        _note_unread("--reference pairmean", "reference", cfg.reference)
     elif not cfg.reference:
         raise ConfigurationError(f"{command} needs a reference file")
     else:
         market = _read_panel(cfg.reference, columns=("price",))
         ref = BinaryForecastSeries("market", market.times, market.values[:, 0])
         panel = _read_panel(cfg.experts, dict(zip(ref.times.tolist(), ref.probs.tolist())))
-    # An output name stands for one forecaster: no two of them share a file.
+    # An output name stands for one forecaster: no two of them share a file,
+    # and each names a file.
     taken = {ONLINE_NAME: "the online mixture", "summary": "the P&L summary"}
     for name in panel.names:
         safe = _output_name(name)
         if safe in taken:
             raise IngestError(f"{cfg.experts}:1: expert {name!r} and {taken[safe]} both "
                               f"have the output name {safe}")
+        file_name = f"pnl_{safe}.csv"
+        if "\0" in file_name or len(file_name.encode("utf-8")) > NAME_MAX:
+            raise IngestError(f"{cfg.experts}:1: expert {name!r} has no usable output file "
+                              f"name: pnl_<output name>.csv holds a NUL byte or is over "
+                              f"{NAME_MAX} bytes of UTF-8")
         taken[safe] = f"expert {name!r}"
     return panel, ref, ref.probs[np.isin(ref.times, panel.times)]
 
@@ -705,7 +723,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "score":
-            return cmd_score(cfg, out_dir, args.metrics or list(_SCORE_METRICS))
+            return cmd_score(cfg, out_dir, list(dict.fromkeys(args.metrics or _SCORE_METRICS)))
         return _COMMANDS[args.command][0](cfg, out_dir)
     except StatecastError as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)

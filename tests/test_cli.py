@@ -140,6 +140,23 @@ class TestCalibrate:
         ) == 0
         assert json.loads((out2 / "forecast.json").read_text())["p_national"] == 1.0
 
+    def test_frozen_calibration_notes_the_files_it_does_not_read(self, tmp_path, capsys):
+        args = ["forecast", "--calibration", FIXTURES / "calibration.json",
+                "--seed", "5", "--paths", "1000"]
+        assert run_cli(*args, "--out-dir", tmp_path / "a") == 0
+        without = capsys.readouterr()
+        assert without.err == ""
+        polls, historical = tmp_path / "absent_polls.csv", tmp_path / "absent_historical.csv"
+        assert run_cli(*args, "--polls", polls, "--historical", historical,
+                       "--out-dir", tmp_path / "b") == 0
+        given = capsys.readouterr()
+        assert given.out == without.out
+        assert given.err == (
+            f"note: --calibration does not read the polls file {polls}\n"
+            f"note: --calibration does not read the historical file {historical}\n")
+        assert ({p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
+                == {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()})
+
 
 class TestScore:
     def run_score(self, tmp_path, *extra):
@@ -208,6 +225,14 @@ class TestScore:
                 "value": "-inf"} in json_rows
         assert all(isinstance(row["value"], float) for row in json_rows
                    if row["value"] != "-inf")
+
+    def test_repeated_metric_is_scored_once(self, tmp_path):
+        args = ["score", "--series", FIXTURES / "series.csv",
+                "--outcomes", FIXTURES / "outcomes.csv"]
+        assert run_cli(*args, "--metrics", "brier", "--out-dir", tmp_path / "a") == 0
+        assert run_cli(*args, "--metrics", "brier", "brier", "--out-dir", tmp_path / "b") == 0
+        assert ({p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
+                == {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()})
 
     def test_zero_probability_is_one_note(self, tmp_path, capsys):
         series = tmp_path / "series.csv"

@@ -344,6 +344,58 @@ class TestPanelAndReference:
                        f"both have the output name {safe}\n")
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize("command", ["trade", "aggregate"])
+    @pytest.mark.parametrize("name", ["x" * 300, "x" * 248, "é" * 124, "a\0b"],
+                             ids=["300", "256_bytes", "256_utf8_bytes", "nul"])
+    def test_expert_name_that_cannot_name_a_file(self, tmp_path, capsys, command, name):
+        experts = tmp_path / "experts.csv"
+        experts.write_text(f"date,A,{name}\n2016-10-01,0.5,0.5\n2016-10-02,0.6,0.6\n")
+        out = tmp_path / "out"
+        code = run_cli(command, "--experts", experts,
+                       "--reference-file", FIXTURES / "reference.csv", "--out-dir", out)
+        err = assert_rejected(code, capsys, experts, 1)
+        if "line contains NUL" not in err:  # Python 3.10's CSV reader refuses a NUL
+            assert err == (f"error [{command}]: {experts}:1: expert {name!r} has no "
+                           "usable output file name: pnl_<output name>.csv holds a NUL "
+                           "byte or is over 255 bytes of UTF-8\n")
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("command", ["trade", "aggregate"])
+    def test_longest_expert_name_is_a_file_name(self, tmp_path, command):
+        name = "x" * 247  # pnl_<name>.csv is 255 bytes
+        experts = tmp_path / "experts.csv"
+        experts.write_text(f"date,{name}\n2016-10-01,0.5\n2016-10-02,0.6\n")
+        out = tmp_path / "out"
+        assert run_cli(command, "--experts", experts,
+                       "--reference-file", FIXTURES / "reference.csv", "--out-dir", out) == 0
+        assert (out / f"pnl_{name}.csv").exists() == (command == "trade")
+
+    @pytest.mark.parametrize("command", ["trade", "aggregate"])
+    @pytest.mark.parametrize("header,rows,column", [
+        ("date,,CAPM", ["2016-10-01,x,0.5", "2016-10-02,y,0.5"], 2),
+        ("date,CAPM, ", ["2016-10-01,0.5,x", "2016-10-02,0.5,y"], 3),
+        (",date,CAPM", ["x,2016-10-01,0.5", "y,2016-10-02,0.5"], 1),
+    ], ids=["empty", "blank", "first"])
+    def test_unnamed_panel_column_names_file(self, tmp_path, capsys, command, header, rows,
+                                             column):
+        experts = tmp_path / "experts.csv"
+        experts.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "out"
+        code = run_cli(command, "--experts", experts,
+                       "--reference-file", FIXTURES / "reference.csv", "--out-dir", out)
+        err = assert_rejected(code, capsys, experts, 1)
+        assert err == f"error [{command}]: {experts}:1: column {column} has no name\n"
+        assert not list(out.glob("*"))
+
+    def test_reference_file_ignores_unnamed_columns(self, tmp_path):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("".join(line + ",\n" for line in
+                               (FIXTURES / "reference.csv").read_text().splitlines()))
+        assert self.trade(FIXTURES / "experts.csv", FIXTURES / "reference.csv",
+                          tmp_path / "a") == 0
+        assert self.trade(FIXTURES / "experts.csv", ref, tmp_path / "b") == 0
+        assert output_bytes(tmp_path / "b") == output_bytes(tmp_path / "a")
+
     @pytest.mark.parametrize("text", ["20161003", "2016-W40-1", "2016-10-3"])
     def test_bad_reference_date_names_line(self, tmp_path, capsys, text):
         ref = tmp_path / "ref.csv"
@@ -694,6 +746,21 @@ class TestPollAndHistoricalFiles:
         out = tmp_path / "out"
         err = assert_rejected(calibrate(out, polls), capsys, polls, out_dir=out)
         assert err == f"error [calibrate]: {polls}: no national (US) poll row\n"
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("command", ["forecast", "calibrate"])
+    def test_national_polls_on_one_day_name_file(self, tmp_path, capsys, command):
+        header, *rows = (FIXTURES / "polls.csv").read_text().splitlines()
+        polls = tmp_path / "polls.csv"
+        polls.write_text("\n".join([header, *(
+            ",".join((c[0], c[1], "2016-10-01", *c[3:])) if c[1] == "US" else ",".join(c)
+            for c in (row.split(",") for row in rows))]) + "\n")
+        out = tmp_path / "out"
+        seed = ["--seed", "1"] if command == "forecast" else []
+        code = run_cli(command, "--polls", polls, "--historical", FIXTURES / "historical.csv",
+                       "--election-date", "2016-11-08", *seed, "--out-dir", out)
+        err = assert_rejected(code, capsys, polls, out_dir=out)
+        assert err == f"error [{command}]: {polls}: need at least 2 grid points for sigma_m\n"
         assert not list(out.glob("*"))
 
 
