@@ -11,7 +11,7 @@ Run from the repo root:  python demos/04_online_learning.py
 
 import numpy as np
 
-from statecast import ExpertPanel, regret_bound
+from statecast import regret_bound
 from statecast.online import quadratic_losses, run
 
 rng = np.random.default_rng(7)
@@ -28,10 +28,9 @@ values[:, 2] = np.clip(np.repeat(price[0], T) + rng.normal(0, 0.02, T), 0, 1)
 values[:, 3] = np.clip(1.0 - price[:-1], 0, 1)                     # backwards
 values[:, 4] = rng.uniform(0, 1, T)
 
-panel = ExpertPanel(names, np.arange(T, dtype=float), values)
 losses = quadratic_losses(np.vstack([values, values[-1:]]), price)[:T]
 
-result = run(panel, losses)
+result = run(values, losses)
 bound = regret_bound(N, T)
 
 print(f"{T} rounds, {N} experts, eta = {result.state.eta:.4f}\n")

@@ -37,7 +37,6 @@ from .ingest import (
     to_spreads,
 )
 from .online import (
-    ExpertPanel,
     LearnerState,
     OnlineRunResult,
     learning_rate,
@@ -83,7 +82,6 @@ __all__ = [
     "CalibrationError",
     "ConfigurationError",
     "DegenerateDesignError",
-    "ExpertPanel",
     "ForecastDistribution",
     "GaussianNoise",
     "IngestError",

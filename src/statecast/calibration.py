@@ -24,7 +24,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .ingest import Polls, SmoothedSeries, to_spreads
-from .states import NATIONAL
+from .states import NATIONAL, state_code
 
 #: Fewer state polls than this is considered uninformative.
 MIN_POLLS = 4
@@ -246,12 +246,22 @@ def _from_fields(cls, entry, where: str):
 
 def calibration_from_dict(doc: dict) -> tuple[dict[str, StateCalibration], MarketCalibration | None]:
     """Inverse of :func:`calibration_to_dict`; a missing, unknown or invalid
-    field raises :class:`ConfigurationError` naming its state (or the market)."""
+    field raises :class:`ConfigurationError` naming its state (or the market).
+    Each state is keyed by one of the 51 codes, once, and its ``state``
+    field is that code."""
     if not isinstance(doc, dict) or not isinstance(doc.get("states"), dict):
         raise ConfigurationError("calibration document has no states object")
-    cals = {
-        code: _from_fields(StateCalibration, entry, f"state {code}")
-        for code, entry in doc["states"].items()
-    }
+    cals: dict[str, StateCalibration] = {}
+    for key, entry in doc["states"].items():
+        try:
+            code = state_code(key)
+        except ValueError as exc:
+            raise ConfigurationError(f"states: {exc}") from exc
+        cal = _from_fields(StateCalibration, entry, f"state {code}")
+        if cal.state != code:
+            raise ConfigurationError(f"state {code}: its state field is {cal.state!r}")
+        if code in cals:
+            raise ConfigurationError(f"state {code} is listed twice")
+        cals[code] = cal
     market = _from_fields(MarketCalibration, doc["market"], "market") if "market" in doc else None
     return cals, market

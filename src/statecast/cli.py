@@ -241,11 +241,11 @@ def _notes(category):
         print(f"note: {message}", file=sys.stderr)
 
 
-def _note_unread(why: str, key: str, path: str | None) -> None:
-    """A ``note:`` line for a ``key`` file that was given but that the run,
-    because of ``why``, does not read."""
-    if path:
-        print(f"note: {why} does not read the {key} file {path}", file=sys.stderr)
+def _note_unread(why: str, what: str, value) -> None:
+    """A ``note:`` line for a setting ``what`` (a file or a value) that was
+    given but that the run, because of ``why``, does not read."""
+    if value:
+        print(f"note: {why} does not read the {what} {value}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +268,11 @@ def _calibrate_from_files(cfg: RunConfig):
     ev_table = _load_ev(cfg)
     if cfg.calibration:
         for key in ("polls", "historical"):
-            _note_unread("--calibration", key, getattr(cfg, key))
+            _note_unread("--calibration", f"{key} file", getattr(cfg, key))
+        _note_unread("--calibration", "election date", cfg.election_date)
+        # A bandwidth is set when it is not the default.
+        if cfg.bandwidth != RunConfig.bandwidth:
+            _note_unread("--calibration", "bandwidth", cfg.bandwidth)
         with open(cfg.calibration, encoding="utf-8") as fh:
             cals, market = named(cfg.calibration,
                                  lambda: cal_mod.calibration_from_dict(json.load(fh)))
@@ -450,7 +454,7 @@ def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
     for key, readers in (("series", binary_metrics), ("outcomes", binary_metrics),
                          ("histograms", density_metrics)):
         if not readers:
-            _note_unread(f"--metrics {' '.join(metrics)}", key, getattr(cfg, key))
+            _note_unread(f"--metrics {' '.join(metrics)}", f"{key} file", getattr(cfg, key))
 
     if binary_metrics:
         if not cfg.series:
@@ -493,11 +497,13 @@ def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
 
 
 def _read_panel(path: str, prices: dict[float, float] | None = None,
-                columns: tuple[str, ...] | None = None) -> online.ExpertPanel:
-    """Wide CSV date,<column>,... -> one row of probabilities per date, in
-    date order; the columns are ``columns``, or else every header cell but
-    ``date``, each of which must have a name.  With ``prices``, every date
-    must have a price."""
+                columns: tuple[str, ...] | None = None
+                ) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Wide CSV date,<column>,... -> (names, dates, values): the column
+    names, the dates in order and one row of probabilities per date.  The
+    columns are ``columns``, or else every header cell but ``date``: at
+    least one, each with a name.  With ``prices``, every date must have a
+    price."""
     names = list(columns or ())
     rows: dict[float, list[float]] = {}
 
@@ -519,34 +525,36 @@ def _read_panel(path: str, prices: dict[float, float] | None = None,
         rows[t] = [_probability(v) for v in values]
 
     def finish():
+        if not names:
+            raise ValueError("panel needs at least one expert")
         times = sorted(rows)
-        return online.ExpertPanel(names=names, times=np.array(times),
-                                  values=np.array([rows[t] for t in times]))
+        return names, np.array(times), np.array([rows[t] for t in times])
 
     return read_rows(path, header_columns, parse, finish)
 
 
 def _panel_and_reference(cfg: RunConfig, command: str, pairmean: bool = False):
-    """The experts panel, its reference price series and the reference
-    prices on the panel's dates.  The reference is the panel's mean
-    (``pairmean``) or the reference file, a one-column panel that must price
-    every date of the experts panel."""
+    """The experts panel's names, dates and values, its reference price
+    series and the reference prices on the panel's dates.  The reference is
+    the panel's mean (``pairmean``) or the reference file, a one-column
+    panel that must price every date of the experts panel."""
     if not cfg.experts:
         raise ConfigurationError(f"{command} needs an experts panel file")
     if pairmean:
-        panel = _read_panel(cfg.experts)
-        ref = BinaryForecastSeries("pairmean", panel.times.copy(), panel.values.mean(axis=1))
-        _note_unread("--reference pairmean", "reference", cfg.reference)
+        names, times, values = _read_panel(cfg.experts)
+        ref = BinaryForecastSeries("pairmean", times.copy(), values.mean(axis=1))
+        _note_unread("--reference pairmean", "reference file", cfg.reference)
     elif not cfg.reference:
         raise ConfigurationError(f"{command} needs a reference file")
     else:
-        market = _read_panel(cfg.reference, columns=("price",))
-        ref = BinaryForecastSeries("market", market.times, market.values[:, 0])
-        panel = _read_panel(cfg.experts, dict(zip(ref.times.tolist(), ref.probs.tolist())))
+        _, ref_times, prices = _read_panel(cfg.reference, columns=("price",))
+        ref = BinaryForecastSeries("market", ref_times, prices[:, 0])
+        names, times, values = _read_panel(
+            cfg.experts, dict(zip(ref.times.tolist(), ref.probs.tolist())))
     # An output name stands for one forecaster: no two of them share a file,
     # and each names a file.
     taken = {ONLINE_NAME: "the online mixture", "summary": "the P&L summary"}
-    for name in panel.names:
+    for name in names:
         safe = _output_name(name)
         if safe in taken:
             raise IngestError(f"{cfg.experts}:1: expert {name!r} and {taken[safe]} both "
@@ -557,18 +565,17 @@ def _panel_and_reference(cfg: RunConfig, command: str, pairmean: bool = False):
                               f"name: pnl_<output name>.csv holds a NUL byte or is over "
                               f"{NAME_MAX} bytes of UTF-8")
         taken[safe] = f"expert {name!r}"
-    return panel, ref, ref.probs[np.isin(ref.times, panel.times)]
+    return names, times, values, ref, ref.probs[np.isin(ref.times, times)]
 
 
 def _iso(t: float) -> str:
     return str(date.fromordinal(int(t)))
 
 
-def _online_mixture(cfg: RunConfig, panel: online.ExpertPanel, ref_on_panel: np.ndarray):
+def _online_mixture(cfg: RunConfig, values: np.ndarray, ref_on_panel: np.ndarray):
     """Exponential weights over all but the panel's last date, under the
-    configured loss.  Returns (trimmed panel, run result)."""
-    trimmed = online.ExpertPanel(panel.names, panel.times[:-1], panel.values[:-1])
-    return trimmed, online.run(trimmed, _LOSSES[cfg.loss](panel.values, ref_on_panel))
+    configured loss."""
+    return online.run(values[:-1], _LOSSES[cfg.loss](values, ref_on_panel))
 
 
 def _output_name(forecaster: str) -> str:
@@ -585,7 +592,7 @@ def _write_pnl(out_dir: Path, pnl: trading.PnLSeries) -> None:
 
 def cmd_trade(cfg: RunConfig, out_dir: Path) -> int:
     pairmean = cfg.reference_mode == "pairmean"
-    panel, ref, ref_on_panel = _panel_and_reference(cfg, "trade", pairmean)
+    names, times, values, ref, ref_on_panel = _panel_and_reference(cfg, "trade", pairmean)
     # Settled at the national outcome, or at the final price without one.
     omega = _read_outcomes(cfg.outcomes).get(NATIONAL) if cfg.outcomes else None
     settled_series: list[trading.PnLSeries] = []
@@ -596,19 +603,18 @@ def cmd_trade(cfg: RunConfig, out_dir: Path) -> int:
         pnl = trading.mark_to_market(pos, ref, forecaster=name)
         settled_series.append(trading.settle(pnl, omega=omega))
 
-    if pairmean and panel.n_experts == 2:
-        a = BinaryForecastSeries(panel.names[0], panel.times, panel.values[:, 0])
-        b = BinaryForecastSeries(panel.names[1], panel.times, panel.values[:, 1])
+    if pairmean and len(names) == 2:
+        a = BinaryForecastSeries(names[0], times, values[:, 0])
+        b = BinaryForecastSeries(names[1], times, values[:, 1])
         settled_series.extend(trading.pair_trading_scores(a, b, omega=omega))
     else:
-        for j, name in enumerate(panel.names):
-            trade_one(name, panel.times, panel.values[:, j])
+        for j, name in enumerate(names):
+            trade_one(name, times, values[:, j])
 
     # Online mixture traded alongside the named experts, over the same
     # reference.
-    if len(panel.times) > 1:
-        trimmed, result = _online_mixture(cfg, panel, ref_on_panel)
-        trade_one(ONLINE_NAME, trimmed.times, result.aggregate)
+    if len(times) > 1:
+        trade_one(ONLINE_NAME, times[:-1], _online_mixture(cfg, values, ref_on_panel).aggregate)
 
     for pnl in settled_series:
         _write_pnl(out_dir, pnl)
@@ -626,24 +632,23 @@ def cmd_trade(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_aggregate(cfg: RunConfig, out_dir: Path) -> int:
-    panel, _, ref_on_panel = _panel_and_reference(cfg, "aggregate")
-    if len(panel.times) < 2:
+    names, times, values, _, ref_on_panel = _panel_and_reference(cfg, "aggregate")
+    if len(times) < 2:
         raise ConfigurationError(f"{cfg.experts}: aggregate needs a panel of 2 or more dates")
-    trimmed, result = _online_mixture(cfg, panel, ref_on_panel)
+    result = _online_mixture(cfg, values, ref_on_panel)
 
     _write_csv(out_dir / "aggregate.csv", ["date", "prediction"],
-               [(_iso(t), p) for t, p in zip(trimmed.times, result.aggregate)])
+               [(_iso(t), p) for t, p in zip(times[:-1], result.aggregate)])
 
-    n_rounds = len(trimmed.times)
-    bound = online.regret_bound(panel.n_experts, n_rounds)
+    n_rounds = len(times) - 1
+    bound = online.regret_bound(len(names), n_rounds)
     _write_json(out_dir / "learner.json", {
         "loss": cfg.loss,
-        "names": panel.names,
+        "names": names,
         "rounds": n_rounds,
         "eta": result.state.eta,
-        "final_weights": dict(zip(panel.names, map(float, result.state.weights))),
-        "cumulative_losses": dict(zip(panel.names,
-                                      map(float, result.state.cumulative_losses))),
+        "final_weights": dict(zip(names, map(float, result.state.weights))),
+        "cumulative_losses": dict(zip(names, map(float, result.state.cumulative_losses))),
         "regret": result.regret,
         "regret_bound": bound,
     })
@@ -651,12 +656,12 @@ def cmd_aggregate(cfg: RunConfig, out_dir: Path) -> int:
     # MSE against the next day's reference price, experts and mixture alike.
     next_ref = ref_on_panel[1:]
     mse_rows = [
-        (name, float(np.mean((panel.values[:-1, j] - next_ref) ** 2)))
-        for j, name in enumerate(panel.names)
+        (name, float(np.mean((values[:-1, j] - next_ref) ** 2)))
+        for j, name in enumerate(names)
     ]
     mse_rows.append((ONLINE_NAME, float(np.mean((result.aggregate - next_ref) ** 2))))
     _write_csv(out_dir / "mse.csv", ["forecaster", "mse"], mse_rows)
-    print(f"aggregated {panel.n_experts} experts over {n_rounds} rounds; "
+    print(f"aggregated {len(names)} experts over {n_rounds} rounds; "
           f"regret {result.regret:.4f} (bound {bound:.4f})")
     return 0
 

@@ -20,33 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
-class ExpertPanel:
-    """Aligned expert predictions: one row per date, one column per expert."""
-
-    names: list[str]
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape != (len(self.times), len(self.names)):
-            raise ValueError("values must be (n_dates, n_experts)")
-        if len(self.names) < 1:
-            raise ValueError("panel needs at least one expert")
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("dates must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("panel has missing/non-finite predictions after alignment")
-        if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
-            raise ValueError("predictions must lie in [0, 1]")
-
-    @property
-    def n_experts(self) -> int:
-        return len(self.names)
-
-
 @dataclass(frozen=True)
 class LearnerState:
     """Weights, cumulative losses, and the learning rate after some rounds.
@@ -130,28 +103,32 @@ class OnlineRunResult:
     learner_losses: np.ndarray
 
 
-def run(panel: ExpertPanel, losses) -> OnlineRunResult:
-    """Run the full prequential loop over a panel.
+def run(predictions, losses) -> OnlineRunResult:
+    """Run the full prequential loop over a prediction matrix.
 
-    ``losses`` is (n_rounds, n_experts) and must match the panel row for
-    row: the round-t aggregate is emitted from the pre-round weights, the
-    learner is charged the weight-averaged round-t loss, and only then are
-    the losses folded in.  The learning rate is tuned to the number of
-    rounds (at least 1).  Regret is the learner's cumulative loss minus the
-    best expert's.
+    ``predictions`` is (n_rounds, n_experts), each finite and in [0, 1], and
+    ``losses`` has the same shape: the round-t aggregate is emitted from the
+    pre-round weights, the learner is charged the weight-averaged round-t
+    loss, and only then are the losses folded in.  The learning rate is
+    tuned to the number of rounds (at least 1).  Regret is the learner's
+    cumulative loss minus the best expert's.
     """
+    predictions = np.asarray(predictions, dtype=float)
     losses = np.asarray(losses, dtype=float)
-    if losses.ndim != 2 or losses.shape != (len(panel.times), panel.n_experts):
+    if predictions.ndim != 2:
         raise ValueError(
-            f"losses shape {losses.shape} does not match panel "
-            f"{(len(panel.times), panel.n_experts)}"
-        )
-    n_rounds = losses.shape[0]
-    state = init(panel.n_experts, max(n_rounds, 1))
+            f"predictions must be (n_rounds, n_experts), not shape {predictions.shape}")
+    if not np.all((predictions >= 0.0) & (predictions <= 1.0)):
+        raise ValueError("predictions must be finite and lie in [0, 1]")
+    if losses.shape != predictions.shape:
+        raise ValueError(
+            f"losses shape {losses.shape} does not match predictions {predictions.shape}")
+    n_rounds, n_experts = predictions.shape
+    state = init(n_experts, max(n_rounds, 1))
     aggregate = np.empty(n_rounds)
     learner_losses = np.empty(n_rounds)
     for t in range(n_rounds):
-        aggregate[t] = predict(state, panel.values[t])
+        aggregate[t] = predict(state, predictions[t])
         learner_losses[t] = float(np.dot(state.weights, losses[t]))
         state = update(state, losses[t])
     best = float(state.cumulative_losses.min()) if n_rounds else 0.0

@@ -15,7 +15,7 @@ import pytest
 
 from statecast.calibration import MarketCalibration, StateCalibration
 from statecast.cli import main
-from statecast.online import ExpertPanel, init, regret_bound, run
+from statecast.online import init, regret_bound, run
 from statecast.scoring import BinaryForecastSeries, cdf_score, selten
 from statecast.simulation import (
     SimulationConfig,
@@ -82,20 +82,17 @@ def test_criterion_4_regret_bound():
     n_experts, horizon = 5, 100
     bound = regret_bound(n_experts, horizon)
     assert bound == pytest.approx(8.970612889970507, abs=1e-9)
-    names = [f"e{i}" for i in range(n_experts)]
-    times = np.arange(horizon, dtype=float)
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(1000):
         losses = rng.uniform(0.0, 1.0, (horizon, n_experts))
-        panel = ExpertPanel(names, times, rng.uniform(0, 1, (horizon, n_experts)))
-        worst = max(worst, run(panel, losses).regret)
+        predictions = rng.uniform(0, 1, (horizon, n_experts))
+        worst = max(worst, run(predictions, losses).regret)
     # adversary: the best expert switches every 20 rounds
     losses = np.ones((horizon, n_experts))
     for seg in range(n_experts):
         losses[20 * seg:20 * (seg + 1), seg] = 0.0
-    panel = ExpertPanel(names, times, np.full((horizon, n_experts), 0.5))
-    worst = max(worst, run(panel, losses).regret)
+    worst = max(worst, run(np.full((horizon, n_experts), 0.5), losses).regret)
     report(4, f"worst regret {worst:.3f} <= sqrt(T/2 ln N) = {bound:.3f} "
               "over 1000 random + 1 adversarial sequences", worst <= bound)
 

@@ -373,3 +373,16 @@ class TestCalibrationDocument:
         del doc["market"]["horizon"]
         with pytest.raises(ConfigurationError, match="market.*horizon"):
             calibration_from_dict(doc)
+
+    def test_document_keys_are_state_codes(self):
+        cals = {"OH": StateCalibration("OH", 1.0, 0.9, 2.0, 8, SOURCE_POLLS)}
+        doc = calibration_to_dict(cals)
+        doc["states"] = {" oh ": doc["states"]["OH"]}
+        assert calibration_from_dict(doc)[0] == cals
+        doc["states"]["US"] = dict(doc["states"][" oh "], state="US")
+        with pytest.raises(ConfigurationError, match="unknown state code 'US'"):
+            calibration_from_dict(doc)
+        doc = calibration_to_dict(cals)
+        doc["states"]["OH"]["state"] = "PA"
+        with pytest.raises(ConfigurationError, match="state OH: its state field is 'PA'"):
+            calibration_from_dict(doc)

@@ -157,6 +157,21 @@ class TestCalibrate:
         assert ({p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
                 == {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()})
 
+    def test_frozen_calibration_notes_the_settings_it_does_not_read(self, tmp_path, capsys):
+        args = ["forecast", "--calibration", FIXTURES / "calibration.json",
+                "--seed", "5", "--paths", "1000"]
+        assert run_cli(*args, "--out-dir", tmp_path / "a") == 0
+        without = capsys.readouterr()
+        assert without.err == ""
+        assert run_cli(*args, "--election-date", "2016-11-08", "--bandwidth", "3",
+                       "--out-dir", tmp_path / "b") == 0
+        given = capsys.readouterr()
+        assert given.out == without.out
+        assert given.err == ("note: --calibration does not read the election date 2016-11-08\n"
+                             "note: --calibration does not read the bandwidth 3.0\n")
+        assert ({p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
+                == {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()})
+
 
 class TestScore:
     def run_score(self, tmp_path, *extra):

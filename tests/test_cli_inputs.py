@@ -526,6 +526,31 @@ class TestCalibrationDocument:
         assert "AK" in err
         assert not (out / "forecast.json").exists()
 
+    def test_unknown_state_key_names_file(self, tmp_path, capsys):
+        cal = write_calibration(tmp_path / "cal.json")
+        doc = json.loads(cal.read_text())
+        doc["states"]["ZZ"] = dict(doc["states"]["OH"], state="ZZ")
+        cal.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        err = assert_rejected(self.forecast(cal, out), capsys, cal, out_dir=out)
+        assert err == f"error [forecast]: {cal}: states: unknown state code 'ZZ'\n"
+        assert not list(out.glob("*"))
+
+    def test_state_field_not_its_key_names_file_and_state(self, tmp_path, capsys):
+        cal = write_calibration(tmp_path / "cal.json", state_fields={"state": "PA"})
+        out = tmp_path / "out"
+        err = assert_rejected(self.forecast(cal, out), capsys, cal, out_dir=out)
+        assert err == f"error [forecast]: {cal}: state OH: its state field is 'PA'\n"
+        assert not list(out.glob("*"))
+
+    def test_state_keyed_twice_names_file_and_state(self, tmp_path, capsys):
+        cal = write_calibration(tmp_path / "cal.json")
+        doc = json.loads(cal.read_text())
+        doc["states"]["oh"] = doc["states"]["OH"]
+        cal.write_text(json.dumps(doc))
+        err = assert_rejected(self.forecast(cal, tmp_path / "out"), capsys, cal)
+        assert err == f"error [forecast]: {cal}: state OH is listed twice\n"
+
     def test_nan_market_volatility_names_file(self, tmp_path, capsys):
         cal = write_calibration(tmp_path / "cal.json",
                                 market_fields={"sigma_samp": float("nan")})

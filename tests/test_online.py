@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from statecast.online import (
-    ExpertPanel,
     init,
     learning_rate,
     predict,
@@ -17,13 +16,6 @@ from statecast.online import (
     trading_losses,
     update,
 )
-
-
-def panel_of(values, times=None):
-    values = np.asarray(values, dtype=float)
-    times = np.arange(len(values), dtype=float) if times is None else times
-    names = [f"e{i}" for i in range(values.shape[1])]
-    return ExpertPanel(names, times, values)
 
 
 class TestInit:
@@ -120,7 +112,7 @@ class TestRun:
         T = 20
         values = np.tile([[0.6, 0.6, 0.6]], (T, 1))
         losses = np.tile([[0.3, 0.3, 0.3]], (T, 1))
-        result = run(panel_of(values), losses)
+        result = run(values, losses)
         np.testing.assert_allclose(result.aggregate, 0.6, atol=1e-15)
         assert result.regret == pytest.approx(0.0, abs=1e-12)
 
@@ -128,7 +120,7 @@ class TestRun:
         T = 50
         values = np.tile([[0.9, 0.1]], (T, 1))
         losses = np.tile([[0.1, 0.9]], (T, 1))
-        result = run(panel_of(values), losses)
+        result = run(values, losses)
         state = result.state
         # closed form: w2/w1 = exp(-eta * T * 0.8)
         expected_ratio = math.exp(-state.eta * T * 0.8)
@@ -138,7 +130,7 @@ class TestRun:
     def test_prequential_first_prediction_uses_uniform_weights(self):
         values = np.array([[1.0, 0.0], [1.0, 0.0]])
         losses = np.array([[0.0, 1.0], [0.0, 1.0]])
-        result = run(panel_of(values), losses)
+        result = run(values, losses)
         assert result.aggregate[0] == pytest.approx(0.5, abs=1e-15)
         assert result.aggregate[1] > 0.5  # weight has shifted to expert 0
 
@@ -148,8 +140,8 @@ class TestRun:
         values = rng.uniform(0, 1, (T, N))
         losses = rng.uniform(0, 1, (T, N))
         perm = np.array([2, 0, 3, 1])
-        base = run(panel_of(values), losses)
-        permuted = run(panel_of(values[:, perm]), losses[:, perm])
+        base = run(values, losses)
+        permuted = run(values[:, perm], losses[:, perm])
         np.testing.assert_allclose(permuted.aggregate, base.aggregate, atol=1e-12)
         np.testing.assert_allclose(permuted.state.weights, base.state.weights[perm], atol=1e-12)
 
@@ -158,7 +150,7 @@ class TestRun:
         T, N = 10, 3
         values = rng.uniform(0, 1, (T, N))
         losses = rng.uniform(0, 1, (T, N))
-        result = run(panel_of(values), losses)
+        result = run(values, losses)
         state = dataclasses.replace(init(N, T), eta=0.0)
         means = []
         for t in range(T):
@@ -173,7 +165,7 @@ class TestRun:
         for _ in range(50):
             losses = rng.uniform(0, 1, (T, N))
             values = rng.uniform(0, 1, (T, N))
-            result = run(panel_of(values), losses)
+            result = run(values, losses)
             assert result.regret <= bound
 
     def test_regret_bound_on_switching_adversary(self):
@@ -181,23 +173,33 @@ class TestRun:
         losses = np.ones((T, N))
         for seg in range(N):
             losses[20 * seg:20 * (seg + 1), seg] = 0.0
-        result = run(panel_of(np.full((T, N), 0.5)), losses)
+        result = run(np.full((T, N), 0.5), losses)
         assert result.regret <= regret_bound(N, T)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            run(panel_of(np.full((5, 2), 0.5)), np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="does not match"):
+            run(np.full((5, 2), 0.5), np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="does not match"):
+            run(np.full((5, 2), 0.5), np.zeros((5, 3)))
 
 
-class TestPanelValidation:
+class TestRunValidation:
     def test_missing_values_rejected(self):
         values = np.array([[0.5, np.nan], [0.5, 0.5]])
-        with pytest.raises(ValueError):
-            panel_of(values)
+        with pytest.raises(ValueError, match="finite"):
+            run(values, np.zeros((2, 2)))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            panel_of(np.array([[0.5, 1.2]]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            run(np.array([[0.5, 1.2]]), np.zeros((1, 2)))
+
+    def test_one_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="n_rounds, n_experts"):
+            run(np.full(3, 0.5), np.zeros(3))
+
+    def test_zero_experts_rejected(self):
+        with pytest.raises(ValueError, match="at least one expert"):
+            run(np.empty((3, 0)), np.empty((3, 0)))
 
 
 class TestLossBuilders:

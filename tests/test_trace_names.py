@@ -13,6 +13,14 @@ from statecast.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
 SIMULATOR_CALLS = ("simulation.probability_time_series", "simulation.run_forecast")
+EXPERTS = ["--experts", FIXTURES / "experts.csv"]
+MARKET = ["--reference-file", FIXTURES / "reference.csv"]
+#: trade and aggregate runs: the layers they go through are traced too
+EVALUATIONS = {
+    "trade": ["trade", *EXPERTS, *MARKET, "--outcomes", FIXTURES / "outcomes.csv"],
+    "pairmean": ["trade", *EXPERTS, "--reference", "pairmean"],
+    "aggregate": ["aggregate", *EXPERTS, *MARKET, "--loss", "trading"],
+}
 
 
 def load_spans():
@@ -49,12 +57,19 @@ def test_tracer_patches_and_restores_every_name(tmp_path):
             "--histograms", str(FIXTURES / "histograms.csv"),
             "--ev-realization", "232", "--out-dir", str(tmp_path / "score"),
         ]) == 0
+        for kind, args in EVALUATIONS.items():
+            assert main([*map(str, args), "--out-dir", str(tmp_path / kind)]) == 0
     finally:
         tracer.uninstall()
     # every forecast, whatever its input, is one simulator call
     assert simulator_spans == {kind: ["simulation.probability_time_series"] for kind in inputs}
     names = {span[2] for span in tracer.spans}
-    assert {"simulation.sample_state_noise", "scoring.binary", "scoring.density"} <= names
+    assert {"simulation.sample_state_noise", "scoring.binary", "scoring.density",
+            "online.run", "online.update", "trading.positions", "trading.mark_to_market",
+            "trading.settle"} <= names
+    # the online.run hook counts the rounds of each run: one update a round
+    updates = sum(span[2] == "online.update" for span in tracer.spans)
+    assert tracer.counts["online_rounds"] == updates > 0
     assert patched
     for setter, obj, key, original in patched:
         assert current(setter, obj, key) is original, key
