@@ -56,9 +56,7 @@ from .scoring import (
 )
 from .simulation import (
     ForecastDistribution,
-    GaussianNoise,
     SimulationConfig,
-    StudentTNoise,
     probability_time_series,
     run_forecast,
     sample_state_noise,
@@ -83,7 +81,6 @@ __all__ = [
     "ConfigurationError",
     "DegenerateDesignError",
     "ForecastDistribution",
-    "GaussianNoise",
     "IngestError",
     "InsufficientDataError",
     "LearnerState",
@@ -98,7 +95,6 @@ __all__ = [
     "STATE_CODES",
     "StateCalibration",
     "StatecastError",
-    "StudentTNoise",
     "aggregate_scores",
     "brier",
     "calibrate_from_historical",

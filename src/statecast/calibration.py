@@ -110,24 +110,21 @@ def calibrate_state(
     t,
     spreads,
     national: SmoothedSeries,
-    min_polls: int = MIN_POLLS,
 ) -> StateCalibration:
     """OLS of one state's poll spreads on the smoothed national spread.
 
     ``t`` and ``spreads`` are the state's polls' days-to-election and
     spreads; each poll is matched to the national value at the grid point
     nearest its ``t``.  Raises :class:`InsufficientDataError` when fewer
-    than ``min_polls`` (or 2) polls exist, so callers fall back to history,
+    than ``MIN_POLLS`` polls exist, so callers fall back to history,
     and :class:`DegenerateDesignError` when the matched national values are
     constant.
     """
     n = len(t)
     if len(spreads) != n:
         raise ValueError("t and spreads must be the same length")
-    if n < min_polls:
-        raise InsufficientDataError(
-            f"{state}: {n} poll(s) < min_polls={min_polls}"
-        )
+    if n < MIN_POLLS:
+        raise InsufficientDataError(f"{state}: {n} poll(s) < MIN_POLLS={MIN_POLLS}")
     m = national.values_at(t)
     alpha, beta, sigma = _ols(m, np.asarray(spreads, dtype=float))
     return StateCalibration(state=state, alpha=alpha, beta=beta,
@@ -149,7 +146,6 @@ def calibrate_from_historical(state: str, national_spread, state_spread) -> Stat
 def calibrate_market(
     national: SmoothedSeries,
     polls: Polls | None = None,
-    sigma_samp: float | None = None,
 ) -> MarketCalibration:
     """Estimate the diffusion inputs from the smoothed national series.
 
@@ -157,9 +153,8 @@ def calibrate_market(
     increments scaled to one day (increment / sqrt(dt)).  sigma_samp is the
     mean binomial standard error of the spread over the national rows of
     ``polls`` with a two-party share (0 without any), 2 * sqrt(p(1-p)/n)
-    with p the two-party candidate-1 share, in percentage points; pass
-    ``sigma_samp`` to override it.  The current level and the horizon come
-    from the grid point nearest election day.
+    with p the two-party candidate-1 share, in percentage points.  The
+    current level and horizon come from the grid point nearest election day.
     """
     if len(national.grid) < 2:
         raise InsufficientDataError("need at least 2 grid points for sigma_m")
@@ -167,15 +162,14 @@ def calibrate_market(
     increments = np.diff(national.values) / np.sqrt(dt)
     sigma_m = float(np.std(increments, ddof=1)) if len(increments) > 1 else 0.0
 
-    if sigma_samp is None:
-        sigma_samp = 0.0
-        if polls is not None:
-            two_party = polls.pct_c1 + polls.pct_c2
-            rows = (polls.state == NATIONAL) & (two_party > 0)
-            p = polls.pct_c1[rows] / two_party[rows]
-            ses = 2.0 * np.sqrt(p * (1.0 - p) / polls.sample_size[rows]) * 100.0
-            if ses.size:
-                sigma_samp = float(np.mean(ses))
+    sigma_samp = 0.0
+    if polls is not None:
+        two_party = polls.pct_c1 + polls.pct_c2
+        rows = (polls.state == NATIONAL) & (two_party > 0)
+        p = polls.pct_c1[rows] / two_party[rows]
+        ses = 2.0 * np.sqrt(p * (1.0 - p) / polls.sample_size[rows]) * 100.0
+        if ses.size:
+            sigma_samp = float(np.mean(ses))
 
     return MarketCalibration(
         sigma_samp=sigma_samp,
@@ -190,14 +184,13 @@ def calibrate_states(
     national: SmoothedSeries,
     historical,
     states,
-    min_polls: int = MIN_POLLS,
 ) -> dict[str, StateCalibration]:
     """Calibrate every requested state, falling back to historical data.
 
     Each state is fitted on its rows of ``polls``, in file order.  A state
     routes to :func:`calibrate_from_historical` on its ``historical[state]``
     ``(national_spread, state_spread)`` arrays when it has fewer than
-    ``min_polls`` polls or its poll design is degenerate.  A state with no
+    ``MIN_POLLS`` polls or its poll design is degenerate.  A state with no
     viable route raises :class:`CalibrationError` naming it.
     """
     spreads = to_spreads(polls)
@@ -205,7 +198,7 @@ def calibrate_states(
     for state in sorted(states):
         rows = polls.state == state
         try:
-            out[state] = calibrate_state(state, polls.t[rows], spreads[rows], national, min_polls)
+            out[state] = calibrate_state(state, polls.t[rows], spreads[rows], national)
             continue
         except (InsufficientDataError, DegenerateDesignError):
             pass
@@ -231,15 +224,24 @@ def calibration_to_dict(
 
 
 def _from_fields(cls, entry, where: str):
-    """``cls(**entry)`` with every key checked; faults name ``where``."""
+    """``cls(**entry)`` with every key checked and every float field read as
+    a float; faults name ``where``."""
     if not isinstance(entry, dict):
         raise ConfigurationError(f"{where}: expected an object, got {entry!r}")
-    expected = {f.name for f in fields(cls)}
-    missing, unknown = sorted(expected - set(entry)), sorted(set(entry) - expected)
+    expected = {f.name: f.type for f in fields(cls)}
+    missing, unknown = sorted(expected.keys() - entry), sorted(entry.keys() - expected)
     if missing or unknown:
         raise ConfigurationError(f"{where}: missing key(s) {missing}, unknown key(s) {unknown}")
+    values = dict(entry)
+    for key, value in entry.items():
+        if expected[key] == "float" and type(value) is int:  # a JSON integer
+            try:
+                values[key] = float(value)
+            except OverflowError:
+                raise ConfigurationError(f"{where}: {key} must be a finite number, got an "
+                                         "integer too large for a float") from None
     try:
-        return cls(**entry)
+        return cls(**values)
     except ValueError as exc:
         raise ConfigurationError(f"{where}: {exc}") from exc
 

@@ -39,9 +39,8 @@ from . import ingest, online, scoring, trading
 from .errors import ConfigurationError, IngestError, StatecastError
 from .scoring import BinaryForecastSeries
 from .simulation import (
-    GaussianNoise,
+    NOISE_MODELS,
     SimulationConfig,
-    StudentTNoise,
     probability_time_series,
     run_forecast,  # not called here; perfbench/spans.py wraps cli.run_forecast by name
 )
@@ -85,11 +84,10 @@ class RunConfig:
 
 
 #: What each value of a choice setting selects; its keys are the choices.
-_NOISE_MODELS = {"gaussian": GaussianNoise(), "student_t": StudentTNoise()}
 _LOSSES = {"quadratic": online.quadratic_losses, "trading": online.trading_losses}
 #: Allowed values of the settings that take one of a fixed set.
 _CHOICES = {
-    "noise_model": tuple(_NOISE_MODELS),
+    "noise_model": NOISE_MODELS,
     "loss": tuple(_LOSSES),
     "reference_mode": ("market", "pairmean"),
 }
@@ -193,7 +191,7 @@ def _sim_config(cfg: RunConfig) -> SimulationConfig:
     if cfg.seed is None:
         raise ConfigurationError("seed is required (set it in the config or pass --seed)")
     return SimulationConfig(seed=cfg.seed, n_paths=cfg.paths,
-                            noise_model=_NOISE_MODELS[cfg.noise_model],
+                            noise_model=cfg.noise_model,
                             win_threshold=cfg.win_threshold,
                             workers=cfg.workers)
 
@@ -244,7 +242,7 @@ def _notes(category):
 def _note_unread(why: str, what: str, value) -> None:
     """A ``note:`` line for a setting ``what`` (a file or a value) that was
     given but that the run, because of ``why``, does not read."""
-    if value:
+    if value is not None:
         print(f"note: {why} does not read the {what} {value}", file=sys.stderr)
 
 
@@ -455,6 +453,8 @@ def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
                          ("histograms", density_metrics)):
         if not readers:
             _note_unread(f"--metrics {' '.join(metrics)}", f"{key} file", getattr(cfg, key))
+    if not density_metrics:
+        _note_unread(f"--metrics {' '.join(metrics)}", "EV realization", cfg.ev_realization)
 
     if binary_metrics:
         if not cfg.series:

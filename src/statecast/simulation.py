@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from numbers import Integral
 
@@ -69,35 +69,14 @@ def _check_integer(obj, names) -> None:
             raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class GaussianNoise:
-    """State spread = alpha + beta * m + sigma_eps * Z."""
-
-
-@dataclass(frozen=True)
-class StudentTNoise:
-    """Predictive draw with parameter uncertainty and Student-T residuals.
-
-    Per path: alpha~ ~ N(alpha, sigma_alpha), beta~ ~ N(beta, sigma_beta),
-    scale~ = |N(0, sigma_eps)|, and the spread is alpha~ + beta~ * m plus a
-    StudentT(nu) sample times scale~.
-    """
-
-    sigma_alpha: float = 0.01
-    sigma_beta: float = 1.0
-    nu: int = 3
-
-    def __post_init__(self):
-        _check_finite(self, ("sigma_alpha", "sigma_beta"))
-        for name in ("sigma_alpha", "sigma_beta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
-        _check_integer(self, ("nu",))
-        if self.nu < 1:
-            raise ValueError("nu must be >= 1")
-
-
-NoiseModel = GaussianNoise | StudentTNoise
+#: The noise models by name.  "gaussian": a state's spread is alpha + beta *
+#: m + sigma_eps * Z.  "student_t": per path alpha~ ~ N(alpha, SIGMA_ALPHA),
+#: beta~ ~ N(beta, SIGMA_BETA), scale~ = |N(0, sigma_eps)|, and the spread is
+#: alpha~ + beta~ * m + scale~ * StudentT(NU), with the model's constants.
+NOISE_MODELS = ("gaussian", "student_t")
+SIGMA_ALPHA = 0.01
+SIGMA_BETA = 1.0
+NU = 3
 
 
 @dataclass(frozen=True)
@@ -110,7 +89,7 @@ class SimulationConfig:
 
     seed: int
     n_paths: int = 10000
-    noise_model: NoiseModel = field(default_factory=GaussianNoise)
+    noise_model: str = "gaussian"
     win_threshold: float = 0.0
     workers: int = 1
 
@@ -123,6 +102,8 @@ class SimulationConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         _check_finite(self, ("win_threshold",))
+        if self.noise_model not in NOISE_MODELS:
+            raise ValueError(f"noise_model must be in {NOISE_MODELS}, got {self.noise_model!r}")
 
 
 @dataclass
@@ -202,10 +183,10 @@ def simulate_market_terminals(
 def sample_state_noise(
     cal: StateCalibration,
     n_paths: int,
-    model: NoiseModel,
+    model: str,
     rng: np.random.Generator,
 ) -> tuple:
-    """One state's draws as ``(intercept, slope, noise)``.
+    """One state's draws as ``(intercept, slope, noise)`` under ``model``.
 
     The state's spread on a path with terminal market m is
     ``intercept + slope * m + noise``.  Gaussian: the fitted line (scalars)
@@ -213,20 +194,20 @@ def sample_state_noise(
     noise is formed in place: the draw holds no more than it returns, and
     Student-T one ``_TILE`` of t more.
     """
-    if isinstance(model, GaussianNoise):
+    if model == "gaussian":
         noise = rng.standard_normal(n_paths)
         noise *= cal.sigma_eps
         return cal.alpha, cal.beta, noise
-    if isinstance(model, StudentTNoise):
-        alpha = rng.normal(cal.alpha, model.sigma_alpha, n_paths)
-        beta = rng.normal(cal.beta, model.sigma_beta, n_paths)
+    if model == "student_t":
+        alpha = rng.normal(cal.alpha, SIGMA_ALPHA, n_paths)
+        beta = rng.normal(cal.beta, SIGMA_BETA, n_paths)
         noise = rng.normal(0.0, cal.sigma_eps, n_paths)
         np.abs(noise, out=noise)  # the scale
         # t a tile at a time: the stream gives the same values as one draw
         for c in range(0, n_paths, _TILE):
-            noise[c:c + _TILE] *= rng.standard_t(model.nu, min(_TILE, n_paths - c))
+            noise[c:c + _TILE] *= rng.standard_t(NU, min(_TILE, n_paths - c))
         return alpha, beta, noise
-    raise TypeError(f"unknown noise model {model!r}")
+    raise ValueError(f"unknown noise model {model!r}")
 
 
 def _spreads(a, b, e, m, out: np.ndarray) -> np.ndarray:

@@ -138,7 +138,7 @@ class TestCalibrateState:
     def test_unequal_lengths_are_rejected(self):
         nat = identity_series([0, 1, 2, 3])
         with pytest.raises(ValueError, match="same length"):
-            calibrate_state("CO", [0.0, 1.0, 2.0, 3.0], [1.0], nat, min_polls=2)
+            calibrate_state("CO", [0.0, 1.0, 2.0, 3.0], [1.0], nat)
 
     def test_constant_national_is_degenerate(self):
         nat = SmoothedSeries(grid=[0, 1, 2, 3], values=[2.0] * 4)
@@ -277,17 +277,12 @@ class TestCalibrateMarket:
         mkt = calibrate_market(nat, polls)
         assert mkt.sigma_samp == pytest.approx(5.0, abs=1e-12)
 
-    def test_sigma_samp_override(self):
-        nat = SmoothedSeries(grid=[0.0, 1.0], values=[1.0, 2.0])
-        assert calibrate_market(nat, sigma_samp=0.75).sigma_samp == 0.75
-
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(rows=st.lists(poll_rows(), max_size=30))
     def test_sigma_samp_equals_row_loop(self, rows):
         nat = SmoothedSeries(grid=[0.0, 1.0], values=[0.0, 0.0])
         polls = Polls(*(list(zip(*rows)) or [()] * 5))
         assert calibrate_market(nat, polls).sigma_samp == sigma_samp_loop(rows)
-        assert calibrate_market(nat, polls, sigma_samp=0.75).sigma_samp == 0.75
 
     def test_no_national_rows_zero_sigma_samp(self):
         nat = SmoothedSeries(grid=[0.0, 1.0], values=[0.0, 0.0])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from statecast.cli import main
+from statecast.simulation import NOISE_MODELS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -113,6 +114,11 @@ class TestForecast:
         assert capsys.readouterr().err == (
             "note: kernel weights underflowed at 56 grid point(s); "
             "used nearest observation there\n")
+
+    def test_noise_model_choices_are_the_simulators(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("forecast", "--help")
+        assert f"--noise-model {{{','.join(NOISE_MODELS)}}}" in capsys.readouterr().out
 
     def test_student_t_noise_model(self, tmp_path, forecast_args):
         assert run_cli(*forecast_args, "--noise-model", "student_t") == 0
@@ -305,7 +311,9 @@ class TestScore:
     def test_unread_files_are_noted(self, tmp_path, capsys, metrics, unread):
         given = {"series": FIXTURES / "series.csv", "outcomes": FIXTURES / "outcomes.csv",
                  "histograms": FIXTURES / "histograms.csv"}
-        args = ["score", "--ev-realization", "232", "--metrics", *metrics]
+        # an EV realization that no metric reads has its own note
+        ev = ["--ev-realization", "232"] if "histograms" not in unread else []
+        args = ["score", *ev, "--metrics", *metrics]
         assert run_cli(*args, *(a for key in given if key not in unread
                                 for a in (f"--{key}", given[key])),
                        "--out-dir", tmp_path / "a") == 0
@@ -317,6 +325,18 @@ class TestScore:
         assert capsys.readouterr().err == "".join(
             f"note: --metrics {' '.join(metrics)} does not read the {key} file {absent[key]}\n"
             for key in unread)
+        assert ({p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
+                == {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()})
+
+    @pytest.mark.parametrize("ev", ["232", "0"])  # bin 0 is falsy, and a value
+    def test_unread_ev_realization_is_noted(self, tmp_path, capsys, ev):
+        args = ["score", "--series", FIXTURES / "series.csv",
+                "--outcomes", FIXTURES / "outcomes.csv", "--metrics", "brier"]
+        assert run_cli(*args, "--out-dir", tmp_path / "a") == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli(*args, "--ev-realization", ev, "--out-dir", tmp_path / "b") == 0
+        assert capsys.readouterr().err == (
+            f"note: --metrics brier does not read the EV realization {ev}\n")
         assert ({p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
                 == {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()})
 

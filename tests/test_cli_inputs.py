@@ -551,6 +551,26 @@ class TestCalibrationDocument:
         err = assert_rejected(self.forecast(cal, tmp_path / "out"), capsys, cal)
         assert err == f"error [forecast]: {cal}: state OH is listed twice\n"
 
+    def test_integer_horizon_past_int64_is_read_as_a_float(self, tmp_path):
+        # numpy refused the Python int 2**70 with a TypeError, a traceback
+        cal = write_calibration(tmp_path / "cal.json", market_fields={"horizon": 2**70})
+        out = tmp_path / "out"
+        assert self.forecast(cal, out) == 0
+        assert (out / "timeseries.csv").read_text().splitlines()[1].startswith(
+            f"{float(2**70)!r},")
+
+    @pytest.mark.parametrize("state_fields,market_fields,where", [
+        ({}, {"horizon": 2**1100}, "market: horizon"),
+        ({"alpha": -2**1100}, {}, "state OH: alpha"),
+    ], ids=["market", "state"])
+    def test_integer_too_large_for_a_float_names_file_and_field(
+            self, tmp_path, capsys, state_fields, market_fields, where):
+        cal = write_calibration(tmp_path / "cal.json", state_fields, market_fields)
+        out = tmp_path / "out"
+        err = assert_rejected(self.forecast(cal, out), capsys, cal, out_dir=out)
+        assert err == (f"error [forecast]: {cal}: {where} must be a finite number, "
+                       "got an integer too large for a float\n")
+
     def test_nan_market_volatility_names_file(self, tmp_path, capsys):
         cal = write_calibration(tmp_path / "cal.json",
                                 market_fields={"sigma_samp": float("nan")})
@@ -699,6 +719,16 @@ class TestPollAndHistoricalFiles:
         out = tmp_path / "out"
         assert_rejected(calibrate(out, polls), capsys, polls, line, out)
 
+    def test_unclosed_quote_past_the_field_limit_names_its_line(self, tmp_path, capsys):
+        # the reader stops at 131,072 characters, thousands of lines on
+        rows = (FIXTURES / "polls.csv").read_text().splitlines(True)
+        rows[9] = '"' + rows[9]
+        polls = tmp_path / "polls.csv"
+        polls.write_text("".join(rows) + "A,US,2016-10-01,500,LV,48,44\n" * 5000)
+        out = tmp_path / "out"
+        err = assert_rejected(calibrate(out, polls), capsys, polls, 10, out)
+        assert "field larger than field limit (131072)" in err
+
     def test_oversized_historical_field_names_line(self, tmp_path, capsys):
         hist, line = fixture_plus(tmp_path, "historical.csv",
                                   "2012,OH," + "9" * 200_000 + ",3.9")
@@ -762,6 +792,13 @@ class TestPollAndHistoricalFiles:
         assert err == (f"note: flagged 1 historical row(s) of {hist}; first at line {line}: "
                        "year 1968 precedes 1976\n")
 
+    def test_quoted_field_across_lines_still_parses(self, tmp_path, capsys):
+        assert calibrate(tmp_path / "a") == 0
+        plain = capsys.readouterr().err
+        polls, _ = fixture_plus(tmp_path, "polls.csv", '"A', 'B",US,2016-10-01,500,LV,48,44')
+        assert calibrate(tmp_path / "b", polls) == 0
+        assert capsys.readouterr().err == plain
+
     @pytest.mark.parametrize("keep", [lambda row: row.split(",")[1] != "US",
                                       lambda row: False])
     def test_polls_without_national_row_name_file(self, tmp_path, capsys, keep):
@@ -787,6 +824,37 @@ class TestPollAndHistoricalFiles:
         err = assert_rejected(code, capsys, polls, out_dir=out)
         assert err == f"error [{command}]: {polls}: need at least 2 grid points for sigma_m\n"
         assert not list(out.glob("*"))
+
+
+# A '"' at the start of a line opens a quoted field that no later quote
+# closes: read on, the rest of the file would be one field.  A tolerant table
+# (polls, historical) and a strict one, each with the run that reads it, and
+# a header.
+UNCLOSED_QUOTE_RUNS = [
+    ("polls.csv", 10, ["forecast", "--polls", "{}", "--historical", FIXTURES / "historical.csv",
+                       "--election-date", "2016-11-08", "--seed", "1", "--paths", "300"]),
+    ("historical.csv", 5, ["forecast", "--polls", FIXTURES / "polls.csv", "--historical", "{}",
+                           "--election-date", "2016-11-08", "--seed", "1", "--paths", "300"]),
+    ("outcomes.csv", 3, ["score", "--series", FIXTURES / "series.csv", "--outcomes", "{}",
+                         "--metrics", "brier"]),
+    ("outcomes.csv", 1, ["score", "--series", FIXTURES / "series.csv", "--outcomes", "{}",
+                         "--metrics", "brier"]),
+]
+
+
+@pytest.mark.parametrize("name,line,args", UNCLOSED_QUOTE_RUNS,
+                         ids=["polls", "historical", "strict", "header"])
+def test_unclosed_quote_names_the_line_its_row_starts_on(tmp_path, capsys, name, line, args):
+    lines = (FIXTURES / name).read_text().splitlines(True)
+    lines[line - 1] = '"' + lines[line - 1]
+    table = tmp_path / name
+    table.write_text("".join(lines))
+    out = tmp_path / "out"
+    code = run_cli(*(table if a == "{}" else a for a in args), "--out-dir", out)
+    err = assert_rejected(code, capsys, table, line, out)
+    assert err == (f"error [{args[0]}]: {table}:{line}: "
+                   "a quoted field is still open at the end of the file\n")
+    assert not list(out.glob("*"))
 
 
 # Each strict table (every table but the polls and the historical results),

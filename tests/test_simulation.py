@@ -14,9 +14,8 @@ from statecast import simulation
 from statecast.calibration import MarketCalibration, StateCalibration, calibration_from_dict
 from statecast.errors import ConfigurationError
 from statecast.simulation import (
-    GaussianNoise,
+    NOISE_MODELS,
     SimulationConfig,
-    StudentTNoise,
     _TILE,
     _screen,
     _stream,
@@ -27,8 +26,6 @@ from statecast.simulation import (
     simulate_paths,
 )
 from statecast.states import default_ev_table
-
-MODELS = [GaussianNoise(), StudentTNoise()]
 
 
 def aggregate_electoral_votes(state_spreads, ev_table, win_threshold=0.0):
@@ -92,33 +89,36 @@ class TestMarketTerminals:
 class TestStateNoise:
     def test_gaussian_deterministic_line(self):
         cal = StateCalibration("OH", 1.0, 2.0, 0.0, 5, "polls")
-        intercept, slope, noise = sample_state_noise(cal, 10, GaussianNoise(), _stream(1, 1))
+        intercept, slope, noise = sample_state_noise(cal, 10, "gaussian", _stream(1, 1))
         assert (intercept, slope) == (1.0, 2.0)
         np.testing.assert_array_equal(intercept + slope * np.full(10, 3.0) + noise,
                                       np.full(10, 7.0))
 
-    def test_student_t_degenerate_priors(self):
+    @pytest.fixture
+    def degenerate_priors(self, monkeypatch):
+        monkeypatch.setattr(simulation, "SIGMA_ALPHA", 0.0)
+        monkeypatch.setattr(simulation, "SIGMA_BETA", 0.0)
+
+    def test_student_t_degenerate_priors(self, degenerate_priors):
         cal = StateCalibration("OH", 1.0, 2.0, 0.0, 5, "polls")
-        model = StudentTNoise(sigma_alpha=0.0, sigma_beta=0.0, nu=3)
-        intercept, slope, noise = sample_state_noise(cal, 10, model, _stream(1, 1))
+        intercept, slope, noise = sample_state_noise(cal, 10, "student_t", _stream(1, 1))
         np.testing.assert_array_equal(intercept, np.full(10, 1.0))
         np.testing.assert_array_equal(slope, np.full(10, 2.0))
         np.testing.assert_array_equal(intercept + slope * np.full(10, 3.0) + noise,
                                       np.full(10, 7.0))
 
-    def test_student_t_scale_matches_nested_mc_oracle(self):
+    def test_student_t_scale_matches_nested_mc_oracle(self, degenerate_priors):
         # noise should be |N(0,1)| * t_3; compare sample std against an
         # independent simulation of the same law
         cal = StateCalibration("NV", 0.0, 0.0, 1.0, 5, "polls")
-        model = StudentTNoise(sigma_alpha=0.0, sigma_beta=0.0, nu=3)
-        _, _, noise = sample_state_noise(cal, 100000, model, _stream(1, 1))
+        _, _, noise = sample_state_noise(cal, 100000, "student_t", _stream(1, 1))
         rng = np.random.default_rng(1001)
         oracle = np.abs(rng.standard_normal(100000)) * rng.standard_t(3, 100000)
         assert abs(noise.std(ddof=1) - oracle.std(ddof=1)) <= 0.10 * oracle.std(ddof=1)
 
     def test_single_path(self):
         cal = StateCalibration("OH", 0.5, 1.0, 0.0, 5, "polls")
-        intercept, slope, noise = sample_state_noise(cal, 1, GaussianNoise(), _stream(1, 1))
+        intercept, slope, noise = sample_state_noise(cal, 1, "gaussian", _stream(1, 1))
         spread = intercept + slope * 2.0 + noise
         assert spread.shape == (1,) and spread[0] == 2.5
 
@@ -231,7 +231,7 @@ class TestRunForecast:
     def test_student_t_run(self):
         ev = default_ev_table()
         cals = flat_cals(ev, alpha=0.5, beta=1.0, sigma=1.0)
-        cfg = SimulationConfig(seed=23, n_paths=2000, noise_model=StudentTNoise())
+        cfg = SimulationConfig(seed=23, n_paths=2000, noise_model="student_t")
         dist = run_forecast(cals, market(m=1.0), ev, cfg)
         assert dist.ev_histogram.sum() == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= dist.p_national <= 1.0
@@ -375,20 +375,20 @@ def rebuilt_spreads(cals, markets, cfg):
     out = [{} for _ in markets]
     for i, state in enumerate(sorted(cals)):
         rng, cal = _stream(cfg.seed, 1 + i), cals[state]
-        if isinstance(model, GaussianNoise):
+        if model == "gaussian":
             alpha, beta, noise = cal.alpha, cal.beta, cal.sigma_eps * rng.standard_normal(n)
         else:
-            alpha = rng.normal(cal.alpha, model.sigma_alpha, n)
-            beta = rng.normal(cal.beta, model.sigma_beta, n)
+            alpha = rng.normal(cal.alpha, simulation.SIGMA_ALPHA, n)
+            beta = rng.normal(cal.beta, simulation.SIGMA_BETA, n)
             scale = np.abs(rng.normal(0.0, cal.sigma_eps, n))
-            noise = scale * rng.standard_t(model.nu, n)
+            noise = scale * rng.standard_t(simulation.NU, n)
         for day, m in zip(out, ms):
             day[state] = alpha + beta * m + noise
     return out
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("model", MODELS, ids=["gaussian", "student_t"])
+@pytest.mark.parametrize("model", NOISE_MODELS)
 class TestSharedDraws:
     """Every day of a run is settled from one set of state draws."""
 
@@ -455,7 +455,7 @@ TILE_EDGES = [(_TILE + 7, 3, 1, _TILE + 3),
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("model", MODELS, ids=["gaussian", "student_t"])
+@pytest.mark.parametrize("model", NOISE_MODELS)
 @pytest.mark.parametrize("n_paths,n_days,tie_day,tie_path", TILE_EDGES,
                          ids=["path_tile", "day_block"])
 def test_tiles_match_vectorized_oracle(model, workers, n_paths, n_days, tie_day, tie_path):
@@ -500,7 +500,7 @@ def test_a_worker_holds_one_states_draws(workers):
     ev = default_ev_table()
     n = 3 * _TILE + 7
     cals = contested_cals(ev)
-    model = StudentTNoise()
+    model = "student_t"
     simulate_paths(cals, [market()], ev,  # warm-up: numpy.random imports on first use
                    SimulationConfig(seed=71, n_paths=7, noise_model=model))
     cfg = SimulationConfig(seed=71, n_paths=n, noise_model=model, workers=workers)
@@ -531,13 +531,13 @@ SCREEN_DAYS = [market(m=-2.0, horizon=40.0), market(m=1.0, horizon=25.0),
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("model", MODELS, ids=["gaussian", "student_t"])
+@pytest.mark.parametrize("model", NOISE_MODELS)
 class TestScreen:
     def test_slopes_of_both_signs_and_zero(self, model, workers):
         cals = screen_cals(default_ev_table())
         cfg = SimulationConfig(seed=53, n_paths=SCREEN_PATHS, noise_model=model,
                                workers=workers)
-        if isinstance(model, StudentTNoise):  # per-path slopes of both signs
+        if model == "student_t":  # per-path slopes of both signs
             _, slope, _ = sample_state_noise(cals["TX"], SCREEN_PATHS, model,
                                              _stream(53, 1 + sorted(cals).index("TX")))
             assert (slope < 0).any() and (slope > 0).any()
@@ -599,7 +599,7 @@ def test_more_threads_than_cores_under_fast_switching():
     # a lost or doubled update would change the bits
     ev = default_ev_table()
     cals = contested_cals(ev)
-    cfg = SimulationConfig(seed=43, n_paths=2000, noise_model=StudentTNoise())
+    cfg = SimulationConfig(seed=43, n_paths=2000, noise_model="student_t")
     base = simulate_paths(cals, DAYS, ev, cfg)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -615,10 +615,6 @@ class TestConfigValidation:
     def test_bad_paths(self):
         with pytest.raises(ValueError):
             SimulationConfig(seed=1, n_paths=0)
-
-    def test_bad_nu(self):
-        with pytest.raises(ValueError):
-            StudentTNoise(nu=0)
 
     def test_seed_range(self):
         with pytest.raises(ValueError):
@@ -640,21 +636,8 @@ class TestConfigValidation:
         ("win_threshold", float("nan"), ValueError),
         ("win_threshold", float("inf"), ValueError),
         ("win_threshold", "0", ValueError),
+        ("noise_model", "t", ValueError),
     ])
     def test_simulation_config_names_a_bad_field(self, name, value, error):
         with pytest.raises(error, match=f"^{name} "):
             SimulationConfig(seed=1, **{name: value})
-
-    # sigma_alpha = nan returned p_national = 0.0; a negative scale failed
-    # only at draw time, as numpy's "scale < 0".
-    @pytest.mark.parametrize("name,value,error", [
-        ("sigma_alpha", float("nan"), ValueError),
-        ("sigma_alpha", -1.0, ValueError),
-        ("sigma_beta", float("inf"), ValueError),
-        ("sigma_beta", -0.5, ValueError),
-        ("nu", 2.5, TypeError),
-        ("nu", True, TypeError),
-    ])
-    def test_student_t_names_a_bad_field(self, name, value, error):
-        with pytest.raises(error, match=f"^{name} "):
-            StudentTNoise(**{name: value})

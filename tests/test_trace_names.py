@@ -42,8 +42,11 @@ def test_tracer_patches_and_restores_every_name(tmp_path):
         "polls": ["--polls", FIXTURES / "polls.csv", "--historical", FIXTURES / "historical.csv",
                   "--election-date", "2016-11-08"],
         "calibration": ["--calibration", FIXTURES / "calibration.json"],
+        # the draw hook keys each request on its noise model's name
+        "student_t": ["--calibration", FIXTURES / "calibration.json",
+                      "--noise-model", "student_t"],
     }
-    simulator_spans = {}
+    simulator_spans, draws = {}, {}
     try:
         for kind, args in inputs.items():
             first = len(tracer.spans)
@@ -51,6 +54,8 @@ def test_tracer_patches_and_restores_every_name(tmp_path):
                          "--out-dir", str(tmp_path / kind)]) == 0
             simulator_spans[kind] = [span[2] for span in tracer.spans[first:]
                                      if span[2] in SIMULATOR_CALLS]
+            draws[kind] = sum(span[2] == "simulation.sample_state_noise"
+                              for span in tracer.spans[first:])
         assert main([
             "score", "--series", str(FIXTURES / "series.csv"),
             "--outcomes", str(FIXTURES / "outcomes.csv"),
@@ -63,6 +68,9 @@ def test_tracer_patches_and_restores_every_name(tmp_path):
         tracer.uninstall()
     # every forecast, whatever its input, is one simulator call
     assert simulator_spans == {kind: ["simulation.probability_time_series"] for kind in inputs}
+    # one draw per state, each counted by the draw hook
+    assert draws == {kind: 51 for kind in inputs}
+    assert tracer.counts["draw_requests"] == sum(draws.values())
     names = {span[2] for span in tracer.spans}
     assert {"simulation.sample_state_noise", "scoring.binary", "scoring.density",
             "online.run", "online.update", "trading.positions", "trading.mark_to_market",
