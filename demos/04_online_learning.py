@@ -51,4 +51,4 @@ state = init(N, T)
 for t in range(0, T, 20):
     for k in range(t, min(t + 20, T)):
         state = update(state, losses[k])
-    print(f"  after round {state.round:3d}: {state.weights[0]:.3f}")
+    print(f"  after round {k + 1:3d}: {state.weights[0]:.3f}")

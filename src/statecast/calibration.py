@@ -34,10 +34,19 @@ SOURCE_HISTORICAL = "historical"
 
 
 def _check_finite(obj, names) -> None:
+    """Store each named field of the frozen ``obj`` as a finite Python float."""
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, Real):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be a finite number, got an integer too large "
+                             "for a float") from None
+        if not math.isfinite(number):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        object.__setattr__(obj, name, number)
 
 
 @dataclass(frozen=True)
@@ -143,18 +152,16 @@ def calibrate_from_historical(state: str, national_spread, state_spread) -> Stat
                             sigma_eps=sigma, n_obs=len(x), source=SOURCE_HISTORICAL)
 
 
-def calibrate_market(
-    national: SmoothedSeries,
-    polls: Polls | None = None,
-) -> MarketCalibration:
+def calibrate_market(national: SmoothedSeries, polls: Polls) -> MarketCalibration:
     """Estimate the diffusion inputs from the smoothed national series.
 
     sigma_m is the sample standard deviation of the smoothed series'
     increments scaled to one day (increment / sqrt(dt)).  sigma_samp is the
     mean binomial standard error of the spread over the national rows of
-    ``polls`` with a two-party share (0 without any), 2 * sqrt(p(1-p)/n)
-    with p the two-party candidate-1 share, in percentage points.  The
-    current level and horizon come from the grid point nearest election day.
+    ``polls`` with a two-party share (0 when the table has none),
+    2 * sqrt(p(1-p)/n) with p the two-party candidate-1 share, in
+    percentage points.  The current level and horizon come from the grid
+    point nearest election day.
     """
     if len(national.grid) < 2:
         raise InsufficientDataError("need at least 2 grid points for sigma_m")
@@ -162,14 +169,11 @@ def calibrate_market(
     increments = np.diff(national.values) / np.sqrt(dt)
     sigma_m = float(np.std(increments, ddof=1)) if len(increments) > 1 else 0.0
 
-    sigma_samp = 0.0
-    if polls is not None:
-        two_party = polls.pct_c1 + polls.pct_c2
-        rows = (polls.state == NATIONAL) & (two_party > 0)
-        p = polls.pct_c1[rows] / two_party[rows]
-        ses = 2.0 * np.sqrt(p * (1.0 - p) / polls.sample_size[rows]) * 100.0
-        if ses.size:
-            sigma_samp = float(np.mean(ses))
+    two_party = polls.pct_c1 + polls.pct_c2
+    rows = (polls.state == NATIONAL) & (two_party > 0)
+    p = polls.pct_c1[rows] / two_party[rows]
+    ses = 2.0 * np.sqrt(p * (1.0 - p) / polls.sample_size[rows]) * 100.0
+    sigma_samp = float(np.mean(ses)) if ses.size else 0.0
 
     return MarketCalibration(
         sigma_samp=sigma_samp,
@@ -212,45 +216,30 @@ def calibrate_states(
     return out
 
 
-def calibration_to_dict(
-    cals: dict[str, StateCalibration],
-    market: MarketCalibration | None = None,
-) -> dict:
+def calibration_to_dict(cals: dict[str, StateCalibration], market: MarketCalibration) -> dict:
     """JSON-ready document: states keyed by code, plus the market block."""
-    doc: dict = {"states": {k: asdict(cals[k]) for k in sorted(cals)}}
-    if market is not None:
-        doc["market"] = asdict(market)
-    return doc
+    return {"states": {k: asdict(cals[k]) for k in sorted(cals)}, "market": asdict(market)}
 
 
 def _from_fields(cls, entry, where: str):
-    """``cls(**entry)`` with every key checked and every float field read as
-    a float; faults name ``where``."""
+    """``cls(**entry)`` with every key checked; faults name ``where``."""
     if not isinstance(entry, dict):
         raise ConfigurationError(f"{where}: expected an object, got {entry!r}")
-    expected = {f.name: f.type for f in fields(cls)}
-    missing, unknown = sorted(expected.keys() - entry), sorted(entry.keys() - expected)
+    expected = {f.name for f in fields(cls)}
+    missing, unknown = sorted(expected - entry.keys()), sorted(entry.keys() - expected)
     if missing or unknown:
         raise ConfigurationError(f"{where}: missing key(s) {missing}, unknown key(s) {unknown}")
-    values = dict(entry)
-    for key, value in entry.items():
-        if expected[key] == "float" and type(value) is int:  # a JSON integer
-            try:
-                values[key] = float(value)
-            except OverflowError:
-                raise ConfigurationError(f"{where}: {key} must be a finite number, got an "
-                                         "integer too large for a float") from None
     try:
-        return cls(**values)
+        return cls(**entry)
     except ValueError as exc:
         raise ConfigurationError(f"{where}: {exc}") from exc
 
 
-def calibration_from_dict(doc: dict) -> tuple[dict[str, StateCalibration], MarketCalibration | None]:
+def calibration_from_dict(doc: dict) -> tuple[dict[str, StateCalibration], MarketCalibration]:
     """Inverse of :func:`calibration_to_dict`; a missing, unknown or invalid
-    field raises :class:`ConfigurationError` naming its state (or the market).
-    Each state is keyed by one of the 51 codes, once, and its ``state``
-    field is that code."""
+    field raises :class:`ConfigurationError` naming its state (or the market),
+    and so does a document with no market block.  Each state is keyed by one
+    of the 51 codes, once, and its ``state`` field is that code."""
     if not isinstance(doc, dict) or not isinstance(doc.get("states"), dict):
         raise ConfigurationError("calibration document has no states object")
     cals: dict[str, StateCalibration] = {}
@@ -265,5 +254,6 @@ def calibration_from_dict(doc: dict) -> tuple[dict[str, StateCalibration], Marke
         if code in cals:
             raise ConfigurationError(f"state {code} is listed twice")
         cals[code] = cal
-    market = _from_fields(MarketCalibration, doc["market"], "market") if "market" in doc else None
-    return cals, market
+    if "market" not in doc:
+        raise ConfigurationError("calibration document has no market block; cannot simulate")
+    return cals, _from_fields(MarketCalibration, doc["market"], "market")

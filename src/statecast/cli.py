@@ -274,8 +274,6 @@ def _calibrate_from_files(cfg: RunConfig):
         with open(cfg.calibration, encoding="utf-8") as fh:
             cals, market = named(cfg.calibration,
                                  lambda: cal_mod.calibration_from_dict(json.load(fh)))
-        if market is None:
-            raise ConfigurationError(f"{cfg.calibration} has no market block; cannot simulate")
         missing = [s for s in ev_table if s not in cals]
         if missing:
             raise ConfigurationError(
@@ -736,6 +734,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         # faults no reader names, such as an unwritable output directory
         print(f"error [{args.command}]: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy raises a private subclass
+        print(f"error [{args.command}]: MemoryError: {exc}", file=sys.stderr)
         return 1
 
 

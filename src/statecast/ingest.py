@@ -183,16 +183,16 @@ def to_spreads(polls: Polls) -> np.ndarray:
     return polls.pct_c1 - polls.pct_c2
 
 
-def smooth_national(t, spreads, bandwidth: float = 5.0, grid=None) -> SmoothedSeries:
+def smooth_national(t, spreads, bandwidth: float) -> SmoothedSeries:
     """Nadaraya-Watson estimate of the national spread on a daily grid.
 
     ``t`` and ``spreads`` are the national polls' days-to-election and
-    spreads.  value(g) = sum_k K((g - t_k)/h) * spread_k / sum_k K((g -
-    t_k)/h) with K(u) = exp(-u^2 / 2).  The default grid is every whole day
-    from the earliest to the latest poll.  If every kernel weight underflows
-    to zero at some grid point, that point falls back to the nearest poll's
-    spread and a :class:`KernelUnderflowWarning` reports how many points did
-    so.
+    spreads, and ``bandwidth`` is h in days.  value(g) = sum_k K((g -
+    t_k)/h) * spread_k / sum_k K((g - t_k)/h) with K(u) = exp(-u^2 / 2).
+    The grid is every whole day from the earliest to the latest poll.  If
+    every kernel weight underflows to zero at some grid point, that point
+    falls back to the nearest poll's spread and a
+    :class:`KernelUnderflowWarning` reports how many points did so.
     """
     t_obs = np.asarray(t, dtype=float)
     spreads = np.asarray(spreads, dtype=float)
@@ -202,9 +202,7 @@ def smooth_national(t, spreads, bandwidth: float = 5.0, grid=None) -> SmoothedSe
         raise CalibrationError("cannot smooth an empty observation list")
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    if grid is None:
-        grid = np.arange(math.floor(t_obs.min()), math.ceil(t_obs.max()) + 1, dtype=float)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.arange(math.floor(t_obs.min()), math.ceil(t_obs.max()) + 1, dtype=float)
 
     # A u^2 that overflows is +inf, and exp(-inf) = 0 is the weight it stands for.
     with np.errstate(over="ignore"):

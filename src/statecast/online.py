@@ -22,7 +22,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LearnerState:
-    """Weights, cumulative losses, and the learning rate after some rounds.
+    """Weights, cumulative losses, and the learning rate after some rounds;
+    the caller counts the rounds.
 
     Weights are always recoverable from the cumulative losses alone:
     w_i proportional to exp(-eta * L_i) over a uniform start.
@@ -31,7 +32,6 @@ class LearnerState:
     weights: np.ndarray
     cumulative_losses: np.ndarray
     eta: float
-    round: int
 
 
 def learning_rate(n_experts: int, horizon: int) -> float:
@@ -54,7 +54,6 @@ def init(n_experts: int, horizon: int) -> LearnerState:
         weights=np.full(n_experts, 1.0 / n_experts),
         cumulative_losses=np.zeros(n_experts),
         eta=learning_rate(n_experts, horizon),
-        round=0,
     )
 
 
@@ -89,7 +88,6 @@ def update(state: LearnerState, per_round_losses) -> LearnerState:
         weights=w / w.sum(),
         cumulative_losses=cumulative,
         eta=state.eta,
-        round=state.round + 1,
     )
 
 

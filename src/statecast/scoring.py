@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -72,31 +73,27 @@ class BinaryForecastSeries:
         return len(self.times)
 
 
-def _as_omegas(omega, n: int) -> np.ndarray:
-    arr = np.asarray(omega, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ScoreError(f"realization length {arr.shape} != series length {n}")
-    if not np.all((arr == 0.0) | (arr == 1.0)):
-        raise ScoreError("binary realizations must be 0 or 1")
-    return arr
+def _as_omega(omega) -> float:
+    """The realized outcome, one number that is 0 or 1, as a float."""
+    if isinstance(omega, Real) and omega in (0, 1):
+        return float(omega)
+    raise ScoreError(f"binary realization must be 0 or 1, got {omega!r}")
 
 
 def brier(series: BinaryForecastSeries, omega) -> float:
     """Sum of squared probability errors; 0 for a perfect forecaster.
 
-    ``omega`` is the realized outcome, a single 0/1 applied to every date or
-    a per-date sequence.
+    ``omega`` is the realized 0/1 outcome, judged at every date.
     """
     if len(series) == 0:
         raise ScoreError("Brier score of an empty series is undefined")
-    w = _as_omegas(omega, len(series))
+    w = _as_omega(omega)
     return float(np.sum((w - series.probs) ** 2))
 
 
 def log_likelihood(series: BinaryForecastSeries, omega) -> float:
-    """Sum of log probabilities assigned to what happened; 0 is perfect.
+    """Sum of log probabilities assigned to the realized 0/1 outcome
+    ``omega`` at every date; 0 is perfect.
 
     A reported 0 (or 1) probability on the wrong side returns the -inf
     sentinel with a :class:`HypersensitiveForecastWarning` instead of
@@ -104,7 +101,7 @@ def log_likelihood(series: BinaryForecastSeries, omega) -> float:
     """
     if len(series) == 0:
         raise ScoreError("log-likelihood of an empty series is undefined")
-    w = _as_omegas(omega, len(series))
+    w = _as_omega(omega)
     terms = w * series.probs + (1.0 - w) * (1.0 - series.probs)
     if np.any(terms <= 0.0):
         warnings.warn(

@@ -32,6 +32,7 @@ from statecast.ingest import (
     SmoothedSeries,
     load_historical,
     parse_polls,
+    smooth_national,
 )
 from statecast.states import NATIONAL, STATE_CODES
 
@@ -50,6 +51,10 @@ def state_obs(points):
     """(t, spreads) arrays of one state's (t, spread) points."""
     t, spreads = zip(*points)
     return np.array(t, dtype=float), np.array(spreads, dtype=float)
+
+
+#: A poll table with no rows: calibrate_market then has no sampling error.
+NO_POLLS = Polls([], [], [], [], [])
 
 
 def poll_table(states, ts, spreads):
@@ -251,7 +256,7 @@ def poll_rows(draw):
 class TestCalibrateMarket:
     def test_constant_series_zero_sigma_m(self):
         nat = SmoothedSeries(grid=np.arange(10.0), values=np.full(10, 3.0))
-        mkt = calibrate_market(nat)
+        mkt = calibrate_market(nat, NO_POLLS)
         assert mkt.sigma_m == 0.0
         assert mkt.m_current == 3.0
         assert mkt.horizon == 0.0
@@ -261,7 +266,7 @@ class TestCalibrateMarket:
         # sample std sqrt(n/(n-1)) with n = 10
         values = np.array([float(i % 2) for i in range(11)])
         nat = SmoothedSeries(grid=np.arange(11.0), values=values)
-        mkt = calibrate_market(nat)
+        mkt = calibrate_market(nat, NO_POLLS)
         assert mkt.sigma_m == pytest.approx(math.sqrt(10.0 / 9.0), abs=1e-12)
 
     def test_single_poll_sampling_error(self):
@@ -292,23 +297,55 @@ class TestCalibrateMarket:
 
     def test_current_level_is_latest_grid_point(self):
         nat = SmoothedSeries(grid=[3.0, 4.0, 5.0], values=[1.5, 2.0, 2.5])
-        mkt = calibrate_market(nat)
+        mkt = calibrate_market(nat, NO_POLLS)
         assert mkt.m_current == 1.5  # day closest to the election
         assert mkt.horizon == 3.0
 
     def test_too_few_grid_points(self):
         nat = SmoothedSeries(grid=[5.0], values=[1.0])
         with pytest.raises(InsufficientDataError):
-            calibrate_market(nat)
+            calibrate_market(nat, NO_POLLS)
+
+    # sigma_m is the sd of the smoothed series' one-day changes.  On a daily
+    # grid the Nadaraya-Watson smoother is close to a convolution with K_h,
+    # the normal density of sd h days, so for polls that are a random walk
+    # with daily sd sigma_w plus white noise of sd sigma_n, one a day, the
+    # smoothed slope has variance
+    #   sigma_w^2 * int K_h^2 + sigma_n^2 * int K_h'^2
+    #     = sigma_w^2 / (2 h sqrt(pi)) + sigma_n^2 / (4 sqrt(pi) h^3).
+    # A finite series reads low: the sample sd is taken about the series' own
+    # mean slope, and within about h days of either end the kernel is one-
+    # sided and flattens the slope.  Over 1,000 walks of 400 days the mean
+    # read 3.4%, 8.4%, 2.2% and 7.1% below the formula for (h, sigma_n) =
+    # (5, 0), (10, 0), (5, 3), (10, 3); over 200 walks of 1,000 days, 0.9% to
+    # 4.1% below.  The mean of 40 walks has a standard error of 1.4% to 3.2%
+    # of the formula.  The bounds allow the largest shortfall and four
+    # standard errors below (1 - 0.084 - 4 * 0.032 = 0.788, rounded to 0.78)
+    # and four above (1.128, rounded to 1.13).  Without its noise term the
+    # formula reads 0.095 for (5, 3), and the walks' mean is 1.42 times that.
+    @pytest.mark.parametrize("h,sigma_n", [(5, 0), (10, 0), (5, 3), (10, 3)])
+    def test_sigma_m_is_the_smoothed_daily_slope(self, h, sigma_n):
+        sigma_w, n_days, n_walks = 0.4, 400, 40
+        rng = np.random.default_rng([h, sigma_n])
+        t = np.arange(float(n_days))
+        sigma_m = []
+        for _ in range(n_walks):
+            spreads = np.cumsum(rng.normal(0.0, sigma_w, n_days))
+            spreads += rng.normal(0.0, sigma_n, n_days)
+            national = smooth_national(t, spreads, bandwidth=h)
+            sigma_m.append(calibrate_market(national, NO_POLLS).sigma_m)
+        law = math.sqrt(sigma_w**2 / (2 * h * math.sqrt(math.pi))
+                        + sigma_n**2 / (4 * math.sqrt(math.pi) * h**3))
+        assert 0.78 <= np.mean(sigma_m) / law <= 1.13
 
     def test_nonuniform_grid_scaled_per_day(self):
         # values t on grid spacing 4: increments 4/sqrt(4) = 2 per sqrt(day)
         nat = SmoothedSeries(grid=[0.0, 4.0, 8.0, 12.0], values=[0.0, 4.0, 8.0, 12.0])
-        assert calibrate_market(nat).sigma_m == pytest.approx(0.0, abs=1e-12)
+        assert calibrate_market(nat, NO_POLLS).sigma_m == pytest.approx(0.0, abs=1e-12)
         nat2 = SmoothedSeries(grid=[0.0, 4.0, 8.0], values=[0.0, 4.0, 0.0])
         # scaled increments +2, -2 -> sample std sqrt(2)*2/sqrt(2)... direct oracle:
         scaled = np.diff(nat2.values) / np.sqrt(np.diff(nat2.grid))
-        assert calibrate_market(nat2).sigma_m == pytest.approx(np.std(scaled, ddof=1), abs=1e-12)
+        assert calibrate_market(nat2, NO_POLLS).sigma_m == pytest.approx(np.std(scaled, ddof=1), abs=1e-12)
 
 
 class TestCalibrationDocument:
@@ -345,6 +382,22 @@ class TestCalibrationDocument:
         with pytest.raises(ValueError, match=name):
             MarketCalibration(**fields)
 
+    def test_numbers_are_stored_as_floats(self):
+        mkt = MarketCalibration(sigma_samp=1, sigma_m=np.float64(0.5), m_current=-2,
+                                horizon=2**70)
+        assert [type(v) for v in vars(mkt).values()] == [float] * 4
+        assert mkt.horizon == float(2**70)
+        cal = StateCalibration("OH", np.int64(1), 2, np.float32(0.5), 8, SOURCE_POLLS)
+        assert (type(cal.alpha), type(cal.beta), type(cal.sigma_eps)) == (float,) * 3
+
+    @pytest.mark.parametrize("name", ["sigma_samp", "sigma_m", "m_current", "horizon"])
+    def test_integer_too_large_for_a_float_is_refused(self, name):
+        fields = dict(sigma_samp=1.0, sigma_m=0.5, m_current=2.0, horizon=30.0)
+        fields[name] = 2**1100
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got an "
+                                             "integer too large for a float$"):
+            MarketCalibration(**fields)
+
     def test_n_obs_must_be_a_count(self):
         for bad in (8.0, -1, True):
             with pytest.raises(ValueError, match="n_obs"):
@@ -368,16 +421,20 @@ class TestCalibrationDocument:
         del doc["market"]["horizon"]
         with pytest.raises(ConfigurationError, match="market.*horizon"):
             calibration_from_dict(doc)
+        del doc["market"]
+        with pytest.raises(ConfigurationError, match="has no market block; cannot simulate"):
+            calibration_from_dict(doc)
 
     def test_document_keys_are_state_codes(self):
         cals = {"OH": StateCalibration("OH", 1.0, 0.9, 2.0, 8, SOURCE_POLLS)}
-        doc = calibration_to_dict(cals)
+        mkt = MarketCalibration(sigma_samp=1.0, sigma_m=0.4, m_current=2.5, horizon=20.0)
+        doc = calibration_to_dict(cals, mkt)
         doc["states"] = {" oh ": doc["states"]["OH"]}
         assert calibration_from_dict(doc)[0] == cals
         doc["states"]["US"] = dict(doc["states"][" oh "], state="US")
         with pytest.raises(ConfigurationError, match="unknown state code 'US'"):
             calibration_from_dict(doc)
-        doc = calibration_to_dict(cals)
+        doc = calibration_to_dict(cals, mkt)
         doc["states"]["OH"]["state"] = "PA"
         with pytest.raises(ConfigurationError, match="state OH: its state field is 'PA'"):
             calibration_from_dict(doc)

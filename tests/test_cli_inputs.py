@@ -571,6 +571,17 @@ class TestCalibrationDocument:
         assert err == (f"error [forecast]: {cal}: {where} must be a finite number, "
                        "got an integer too large for a float\n")
 
+    def test_document_without_market_names_file(self, tmp_path, capsys):
+        cal = write_calibration(tmp_path / "cal.json")
+        doc = json.loads(cal.read_text())
+        del doc["market"]
+        cal.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        err = assert_rejected(self.forecast(cal, out), capsys, cal, out_dir=out)
+        assert err == (f"error [forecast]: {cal}: calibration document has no market "
+                       "block; cannot simulate\n")
+        assert not list(out.glob("*"))
+
     def test_nan_market_volatility_names_file(self, tmp_path, capsys):
         cal = write_calibration(tmp_path / "cal.json",
                                 market_fields={"sigma_samp": float("nan")})
@@ -659,6 +670,19 @@ class TestConfigValues:
         assert (loaded.seed, loaded.paths, loaded.ev_realization) == (2**64 - 1, 1, 538)
         assert cli.load_config(self.write_config(tmp_path, "seed = 0",
                                                  "ev_realization = 0")).seed == 0
+
+    def test_path_count_too_large_to_allocate_is_one_line(self, tmp_path, capsys):
+        # 2**59 doubles are 4 EiB: more than any address space holds, yet
+        # under numpy's size-overflow limit, so the allocation fails at once
+        # with numpy's private MemoryError subclass and touches no memory.
+        out = tmp_path / "out"
+        code = run_cli("forecast", "--calibration", FIXTURES / "calibration.json",
+                       "--seed", "1", "--paths", 2**59, "--out-dir", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [forecast]: MemoryError: Unable to allocate"), err
+        assert err.count("\n") == 1 and "_ArrayMemoryError" not in err, err
+        assert not list(out.glob("*"))
 
 
 # 2016-13-45 is no day; the others are forms that only some Pythons read.

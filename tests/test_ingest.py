@@ -175,16 +175,20 @@ class TestToSpreads:
 
 class TestSmoothNational:
     def test_single_observation_everywhere(self):
-        series = smooth_national([0.0], [5.0], bandwidth=5.0, grid=[0.0, 3.0, 10.0])
+        # a poll at t = 2.5 spans the grid days 2 and 3
+        series = smooth_national([2.5], [5.0], bandwidth=5.0)
+        np.testing.assert_array_equal(series.grid, [2.0, 3.0])
         assert np.allclose(series.values, 5.0)
 
     def test_symmetry_midpoint(self):
-        series = smooth_national([-1.0, 1.0], [4.0, 6.0], bandwidth=2.0, grid=[0.0])
-        assert series.values[0] == pytest.approx(5.0, abs=1e-12)
+        series = smooth_national([-1.0, 1.0], [4.0, 6.0], bandwidth=2.0)
+        assert series.grid[1] == 0.0
+        assert series.values[1] == pytest.approx(5.0, abs=1e-12)
 
     def test_two_term_kernel_sum(self):
         # hand oracle: 10*exp(-2) / (1 + exp(-2)) at t=0 with h=5
-        series = smooth_national([0.0, 10.0], [0.0, 10.0], bandwidth=5.0, grid=[0.0])
+        series = smooth_national([0.0, 10.0], [0.0, 10.0], bandwidth=5.0)
+        assert series.grid[0] == 0.0
         assert series.values[0] == pytest.approx(1.1920292202211755, abs=1e-12)
 
     def test_empty_observations(self):
@@ -200,9 +204,11 @@ class TestSmoothNational:
             smooth_national([0.0, 1.0], [2.0], bandwidth=5.0)
 
     def test_underflow_falls_back_to_nearest(self):
+        # at h = 1 every weight underflows more than about 38.6 days from a poll
         with pytest.warns(RuntimeWarning, match="underflow"):
-            series = smooth_national([0.0, 1.0], [2.0, 4.0], bandwidth=1.0, grid=[0.0, 500.0])
-        assert series.values[1] == 4.0  # nearest observation to t=500
+            series = smooth_national([0.0, 1.0, 1000.0], [2.0, 4.0, 9.0], bandwidth=1.0)
+        assert series.grid[500] == 500.0
+        assert series.values[500] == 4.0  # nearest observation to t=500
 
     def test_overflowed_kernel_weight_is_zero(self):
         # u^2 overflows to +inf, and exp(-inf) = 0 is the weight it stands for
@@ -227,8 +233,7 @@ class TestSmoothNational:
         assert series.values.max() <= spreads.max() + eps
 
     def test_small_bandwidth_recovers_observation(self):
-        series = smooth_national([0.0, 5.0, 10.0], [1.0, 9.0, -3.0], bandwidth=1e-3,
-                                 grid=[0.0, 5.0, 10.0])
+        series = smooth_national([0.0, 1.0, 2.0], [1.0, 9.0, -3.0], bandwidth=1e-3)
         np.testing.assert_allclose(series.values, [1.0, 9.0, -3.0], atol=1e-9)
 
     def test_default_grid_is_daily(self):
@@ -236,8 +241,7 @@ class TestSmoothNational:
         np.testing.assert_array_equal(series.grid, np.arange(2.0, 8.0))
 
     def test_nearest_grid_lookup(self):
-        series = smooth_national([0.0, 10.0], [0.0, 10.0],
-                                 bandwidth=5.0, grid=[0.0, 5.0, 10.0])
+        series = SmoothedSeries(grid=[0.0, 5.0, 10.0], values=[1.2, 5.0, 8.8])
         assert series.values_at(6.9)[0] == series.values[1]
         assert series.values_at(7.5)[0] == series.values[1]  # tie goes low
         assert series.values_at(-3.0)[0] == series.values[0]
@@ -246,8 +250,7 @@ class TestSmoothNational:
     def test_nearest_grid_lookup_past_the_last_point(self):
         # |t - 5| and |10 - t| round to the same value, and that tie must
         # not pull t back from past the last grid point
-        series = smooth_national([0.0, 10.0], [0.0, 10.0],
-                                 bandwidth=5.0, grid=[0.0, 5.0, 10.0])
+        series = SmoothedSeries(grid=[0.0, 5.0, 10.0], values=[1.2, 5.0, 8.8])
         np.testing.assert_array_equal(series.values_at([np.inf, 1e301, -np.inf, -1e301]),
                                       series.values[[2, 2, 0, 0]])
 

@@ -22,7 +22,6 @@ class TestInit:
     def test_uniform_start(self):
         state = init(4, 10)
         np.testing.assert_array_equal(state.weights, np.full(4, 0.25))
-        assert state.round == 0
 
     def test_learning_rate_closed_form(self):
         # eta = sqrt(8 ln 2 / 8) = sqrt(ln 2)
@@ -70,7 +69,6 @@ class TestUpdate:
         state = init(3, 9)
         after = update(state, [0.4, 0.4, 0.4])
         np.testing.assert_allclose(after.weights, state.weights, atol=1e-15)
-        assert after.round == 1
 
     def test_huge_loss_kills_an_expert(self):
         state = init(2, 4)

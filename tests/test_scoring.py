@@ -49,8 +49,10 @@ class TestBrier:
         assert brier(series([1.0, 1.0, 1.0]), 1) == 0.0
         assert brier(series([0.0, 0.0]), 0) == 0.0
 
-    def test_constant_half_with_alternating_outcomes(self):
-        assert brier(series([0.5, 0.5, 0.5, 0.5]), [1, 0, 1, 0]) == 1.0
+    def test_per_date_outcomes_are_refused(self):
+        # one realized outcome judges every date of a series
+        with pytest.raises(ScoreError, match="must be 0 or 1"):
+            brier(series([0.5, 0.5]), [1, 0])
 
     def test_single_point(self):
         assert brier(series([0.7]), 1) == pytest.approx(0.09, abs=1e-12)
@@ -85,12 +87,12 @@ class TestLogLikelihood:
     def test_segment_additivity(self):
         rng = np.random.default_rng(8)
         p = rng.uniform(0.05, 0.95, 10)
-        w = rng.integers(0, 2, 10)
-        whole = log_likelihood(series(p), w)
-        parts = log_likelihood(series(p[:4]), w[:4]) + log_likelihood(
-            BinaryForecastSeries("f", np.arange(4, 10, dtype=float), p[4:]), w[4:]
-        )
-        assert whole == pytest.approx(parts, abs=1e-12)
+        for w in (0, 1):
+            whole = log_likelihood(series(p), w)
+            parts = log_likelihood(series(p[:4]), w) + log_likelihood(
+                BinaryForecastSeries("f", np.arange(4, 10, dtype=float), p[4:]), w
+            )
+            assert whole == pytest.approx(parts, abs=1e-12)
 
 
 class TestSelten:

@@ -236,6 +236,14 @@ class TestRunForecast:
         assert dist.ev_histogram.sum() == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= dist.p_national <= 1.0
 
+    def test_integer_horizon_past_int64(self):
+        # numpy refused the Python int 2**70 with a TypeError; the type now
+        # holds it as a float
+        ev = default_ev_table()
+        mkt = MarketCalibration(1.0, 0.5, 2.0, 2**70)
+        dist = run_forecast(flat_cals(ev), mkt, ev, SimulationConfig(seed=1, n_paths=100))
+        assert dist.ev_histogram.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_missing_calibration_raises(self):
         ev = default_ev_table()
         cals = flat_cals(ev)
