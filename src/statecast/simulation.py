@@ -18,25 +18,32 @@ m; it is recomputed wherever it is needed (``_levels``) instead of stored
 for every (path, day), so the market costs memory per path, not per path
 and day.  The int16 electoral-vote table is the one array as large as the
 paths times the days.  A worker holds one state's draws at a time, and
-frees them before it draws the next state: 3 arrays of n floats for
-Student-T (intercept, slope and noise), 1 for Gaussian (the noise).
+frees them before it draws the next state: 1 array of n floats for
+Gaussian (the noise), and for Student-T 3 on a series (intercept, slope and
+noise) but 2 on one day, where each path's line is evaluated at its market
+as soon as it is drawn (``fl(fl(slope * m) + intercept)``, ``_line``) and
+only that line and the noise are kept.
 
 Most paths of a state sit on one side of the threshold on every day, so
 settling first screens each (state, path) pair over the whole day range.
 Rounding to nearest is monotone, so a path's spread
-``fl(fl(fl(slope * m) + intercept) + noise)`` (``_spreads``) is monotone in
-its market m, rising or falling with the slope's sign, and its spreads at
-the path's lowest and highest m bracket every day's spread, in either
-order.  A pair whose two spreads both beat the threshold wins on every day;
-one whose two spreads both do not loses on every day.  Only the rest, NaN
-included, are settled day by day through the same ``_spreads``; every
-count is an integer, so the outputs are those of settling every day of
-every path.  On the contested races of the benchmark (91 days) 86-91% of
-pairs are decided by the screen; on the bundled fixture 93-97% at
-threshold 0 and 86% at 18.  The market ranges, taken once for all states,
+``fl(fl(fl(slope * m) + intercept) + noise)`` (``_spreads``: the line, then
+the noise) is monotone in its market m, rising or falling with the slope's
+sign, and its spreads at the path's lowest and highest m bracket every
+day's spread, in either order.  A pair whose two spreads both beat the
+threshold wins on every day; one whose two spreads both do not loses on
+every day.  Only the rest, NaN included, are settled day by day through the
+same ``_spreads``; every count is an integer, so the outputs are those of
+settling every day of every path.  On the contested races of the benchmark
+(91 days) 86-91% of pairs are decided by the screen; on the bundled fixture
+93-97% at threshold 0 and 86% at 18.  The market ranges, taken once for all states,
 and both settle passes walk fixed tiles of ``_TILE`` elements through
 buffers sized by the tile and not by the number of paths; a state's win
 share is its win count over n.
+
+A term that overflows is +-inf, and an undefined one (inf - inf, 0 * inf)
+is NaN, as IEEE arithmetic gives them; neither is a warning.  A NaN spread
+never beats the threshold, so it never wins.
 
 Randomness uses counter-based Philox substreams: the market and each state
 own a stream keyed by (seed, stream index), and a path's draw sits at its
@@ -143,6 +150,13 @@ _MARKET_STREAM = 0
 _TILE = 1 << 16  # elements in one settle tile: paths, or paths x days
 
 
+def _ieee():
+    """The error state the simulator runs in: a term that overflows is
+    +-inf and an undefined one NaN, without a warning.  numpy keeps it per
+    thread, so each worker enters it too."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
     """Philox generator for one (seed, stream) pair; path index = counter."""
     key = np.array([seed & _U64, stream_id & _U64], dtype=np.uint64)
@@ -176,8 +190,9 @@ def simulate_market_terminals(
 
     The rows are a (markets x paths) view of a paths x markets array, so
     each path's markets are contiguous in memory."""
-    z, sig, mc = _market_terms(markets, cfg)
-    return _levels(z, sig, mc, np.empty((len(z), len(sig)))).T
+    with _ieee():
+        z, sig, mc = _market_terms(markets, cfg)
+        return _levels(z, sig, mc, np.empty((len(z), len(sig)))).T
 
 
 def sample_state_noise(
@@ -185,14 +200,22 @@ def sample_state_noise(
     n_paths: int,
     model: str,
     rng: np.random.Generator,
+    *,
+    market: np.ndarray | None = None,
 ) -> tuple:
     """One state's draws as ``(intercept, slope, noise)`` under ``model``.
 
     The state's spread on a path with terminal market m is
     ``intercept + slope * m + noise``.  Gaussian: the fitted line (scalars)
-    plus sigma_eps * Z; Student-T: a per-path line plus scale * t.  The
-    noise is formed in place: the draw holds no more than it returns, and
-    Student-T one ``_TILE`` of t more.
+    plus sigma_eps * Z; Student-T: a per-path line plus scale * t.
+
+    ``market`` is each path's m on a run's one day.  Given it, a Student-T
+    line is evaluated there as soon as it is drawn, into the slope's buffer,
+    and the draw returns ``(line, None, noise)`` with line ``fl(fl(slope *
+    m) + intercept)`` (``_line``); a Gaussian line, two scalars, is
+    returned as it is.  The noise is formed in place: the draw holds no
+    more than it returns, and Student-T one ``_TILE`` of t more, so 2
+    arrays of n floats with ``market`` and 3 without.
     """
     if model == "gaussian":
         noise = rng.standard_normal(n_paths)
@@ -201,6 +224,8 @@ def sample_state_noise(
     if model == "student_t":
         alpha = rng.normal(cal.alpha, SIGMA_ALPHA, n_paths)
         beta = rng.normal(cal.beta, SIGMA_BETA, n_paths)
+        if market is not None:  # the intercept is freed before the noise is drawn
+            alpha, beta = _line(alpha, beta, market, out=beta), None
         noise = rng.normal(0.0, cal.sigma_eps, n_paths)
         np.abs(noise, out=noise)  # the scale
         # t a tile at a time: the stream gives the same values as one draw
@@ -210,15 +235,21 @@ def sample_state_noise(
     raise ValueError(f"unknown noise model {model!r}")
 
 
-def _spreads(a, b, e, m, out: np.ndarray) -> np.ndarray:
-    """State spreads ``fl(fl(fl(b * m) + a) + e)`` into ``out`` (which may be
-    ``m``) from the line's intercept ``a``, slope ``b`` and noise ``e`` at
-    the market ``m``.  Every state spread the simulator compares is rounded
-    here, in this order."""
+def _line(a, b, m, out: np.ndarray) -> np.ndarray:
+    """A state's line ``fl(fl(b * m) + a)`` into ``out`` (which may be ``b``
+    or ``m``) from its intercept ``a`` and slope ``b`` at the market ``m``."""
     np.multiply(b, m, out=out)
-    np.add(out, a, out=out)
-    np.add(out, e, out=out)
-    return out
+    return np.add(out, a, out=out)
+
+
+def _spreads(a, b, e, m, out: np.ndarray) -> np.ndarray:
+    """State spreads ``fl(line + e)`` into ``out`` (which may be ``m``): the
+    line ``_line(a, b, m)``, or ``a`` itself where ``b`` is None (a line the
+    draw folded at ``m``), plus the noise ``e``.  Every state spread the
+    simulator compares is rounded by these two steps, in this order; a
+    folded line is never settled as slope 0, since 0 * inf is NaN."""
+    line = a if b is None else _line(a, b, m, out)
+    return np.add(line, e, out=out)
 
 
 def _screen(s_lo: np.ndarray, s_hi: np.ndarray | None, threshold: float,
@@ -269,8 +300,9 @@ def simulate_paths(
     ``p_state`` is each state's win count divided by ``n_paths``.  Workers
     take fixed strided chunks of states and each returns its own integer
     EV accumulator, so the sum does not depend on ``cfg.workers``.  A worker
-    holds one state's draws at a time: 3 arrays of n floats for Student-T,
-    1 for Gaussian.
+    holds one state's draws at a time: 1 array of n floats for Gaussian, and
+    for Student-T 3 on a series but 2 on one day, whose lines the draw folds
+    at the day's market (``sample_state_noise``'s ``market``).
     """
     states = tuple(sorted(ev_table))
     if not states:
@@ -279,22 +311,25 @@ def simulate_paths(
     if missing:
         raise ConfigurationError(f"missing calibration for: {', '.join(missing)}")
 
-    z, sig, mc = _market_terms(markets, cfg)
-    n, n_days = len(z), len(sig)
-    if n_days == 0:  # no day to settle, and no range to screen
-        return PathOutcomes(states=states, ev_c1=np.zeros((0, n), dtype=np.int16),
-                            p_state=np.empty((0, len(states))))
-    cols = min(n, _TILE)
-    rows = max(1, _TILE // n_days)
-    if n_days == 1:  # z becomes the one day's market, both ends of its range
-        m_lo = m_hi = _levels(z, sig[0], mc[0], out=z)
-    else:  # each path's lowest and highest market, a tile of rows at a time
-        m_lo, m_hi, m_t = np.empty(n), np.empty(n), np.empty((rows, n_days))
-        for r in range(0, n, rows):
-            pr = slice(r, r + rows)
-            day_m = _levels(z[pr], sig, mc, out=m_t[:min(rows, n - r)])
-            day_m.min(axis=1, out=m_lo[pr])
-            day_m.max(axis=1, out=m_hi[pr])
+    with _ieee():
+        z, sig, mc = _market_terms(markets, cfg)
+        n, n_days = len(z), len(sig)
+        if n_days == 0:  # no day to settle, and no range to screen
+            return PathOutcomes(states=states, ev_c1=np.zeros((0, n), dtype=np.int16),
+                                p_state=np.empty((0, len(states))))
+        cols = min(n, _TILE)
+        rows = max(1, _TILE // n_days)
+        if n_days == 1:  # z becomes the one day's market, both ends of its range
+            m_lo = m_hi = _levels(z, sig[0], mc[0], out=z)
+        else:  # each path's lowest and highest market, a tile of rows at a time
+            m_lo, m_hi, m_t = np.empty(n), np.empty(n), np.empty((rows, n_days))
+            for r in range(0, n, rows):
+                pr = slice(r, r + rows)
+                day_m = _levels(z[pr], sig, mc, out=m_t[:min(rows, n - r)])
+                day_m.min(axis=1, out=m_lo[pr])
+                day_m.max(axis=1, out=m_hi[pr])
+    # with one day, a Student-T line is folded at the day's market as it is drawn
+    market = m_lo if n_days == 1 else None
     threshold = cfg.win_threshold
     p_state = np.empty((n_days, len(states)))
 
@@ -302,22 +337,28 @@ def simulate_paths(
         ev_c1 = np.zeros((n, n_days), dtype=np.int16)  # at most 538 votes
         # votes of the states won on every day; with one day, that day's
         base = ev_c1[:, 0] if n_days == 1 else np.zeros(n, dtype=np.int16)
-        lo, hi = np.empty(cols), np.empty(cols)
+        # one day's screen decides every path: it needs no hi and no rows.
+        # Allocating hi after won, flat and inc raised a 91-day series' peak
+        # RSS by 0.2 MB (allocator placement), hence this order.
+        lo = np.empty(cols)
+        hi = np.empty(cols) if n_days > 1 else None
         won, flat, inc = (np.empty(cols, dtype=t) for t in (bool, bool, np.int16))
-        x = np.empty((rows, n_days))
-        won_u, inc_u = (np.empty((rows, n_days), dtype=t) for t in (bool, np.int16))
+        if n_days > 1:
+            x = np.empty((rows, n_days))
+            won_u, inc_u = (np.empty((rows, n_days), dtype=t) for t in (bool, np.int16))
 
         def settle_state(i: int) -> None:
             """Draw state ``i`` and settle it; its draws are freed on return,
             before the next state is drawn."""
             rng = _stream(cfg.seed, 1 + i)
             intercept, slope, noise = sample_state_noise(
-                cals[states[i]], n, cfg.noise_model, rng)
+                cals[states[i]], n, cfg.noise_model, rng, market=market)
             votes = np.int16(ev_table[states[i]])
             wins = np.zeros(n_days, dtype=np.int64)
             for c in range(0, n, cols):
                 pc = slice(c, c + cols)
-                # Gaussian lines are scalars; Student-T lines are per path
+                # Gaussian lines are scalars; Student-T lines are per path,
+                # and a folded one (slope None) is already at the day's market
                 a, b, e = (v[pc] if np.ndim(v) else v for v in (intercept, slope, noise))
                 k = min(cols, n - c)
                 won_t, inc_t = won[:k], inc[:k]
@@ -341,8 +382,9 @@ def simulate_paths(
                     ev_c1[at + c] += inc_ut
             p_state[:, i] = wins / n
 
-        for i in chunk:
-            settle_state(i)
+        with _ieee():
+            for i in chunk:
+                settle_state(i)
         if n_days > 1:
             ev_c1 += base[:, None]
         return ev_c1

@@ -535,6 +535,26 @@ class TestModuleEntryPoint:
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error [score]: ")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("model", NOISE_MODELS)
+    @pytest.mark.parametrize("key", ["beta", "sigma_eps", "sigma_m"])
+    def test_overflowing_calibration_runs_quietly(self, tmp_path, key, model, workers):
+        # a slope, noise scale or market volatility of 1e308 overflows to
+        # +-inf in the draws and the settle; inf - inf is a NaN spread, which
+        # never wins.  Neither is a warning, in the main thread or a worker's
+        doc = json.loads((FIXTURES / "calibration.json").read_text())
+        for block in [doc["market"]] if key == "sigma_m" else doc["states"].values():
+            block[key] = 1e308
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        proc = self.run_module("forecast", "--calibration", path, "--noise-model", model,
+                               "--workers", workers, "--seed", 5, "--paths", 500,
+                               "--out-dir", out)
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr, proc.stderr
+        assert "NaN" not in (out / "forecast.json").read_text()
+
 
 class TestConfigFile:
     def test_config_with_flag_override(self, tmp_path):

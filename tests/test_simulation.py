@@ -443,9 +443,11 @@ class TestSharedDraws:
 
 def assert_matches_oracle(cals, days, cfg):
     """Each day's EV on every path and win shares equal settling the
-    oracle's spreads with a strict ``>``."""
+    oracle's spreads with a strict ``>``.  In the oracle a term that
+    overflows is +-inf, and one that is undefined NaN."""
     ev = default_ev_table()
-    spreads = rebuilt_spreads(cals, days, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spreads = rebuilt_spreads(cals, days, cfg)
     paths = simulate_paths(cals, days, ev, cfg)
     assert paths.ev_c1.shape == (len(days), cfg.n_paths)
     for d in range(len(days)):
@@ -496,14 +498,19 @@ def test_a_worker_holds_one_states_draws(workers):
     # floats of 8 bytes, with one day, Student-T noise and n paths, the
     # traced peak is at most:
     #   the market draw z, shared by the workers:                 n
-    #   per worker, one state's draws (intercept, slope, noise):  3n
+    #   per worker, one state's draws, its line folded at the
+    #     market before the noise is drawn (line, noise):         2n
     #     and one _TILE of t while the noise is formed:           _TILE
     #   per worker, its int16 EV table:                           n / 4
-    #   per worker, the settle tiles (lo, hi and x, and 7 bytes
-    #     of bool and int16 for each of their elements):          < 4 _TILE
+    #   per worker, the one-day settle tiles (lo, and 4 bytes of
+    #     bool, bool and int16 for each of its elements):         3/2 _TILE
     #   the interpreter's own objects (thread states, frames):    < _TILE
-    # Holding the previous state's three arrays while drawing the next (and
-    # drawing a state's noise whole) comes to about 10n with one worker.
+    # Measured, the peak less n + workers * (2n + n / 4 + _TILE) is 1.53
+    # _TILE with one worker and 3.05 _TILE with two: the tile terms are
+    # exact, and the interpreter's objects are about 2,000 floats.  Keeping
+    # the intercept until the noise is drawn (3n), or allocating a series'
+    # settle tiles (hi, x and the rows' bool and int16: 19/8 _TILE more),
+    # goes past the bound with one worker.
     # 3 * _TILE + 7 paths: the draws span whole tiles and a partial one.
     ev = default_ev_table()
     n = 3 * _TILE + 7
@@ -518,7 +525,7 @@ def test_a_worker_holds_one_states_draws(workers):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    bound = n + workers * (3 * n + _TILE + n / 4 + 4 * _TILE) + _TILE
+    bound = n + workers * (2 * n + _TILE + n / 4 + 3 / 2 * _TILE) + _TILE
     assert peak <= bound * np.dtype(np.float64).itemsize
 
 
@@ -580,6 +587,16 @@ class TestScreen:
         [day] = rebuilt_spreads(cals, SCREEN_DAYS[1:2], cfg)
         threshold = float(day["OH"][17])  # a tie goes to candidate 2
         assert_matches_oracle(cals, SCREEN_DAYS[1:2], replace(cfg, win_threshold=threshold))
+
+    def test_one_day_at_an_infinite_market(self, model, workers):
+        # sigma_total * sqrt(T) overflows, so m is +-inf on every path.  A
+        # Student-T line folded at m is +-inf, as in the three-term spread,
+        # and not 0 * inf = NaN; the flat Gaussian line (PA, slope 0.0) is
+        # NaN on every path, which never wins.
+        cals = screen_cals(default_ev_table())
+        cfg = SimulationConfig(seed=73, n_paths=SCREEN_PATHS, noise_model=model,
+                               workers=workers)
+        assert_matches_oracle(cals, [market(sigma_m=1e308)], cfg)
 
 
 def test_screen_splits_at_the_threshold():
