@@ -669,12 +669,12 @@ _CURVE_METRICS = tuple(scoring._DENSITY_FNS)
 
 def cmd_curves(cfg: RunConfig, out_dir: Path) -> int:
     densities = scoring.default_curve_family()
-    realizations = np.arange(EV_BINS)
     labels = [label for label, _ in densities]
     for metric in _CURVE_METRICS:
-        table = scoring.score_curves(metric, densities, realizations)
+        table = scoring.score_curves(metric, densities, np.arange(EV_BINS))
+        # Python floats write the same text as numpy's, without a scalar each
         _write_csv(out_dir / f"curves_{metric}.csv", ["realization"] + labels,
-                   [[int(w), *row] for w, row in zip(realizations, table)])
+                   [[w, *row] for w, row in enumerate(table.tolist())])
     print(f"wrote {len(_CURVE_METRICS)} curve table(s) over {len(labels)} densities")
     return 0
 

@@ -49,7 +49,10 @@ Randomness uses counter-based Philox substreams: the market and each state
 own a stream keyed by (seed, stream index), and a path's draw sits at its
 path index within that stream.  Results are therefore bitwise identical no
 matter how work is scheduled across worker threads (workers parallelize over
-states).
+states).  The calling thread settles the first worker's states itself, so k
+workers start k - 1 pool threads and one worker starts none: each pool
+thread draws from a malloc arena of its own (glibc), which adds its pages
+to the process's peak RSS.
 """
 
 from __future__ import annotations
@@ -91,7 +94,8 @@ class SimulationConfig:
     """Knobs for one forecast run; the seed is mandatory.
 
     ``workers`` > 1 spreads state draws and settling over threads without
-    changing any output bit.
+    changing any output bit; the calling thread is one of them, so k
+    workers start k - 1 pool threads, each with its own malloc arena.
     """
 
     seed: int
@@ -299,10 +303,14 @@ def simulate_paths(
 
     ``p_state`` is each state's win count divided by ``n_paths``.  Workers
     take fixed strided chunks of states and each returns its own integer
-    EV accumulator, so the sum does not depend on ``cfg.workers``.  A worker
-    holds one state's draws at a time: 1 array of n floats for Gaussian, and
-    for Student-T 3 on a series but 2 on one day, whose lines the draw folds
-    at the day's market (``sample_state_noise``'s ``market``).
+    EV accumulator, so the sum does not depend on ``cfg.workers``.  The
+    calling thread settles chunk 0 and at most ``cfg.workers - 1`` pool
+    threads the rest, since a pool thread's malloc arena is memory a
+    one-worker run need not hold; the accumulators are summed in chunk
+    order.  A worker holds one state's draws at a time: 1 array of n floats
+    for Gaussian, and for Student-T 3 on a series but 2 on one day, whose
+    lines the draw folds at the day's market (``sample_state_noise``'s
+    ``market``).
     """
     states = tuple(sorted(ev_table))
     if not states:
@@ -391,8 +399,10 @@ def simulate_paths(
 
     n_chunks = min(cfg.workers, len(states))
     chunks = [range(k, len(states), n_chunks) for k in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-        ev_c1 = reduce(operator.iadd, pool.map(settle, chunks))  # sum() would copy one
+    # chunk 0 on the calling thread; iadd, since sum() would copy a table
+    with ThreadPoolExecutor(max_workers=max(1, n_chunks - 1)) as pool:
+        rest = [pool.submit(settle, chunk) for chunk in chunks[1:]]
+        ev_c1 = reduce(operator.iadd, (f.result() for f in rest), settle(chunks[0]))
     return PathOutcomes(states=states, ev_c1=ev_c1.T, p_state=p_state)
 
 

@@ -2,12 +2,19 @@
 file (and the line, for a row-level fault), never with a traceback or an
 output holding NaN."""
 
+import contextlib
+import copy
 import csv
 import dataclasses
+import io
+import itertools
 import json
 import math
+import operator
 import tempfile
+import warnings
 from datetime import date
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -1072,6 +1079,56 @@ def test_arbitrary_cells_exit_cleanly(hist_edits, series_edits):
             for row in json.loads((tmp / "out" / "scores.json").read_text()):
                 value = float(row["value"])
                 assert math.isfinite(value) or value == -math.inf, row
+
+
+CALIBRATION = json.loads((FIXTURES / "calibration.json").read_text())
+# Every key of the calibration document, as (path to its object, key).
+CALIBRATION_KEYS = [((), "market"), ((), "states"),
+                    *((("market",), k) for k in CALIBRATION["market"]),
+                    *((("states",), s) for s in CALIBRATION["states"]),
+                    *((("states", s), k) for s, fields in CALIBRATION["states"].items()
+                      for k in fields)]
+DELETE, ADD = object(), object()
+CALIBRATION_EDITS = st.tuples(
+    st.sampled_from(CALIBRATION_KEYS),
+    st.sampled_from([None, True, False, "1.5", 1e308, -1e308, 2**70, -1, [1.0], DELETE, ADD]),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(edit=CALIBRATION_EDITS)
+def test_one_edit_to_a_calibration_document_exits_cleanly(edit):
+    """A calibration document with one value replaced, one key deleted or
+    one key added runs to a finite forecast or exits 1 with one error line,
+    under both noise models and 1 or 2 workers, and never warns."""
+    (where, key), value = edit
+    doc = copy.deepcopy(CALIBRATION)
+    target = reduce(operator.getitem, where, doc)
+    if value is DELETE:
+        del target[key]
+    elif value is ADD:
+        target[f"{key}_extra"] = 1.0
+    else:
+        target[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "cal.json").write_text(json.dumps(doc))
+        for model, workers in itertools.product(("gaussian", "student_t"), (1, 2)):
+            out, err = tmp / f"{model}{workers}", io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = run_cli("forecast", "--calibration", tmp / "cal.json", "--seed", "5",
+                               "--paths", "300", "--noise-model", model,
+                               "--workers", workers, "--out-dir", out)
+            assert not caught, [str(w.message) for w in caught]
+            if code == 0:
+                assert err.getvalue() == ""
+                assert "nan" not in (out / "forecast.json").read_text().lower()
+            else:
+                assert code == 1
+                assert err.getvalue().count("\n") == 1, err.getvalue()
+                assert err.getvalue().startswith("error [forecast]: "), err.getvalue()
 
 
 with open(FIXTURES / "polls.csv", newline="") as _fh:

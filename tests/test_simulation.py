@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -634,6 +635,60 @@ def test_more_threads_than_cores_under_fast_switching():
         sys.setswitchinterval(interval)
     np.testing.assert_array_equal(alt.ev_c1, base.ev_c1)
     np.testing.assert_array_equal(alt.p_state, base.p_state)
+
+
+STATES = sorted(default_ev_table())
+
+
+def draw_threads(monkeypatch, fail_on=None):
+    """Record the thread that draws each state, by its index in the sorted
+    states; a draw of the state ``fail_on`` raises."""
+    threads = {}
+    draw = simulation.sample_state_noise
+
+    def recorded(cal, *args, **kwargs):
+        threads[STATES.index(cal.state)] = threading.get_ident()
+        if cal.state == fail_on:
+            raise RuntimeError(f"draw of {cal.state} failed")
+        return draw(cal, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "sample_state_noise", recorded)
+    return threads
+
+
+@pytest.mark.parametrize("days", [DAYS, DAYS[:1]], ids=["series", "one_day"])
+def test_the_calling_thread_settles_the_first_chunk(monkeypatch, days):
+    # k workers: the calling thread settles states 0, k, 2k, ... and the
+    # other k - 1 chunks run on at most k - 1 pool threads, joined on return
+    ev = default_ev_table()
+    cals = contested_cals(ev)
+    cfg = SimulationConfig(seed=43, n_paths=500, noise_model="student_t")
+    base = simulate_paths(cals, days, ev, cfg)
+    caller, running = threading.get_ident(), threading.active_count()
+    threads = draw_threads(monkeypatch)
+    one = simulate_paths(cals, days, ev, cfg)
+    assert sorted(threads) == list(range(len(STATES)))
+    assert set(threads.values()) == {caller}
+    assert threading.active_count() == running
+    threads.clear()
+    three = simulate_paths(cals, days, ev, replace(cfg, workers=3))
+    assert sorted(threads) == list(range(len(STATES)))
+    assert all((threads[i] == caller) == (i % 3 == 0) for i in threads)
+    assert len(set(threads.values()) - {caller}) <= 2
+    assert threading.active_count() == running
+    for paths in (one, three):
+        np.testing.assert_array_equal(paths.ev_c1, base.ev_c1)
+        np.testing.assert_array_equal(paths.p_state, base.p_state)
+
+
+def test_a_failed_draw_on_the_calling_thread_reaches_the_caller(monkeypatch):
+    ev = default_ev_table()
+    running = threading.active_count()
+    draw_threads(monkeypatch, fail_on=STATES[0])
+    cfg = SimulationConfig(seed=43, n_paths=500, workers=3)
+    with pytest.raises(RuntimeError, match=f"draw of {STATES[0]} failed"):
+        simulate_paths(contested_cals(ev), DAYS, ev, cfg)
+    assert threading.active_count() == running
 
 
 class TestConfigValidation:
