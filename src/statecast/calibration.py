@@ -92,14 +92,12 @@ class MarketCalibration:
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Slope/intercept/residual-sigma of y on x.
+    """Slope/intercept/residual-sigma of y on x, from at least two points.
 
     sigma uses the n-2 divisor (two fitted parameters); with exactly two
     points the residuals are identically zero, so sigma is 0.
     """
     n = len(x)
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 observations, got {n}")
     xbar = x.mean()
     ybar = y.mean()
     sxx = float(np.sum((x - xbar) ** 2))
@@ -195,7 +193,8 @@ def calibrate_states(
     routes to :func:`calibrate_from_historical` on its ``historical[state]``
     ``(national_spread, state_spread)`` arrays when it has fewer than
     ``MIN_POLLS`` polls or its poll design is degenerate.  A state with no
-    viable route raises :class:`CalibrationError` naming it.
+    viable route raises :class:`CalibrationError` naming it and the reason
+    each route failed.
     """
     spreads = to_spreads(polls)
     out: dict[str, StateCalibration] = {}
@@ -204,13 +203,13 @@ def calibrate_states(
         try:
             out[state] = calibrate_state(state, polls.t[rows], spreads[rows], national)
             continue
-        except (InsufficientDataError, DegenerateDesignError):
-            pass
+        except (InsufficientDataError, DegenerateDesignError) as exc:
+            no_fit = exc
         try:
             out[state] = calibrate_from_historical(state, *historical.get(state, ((), ())))
         except CalibrationError as exc:
             raise CalibrationError(
-                f"state {state} cannot be calibrated: too few polls and no "
+                f"state {state} cannot be calibrated: no poll fit ({no_fit}) and no "
                 f"historical fallback ({exc})"
             ) from exc
     return out

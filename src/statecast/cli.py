@@ -24,6 +24,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 import warnings
 from contextlib import contextmanager
@@ -51,24 +52,19 @@ ONLINE_NAME = "ONLINE"
 #: The longest file name, in bytes, that the usual file systems take.
 NAME_MAX = 255
 
-_PATH_KEYS = (
-    "polls", "historical", "ev_table", "experts", "series", "outcomes",
-    "histograms", "reference", "calibration",
-)
-
-
 @dataclass
 class RunConfig:
     """Everything a run needs; every field has a config-file key of the
-    same name and is a flag of some subcommand."""
+    same name and is a flag of some subcommand.  An optional string setting
+    (``str | None``) is a file path."""
 
     election_date: date | None = None
     seed: int | None = None
-    paths: int = 10000
+    paths: int = SimulationConfig.n_paths
     bandwidth: float = 5.0
-    noise_model: str = "gaussian"
-    win_threshold: float = 0.0
-    workers: int = 1
+    noise_model: str = SimulationConfig.noise_model
+    win_threshold: float = SimulationConfig.win_threshold
+    workers: int = SimulationConfig.workers
     loss: str = "quadratic"
     reference_mode: str = "market"
     ev_realization: int | None = None
@@ -136,7 +132,9 @@ def _value_type(key, hint):
     return parse_in_range
 
 
-_TYPES = {key: _value_type(key, hint) for key, hint in get_type_hints(RunConfig).items()}
+_HINTS = get_type_hints(RunConfig)
+_TYPES = {key: _value_type(key, hint) for key, hint in _HINTS.items()}
+_PATH_KEYS = {key for key, hint in _HINTS.items() if hint == str | None}
 
 
 def _setting(key: str, text: str):
@@ -150,10 +148,11 @@ def _setting(key: str, text: str):
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Read a flat ``key = value`` file.  A value may be double-quoted or end
-    in a ``# comment``; it is parsed as its setting's flag would be, and
-    relative paths are resolved against the config file's directory.  A key
-    set twice is an error at its second line."""
+    """Read a flat ``key = value`` file.  A value may be double-quoted (a
+    ``#`` inside the quotes is kept) and may end in a ``# comment``; it is
+    parsed as its setting's flag would be, and relative paths are resolved
+    against the config file's directory.  A key set twice is an error at
+    its second line."""
     path = Path(path)
     cfg = RunConfig()
     first: dict[str, int] = {}  # key -> the line that set it
@@ -167,8 +166,10 @@ def load_config(path: str | Path) -> RunConfig:
                 raise ValueError("expected key = value")
             if key not in _TYPES:
                 raise ValueError("unknown config key")
-            quoted = len(raw) >= 2 and raw[0] == raw[-1] == '"'
-            value = _setting(key, raw[1:-1] if quoted else raw.split("#", 1)[0].strip())
+            quoted = re.fullmatch(r'"([^"]*)"\s*(#.*)?', raw)
+            if raw.startswith('"') and not quoted:
+                raise ValueError(f"unclosed quote, or text after the closing quote: {raw!r}")
+            value = _setting(key, quoted[1] if quoted else raw.split("#", 1)[0].strip())
             if first.setdefault(key, lineno) != lineno:
                 raise ValueError(f"set twice; first at line {first[key]}")
         except ValueError as exc:
@@ -738,7 +739,3 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy raises a private subclass
         print(f"error [{args.command}]: MemoryError: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

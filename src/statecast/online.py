@@ -108,8 +108,9 @@ def run(predictions, losses) -> OnlineRunResult:
     ``losses`` has the same shape: the round-t aggregate is emitted from the
     pre-round weights, the learner is charged the weight-averaged round-t
     loss, and only then are the losses folded in.  The learning rate is
-    tuned to the number of rounds (at least 1).  Regret is the learner's
-    cumulative loss minus the best expert's.
+    tuned to the number of rounds (at least 1).  Regret is one sum over the
+    rounds of the learner's loss minus that of the expert with the least
+    cumulative loss, so with one expert it is exactly 0.
     """
     predictions = np.asarray(predictions, dtype=float)
     losses = np.asarray(losses, dtype=float)
@@ -129,8 +130,8 @@ def run(predictions, losses) -> OnlineRunResult:
         aggregate[t] = predict(state, predictions[t])
         learner_losses[t] = float(np.dot(state.weights, losses[t]))
         state = update(state, losses[t])
-    best = float(state.cumulative_losses.min()) if n_rounds else 0.0
-    regret = float(learner_losses.sum() - best)
+    best = losses[:, np.argmin(state.cumulative_losses)]
+    regret = float(np.sum(learner_losses - best))
     return OnlineRunResult(aggregate=aggregate, state=state, regret=regret,
                            learner_losses=learner_losses)
 

@@ -151,11 +151,7 @@ def selten(bins, realized):
 def spherical(bins, realized):
     """p[realized] / ||p||_2, in [0, 1]."""
     h = _check_histogram(bins)
-    i = _check_realized(h, realized)
-    nrm = float(np.linalg.norm(h))
-    if nrm == 0.0:
-        raise ScoreError("spherical score undefined for a zero histogram")
-    return h[i] / nrm
+    return h[_check_realized(h, realized)] / float(np.linalg.norm(h))
 
 
 def log_score(bins, realized):

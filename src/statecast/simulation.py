@@ -91,12 +91,9 @@ NU = 3
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Knobs for one forecast run; the seed is mandatory.
-
-    ``workers`` > 1 spreads state draws and settling over threads without
-    changing any output bit; the calling thread is one of them, so k
-    workers start k - 1 pool threads, each with its own malloc arena.
-    """
+    """Knobs for one forecast run; the seed is mandatory.  ``workers`` > 1
+    spreads state draws and settling over threads without changing any
+    output bit."""
 
     seed: int
     n_paths: int = 10000
@@ -218,8 +215,7 @@ def sample_state_noise(
     and the draw returns ``(line, None, noise)`` with line ``fl(fl(slope *
     m) + intercept)`` (``_line``); a Gaussian line, two scalars, is
     returned as it is.  The noise is formed in place: the draw holds no
-    more than it returns, and Student-T one ``_TILE`` of t more, so 2
-    arrays of n floats with ``market`` and 3 without.
+    more than it returns, and Student-T one ``_TILE`` of t more.
     """
     if model == "gaussian":
         noise = rng.standard_normal(n_paths)
@@ -303,14 +299,8 @@ def simulate_paths(
 
     ``p_state`` is each state's win count divided by ``n_paths``.  Workers
     take fixed strided chunks of states and each returns its own integer
-    EV accumulator, so the sum does not depend on ``cfg.workers``.  The
-    calling thread settles chunk 0 and at most ``cfg.workers - 1`` pool
-    threads the rest, since a pool thread's malloc arena is memory a
-    one-worker run need not hold; the accumulators are summed in chunk
-    order.  A worker holds one state's draws at a time: 1 array of n floats
-    for Gaussian, and for Student-T 3 on a series but 2 on one day, whose
-    lines the draw folds at the day's market (``sample_state_noise``'s
-    ``market``).
+    EV accumulator, summed in chunk order, so the sum does not depend on
+    ``cfg.workers``.
     """
     states = tuple(sorted(ev_table))
     if not states:

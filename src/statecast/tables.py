@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 from contextlib import nullcontext
 from datetime import date
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -40,8 +39,10 @@ def read_rows(source, columns, parse_row, finish, skipped=None):
     A row that ``parse_row`` rejects or that has too few fields stops the
     read, unless ``skipped`` is a list: then ``(line, reason)`` is appended
     to it and reading goes on; else a table with no row stops it too.  A
-    fault of the file itself always stops it, and bad CSV syntax, such as an
-    unclosed quoted field, is named at the first line of its row.
+    fault of the file itself always stops it.  Quoting follows the csv
+    module's strict rule: bad CSV syntax, such as a quoted field still open
+    at the end of the file or text after a closing quote, is named at the
+    first line of its row.
     """
     is_path = isinstance(source, (str, Path))
     name = source if is_path else getattr(source, "name", "<stream>")
@@ -50,13 +51,11 @@ def read_rows(source, columns, parse_row, finish, skipped=None):
     except OSError as exc:
         raise IngestError(f"{name}: cannot read: {exc.strerror}") from exc
     with stream as fh:
-        ended = []  # holds True once the reader asks for a line past the last
-        reader = csv.reader(chain(fh, iter(lambda: ended.append(True), None)))
+        reader = csv.reader(fh, strict=True)
         start = 1  # the line the record in hand starts on
         try:
             header = next(reader, [])
-            if ended and header:  # only the end of the file closed the header
-                raise csv.Error(_UNCLOSED)
+            start = reader.line_num + 1
             columns = columns(header) if callable(columns) else columns
             missing = [c for c in columns if c not in header]
             if missing:
@@ -68,8 +67,6 @@ def read_rows(source, columns, parse_row, finish, skipped=None):
             cells = itemgetter(*at) if len(at) > 1 else lambda row: (row[at[0]],)
             row = None
             for record in reader:
-                if ended:  # only the end of the file closed this record
-                    raise csv.Error(_UNCLOSED)
                 if record:  # blank lines hold no row
                     row = record
                     try:
@@ -84,9 +81,11 @@ def read_rows(source, columns, parse_row, finish, skipped=None):
         except UnicodeDecodeError as exc:
             line = _undecodable_line(source) if is_path else "?"
             raise IngestError(f"{name}:{line}: not UTF-8: {exc.reason}") from exc
-        except (csv.Error, *INPUT_ERRORS) as exc:
-            line = start if isinstance(exc, csv.Error) else max(reader.line_num, 1)
-            raise IngestError(f"{name}:{line}: {exc}") from exc
+        except csv.Error as exc:
+            reason = _UNCLOSED if str(exc) == "unexpected end of data" else exc
+            raise IngestError(f"{name}:{start}: {reason}") from exc
+        except INPUT_ERRORS as exc:
+            raise IngestError(f"{name}:{max(reader.line_num, 1)}: {exc}") from exc
     if row is None and skipped is None:
         raise IngestError(f"{name}: no rows")
     return named(name, finish)

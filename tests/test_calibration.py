@@ -211,6 +211,28 @@ class TestCalibrateStates:
         with pytest.raises(CalibrationError, match="WY"):
             calibrate_states(poll_table([], [], []), nat, {}, states=["WY"])
 
+    def test_degenerate_polls_name_their_own_reason(self):
+        # 5 OH polls, all on one day: the matched national value is constant
+        nat = identity_series(np.arange(6.0))
+        polls = poll_table(["OH"] * 5 + [NATIONAL] * 3, [2.0] * 5 + [0.0, 1.0, 2.0],
+                           [1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 1.0, 2.0])
+        with pytest.raises(CalibrationError) as exc:
+            calibrate_states(polls, nat, {}, states=["OH"])
+        assert str(exc.value) == (
+            "state OH cannot be calibrated: no poll fit (regressor is constant; slope "
+            "unidentifiable) and no historical fallback (OH: 0 historical row(s), "
+            "need at least 2)")
+
+    def test_too_few_polls_name_their_count(self):
+        nat = identity_series(np.arange(6.0))
+        polls = poll_table(["WY"] * 3, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        historical = {"WY": (np.array([1.0]), np.array([2.0]))}
+        with pytest.raises(CalibrationError) as exc:
+            calibrate_states(polls, nat, historical, states=["WY"])
+        assert str(exc.value) == (
+            "state WY cannot be calibrated: no poll fit (WY: 3 poll(s) < MIN_POLLS=4) and "
+            "no historical fallback (WY: 1 historical row(s), need at least 2)")
+
     def test_state_rows_in_file_order(self):
         # OH, PA and national rows interleaved: each state is fitted on its
         # own rows, exactly as calibrate_state fits them

@@ -457,6 +457,18 @@ class TestAggregate:
         assert all(float(r["prediction"]) == 0.61 for r in rows)
 
     @pytest.mark.parametrize("loss", ["quadratic", "trading"])
+    def test_one_expert_regret_within_its_bound_of_zero(self, tmp_path, loss):
+        experts = tmp_path / "experts.csv"
+        experts.write_text("".join(",".join(row.split(",")[::2]) + "\n" for row in
+                                   (FIXTURES / "experts.csv").read_text().splitlines()))
+        assert experts.read_text().startswith("date,FTE\n")
+        assert run_cli("aggregate", "--experts", experts, "--loss", loss,
+                       "--reference-file", FIXTURES / "reference.csv", "--out-dir", tmp_path) == 0
+        doc = json.loads((tmp_path / "learner.json").read_text())
+        assert doc["regret_bound"] == 0.0
+        assert doc["regret"] <= doc["regret_bound"]
+
+    @pytest.mark.parametrize("loss", ["quadratic", "trading"])
     def test_regret_within_bound(self, tmp_path, loss):
         assert self.run_aggregate(tmp_path, "--loss", loss) == 0
         doc = json.loads((tmp_path / "learner.json").read_text())

@@ -716,8 +716,36 @@ class TestElectionDate:
 
     def test_config_value_is_a_date(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text('election_date = "2016-11-08"\n')
-        assert cli.load_config(cfg).election_date == date(2016, 11, 8)
+        for line in ('election_date = "2016-11-08"', 'election_date = "2016-11-08" # the day'):
+            cfg.write_text(line + "\n")
+            assert cli.load_config(cfg).election_date == date(2016, 11, 8), line
+
+
+class TestQuotedConfigValues:
+    def test_quoted_path_may_end_in_a_comment(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text('polls = "polls.csv"  # the fixture\n')
+        assert cli.load_config(cfg).polls == str((tmp_path / "polls.csv").resolve())
+
+    def test_hash_inside_quotes_is_part_of_the_value(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text('polls = "a#b.csv"\nhistorical = "c # d.csv" # e\n')
+        loaded = cli.load_config(cfg)
+        assert loaded.polls == str((tmp_path / "a#b.csv").resolve())
+        assert loaded.historical == str((tmp_path / "c # d.csv").resolve())
+
+    @pytest.mark.parametrize("value", ['"2016-11-08" x', '"2016-11-08"" # two',
+                                       '"2016-11-08', '"2016-11-08 # no end'],
+                             ids=["text", "quote", "unclosed", "unclosed-comment"])
+    def test_bad_quoting_names_file_line_and_key(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f'polls = "{FIXTURES / "polls.csv"}"\nelection_date = {value}\n')
+        out = tmp_path / "out"
+        err = assert_rejected(run_cli("calibrate", "--config", cfg, "--out-dir", out),
+                              capsys, cfg, 2, out)
+        assert err == (f"error [calibrate]: {cfg}:2: election_date: unclosed quote, "
+                       f"or text after the closing quote: {value!r}\n")
+        assert not list(out.glob("*"))
 
 
 # ---------------------------------------------------------------------------
@@ -886,6 +914,37 @@ def test_unclosed_quote_names_the_line_its_row_starts_on(tmp_path, capsys, name,
     assert err == (f"error [{args[0]}]: {table}:{line}: "
                    "a quoted field is still open at the end of the file\n")
     assert not list(out.glob("*"))
+
+
+# Quoting follows the csv module's strict rule.  A row's first line is
+# named, the first data row (line 2) included.
+@pytest.mark.parametrize("row,reason", [
+    ('NatPoll0,US,2016-08-20,900,LV,"5"6.0,36.0', "',' expected after '\"'"),
+    ('NatPoll0,US,2016-08-20,900,LV,"56.0,36.0',
+     "a quoted field is still open at the end of the file"),
+], ids=["text-after-quote", "unclosed"])
+def test_bad_quoting_on_the_first_poll_row_names_line_2(tmp_path, capsys, row, reason):
+    lines = (FIXTURES / "polls.csv").read_text().splitlines(True)
+    assert lines[1] == row.replace('"', "") + "\n"  # the row, unquoted
+    lines[1] = row + "\n"
+    polls = tmp_path / "polls.csv"
+    polls.write_text("".join(lines))
+    out = tmp_path / "out"
+    err = assert_rejected(calibrate(out, polls), capsys, polls, 2, out)
+    assert err == f"error [calibrate]: {polls}:2: {reason}\n"
+    assert not list(out.glob("*"))
+
+
+def test_text_after_a_closing_quote_names_its_row(tmp_path, capsys):
+    lines = (FIXTURES / "outcomes.csv").read_text().splitlines(True)
+    state, omega = lines[2].rstrip("\n").split(",")
+    lines[2] = f'"{state}"x,{omega}\n'
+    table = tmp_path / "outcomes.csv"
+    table.write_text("".join(lines))
+    code = run_cli("score", "--series", FIXTURES / "series.csv", "--outcomes", table,
+                   "--metrics", "brier", "--out-dir", tmp_path / "out")
+    err = assert_rejected(code, capsys, table, 3)
+    assert err == f"error [score]: {table}:3: ',' expected after '\"'\n"
 
 
 # Each strict table (every table but the polls and the historical results),

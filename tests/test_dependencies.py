@@ -1,6 +1,8 @@
 """The one runtime dependency: pyproject.toml lists numpy and nothing else,
-so importing the CLI loads no other package outside the standard library."""
+so importing the CLI loads no other package outside the standard library;
+and each module of the package uses every name it imports."""
 
+import ast
 import json
 import os
 import subprocess
@@ -29,3 +31,35 @@ def test_cli_imports_only_numpy_beyond_the_standard_library():
     loaded = top_level_modules("import statecast.cli") - bare - set(sys.stdlib_module_names)
     assert loaded <= {"numpy", "statecast"}, sorted(loaded)
     assert {"numpy", "statecast"} <= loaded
+
+
+# Names a module imports for others to patch, with the reason.
+IMPORTED_FOR_PATCHING = {
+    # perfbench/spans.py wraps cli.run_forecast by name to time it.
+    ("cli", "run_forecast"),
+}
+
+
+def unused_imports(source: str) -> set[str]:
+    """The names ``source`` imports and never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_module_uses_the_names_it_imports():
+    modules = sorted((ROOT / "src" / "statecast").glob("*.py"))
+    assert len(modules) > 5
+    unused = {(path.stem, name) for path in modules if path.name != "__init__.py"
+              for name in unused_imports(path.read_text(encoding="utf-8"))}
+    assert unused == IMPORTED_FOR_PATCHING, sorted(unused)
+
+
+def test_an_unused_import_is_found():
+    assert unused_imports("from itertools import chain\nimport numpy as np\n"
+                          "import os.path\nnp.zeros(os.sep)\n") == {"chain"}

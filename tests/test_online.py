@@ -166,6 +166,30 @@ class TestRun:
             result = run(values, losses)
             assert result.regret <= bound
 
+    @pytest.mark.parametrize("make_losses", [quadratic_losses, trading_losses])
+    def test_one_expert_regret_is_exactly_zero(self, make_losses):
+        # the bound is 0, so a regret formed from two sums that round
+        # differently would exceed it on about a third of these panels
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            days = int(rng.integers(2, 200))
+            values = rng.uniform(0, 1, (days, 1))
+            losses = make_losses(values, rng.uniform(0, 1, days))
+            result = run(values[:-1], losses)
+            assert result.regret == 0.0 <= regret_bound(1, days - 1)
+
+    def test_regret_is_one_sum_of_per_round_gaps(self):
+        rng = np.random.default_rng(26)
+        values, losses = rng.uniform(0, 1, (40, 3)), rng.uniform(0, 1, (40, 3))
+        result = run(values, losses)
+        best = np.argmin(losses.sum(axis=0))
+        assert result.regret == float(np.sum(result.learner_losses - losses[:, best]))
+        assert result.regret == pytest.approx(
+            result.learner_losses.sum() - losses[:, best].sum(), abs=1e-12)
+
+    def test_no_rounds_no_regret(self):
+        assert run(np.empty((0, 2)), np.empty((0, 2))).regret == 0.0
+
     def test_regret_bound_on_switching_adversary(self):
         N, T = 5, 100
         losses = np.ones((T, N))
