@@ -113,9 +113,18 @@ _RANGES = {
 }
 
 
+def file_path(text: str) -> str:
+    """Parser of file settings: an empty path names no file."""
+    if not text:
+        raise ValueError("an empty path names no file")
+    return text
+
+
 def _value_type(key, hint):
     """The parser of the field ``key`` annotated ``T`` or ``T | None``; a
-    value outside the field's range is refused."""
+    value outside the field's range, or an empty file path, is refused."""
+    if hint == str | None:
+        return file_path
     (kind,) = [t for t in get_args(hint) or (hint,) if t is not type(None)]
     parse = {float: finite, date: iso_date}.get(kind, kind)
     if key not in _RANGES:
@@ -134,7 +143,7 @@ def _value_type(key, hint):
 
 _HINTS = get_type_hints(RunConfig)
 _TYPES = {key: _value_type(key, hint) for key, hint in _HINTS.items()}
-_PATH_KEYS = {key for key, hint in _HINTS.items() if hint == str | None}
+_PATH_KEYS = {key for key, parse in _TYPES.items() if parse is file_path}
 
 
 def _setting(key: str, text: str):

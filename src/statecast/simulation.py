@@ -17,12 +17,11 @@ and that day's scale sig = (sigma_samp + sigma_m) * sqrt(horizon) and level
 m; it is recomputed wherever it is needed (``_levels``) instead of stored
 for every (path, day), so the market costs memory per path, not per path
 and day.  The int16 electoral-vote table is the one array as large as the
-paths times the days.  A worker holds one state's draws at a time, and
-frees them before it draws the next state: 1 array of n floats for
-Gaussian (the noise), and for Student-T 3 on a series (intercept, slope and
-noise) but 2 on one day, where each path's line is evaluated at its market
-as soon as it is drawn (``fl(fl(slope * m) + intercept)``, ``_line``) and
-only that line and the noise are kept.
+paths times the days.  Each state's stream is read one settle tile of
+``_TILE`` paths at a time, inside the settle loop, and a tile's draws are
+freed before the next tile is drawn: a worker holds one tile of draws (the
+noise for Gaussian; intercept, slope and noise for Student-T, and one tile
+of t while the noise is formed), whatever the number of paths or days.
 
 Most paths of a state sit on one side of the threshold on every day, so
 settling first screens each (state, path) pair over the whole day range.
@@ -46,13 +45,13 @@ is NaN, as IEEE arithmetic gives them; neither is a warning.  A NaN spread
 never beats the threshold, so it never wins.
 
 Randomness uses counter-based Philox substreams: the market and each state
-own a stream keyed by (seed, stream index), and a path's draw sits at its
-path index within that stream.  Results are therefore bitwise identical no
-matter how work is scheduled across worker threads (workers parallelize over
-states).  The calling thread settles the first worker's states itself, so k
-workers start k - 1 pool threads and one worker starts none: each pool
-thread draws from a malloc arena of its own (glibc), which adds its pages
-to the process's peak RSS.
+own a stream keyed by (seed, stream index), and a path's draws sit at
+places in that stream fixed by its path index and ``_TILE``.  Results are
+therefore bitwise identical no matter how work is scheduled across worker
+threads (workers parallelize over states).  The calling thread settles the
+first worker's states itself, so k workers start k - 1 pool threads and
+one worker starts none: each pool thread draws from a malloc arena of its
+own (glibc), which adds its pages to the process's peak RSS.
 """
 
 from __future__ import annotations
@@ -148,7 +147,12 @@ class ForecastDistribution:
 
 
 _MARKET_STREAM = 0
-_TILE = 1 << 16  # elements in one settle tile: paths, or paths x days
+#: Elements in one settle tile: paths, or paths x days.  It is also part of
+#: the Student-T stream layout: a state draws one tile of paths at a time,
+#: its intercepts, slopes, scales and t in that order, so a run of more
+#: than one tile of paths draws another realization than one draw of all
+#: its paths would.  A Gaussian stream gives the same normals in tiles.
+_TILE = 1 << 16
 
 
 def _ieee():
@@ -201,21 +205,14 @@ def sample_state_noise(
     n_paths: int,
     model: str,
     rng: np.random.Generator,
-    *,
-    market: np.ndarray | None = None,
 ) -> tuple:
     """One state's draws as ``(intercept, slope, noise)`` under ``model``.
 
     The state's spread on a path with terminal market m is
     ``intercept + slope * m + noise``.  Gaussian: the fitted line (scalars)
-    plus sigma_eps * Z; Student-T: a per-path line plus scale * t.
-
-    ``market`` is each path's m on a run's one day.  Given it, a Student-T
-    line is evaluated there as soon as it is drawn, into the slope's buffer,
-    and the draw returns ``(line, None, noise)`` with line ``fl(fl(slope *
-    m) + intercept)`` (``_line``); a Gaussian line, two scalars, is
-    returned as it is.  The noise is formed in place: the draw holds no
-    more than it returns, and Student-T one ``_TILE`` of t more.
+    plus sigma_eps * Z; Student-T: a per-path line plus scale * t, drawn as
+    the ``n_paths`` intercepts, slopes, scales and t in that order.  The
+    noise is formed in place.
     """
     if model == "gaussian":
         noise = rng.standard_normal(n_paths)
@@ -224,32 +221,21 @@ def sample_state_noise(
     if model == "student_t":
         alpha = rng.normal(cal.alpha, SIGMA_ALPHA, n_paths)
         beta = rng.normal(cal.beta, SIGMA_BETA, n_paths)
-        if market is not None:  # the intercept is freed before the noise is drawn
-            alpha, beta = _line(alpha, beta, market, out=beta), None
         noise = rng.normal(0.0, cal.sigma_eps, n_paths)
         np.abs(noise, out=noise)  # the scale
-        # t a tile at a time: the stream gives the same values as one draw
-        for c in range(0, n_paths, _TILE):
-            noise[c:c + _TILE] *= rng.standard_t(NU, min(_TILE, n_paths - c))
+        noise *= rng.standard_t(NU, n_paths)
         return alpha, beta, noise
     raise ValueError(f"unknown noise model {model!r}")
 
 
-def _line(a, b, m, out: np.ndarray) -> np.ndarray:
-    """A state's line ``fl(fl(b * m) + a)`` into ``out`` (which may be ``b``
-    or ``m``) from its intercept ``a`` and slope ``b`` at the market ``m``."""
-    np.multiply(b, m, out=out)
-    return np.add(out, a, out=out)
-
-
 def _spreads(a, b, e, m, out: np.ndarray) -> np.ndarray:
-    """State spreads ``fl(line + e)`` into ``out`` (which may be ``m``): the
-    line ``_line(a, b, m)``, or ``a`` itself where ``b`` is None (a line the
-    draw folded at ``m``), plus the noise ``e``.  Every state spread the
-    simulator compares is rounded by these two steps, in this order; a
-    folded line is never settled as slope 0, since 0 * inf is NaN."""
-    line = a if b is None else _line(a, b, m, out)
-    return np.add(line, e, out=out)
+    """State spreads ``fl(fl(fl(b * m) + a) + e)`` into ``out`` (which may
+    be ``m``) from the intercept ``a``, slope ``b`` and noise ``e`` at the
+    market ``m``.  Every state spread the simulator compares is rounded by
+    these three steps, in this order."""
+    np.multiply(b, m, out=out)
+    np.add(out, a, out=out)
+    return np.add(out, e, out=out)
 
 
 def _screen(s_lo: np.ndarray, s_hi: np.ndarray | None, threshold: float,
@@ -326,8 +312,6 @@ def simulate_paths(
                 day_m = _levels(z[pr], sig, mc, out=m_t[:min(rows, n - r)])
                 day_m.min(axis=1, out=m_lo[pr])
                 day_m.max(axis=1, out=m_hi[pr])
-    # with one day, a Student-T line is folded at the day's market as it is drawn
-    market = m_lo if n_days == 1 else None
     threshold = cfg.win_threshold
     p_state = np.empty((n_days, len(states)))
 
@@ -346,19 +330,16 @@ def simulate_paths(
             won_u, inc_u = (np.empty((rows, n_days), dtype=t) for t in (bool, np.int16))
 
         def settle_state(i: int) -> None:
-            """Draw state ``i`` and settle it; its draws are freed on return,
-            before the next state is drawn."""
-            rng = _stream(cfg.seed, 1 + i)
-            intercept, slope, noise = sample_state_noise(
-                cals[states[i]], n, cfg.noise_model, rng, market=market)
+            """Draw and settle state ``i`` a tile of paths at a time; each
+            tile's draws are freed before the next tile is drawn."""
+            rng, cal = _stream(cfg.seed, 1 + i), cals[states[i]]
             votes = np.int16(ev_table[states[i]])
             wins = np.zeros(n_days, dtype=np.int64)
             for c in range(0, n, cols):
                 pc = slice(c, c + cols)
-                # Gaussian lines are scalars; Student-T lines are per path,
-                # and a folded one (slope None) is already at the day's market
-                a, b, e = (v[pc] if np.ndim(v) else v for v in (intercept, slope, noise))
                 k = min(cols, n - c)
+                # Gaussian lines are scalars; Student-T lines are per path
+                a, b, e = sample_state_noise(cal, k, cfg.noise_model, rng)
                 won_t, inc_t = won[:k], inc[:k]
                 # the spread at the path's lowest and highest market
                 s_lo = _spreads(a, b, e, m_lo[pc], out=lo[:k])
@@ -370,14 +351,15 @@ def simulate_paths(
                 for r in range(0, len(undecided), rows):
                     at = undecided[r:r + rows]
                     u = len(at)
-                    a_u, b_u, e_u = (v[at, None] if np.ndim(v) else v for v in (a, b, e))
                     x_t, won_ut, inc_ut = (buf[:u] for buf in (x, won_u, inc_u))
                     _levels(z[at + c], sig, mc, out=x_t)  # the market on each day
-                    _spreads(a_u, b_u, e_u, x_t, out=x_t)
+                    _spreads(*(v[at, None] if np.ndim(v) else v for v in (a, b, e)),
+                             x_t, out=x_t)
                     np.greater(x_t, threshold, out=won_ut)
                     wins += won_ut.view(np.uint8).sum(axis=0, dtype=np.int32)  # per day
                     np.multiply(won_ut, votes, out=inc_ut)
                     ev_c1[at + c] += inc_ut
+                del a, b, e
             p_state[:, i] = wins / n
 
         with _ieee():

@@ -692,6 +692,41 @@ class TestConfigValues:
         assert not list(out.glob("*"))
 
 
+class TestEmptyPaths:
+    """An empty file setting names no file: a flag is a usage error, and a
+    config value is named by file, line and key.  Each used to be read as
+    "not given" or as the config file's directory."""
+
+    @pytest.mark.parametrize("command,flag,rest", [
+        ("calibrate", "--historical", ["--polls", FIXTURES / "polls.csv",
+                                       "--election-date", "2016-11-08"]),
+        ("forecast", "--calibration", ["--polls", FIXTURES / "polls.csv",
+                                       "--historical", FIXTURES / "historical.csv",
+                                       "--seed", "1", "--paths", "200"]),
+        ("score", "--ev-table", ["--series", FIXTURES / "series.csv",
+                                 "--outcomes", FIXTURES / "outcomes.csv",
+                                 "--histograms", FIXTURES / "histograms.csv"]),
+    ])
+    def test_empty_flag_is_usage_error(self, tmp_path, capsys, command, flag, rest):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *rest, flag, "", "--out-dir", out)
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid file_path value: ''" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ['polls = ""', "historical =", 'historical = "" # none'])
+    def test_empty_config_value_names_file_line_and_key(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f'election_date = 2016-11-08\n{line}\n')
+        key = line.split()[0]
+        out = tmp_path / "out"
+        code = run_cli("calibrate", "--config", cfg, "--polls", FIXTURES / "polls.csv",
+                       "--historical", FIXTURES / "historical.csv", "--out-dir", out)
+        err = assert_rejected(code, capsys, cfg, 2, out)
+        assert err == f"error [calibrate]: {cfg}:2: {key}: an empty path names no file\n"
+        assert not list(out.glob("*"))
+
 # 2016-13-45 is no day; the others are forms that only some Pythons read.
 BAD_DATES = ("2016-13-45", "20161108", "2016-W45-2", "2016-11-8")
 

@@ -135,9 +135,9 @@ DRAWS = {
 @pytest.mark.parametrize("draw", sorted(DRAWS))
 def test_a_draw_in_tiles_equals_the_whole_draw(draw):
     # numpy gives the same values from a stream whether a draw is taken
-    # whole or in _TILE pieces, and leaves the stream at the same place; the
-    # per-tile Student-T draw relies on this.  2 * _TILE + 7 paths: not a
-    # multiple of _TILE.
+    # whole or in _TILE pieces, and leaves the stream at the same place; a
+    # Gaussian state drawn a settle tile at a time relies on this.  2 *
+    # _TILE + 7 paths: not a multiple of _TILE.
     n = 2 * _TILE + 7
     whole_rng, tiled_rng = _stream(31, 4), _stream(31, 4)
     whole = DRAWS[draw](whole_rng, n)
@@ -145,6 +145,36 @@ def test_a_draw_in_tiles_equals_the_whole_draw(draw):
                             for c in range(0, n, _TILE)])
     assert tiled.tobytes() == whole.tobytes()
     assert tiled_rng.standard_normal(3).tobytes() == whole_rng.standard_normal(3).tobytes()
+
+
+def test_a_student_t_state_reads_its_stream_a_tile_at_a_time(monkeypatch):
+    # Tile k of a Student-T state's paths is four consecutive blocks of the
+    # tile's length, read from the state's stream after tiles 0..k-1: the
+    # intercepts, the slopes, the scales and t.  2 * _TILE + 7 paths: two
+    # whole tiles and a partial one.
+    n, seed = 2 * _TILE + 7, 29
+    cal = StateCalibration("OH", 1.5, 0.8, 2.0, 8, "polls")
+    tiles = []
+    draw = simulation.sample_state_noise
+
+    def recorded(*args):
+        tiles.append(draw(*args))
+        return tiles[-1]
+
+    monkeypatch.setattr(simulation, "sample_state_noise", recorded)
+    cfg = SimulationConfig(seed=seed, n_paths=n, noise_model="student_t")
+    simulate_paths({"OH": cal}, [market()], {"OH": 18}, cfg)
+    assert [len(noise) for _, _, noise in tiles] == [_TILE, _TILE, 7]
+    rng = _stream(seed, 1)
+    for intercept, slope, noise in tiles:
+        k = len(noise)
+        alpha = rng.normal(cal.alpha, simulation.SIGMA_ALPHA, k)
+        beta = rng.normal(cal.beta, simulation.SIGMA_BETA, k)
+        scale = rng.normal(0.0, cal.sigma_eps, k)
+        t = rng.standard_t(simulation.NU, k)
+        assert intercept.tobytes() == alpha.tobytes()
+        assert slope.tobytes() == beta.tobytes()
+        assert noise.tobytes() == (np.abs(scale) * t).tobytes()
 
 
 class TestAggregateElectoralVotes:
@@ -375,22 +405,30 @@ DAYS = [market(m=-1.0, horizon=40.0), market(m=0.5, horizon=20.0),
         market(m=1.5, horizon=5.0), market(m=0.0, horizon=0.0)]
 
 
+def tile_draws(rng, cal, model, k):
+    """One tile of ``k`` paths of a state's draws as arrays (intercept,
+    slope, noise), in the order the model reads its stream."""
+    if model == "gaussian":
+        noise = cal.sigma_eps * rng.standard_normal(k)
+        return np.full(k, cal.alpha), np.full(k, cal.beta), noise
+    alpha = rng.normal(cal.alpha, simulation.SIGMA_ALPHA, k)
+    beta = rng.normal(cal.beta, simulation.SIGMA_BETA, k)
+    scale = np.abs(rng.normal(0.0, cal.sigma_eps, k))
+    return alpha, beta, scale * rng.standard_t(simulation.NU, k)
+
+
 def rebuilt_spreads(cals, markets, cfg):
     """Every state's spread on every path of each market, drawn straight
-    from the Philox streams in the order the simulator consumes them."""
-    n, model = cfg.n_paths, cfg.noise_model
+    from the Philox streams in the order the simulator consumes them: each
+    state's stream one tile of ``simulation._TILE`` paths at a time."""
+    n, model, tile = cfg.n_paths, cfg.noise_model, simulation._TILE
     z = _stream(cfg.seed, 0).standard_normal(n)
     ms = [mkt.m_current + mkt.sigma_total * np.sqrt(mkt.horizon) * z for mkt in markets]
     out = [{} for _ in markets]
     for i, state in enumerate(sorted(cals)):
         rng, cal = _stream(cfg.seed, 1 + i), cals[state]
-        if model == "gaussian":
-            alpha, beta, noise = cal.alpha, cal.beta, cal.sigma_eps * rng.standard_normal(n)
-        else:
-            alpha = rng.normal(cal.alpha, simulation.SIGMA_ALPHA, n)
-            beta = rng.normal(cal.beta, simulation.SIGMA_BETA, n)
-            scale = np.abs(rng.normal(0.0, cal.sigma_eps, n))
-            noise = scale * rng.standard_t(simulation.NU, n)
+        tiles = [tile_draws(rng, cal, model, min(tile, n - c)) for c in range(0, n, tile)]
+        alpha, beta, noise = (np.concatenate(v) for v in zip(*tiles))
         for day, m in zip(out, ms):
             day[state] = alpha + beta * m + noise
     return out
@@ -493,41 +531,77 @@ def test_market_memory_is_per_path():
     assert peak < n_paths * n_days * np.dtype(np.float64).itemsize
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_worker_holds_one_states_draws(workers):
-    # A worker frees each state's draws before it draws the next state.  In
-    # floats of 8 bytes, with one day, Student-T noise and n paths, the
-    # traced peak is at most:
-    #   the market draw z, shared by the workers:                 n
-    #   per worker, one state's draws, its line folded at the
-    #     market before the noise is drawn (line, noise):         2n
-    #     and one _TILE of t while the noise is formed:           _TILE
-    #   per worker, its int16 EV table:                           n / 4
-    #   per worker, the one-day settle tiles (lo, and 4 bytes of
-    #     bool, bool and int16 for each of its elements):         3/2 _TILE
-    #   the interpreter's own objects (thread states, frames):    < _TILE
-    # Measured, the peak less n + workers * (2n + n / 4 + _TILE) is 1.53
-    # _TILE with one worker and 3.05 _TILE with two: the tile terms are
-    # exact, and the interpreter's objects are about 2,000 floats.  Keeping
-    # the intercept until the noise is drawn (3n), or allocating a series'
-    # settle tiles (hi, x and the rows' bool and int16: 19/8 _TILE more),
-    # goes past the bound with one worker.
-    # 3 * _TILE + 7 paths: the draws span whole tiles and a partial one.
-    ev = default_ev_table()
-    n = 3 * _TILE + 7
-    cals = contested_cals(ev)
-    model = "student_t"
-    simulate_paths(cals, [market()], ev,  # warm-up: numpy.random imports on first use
-                   SimulationConfig(seed=71, n_paths=7, noise_model=model))
-    cfg = SimulationConfig(seed=71, n_paths=n, noise_model=model, workers=workers)
+def traced_peak(cals, days, ev, cfg) -> float:
+    """The traced peak of one ``simulate_paths`` call, in floats of 8 bytes."""
+    # warm-up: numpy.random imports on first use, and the pool starts once
+    simulate_paths(cals, days, ev, replace(cfg, n_paths=7))
     tracemalloc.start()
     try:
-        simulate_paths(cals, [market()], ev, cfg)
+        simulate_paths(cals, days, ev, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    bound = n + workers * (2 * n + _TILE + n / 4 + 3 / 2 * _TILE) + _TILE
-    assert peak <= bound * np.dtype(np.float64).itemsize
+    return peak / np.dtype(np.float64).itemsize
+
+
+# The memory plans below are checked with tiles of 4,096 paths, which keeps
+# each run short, over 8 tiles and 7 paths: a worker that held a state's
+# draws for every path at once (2n or 3n) would hold more than 16 tiles.
+MEMORY_TILE = 1 << 12
+MEMORY_PATHS = 8 * MEMORY_TILE + 7
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_worker_holds_one_states_draws(workers, monkeypatch):
+    # A worker draws each state one settle tile at a time and frees a
+    # tile's draws before it draws the next.  In floats of 8 bytes, with one
+    # day, Student-T noise and n paths, the traced peak is at most:
+    #   the market draw z, shared by the workers:                 n
+    #   per worker, its int16 EV table:                           n / 4
+    #   per worker, one tile of draws (intercept, slope and
+    #     noise) and one tile of t while the noise is formed:     4 _TILE
+    #   per worker, the one-day settle tiles (lo, and 4 bytes of
+    #     bool, bool and int16 for each of its elements):         3/2 _TILE
+    #   per worker, the interpreter's own objects (thread
+    #     states, frames):                                        < 4,096
+    # Measured at _TILE 16,384 and 65,536, the peak is these tile terms
+    # exactly plus 1,140 floats per worker, with one worker and with two.
+    # Keeping a tile's draws while the next tile is drawn (3 _TILE more), or
+    # drawing all n paths of a state at once (2n), goes past the bound.
+    monkeypatch.setattr(simulation, "_TILE", MEMORY_TILE)
+    ev = default_ev_table()
+    n, tile = MEMORY_PATHS, MEMORY_TILE
+    cfg = SimulationConfig(seed=71, n_paths=n, noise_model="student_t", workers=workers)
+    peak = traced_peak(contested_cals(ev), [market()], ev, cfg)
+    assert peak <= n + workers * (n / 4 + 4 * tile + 3 / 2 * tile + 4096)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_series_worker_holds_one_tile_of_draws(workers, monkeypatch):
+    # The same plan on a Student-T series of 4 days.  The traced peak is at
+    # most, in floats of 8 bytes:
+    #   the market draw z and each path's lowest and highest
+    #     market, shared by the workers:                          3n
+    #   one tile of rows of day levels, shared:                   _TILE
+    #   per worker, its int16 EV table and base votes:            5n / 4
+    #   per worker, one tile of draws and one of t:               4 _TILE
+    #   per worker, the settle tiles (lo, hi and x, and bool
+    #     and int16 ones of 4 and 3 bytes an element):            31/8 _TILE
+    #   per worker, the screen's and the undecided rows'
+    #     temporaries:                                            1/2 _TILE
+    #   per worker, what does not grow with the tile (numpy's
+    #     buffers, the interpreter's own objects):                < 16,384
+    # Measured at _TILE 16,384 and 65,536, the peak less the first five
+    # terms is 0.40-0.44 _TILE plus 7,000-7,400 floats per worker, with one
+    # worker and with two.  Drawing all n paths of a state at once, as a
+    # series did before (3n), goes past the bound.
+    monkeypatch.setattr(simulation, "_TILE", MEMORY_TILE)
+    ev = default_ev_table()
+    n, tile = MEMORY_PATHS, MEMORY_TILE
+    cfg = SimulationConfig(seed=71, n_paths=n, noise_model="student_t", workers=workers)
+    peak = traced_peak(contested_cals(ev), DAYS, ev, cfg)
+    per_worker = 5 * n / 4 + (4 + 31 / 8 + 1 / 2) * tile + 16384
+    assert len(DAYS) == 4 and peak <= 3 * n + tile + workers * per_worker
 
 
 def screen_cals(ev):
@@ -591,9 +665,8 @@ class TestScreen:
 
     def test_one_day_at_an_infinite_market(self, model, workers):
         # sigma_total * sqrt(T) overflows, so m is +-inf on every path.  A
-        # Student-T line folded at m is +-inf, as in the three-term spread,
-        # and not 0 * inf = NaN; the flat Gaussian line (PA, slope 0.0) is
-        # NaN on every path, which never wins.
+        # Student-T line at m is +-inf, and the flat Gaussian line (PA,
+        # slope 0.0) is 0 * inf = NaN on every path, which never wins.
         cals = screen_cals(default_ev_table())
         cfg = SimulationConfig(seed=73, n_paths=SCREEN_PATHS, noise_model=model,
                                workers=workers)

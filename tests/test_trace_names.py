@@ -68,7 +68,8 @@ def test_tracer_patches_and_restores_every_name(tmp_path):
         tracer.uninstall()
     # every forecast, whatever its input, is one simulator call
     assert simulator_spans == {kind: ["simulation.probability_time_series"] for kind in inputs}
-    # one draw per state, each counted by the draw hook
+    # one draw per state and settle tile (200 paths: one tile), each
+    # counted by the draw hook
     assert draws == {kind: 51 for kind in inputs}
     assert tracer.counts["draw_requests"] == sum(draws.values())
     names = {span[2] for span in tracer.spans}
