@@ -171,6 +171,41 @@ def test_forecast_bytes_above_one_tile(tmp_path, model, workers, capsys):
                                     GOLDEN_ONE_DAY_70001[model], capsys)
 
 
+# The fixture's daily series at 2 * 65,536 + 7 paths: two whole path tiles
+# and a partial one, on every grid day.  Recorded while each worker still
+# held an electoral-vote table of every path and day.
+# noise model -> sha256 of (forecast.json, timeseries.csv)
+GOLDEN_SERIES_131079 = {
+    "gaussian": (
+        "f45860909a30f859d7a237fa15889ab1d44f9da946367dfbb12b80e9ceb2c7be",
+        "41458ddf9c729b9d0f3982279ec20b85a724f339d16c66ebd010f18b2b3cc7b2",
+    ),
+    "student_t": (
+        "2532f0c095ed0b69b5bf52aab4d41d03d35483ea8fd1c0dcd3e745cdf68347a1",
+        "70b2a3a6f6d5e168dab7e1037726266ef4d294275d13bfda165eb27593bc760a",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("model", sorted(GOLDEN_SERIES_131079))
+def test_series_bytes_above_two_tiles(tmp_path, model, workers, capsys):
+    assert main([
+        "forecast",
+        "--polls", str(FIXTURES / "polls.csv"),
+        "--historical", str(FIXTURES / "historical.csv"),
+        "--election-date", "2016-11-08",
+        "--seed", "1",
+        "--noise-model", model,
+        "--workers", str(workers),
+        "--paths", "131079",
+        "--out-dir", str(tmp_path),
+    ]) == 0
+    assert capsys.readouterr().out == "p_national = 1.0000 over 131079 paths (seed 1)\n"
+    assert (sha256(tmp_path / "forecast.json"),
+            sha256(tmp_path / "timeseries.csv")) == GOLDEN_SERIES_131079[model]
+
+
 # The first two experts of experts.csv, written as their own panel: with
 # two experts, `trade --reference pairmean` plays the pair game.  Its
 # digests were recorded after the one price-series type for trading.
