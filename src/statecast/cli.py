@@ -40,6 +40,7 @@ from . import ingest, online, scoring, trading
 from .errors import ConfigurationError, IngestError, StatecastError
 from .scoring import BinaryForecastSeries
 from .simulation import (
+    MAX_PATHS,
     NOISE_MODELS,
     SimulationConfig,
     probability_time_series,
@@ -106,7 +107,7 @@ def finite(text: str) -> float:
 #: The range of each numeric setting that has one: a test and what it asks.
 _RANGES = {
     "seed": (lambda v: 0 <= v < 2**64, f"in 0..{2**64 - 1}"),
-    "paths": (lambda v: v >= 1, ">= 1"),
+    "paths": (lambda v: 1 <= v <= MAX_PATHS, f"in 1..{MAX_PATHS}"),
     "workers": (lambda v: v >= 1, ">= 1"),
     "bandwidth": (lambda v: v > 0, "> 0"),
     "ev_realization": (lambda v: 0 <= v < EV_BINS, f"in 0..{EV_BINS - 1}"),

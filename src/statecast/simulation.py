@@ -15,13 +15,13 @@ the same code, and each day matches a one-day run bit for bit.  A path's
 market on a day is ``fl(fl(z * sig) + m)`` from its one standard normal z
 and that day's scale sig = (sigma_samp + sigma_m) * sqrt(horizon) and level
 m; it is recomputed wherever it is needed (``_levels``) instead of stored
-for every (path, day), so the market costs memory per path, not per path
-and day.  The int16 electoral-vote table is the one array as large as the
-paths times the days.  Each state's stream is read one settle tile of
-``_TILE`` paths at a time, inside the settle loop, and a tile's draws are
-freed before the next tile is drawn: a worker holds one tile of draws (the
-noise for Gaussian; intercept, slope and noise for Student-T, and one tile
-of t while the noise is formed), whatever the number of paths or days.
+for every (path, day).
+
+The paths are settled one tile of ``_TILE`` at a time (``simulate_paths``):
+the market draw, each state's draws and each worker's int16 electoral-vote
+table hold one tile of paths (times the days, for the table), and each
+day's votes are counted into a row of 539 bins.  So a run holds O(tile x
+days) memory, whatever its number of paths.
 
 Most paths of a state sit on one side of the threshold on every day, so
 settling first screens each (state, path) pair over the whole day range.
@@ -35,10 +35,9 @@ every day.  Only the rest, NaN included, are settled day by day through the
 same ``_spreads``; every count is an integer, so the outputs are those of
 settling every day of every path.  On the contested races of the benchmark
 (91 days) 86-91% of pairs are decided by the screen; on the bundled fixture
-93-97% at threshold 0 and 86% at 18.  The market ranges, taken once for all states,
-and both settle passes walk fixed tiles of ``_TILE`` elements through
-buffers sized by the tile and not by the number of paths; a state's win
-share is its win count over n.
+93-97% at threshold 0 and 86% at 18.  The market ranges, taken once for
+all states, and the rows settled day by day walk blocks of ``_TILE``
+elements (paths x days); a state's win share is its win count over n.
 
 A term that overflows is +-inf, and an undefined one (inf - inf, 0 * inf)
 is NaN, as IEEE arithmetic gives them; neither is a warning.  A NaN spread
@@ -51,7 +50,8 @@ therefore bitwise identical no matter how work is scheduled across worker
 threads (workers parallelize over states).  The calling thread settles the
 first worker's states itself, so k workers start k - 1 pool threads and
 one worker starts none: each pool thread draws from a malloc arena of its
-own (glibc), which adds its pages to the process's peak RSS.
+own (glibc), which adds its pages to the process's peak RSS.  For the same
+reason the calling thread makes every worker's buffers.
 """
 
 from __future__ import annotations
@@ -86,6 +86,9 @@ NOISE_MODELS = ("gaussian", "student_t")
 SIGMA_ALPHA = 0.01
 SIGMA_BETA = 1.0
 NU = 3
+#: The most paths one run takes: above 2**53 a count over the paths is no
+#: longer exact as a float64, so neither is a win share or a histogram bin.
+MAX_PATHS = 2**53
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,8 @@ class SimulationConfig:
         _check_integer(self, ("seed", "n_paths", "workers"))
         if not (0 <= self.seed <= _U64):
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
+        if not 1 <= self.n_paths <= MAX_PATHS:
+            raise ValueError("n_paths must be in 1..2**53")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         _check_finite(self, ("win_threshold",))
@@ -115,14 +118,12 @@ class SimulationConfig:
 
 @dataclass
 class PathOutcomes:
-    """Per-day results over one set of paths: candidate 1's electoral votes
-    on each path (days x paths) and each state's win share (days x states).
-
-    ``ev_c1`` is the transposed view of a C-ordered paths x days array, so
-    each path's days are contiguous in memory and a day's row is strided."""
+    """Per-day results over one set of paths: how many paths give candidate
+    1 each electoral-vote count 0..538 (days x ``EV_BINS``, int64) and each
+    state's win share (days x states)."""
 
     states: tuple[str, ...]
-    ev_c1: np.ndarray
+    ev_counts: np.ndarray
     p_state: np.ndarray
 
 
@@ -147,12 +148,15 @@ class ForecastDistribution:
 
 
 _MARKET_STREAM = 0
-#: Elements in one settle tile: paths, or paths x days.  It is also part of
-#: the Student-T stream layout: a state draws one tile of paths at a time,
-#: its intercepts, slopes, scales and t in that order, so a run of more
-#: than one tile of paths draws another realization than one draw of all
-#: its paths would.  A Gaussian stream gives the same normals in tiles.
+#: Paths in one tile, the simulator's outer loop, and elements in one block
+#: of rows settled day by day (paths x days).  It is also part of the
+#: Student-T stream layout: a state draws one tile of paths at a time, its
+#: intercepts, slopes, scales and t in that order, so a run of more than
+#: one tile of paths draws another realization than one draw of all its
+#: paths would.  A Gaussian stream gives the same normals in tiles.
 _TILE = 1 << 16
+#: Values in one block of a Student-T component's draw (``_blocks``).
+_BLOCK = 1 << 12
 
 
 def _ieee():
@@ -168,13 +172,13 @@ def _stream(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _market_terms(markets: list[MarketCalibration], cfg: SimulationConfig):
-    """The market stream's one standard normal z per path, and each market's
-    scale sigma_total * sqrt(T) and level m: the terms of its terminals."""
-    z = _stream(cfg.seed, _MARKET_STREAM).standard_normal(cfg.n_paths)
+def _market_terms(markets: list[MarketCalibration]):
+    """Each market's scale sigma_total * sqrt(T) and level m: with the
+    market stream's one standard normal z per path, the terms of its
+    terminals."""
     sig = np.array([mkt.sigma_total * np.sqrt(mkt.horizon) for mkt in markets])
     mc = np.array([mkt.m_current for mkt in markets])
-    return z, sig, mc
+    return sig, mc
 
 
 def _levels(z, sig, mc, out: np.ndarray) -> np.ndarray:
@@ -196,8 +200,14 @@ def simulate_market_terminals(
     The rows are a (markets x paths) view of a paths x markets array, so
     each path's markets are contiguous in memory."""
     with _ieee():
-        z, sig, mc = _market_terms(markets, cfg)
+        z = _stream(cfg.seed, _MARKET_STREAM).standard_normal(cfg.n_paths)
+        sig, mc = _market_terms(markets)
         return _levels(z, sig, mc, np.empty((len(z), len(sig)))).T
+
+
+def _blocks(buf: np.ndarray):
+    """``buf`` as consecutive views of ``_BLOCK`` values."""
+    return (buf[s:s + _BLOCK] for s in range(0, len(buf), _BLOCK))
 
 
 def sample_state_noise(
@@ -205,25 +215,36 @@ def sample_state_noise(
     n_paths: int,
     model: str,
     rng: np.random.Generator,
+    out: tuple | None = None,
 ) -> tuple:
     """One state's draws as ``(intercept, slope, noise)`` under ``model``.
 
     The state's spread on a path with terminal market m is
     ``intercept + slope * m + noise``.  Gaussian: the fitted line (scalars)
     plus sigma_eps * Z; Student-T: a per-path line plus scale * t, drawn as
-    the ``n_paths`` intercepts, slopes, scales and t in that order.  The
-    noise is formed in place.
+    the ``n_paths`` intercepts, slopes, scales and t in that order.
+
+    ``out`` is a triple of float64 arrays of ``n_paths`` values, (intercept,
+    slope, noise), that the draws fill in place; Gaussian fills only the
+    noise, and its other two may be None.  Without it, each is allocated.
+    A Student-T component is drawn ``_BLOCK`` values at a time by the same
+    ``rng.normal`` or ``rng.standard_t`` call, which reads the stream as
+    one call for all of them would; the noise is formed in place.
     """
     if model == "gaussian":
-        noise = rng.standard_normal(n_paths)
+        noise = np.empty(n_paths) if out is None else out[2]
+        rng.standard_normal(out=noise)
         noise *= cal.sigma_eps
         return cal.alpha, cal.beta, noise
     if model == "student_t":
-        alpha = rng.normal(cal.alpha, SIGMA_ALPHA, n_paths)
-        beta = rng.normal(cal.beta, SIGMA_BETA, n_paths)
-        noise = rng.normal(0.0, cal.sigma_eps, n_paths)
+        alpha, beta, noise = (np.empty(n_paths) for _ in range(3)) if out is None else out
+        for buf, loc, scale in ((alpha, cal.alpha, SIGMA_ALPHA), (beta, cal.beta, SIGMA_BETA),
+                                (noise, 0.0, cal.sigma_eps)):
+            for part in _blocks(buf):
+                part[:] = rng.normal(loc, scale, len(part))
         np.abs(noise, out=noise)  # the scale
-        noise *= rng.standard_t(NU, n_paths)
+        for part in _blocks(noise):
+            part *= rng.standard_t(NU, len(part))
         return alpha, beta, noise
     raise ValueError(f"unknown noise model {model!r}")
 
@@ -270,23 +291,26 @@ def simulate_paths(
 
     Each state is drawn once and every market is settled from those draws:
     a state wins a (path, day) when ``fl(fl(fl(slope * m) + intercept) +
-    noise)`` exceeds ``win_threshold``.  The market m is never stored per
-    (path, day): each path's lowest and highest m over the days are taken
-    from its market draw in tiles of ``_TILE // days`` paths, and the rows
-    settled day by day recompute their m into the spread buffer.  Each
-    (state, path) pair is first screened by its spreads at those two ends,
-    which bracket its spread on every day in either order, in path tiles of
-    ``_TILE`` (see the module docstring).  A pair that wins on every day
-    adds its votes to a per-path base and its count to every day's wins;
-    only the pairs the screen leaves undecided are evaluated day by day, in
-    chunks of ``_TILE // days`` paths.  With one day the market draw becomes
-    that day's m in place, its spread is the day's spread, and the screen is
-    the whole settle.
+    noise)`` exceeds ``win_threshold``.  The paths are settled one tile of
+    ``_TILE`` at a time.  For each tile the calling thread draws that tile
+    of the market stream and each path's lowest and highest m over the
+    days, in blocks of ``_TILE // days`` paths; the market m is never
+    stored per (path, day).  Then each worker draws its states' tile from
+    their streams, kept across tiles, and screens each (state, path) pair
+    by its spreads at those two ends, which bracket its spread on every day
+    in either order (see the module docstring).  A pair that wins on every
+    day adds its votes to a per-path base and its count to every day's
+    wins; only the pairs the screen leaves undecided are evaluated day by
+    day, in blocks of ``_TILE // days`` paths, their m recomputed into the
+    spread buffer.  With one day the market tile becomes that day's m in
+    place, its spread is the day's spread, and the screen is the whole
+    settle.  The workers' electoral-vote tiles are summed, and each day's
+    votes are counted into its row of ``ev_counts``.
 
     ``p_state`` is each state's win count divided by ``n_paths``.  Workers
-    take fixed strided chunks of states and each returns its own integer
-    EV accumulator, summed in chunk order, so the sum does not depend on
-    ``cfg.workers``.
+    take fixed strided chunks of states; the calling thread settles the
+    first and makes every worker's buffers, once for all tiles.  Every
+    count is an integer, so no output depends on ``cfg.workers``.
     """
     states = tuple(sorted(ev_table))
     if not states:
@@ -295,30 +319,27 @@ def simulate_paths(
     if missing:
         raise ConfigurationError(f"missing calibration for: {', '.join(missing)}")
 
+    n, n_days = cfg.n_paths, len(markets)
+    ev_counts = np.zeros((n_days, EV_BINS), dtype=np.int64)
+    wins = np.zeros((len(states), n_days), dtype=np.int64)
+    if n_days == 0:  # no day to settle, and no range to screen
+        return PathOutcomes(states=states, ev_counts=ev_counts, p_state=wins.T / n)
     with _ieee():
-        z, sig, mc = _market_terms(markets, cfg)
-        n, n_days = len(z), len(sig)
-        if n_days == 0:  # no day to settle, and no range to screen
-            return PathOutcomes(states=states, ev_c1=np.zeros((0, n), dtype=np.int16),
-                                p_state=np.empty((0, len(states))))
-        cols = min(n, _TILE)
-        rows = max(1, _TILE // n_days)
-        if n_days == 1:  # z becomes the one day's market, both ends of its range
-            m_lo = m_hi = _levels(z, sig[0], mc[0], out=z)
-        else:  # each path's lowest and highest market, a tile of rows at a time
-            m_lo, m_hi, m_t = np.empty(n), np.empty(n), np.empty((rows, n_days))
-            for r in range(0, n, rows):
-                pr = slice(r, r + rows)
-                day_m = _levels(z[pr], sig, mc, out=m_t[:min(rows, n - r)])
-                day_m.min(axis=1, out=m_lo[pr])
-                day_m.max(axis=1, out=m_hi[pr])
+        sig, mc = _market_terms(markets)
+    cols = min(n, _TILE)
+    rows = max(1, _TILE // n_days)
     threshold = cfg.win_threshold
-    p_state = np.empty((n_days, len(states)))
+    z = np.empty(cols)  # the market tile; with one day, that day's m
+    if n_days > 1:  # each path's lowest and highest market over the days
+        m_lo, m_hi, m_t = np.empty(cols), np.empty(cols), np.empty((rows, n_days))
 
-    def settle(chunk: range) -> np.ndarray:
-        ev_c1 = np.zeros((n, n_days), dtype=np.int16)  # at most 538 votes
+    def worker(chunk: range):
+        """The settle of ``chunk``'s states on one tile of paths, with their
+        streams and its buffers made here, once for every tile."""
+        rngs = [_stream(cfg.seed, 1 + i) for i in chunk]
+        ev_t = np.empty((cols, n_days), dtype=np.int16)  # at most 538 votes
         # votes of the states won on every day; with one day, that day's
-        base = ev_c1[:, 0] if n_days == 1 else np.zeros(n, dtype=np.int16)
+        base = ev_t[:, 0] if n_days == 1 else np.empty(cols, dtype=np.int16)
         # one day's screen decides every path: it needs no hi and no rows.
         # Allocating hi after won, flat and inc raised a 91-day series' peak
         # RSS by 0.2 MB (allocator placement), hence this order.
@@ -328,61 +349,78 @@ def simulate_paths(
         if n_days > 1:
             x = np.empty((rows, n_days))
             won_u, inc_u = (np.empty((rows, n_days), dtype=t) for t in (bool, np.int16))
+        # Gaussian lines are scalars, so its draw fills only the noise
+        line = (np.empty(cols), np.empty(cols)) if cfg.noise_model == "student_t" else (None, None)
+        draws = (*line, np.empty(cols))
 
-        def settle_state(i: int) -> None:
-            """Draw and settle state ``i`` a tile of paths at a time; each
-            tile's draws are freed before the next tile is drawn."""
-            rng, cal = _stream(cfg.seed, 1 + i), cals[states[i]]
-            votes = np.int16(ev_table[states[i]])
-            wins = np.zeros(n_days, dtype=np.int64)
-            for c in range(0, n, cols):
-                pc = slice(c, c + cols)
-                k = min(cols, n - c)
-                # Gaussian lines are scalars; Student-T lines are per path
-                a, b, e = sample_state_noise(cal, k, cfg.noise_model, rng)
-                won_t, inc_t = won[:k], inc[:k]
-                # the spread at the path's lowest and highest market
-                s_lo = _spreads(a, b, e, m_lo[pc], out=lo[:k])
-                s_hi = None if n_days == 1 else _spreads(a, b, e, m_hi[pc], out=hi[:k])
-                undecided = _screen(s_lo, s_hi, threshold, won_t, flat[:k])
-                wins += np.count_nonzero(won_t)
-                np.multiply(won_t, votes, out=inc_t)
-                base[pc] += inc_t
-                for r in range(0, len(undecided), rows):
-                    at = undecided[r:r + rows]
-                    u = len(at)
-                    x_t, won_ut, inc_ut = (buf[:u] for buf in (x, won_u, inc_u))
-                    _levels(z[at + c], sig, mc, out=x_t)  # the market on each day
-                    _spreads(*(v[at, None] if np.ndim(v) else v for v in (a, b, e)),
-                             x_t, out=x_t)
-                    np.greater(x_t, threshold, out=won_ut)
-                    wins += won_ut.view(np.uint8).sum(axis=0, dtype=np.int32)  # per day
-                    np.multiply(won_ut, votes, out=inc_ut)
-                    ev_c1[at + c] += inc_ut
-                del a, b, e
-            p_state[:, i] = wins / n
+        def settle(zk: np.ndarray, m_lo: np.ndarray, m_hi: np.ndarray) -> np.ndarray:
+            """Candidate 1's votes on each path and day of the tile whose
+            market draws are ``zk`` and market range ``m_lo``..``m_hi``."""
+            k = len(zk)
+            ev_k, base_k, won_k, flat_k, inc_k = (
+                buf[:k] for buf in (ev_t, base, won, flat, inc))
+            ev_k.fill(0)
+            base_k.fill(0)
+            out = tuple(None if buf is None else buf[:k] for buf in draws)
+            with _ieee():
+                for i, rng in zip(chunk, rngs):
+                    cal, votes = cals[states[i]], np.int16(ev_table[states[i]])
+                    a, b, e = sample_state_noise(cal, k, cfg.noise_model, rng, out=out)
+                    # the spread at the path's lowest and highest market
+                    s_lo = _spreads(a, b, e, m_lo, out=lo[:k])
+                    s_hi = None if n_days == 1 else _spreads(a, b, e, m_hi, out=hi[:k])
+                    undecided = _screen(s_lo, s_hi, threshold, won_k, flat_k)
+                    wins[i] += np.count_nonzero(won_k)
+                    np.multiply(won_k, votes, out=inc_k)
+                    base_k += inc_k
+                    for r in range(0, len(undecided), rows):
+                        at = undecided[r:r + rows]
+                        u = len(at)
+                        x_t, won_ut, inc_ut = (buf[:u] for buf in (x, won_u, inc_u))
+                        _levels(zk[at], sig, mc, out=x_t)  # the market on each day
+                        _spreads(*(v[at, None] if np.ndim(v) else v for v in (a, b, e)),
+                                 x_t, out=x_t)
+                        np.greater(x_t, threshold, out=won_ut)
+                        wins[i] += won_ut.view(np.uint8).sum(axis=0, dtype=np.int32)  # per day
+                        np.multiply(won_ut, votes, out=inc_ut)
+                        ev_k[at] += inc_ut
+            if n_days > 1:
+                ev_k += base_k[:, None]
+            return ev_k
 
-        with _ieee():
-            for i in chunk:
-                settle_state(i)
-        if n_days > 1:
-            ev_c1 += base[:, None]
-        return ev_c1
+        return settle
 
     n_chunks = min(cfg.workers, len(states))
-    chunks = [range(k, len(states), n_chunks) for k in range(n_chunks)]
-    # chunk 0 on the calling thread; iadd, since sum() would copy a table
+    settles = [worker(range(k, len(states), n_chunks)) for k in range(n_chunks)]
+    market = _stream(cfg.seed, _MARKET_STREAM)
+    # the first chunk on the calling thread, the rest on k - 1 pool threads
     with ThreadPoolExecutor(max_workers=max(1, n_chunks - 1)) as pool:
-        rest = [pool.submit(settle, chunk) for chunk in chunks[1:]]
-        ev_c1 = reduce(operator.iadd, (f.result() for f in rest), settle(chunks[0]))
-    return PathOutcomes(states=states, ev_c1=ev_c1.T, p_state=p_state)
+        for c in range(0, n, cols):
+            zk = market.standard_normal(out=z[:min(cols, n - c)])
+            k = len(zk)
+            with _ieee():
+                if n_days == 1:  # zk becomes the one day's market, both ends of its range
+                    m_lo_k = m_hi_k = _levels(zk, sig[0], mc[0], out=zk)
+                else:
+                    m_lo_k, m_hi_k = m_lo[:k], m_hi[:k]
+                    for r in range(0, k, rows):
+                        pr = slice(r, r + rows)
+                        day_m = _levels(zk[pr], sig, mc, out=m_t[:min(rows, k - r)])
+                        day_m.min(axis=1, out=m_lo_k[pr])
+                        day_m.max(axis=1, out=m_hi_k[pr])
+            rest = [pool.submit(settle, zk, m_lo_k, m_hi_k) for settle in settles[1:]]
+            # iadd into the first worker's tile, which the next tile clears
+            ev = reduce(operator.iadd, (f.result() for f in rest), settles[0](zk, m_lo_k, m_hi_k))
+            for d in range(n_days):
+                ev_counts[d] += np.bincount(ev[:, d], minlength=EV_BINS)
+    return PathOutcomes(states=states, ev_counts=ev_counts, p_state=wins.T / n)
 
 
 def _forecasts(paths: PathOutcomes, cfg: SimulationConfig) -> list[ForecastDistribution]:
     """One forecast per market row of ``paths``."""
     out = []
-    for ev_c1, p_state in zip(paths.ev_c1, paths.p_state):
-        histogram = np.bincount(ev_c1, minlength=EV_BINS) / cfg.n_paths
+    for counts, p_state in zip(paths.ev_counts, paths.p_state):
+        histogram = counts / cfg.n_paths
         out.append(ForecastDistribution(
             p_state={s: float(p) for s, p in zip(paths.states, p_state)},
             p_national=float(histogram[WIN_ELECTORAL_VOTES:].sum()),

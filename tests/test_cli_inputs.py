@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statecast import cli
+from statecast import cli, simulation
 from statecast.calibration import (
     SOURCE_POLLS,
     MarketCalibration,
@@ -646,7 +646,8 @@ class TestConfigValues:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("command,flag,text", [
-        ("forecast", "--paths", "0"), ("forecast", "--workers", "0"),
+        ("forecast", "--paths", "0"), ("forecast", "--paths", str(2**53 + 1)),
+        ("forecast", "--workers", "0"),
         ("forecast", "--seed", "-1"), ("forecast", "--seed", str(2**64)),
         ("forecast", "--bandwidth", "0"), ("calibrate", "--bandwidth", "-1"),
         ("score", "--ev-realization", "600"), ("score", "--ev-realization", "-1"),
@@ -658,11 +659,12 @@ class TestConfigValues:
 
     @pytest.mark.parametrize("line,reason", [
         ("seed = -1", f"seed: must be in 0..{2**64 - 1}, not '-1'"),
-        ("paths = 0", "paths: must be >= 1, not '0'"),
+        ("paths = 0", f"paths: must be in 1..{2**53}, not '0'"),
+        (f"paths = {2**53 + 1}", f"paths: must be in 1..{2**53}, not '{2**53 + 1}'"),
         ("workers = 0", "workers: must be >= 1, not '0'"),
         ("bandwidth = 0", "bandwidth: must be > 0, not '0'"),
         ("ev_realization = 600", "ev_realization: must be in 0..538, not '600'"),
-    ], ids=["seed", "paths", "workers", "bandwidth", "ev_realization"])
+    ], ids=["seed", "paths", "paths_above_2**53", "workers", "bandwidth", "ev_realization"])
     def test_out_of_range_config_value_names_its_range(self, tmp_path, capsys, line, reason):
         cfg = self.write_config(tmp_path, line)
         out = tmp_path / "out"
@@ -677,17 +679,21 @@ class TestConfigValues:
         assert (loaded.seed, loaded.paths, loaded.ev_realization) == (2**64 - 1, 1, 538)
         assert cli.load_config(self.write_config(tmp_path, "seed = 0",
                                                  "ev_realization = 0")).seed == 0
+        assert cli.load_config(self.write_config(tmp_path, f"paths = {2**53}")).paths == 2**53
 
-    def test_path_count_too_large_to_allocate_is_one_line(self, tmp_path, capsys):
-        # 2**59 doubles are 4 EiB: more than any address space holds, yet
-        # under numpy's size-overflow limit, so the allocation fails at once
-        # with numpy's private MemoryError subclass and touches no memory.
+    def test_path_count_too_large_to_allocate_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # The simulator holds one tile of paths, so no accepted path count
+        # fails to allocate; with a tile larger than the count, its 2**53
+        # doubles are 64 PiB: more than any address space holds, yet under
+        # numpy's size-overflow limit, so the allocation fails at once with
+        # numpy's private MemoryError subclass and touches no memory.
+        monkeypatch.setattr(simulation, "_TILE", 2**59)
         out = tmp_path / "out"
         code = run_cli("forecast", "--calibration", FIXTURES / "calibration.json",
-                       "--seed", "1", "--paths", 2**59, "--out-dir", out)
+                       "--seed", "1", "--paths", 2**53, "--out-dir", out)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error [forecast]: MemoryError: Unable to allocate"), err
+        assert err.startswith("error [forecast]: MemoryError: Unable to allocate 64.0 PiB"), err
         assert err.count("\n") == 1 and "_ArrayMemoryError" not in err, err
         assert not list(out.glob("*"))
 

@@ -15,6 +15,7 @@ from statecast import simulation
 from statecast.calibration import MarketCalibration, StateCalibration, calibration_from_dict
 from statecast.errors import ConfigurationError
 from statecast.simulation import (
+    MAX_PATHS,
     NOISE_MODELS,
     SimulationConfig,
     _TILE,
@@ -26,7 +27,7 @@ from statecast.simulation import (
     simulate_market_terminals,
     simulate_paths,
 )
-from statecast.states import default_ev_table
+from statecast.states import EV_BINS, default_ev_table
 
 
 def aggregate_electoral_votes(state_spreads, ev_table, win_threshold=0.0):
@@ -124,10 +125,12 @@ class TestStateNoise:
         assert spread.shape == (1,) and spread[0] == 2.5
 
 
-# Each kind of draw sample_state_noise takes, as (stream, count) -> values.
+# Each kind of draw sample_state_noise and the market take, as (stream,
+# count) -> values.
 DRAWS = {
     "normal": lambda rng, k: rng.normal(1.5, 2.0, k),
     "standard_normal": lambda rng, k: rng.standard_normal(k),
+    "standard_normal_out": lambda rng, k: rng.standard_normal(out=np.empty(k)),
     "standard_t": lambda rng, k: rng.standard_t(3, k),
 }
 
@@ -135,8 +138,9 @@ DRAWS = {
 @pytest.mark.parametrize("draw", sorted(DRAWS))
 def test_a_draw_in_tiles_equals_the_whole_draw(draw):
     # numpy gives the same values from a stream whether a draw is taken
-    # whole or in _TILE pieces, and leaves the stream at the same place; a
-    # Gaussian state drawn a settle tile at a time relies on this.  2 *
+    # whole or in _TILE pieces, and leaves the stream at the same place;
+    # the market and a Gaussian state, drawn a path tile at a time, and a
+    # Student-T component, drawn a block at a time, rely on this.  2 *
     # _TILE + 7 paths: not a multiple of _TILE.
     n = 2 * _TILE + 7
     whole_rng, tiled_rng = _stream(31, 4), _stream(31, 4)
@@ -145,6 +149,28 @@ def test_a_draw_in_tiles_equals_the_whole_draw(draw):
                             for c in range(0, n, _TILE)])
     assert tiled.tobytes() == whole.tobytes()
     assert tiled_rng.standard_normal(3).tobytes() == whole_rng.standard_normal(3).tobytes()
+
+
+@pytest.mark.parametrize("model", NOISE_MODELS)
+def test_a_draw_into_out_fills_it_as_a_whole_draw(model):
+    # The draw fills the buffers it is given with the values that one call
+    # per component for all paths gives, and leaves the stream where that
+    # call would.  3 * _BLOCK + 7 paths: a Student-T component spans whole
+    # blocks and a partial one.
+    n = 3 * simulation._BLOCK + 7
+    cal = StateCalibration("OH", 1.5, 0.8, 2.0, 8, "polls")
+    out = tuple(np.full(n, np.nan) for _ in range(3))
+    rng, whole_rng = _stream(5, 9), _stream(5, 9)
+    intercept, slope, noise = sample_state_noise(cal, n, model, rng, out=out)
+    alpha, beta, expected = tile_draws(whole_rng, cal, model, n)
+    assert noise is out[2] and noise.tobytes() == expected.tobytes()
+    if model == "gaussian":  # the line is the fit; its buffers are not read
+        assert (intercept, slope) == (cal.alpha, cal.beta)
+        assert np.isnan(out[0]).all() and np.isnan(out[1]).all()
+    else:
+        assert intercept is out[0] and intercept.tobytes() == alpha.tobytes()
+        assert slope is out[1] and slope.tobytes() == beta.tobytes()
+    assert rng.standard_normal(3).tobytes() == whole_rng.standard_normal(3).tobytes()
 
 
 def test_a_student_t_state_reads_its_stream_a_tile_at_a_time(monkeypatch):
@@ -157,9 +183,11 @@ def test_a_student_t_state_reads_its_stream_a_tile_at_a_time(monkeypatch):
     tiles = []
     draw = simulation.sample_state_noise
 
-    def recorded(*args):
-        tiles.append(draw(*args))
-        return tiles[-1]
+    def recorded(*args, **kwargs):
+        # the draw fills buffers that the next tile reuses: keep a copy
+        result = draw(*args, **kwargs)
+        tiles.append(tuple(np.copy(v) for v in result))
+        return result
 
     monkeypatch.setattr(simulation, "sample_state_noise", recorded)
     cfg = SimulationConfig(seed=seed, n_paths=n, noise_model="student_t")
@@ -224,10 +252,11 @@ class TestRunForecast:
         cals = flat_cals(ev, alpha=0.3, beta=1.0, sigma=2.0)
         cfg = SimulationConfig(seed=11, n_paths=4000)
         mkt = market(m=0.5, horizon=16.0)
-        paths = simulate_paths(cals, [mkt], ev, cfg)
+        [spreads] = rebuilt_spreads(cals, [mkt], cfg)
+        path_ev = sum(ev[s] * (v > 0.0) for s, v in spreads.items())
         dist = run_forecast(cals, mkt, ev, cfg)
         hist_mean = float(np.arange(539) @ dist.ev_histogram)
-        assert hist_mean == pytest.approx(paths.ev_c1.mean(), abs=1e-12)
+        assert hist_mean == pytest.approx(path_ev.mean(), abs=1e-12)
 
     def test_histogram_sums_to_one_and_national_matches(self):
         ev = default_ev_table()
@@ -444,10 +473,11 @@ class TestSharedDraws:
         cals = contested_cals(ev)
         cfg = SimulationConfig(seed=31, n_paths=3000, noise_model=model, workers=workers)
         paths = simulate_paths(cals, DAYS, ev, cfg)
-        assert paths.ev_c1.shape == (len(DAYS), 3000)
+        assert paths.ev_counts.shape == (len(DAYS), EV_BINS)
+        assert (paths.ev_counts.sum(axis=1) == 3000).all()
         for d, mkt in enumerate(DAYS):
             one = simulate_paths(cals, [mkt], ev, cfg)
-            np.testing.assert_array_equal(paths.ev_c1[d], one.ev_c1[0])
+            np.testing.assert_array_equal(paths.ev_counts[d], one.ev_counts[0])
             np.testing.assert_array_equal(paths.p_state[d], one.p_state[0])
 
     def test_time_series_matches_run_forecast(self, model, workers):
@@ -468,16 +498,23 @@ class TestSharedDraws:
         threshold = float(days[1]["OH"][0])
         cfg = replace(cfg, win_threshold=threshold)
         paths = simulate_paths(cals, DAYS, ev, cfg)
+        path_ev = []
         for d, spreads in enumerate(days):
-            expected = [
+            path_ev.append([
                 aggregate_electoral_votes({s: v[k] for s, v in spreads.items()}, ev, threshold)
                 for k in range(cfg.n_paths)
-            ]
-            np.testing.assert_array_equal(paths.ev_c1[d], expected)
-        # the tie went to candidate 2: one ulp lower hands OH to candidate 1
+            ])
+            np.testing.assert_array_equal(paths.ev_counts[d],
+                                          np.bincount(path_ev[d], minlength=EV_BINS))
+        # the tie went to candidate 2: one ulp lower hands OH to candidate 1,
+        # so path 0 moves from bin k to bin k + ev["OH"] and no other path moves
         lower = replace(cfg, win_threshold=float(np.nextafter(threshold, -np.inf)))
-        assert (simulate_paths(cals, [DAYS[1]], ev, lower).ev_c1[0, 0]
-                == paths.ev_c1[1, 0] + ev["OH"])
+        k = path_ev[1][0]
+        expected = paths.ev_counts[1].copy()
+        expected[k] -= 1
+        expected[k + ev["OH"]] += 1
+        np.testing.assert_array_equal(simulate_paths(cals, [DAYS[1]], ev, lower).ev_counts[0],
+                                      expected)
 
 
 def assert_matches_oracle(cals, days, cfg):
@@ -488,11 +525,12 @@ def assert_matches_oracle(cals, days, cfg):
     with np.errstate(over="ignore", invalid="ignore"):
         spreads = rebuilt_spreads(cals, days, cfg)
     paths = simulate_paths(cals, days, ev, cfg)
-    assert paths.ev_c1.shape == (len(days), cfg.n_paths)
+    assert paths.ev_counts.shape == (len(days), EV_BINS)
     for d in range(len(days)):
         won = {s: v > cfg.win_threshold for s, v in spreads[d].items()}
         expected = sum(ev[s] * w.astype(np.int64) for s, w in won.items())
-        np.testing.assert_array_equal(paths.ev_c1[d], expected)
+        np.testing.assert_array_equal(paths.ev_counts[d],
+                                      np.bincount(expected, minlength=EV_BINS))
         np.testing.assert_array_equal(paths.p_state[d], [won[s].mean() for s in paths.states])
 
 
@@ -515,20 +553,19 @@ def test_tiles_match_vectorized_oracle(model, workers, n_paths, n_days, tie_day,
     assert_matches_oracle(cals, days, replace(cfg, win_threshold=threshold))
 
 
-def test_market_memory_is_per_path():
-    # The EV table (int16, paths x days) is the only array as large as the
-    # paths times the days; a float64 one of that size would be 9.6 MB.
+def test_market_memory_is_per_path(monkeypatch):
+    # The paths are settled a tile at a time: each worker's EV table (int16,
+    # one tile of paths x days) is the only array as large as a tile times
+    # the days, and a float64 one of that size would be 60 tiles.  With 60
+    # days, 20,000 paths in tiles of MEMORY_TILE trace 36.6 tiles, 7.9 of
+    # them the per-day count tables (60 x 539 int64); a table of every
+    # path's votes (73 tiles as int16) goes past the bound.
+    monkeypatch.setattr(simulation, "_TILE", MEMORY_TILE)
     ev = default_ev_table()
     n_paths, n_days = 20_000, 60
     days = [market(m=-1.0 + 0.05 * d, horizon=float(n_days - d)) for d in range(n_days)]
-    cfg = SimulationConfig(seed=71, n_paths=n_paths)
-    tracemalloc.start()
-    try:
-        simulate_paths(contested_cals(ev), days, ev, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < n_paths * n_days * np.dtype(np.float64).itemsize
+    peak = traced_peak(contested_cals(ev), days, ev, SimulationConfig(seed=71, n_paths=n_paths))
+    assert peak < MEMORY_TILE * n_days
 
 
 def traced_peak(cals, days, ev, cfg) -> float:
@@ -545,63 +582,91 @@ def traced_peak(cals, days, ev, cfg) -> float:
 
 
 # The memory plans below are checked with tiles of 4,096 paths, which keeps
-# each run short, over 8 tiles and 7 paths: a worker that held a state's
-# draws for every path at once (2n or 3n) would hold more than 16 tiles.
+# each run short, over 8 tiles and 7 paths: a run that held the market, an
+# EV table or a state's draws for every path at once would hold 8 tiles of
+# each.
 MEMORY_TILE = 1 << 12
 MEMORY_PATHS = 8 * MEMORY_TILE + 7
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_worker_holds_one_states_draws(workers, monkeypatch):
-    # A worker draws each state one settle tile at a time and frees a
-    # tile's draws before it draws the next.  In floats of 8 bytes, with one
-    # day, Student-T noise and n paths, the traced peak is at most:
-    #   the market draw z, shared by the workers:                 n
-    #   per worker, its int16 EV table:                           n / 4
+    # The paths are settled one tile at a time, and each worker fills the
+    # same draw and settle buffers on every tile.  In floats of 8 bytes,
+    # with one day and Student-T noise, the traced peak is at most:
+    #   the market tile, shared by the workers:                   _TILE
+    #   a day's votes as intp, while the calling thread counts
+    #     them:                                                   _TILE
+    #   per worker, its int16 EV tile:                            1/4 _TILE
     #   per worker, one tile of draws (intercept, slope and
-    #     noise) and one tile of t while the noise is formed:     4 _TILE
+    #     noise) and one block of t while the noise is formed:    3 _TILE + _BLOCK
     #   per worker, the one-day settle tiles (lo, and 4 bytes of
     #     bool, bool and int16 for each of its elements):         3/2 _TILE
     #   per worker, the interpreter's own objects (thread
-    #     states, frames):                                        < 4,096
-    # Measured at _TILE 16,384 and 65,536, the peak is these tile terms
-    # exactly plus 1,140 floats per worker, with one worker and with two.
-    # Keeping a tile's draws while the next tile is drawn (3 _TILE more), or
-    # drawing all n paths of a state at once (2n), goes past the bound.
+    #     states, frames) and numpy's buffers:                    < 4,096
+    # Measured at _TILE 4,096, 16,384 and 65,536, the peak is at most these
+    # tile terms plus 2,130 floats with one worker and 3,400 with two.  A
+    # market, an EV table or a state's draws of all n paths (8 tiles each)
+    # goes past the bound.
     monkeypatch.setattr(simulation, "_TILE", MEMORY_TILE)
     ev = default_ev_table()
-    n, tile = MEMORY_PATHS, MEMORY_TILE
-    cfg = SimulationConfig(seed=71, n_paths=n, noise_model="student_t", workers=workers)
+    tile, block = MEMORY_TILE, simulation._BLOCK
+    cfg = SimulationConfig(seed=71, n_paths=MEMORY_PATHS, noise_model="student_t",
+                           workers=workers)
     peak = traced_peak(contested_cals(ev), [market()], ev, cfg)
-    assert peak <= n + workers * (n / 4 + 4 * tile + 3 / 2 * tile + 4096)
+    assert peak <= 2 * tile + workers * (19 / 4 * tile + block + 4096)
+
+
+# The series plan below, in floats of 8 bytes, as a function of the tile.
+def series_bound(workers, tile, block):
+    """The traced peak of a Student-T series of 4 days is at most:
+      the market tile and each path's lowest and highest market,
+        shared by the workers:                                    3 _TILE
+      one tile of rows of day levels, shared:                     _TILE
+      a day's votes as intp, while the calling thread counts
+        them:                                                     _TILE
+      per worker, its int16 EV tile and base votes:               5/4 _TILE
+      per worker, one tile of draws and one block of t:           3 _TILE + _BLOCK
+      per worker, the settle tiles (lo, hi and x, and bool
+        and int16 ones of 4 and 3 bytes an element):              31/8 _TILE
+      per worker, the screen's and the undecided rows'
+        temporaries:                                              1/2 _TILE
+      per worker, what does not grow with the tile (numpy's
+        buffers, the interpreter's own objects, and a share of the
+        count tables, days x 539 int64):                          < 16,384
+    """
+    return 5 * tile + workers * ((5 / 4 + 3 + 31 / 8 + 1 / 2) * tile + block + 16384)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_series_worker_holds_one_tile_of_draws(workers, monkeypatch):
-    # The same plan on a Student-T series of 4 days.  The traced peak is at
-    # most, in floats of 8 bytes:
-    #   the market draw z and each path's lowest and highest
-    #     market, shared by the workers:                          3n
-    #   one tile of rows of day levels, shared:                   _TILE
-    #   per worker, its int16 EV table and base votes:            5n / 4
-    #   per worker, one tile of draws and one of t:               4 _TILE
-    #   per worker, the settle tiles (lo, hi and x, and bool
-    #     and int16 ones of 4 and 3 bytes an element):            31/8 _TILE
-    #   per worker, the screen's and the undecided rows'
-    #     temporaries:                                            1/2 _TILE
-    #   per worker, what does not grow with the tile (numpy's
-    #     buffers, the interpreter's own objects):                < 16,384
-    # Measured at _TILE 16,384 and 65,536, the peak less the first five
-    # terms is 0.40-0.44 _TILE plus 7,000-7,400 floats per worker, with one
-    # worker and with two.  Drawing all n paths of a state at once, as a
-    # series did before (3n), goes past the bound.
+    # Measured at _TILE 4,096 and 16,384, the peak less the tile terms of
+    # series_bound is at most 9,300 floats with one worker and 25,300 with
+    # two.  A market range or an EV table of all n paths (8 tiles each)
+    # goes past the bound.
     monkeypatch.setattr(simulation, "_TILE", MEMORY_TILE)
     ev = default_ev_table()
-    n, tile = MEMORY_PATHS, MEMORY_TILE
-    cfg = SimulationConfig(seed=71, n_paths=n, noise_model="student_t", workers=workers)
+    cfg = SimulationConfig(seed=71, n_paths=MEMORY_PATHS, noise_model="student_t",
+                           workers=workers)
     peak = traced_peak(contested_cals(ev), DAYS, ev, cfg)
-    per_worker = 5 * n / 4 + (4 + 31 / 8 + 1 / 2) * tile + 16384
-    assert len(DAYS) == 4 and peak <= 3 * n + tile + workers * per_worker
+    assert len(DAYS) == 4 and peak <= series_bound(workers, MEMORY_TILE, simulation._BLOCK)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_traced_peak_does_not_grow_with_the_paths(workers, monkeypatch):
+    # The same 4-day Student-T series at 8 and at 32 tiles and 7 paths
+    # traces the same peak, to within one tile.  Measured, the slack covers
+    # CPython's free lists, which tracemalloc counts as held (the 24 more
+    # tiles added 226 floats with one worker), and, with two workers, where
+    # the threads' temporaries meet (runs of one size moved the peak by up
+    # to 1,430 floats).  A market range or an EV table of all n paths grows
+    # by 24 tiles each.
+    monkeypatch.setattr(simulation, "_TILE", MEMORY_TILE)
+    ev, cals = default_ev_table(), contested_cals(default_ev_table())
+    peaks = [traced_peak(cals, DAYS, ev, SimulationConfig(
+        seed=71, n_paths=k * MEMORY_TILE + 7, noise_model="student_t", workers=workers))
+        for k in (8, 32)]
+    assert abs(peaks[1] - peaks[0]) <= MEMORY_TILE, peaks
 
 
 def screen_cals(ev):
@@ -706,7 +771,7 @@ def test_more_threads_than_cores_under_fast_switching():
         alt = simulate_paths(cals, DAYS, ev, replace(cfg, workers=16))
     finally:
         sys.setswitchinterval(interval)
-    np.testing.assert_array_equal(alt.ev_c1, base.ev_c1)
+    np.testing.assert_array_equal(alt.ev_counts, base.ev_counts)
     np.testing.assert_array_equal(alt.p_state, base.p_state)
 
 
@@ -750,7 +815,7 @@ def test_the_calling_thread_settles_the_first_chunk(monkeypatch, days):
     assert len(set(threads.values()) - {caller}) <= 2
     assert threading.active_count() == running
     for paths in (one, three):
-        np.testing.assert_array_equal(paths.ev_c1, base.ev_c1)
+        np.testing.assert_array_equal(paths.ev_counts, base.ev_counts)
         np.testing.assert_array_equal(paths.p_state, base.p_state)
 
 
@@ -768,6 +833,9 @@ class TestConfigValidation:
     def test_bad_paths(self):
         with pytest.raises(ValueError):
             SimulationConfig(seed=1, n_paths=0)
+        with pytest.raises(ValueError, match=r"^n_paths must be in 1\.\.2\*\*53"):
+            SimulationConfig(seed=1, n_paths=MAX_PATHS + 1)
+        assert SimulationConfig(seed=1, n_paths=MAX_PATHS).n_paths == 2**53
 
     def test_seed_range(self):
         with pytest.raises(ValueError):
