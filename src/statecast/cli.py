@@ -6,12 +6,11 @@ probability time series), ``calibrate`` (dump the calibration document),
 P&L per expert plus the online mixture), ``aggregate`` (exponential-weights
 combination with regret accounting), and ``curves`` (score-shape tables).
 
-Runs are configured by a flat ``key = value`` config file plus flags; flags
-win.  Each setting is declared once, as a :class:`RunConfig` field, and each
-field is a flag of some subcommand: ``--`` plus the key with dashes
-(``--reference`` sets ``reference_mode``, ``--reference-file`` sets
-``reference``).  The field's type, ``_RANGES`` and ``_CHOICES`` parse and
-check flag and config values alike.  Every input
+Runs are configured by flags alone.  Each setting is declared once, as a
+:class:`RunConfig` field, and each field is a flag of some subcommand:
+``--`` plus the field name with dashes (``--reference`` sets
+``reference_mode``, ``--reference-file`` sets ``reference``).  The field's
+type, ``_RANGES`` and ``_CHOICES`` parse and check its flag.  Every input
 table goes through one row reader, :func:`.tables.read_rows`, which hands
 its parser a tuple of each row's cells and turns a malformed row or header
 into one ``file:line: reason`` error.  Every output lands under
@@ -24,7 +23,6 @@ import argparse
 import csv
 import json
 import math
-import re
 import sys
 import warnings
 from contextlib import contextmanager
@@ -55,9 +53,9 @@ NAME_MAX = 255
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; every field has a config-file key of the
-    same name and is a flag of some subcommand.  An optional string setting
-    (``str | None``) is a file path."""
+    """Everything a run needs: the schema of the flags.  Every field is a
+    flag of some subcommand, and a flag not given leaves its default.  An
+    optional string setting (``str | None``) is a file path."""
 
     election_date: date | None = None
     seed: int | None = None
@@ -142,52 +140,7 @@ def _value_type(key, hint):
     return parse_in_range
 
 
-_HINTS = get_type_hints(RunConfig)
-_TYPES = {key: _value_type(key, hint) for key, hint in _HINTS.items()}
-_PATH_KEYS = {key for key, parse in _TYPES.items() if parse is file_path}
-
-
-def _setting(key: str, text: str):
-    """One setting's value: parsed with its field's type, checked against
-    its choices."""
-    value = _TYPES[key](text)
-    if key in _CHOICES and value not in _CHOICES[key]:
-        allowed = ", ".join(map(str, _CHOICES[key]))
-        raise ValueError(f"must be one of {allowed}, not {text!r}")
-    return value
-
-
-def load_config(path: str | Path) -> RunConfig:
-    """Read a flat ``key = value`` file.  A value may be double-quoted (a
-    ``#`` inside the quotes is kept) and may end in a ``# comment``; it is
-    parsed as its setting's flag would be, and relative paths are resolved
-    against the config file's directory.  A key set twice is an error at
-    its second line."""
-    path = Path(path)
-    cfg = RunConfig()
-    first: dict[str, int] = {}  # key -> the line that set it
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, raw = (part.strip() for part in line.partition("="))
-        try:
-            if not eq:
-                raise ValueError("expected key = value")
-            if key not in _TYPES:
-                raise ValueError("unknown config key")
-            quoted = re.fullmatch(r'"([^"]*)"\s*(#.*)?', raw)
-            if raw.startswith('"') and not quoted:
-                raise ValueError(f"unclosed quote, or text after the closing quote: {raw!r}")
-            value = _setting(key, quoted[1] if quoted else raw.split("#", 1)[0].strip())
-            if first.setdefault(key, lineno) != lineno:
-                raise ValueError(f"set twice; first at line {first[key]}")
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}:{lineno}: {key}: {exc}") from exc
-        if key in _PATH_KEYS:
-            value = str((path.parent / value).resolve())
-        setattr(cfg, key, value)
-    return cfg
+_TYPES = {key: _value_type(key, hint) for key, hint in get_type_hints(RunConfig).items()}
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -200,7 +153,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def _sim_config(cfg: RunConfig) -> SimulationConfig:
     if cfg.seed is None:
-        raise ConfigurationError("seed is required (set it in the config or pass --seed)")
+        raise ConfigurationError("seed is required (pass --seed)")
     return SimulationConfig(seed=cfg.seed, n_paths=cfg.paths,
                             noise_model=cfg.noise_model,
                             win_threshold=cfg.win_threshold,
@@ -719,7 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, keys) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        p.add_argument("--config", help="key = value config file")
         p.add_argument("--out-dir", default=".", help="directory for outputs")
         for key in keys:
             p.add_argument(_FLAGS.get(key, "--" + key.replace("_", "-")), dest=key,
@@ -732,8 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        cfg = _apply_overrides(cfg, args)
+        cfg = _apply_overrides(RunConfig(), args)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "score":

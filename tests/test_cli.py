@@ -101,13 +101,16 @@ class TestForecast:
         err = capsys.readouterr().err
         assert "WY" in err and "forecast" in err
 
-    def test_seed_is_mandatory(self, tmp_path):
+    def test_seed_is_mandatory(self, tmp_path, capsys):
         code = run_cli(
             "forecast", "--polls", FIXTURES / "polls.csv",
             "--historical", FIXTURES / "historical.csv",
             "--election-date", "2016-11-08", "--out-dir", tmp_path,
         )
-        assert code != 0
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error [forecast]: seed is required (pass --seed)\n")
+        assert not list(tmp_path.glob("*"))
 
     def test_kernel_underflow_is_one_note(self, tmp_path, forecast_args, capsys):
         assert run_cli(*forecast_args, "--paths", "300", "--bandwidth", "1e-300") == 0
@@ -567,39 +570,3 @@ class TestModuleEntryPoint:
         assert "Warning" not in proc.stderr, proc.stderr
         assert "NaN" not in (out / "forecast.json").read_text()
 
-
-class TestConfigFile:
-    def test_config_with_flag_override(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            f'polls = "{FIXTURES / "polls.csv"}"\n'
-            f'historical = "{FIXTURES / "historical.csv"}"\n'
-            'election_date = "2016-11-08"\n'
-            "seed = 11\n"
-            "paths = 500\n"
-        )
-        out1 = tmp_path / "o1"
-        assert run_cli("forecast", "--config", cfg, "--out-dir", out1) == 0
-        doc = json.loads((out1 / "forecast.json").read_text())
-        assert doc["seed"] == 11 and doc["n_paths"] == 500
-        out2 = tmp_path / "o2"
-        assert run_cli("forecast", "--config", cfg, "--seed", "12",
-                       "--out-dir", out2) == 0
-        assert json.loads((out2 / "forecast.json").read_text())["seed"] == 12
-
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("sede = 11\n")
-        assert run_cli("forecast", "--config", cfg, "--out-dir", tmp_path) != 0
-
-    def test_relative_paths_resolve_against_config(self, tmp_path):
-        cfgdir = tmp_path / "cfg"
-        cfgdir.mkdir()
-        for name in ("polls.csv", "historical.csv"):
-            (cfgdir / name).write_bytes((FIXTURES / name).read_bytes())
-        cfg = cfgdir / "run.cfg"
-        cfg.write_text(
-            'polls = "polls.csv"\nhistorical = "historical.csv"\n'
-            'election_date = "2016-11-08"\nseed = 3\npaths = 200\n'
-        )
-        assert run_cli("forecast", "--config", cfg, "--out-dir", tmp_path) == 0

@@ -596,90 +596,99 @@ class TestCalibrationDocument:
         assert_rejected(self.forecast(cal, out), capsys, cal, out_dir=out)
 
 
+OUT_OF_RANGE_FLAGS = [
+    ("forecast", "--paths", "0"), ("forecast", "--paths", str(2**53 + 1)),
+    ("forecast", "--workers", "0"),
+    ("forecast", "--seed", "-1"), ("forecast", "--seed", str(2**64)),
+    ("forecast", "--bandwidth", "0"), ("calibrate", "--bandwidth", "-1"),
+    ("score", "--ev-realization", "600"), ("score", "--ev-realization", "-1"),
+]
+
+
 class TestConfigValues:
-    def write_config(self, tmp_path, *lines):
-        cal = write_calibration(tmp_path / "cal.json")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("\n".join([f'calibration = "{cal}"', *lines]) + "\n")
-        return cfg
+    """Each setting's flag parses its value as the field's type, within its
+    range and choices; a bad value is a usage error (exit 2) that writes
+    nothing."""
 
-    @pytest.mark.parametrize("line", ["seed = 1e3", "paths = 1e3", "seed = true",
-                                      "seed = 7.0", "noise_model = t",
-                                      "noise_model = Student_T", "bandwidth = nan",
-                                      "realization = 2", "nu = 5", "sigma_alpha = 0.1",
-                                      "sigma_beta = 1", "min_polls = 3", "sigma_samp = 1"])
-    def test_bad_value_names_file_and_line(self, tmp_path, capsys, line):
-        cfg = self.write_config(tmp_path, "seed = 5", "paths = 200", line)
+    @pytest.mark.parametrize("flag,text", [
+        ("--seed", "1e3"), ("--paths", "1e3"), ("--seed", "true"), ("--seed", "7.0"),
+        ("--noise-model", "t"), ("--noise-model", "Student_T"), ("--bandwidth", "nan"),
+        # settings that are gone
+        ("--realization", "2"), ("--nu", "5"), ("--sigma-alpha", "0.1"),
+        ("--sigma-beta", "1"), ("--min-polls", "3"), ("--sigma-samp", "1"),
+    ])
+    def test_bad_flag_value_is_usage_error(self, tmp_path, flag, text):
         out = tmp_path / "out"
-        code = run_cli("forecast", "--config", cfg, "--out-dir", out)
-        assert_rejected(code, capsys, cfg, 4, out)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("forecast", "--calibration", FIXTURES / "calibration.json",
+                    "--seed", "5", "--paths", "200", flag, text, "--out-dir", out)
+        assert exc.value.code == 2
+        assert not out.exists()
 
-    def test_key_set_twice_names_both_lines(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 1\npaths = 300\nseed = 2\n")
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command, (_, _, keys) in cli._COMMANDS.items()
+        for key in keys if key in cli._CHOICES])
+    def test_bad_choice_is_usage_error(self, tmp_path, capsys, command, key):
+        flag = cli._FLAGS.get(key, "--" + key.replace("_", "-"))
+        for value in cli._CHOICES[key]:
+            args = cli.build_parser().parse_args([command, flag, value])
+            assert getattr(cli._apply_overrides(cli.RunConfig(), args), key) == value
         out = tmp_path / "out"
-        code = run_cli("forecast", "--config", cfg,
-                       "--calibration", write_calibration(tmp_path / "cal.json"), "--out-dir", out)
-        err = assert_rejected(code, capsys, cfg, 3, out)
-        assert err == f"error [forecast]: {cfg}:3: seed: set twice; first at line 1\n"
+        for text in ("banana", cli._CHOICES[key][-1].title()):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(command, flag, text, "--out-dir", out)
+            assert exc.value.code == 2
+            assert f"argument {flag}: invalid choice: {text!r}" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_unknown_loss_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("loss = banana\n")
-        out = tmp_path / "out"
-        code = run_cli("aggregate", "--config", cfg,
-                       "--experts", FIXTURES / "experts.csv",
-                       "--reference-file", FIXTURES / "reference.csv", "--out-dir", out)
-        assert_rejected(code, capsys, cfg, 1)
-        assert not (out / "learner.json").exists()
+    def test_choice_settings_are_pinned(self):
+        assert cli._CHOICES == {"noise_model": ("gaussian", "student_t"),
+                                "loss": ("quadratic", "trading"),
+                                "reference_mode": ("market", "pairmean")}
 
-    def test_float_key_takes_integer_literal_as_float(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bandwidth = 1\nseed = 3 # a comment\nloss = \"trading\"\n")
-        loaded = cli.load_config(cfg)
-        assert loaded.bandwidth == 1.0 and isinstance(loaded.bandwidth, float)
-        assert loaded.seed == 3 and loaded.loss == "trading"
+    def test_float_flag_takes_integer_literal_as_float(self):
+        args = cli.build_parser().parse_args(["forecast", "--bandwidth", "1",
+                                              "--win-threshold", "270"])
+        cfg = cli._apply_overrides(cli.RunConfig(), args)
+        assert cfg.bandwidth == 1.0 and isinstance(cfg.bandwidth, float)
+        assert cfg.win_threshold == 270.0 and isinstance(cfg.win_threshold, float)
 
     def test_non_finite_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("forecast", "--bandwidth", "inf", "--out-dir", tmp_path)
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command,flag,text", [
-        ("forecast", "--paths", "0"), ("forecast", "--paths", str(2**53 + 1)),
-        ("forecast", "--workers", "0"),
-        ("forecast", "--seed", "-1"), ("forecast", "--seed", str(2**64)),
-        ("forecast", "--bandwidth", "0"), ("calibrate", "--bandwidth", "-1"),
-        ("score", "--ev-realization", "600"), ("score", "--ev-realization", "-1"),
-    ])
+    @pytest.mark.parametrize("command,flag,text", OUT_OF_RANGE_FLAGS)
     def test_out_of_range_flag_is_usage_error(self, tmp_path, command, flag, text):
         with pytest.raises(SystemExit) as exc:
             run_cli(command, flag, text, "--out-dir", tmp_path)
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("line,reason", [
-        ("seed = -1", f"seed: must be in 0..{2**64 - 1}, not '-1'"),
-        ("paths = 0", f"paths: must be in 1..{2**53}, not '0'"),
-        (f"paths = {2**53 + 1}", f"paths: must be in 1..{2**53}, not '{2**53 + 1}'"),
-        ("workers = 0", "workers: must be >= 1, not '0'"),
-        ("bandwidth = 0", "bandwidth: must be > 0, not '0'"),
-        ("ev_realization = 600", "ev_realization: must be in 0..538, not '600'"),
-    ], ids=["seed", "paths", "paths_above_2**53", "workers", "bandwidth", "ev_realization"])
-    def test_out_of_range_config_value_names_its_range(self, tmp_path, capsys, line, reason):
-        cfg = self.write_config(tmp_path, line)
-        out = tmp_path / "out"
-        code = run_cli("forecast", "--config", cfg, "--seed", "5", "--out-dir", out)
-        err = assert_rejected(code, capsys, cfg, 2, out)
-        assert err == f"error [forecast]: {cfg}:2: {reason}\n"
+    @pytest.mark.parametrize("command,flag,text", OUT_OF_RANGE_FLAGS, ids=[
+        "paths", "paths_above_2**53", "workers", "seed", "seed_above_2**64-1",
+        "bandwidth", "calibrate_bandwidth", "ev_realization", "ev_realization_below_0"])
+    def test_out_of_range_flag_names_its_range(self, tmp_path, capsys, command, flag, text):
+        with pytest.raises(SystemExit):
+            run_cli(command, flag, text, "--out-dir", tmp_path)
+        key = flag[2:].replace("-", "_")
+        allowed = {"seed": f"in 0..{2**64 - 1}", "paths": f"in 1..{2**53}",
+                   "workers": ">= 1", "bandwidth": "> 0", "ev_realization": "in 0..538"}[key]
+        assert (f"argument {flag}: invalid {key} ({allowed}) value: {text!r}"
+                in capsys.readouterr().err)
 
-    def test_range_ends_are_accepted(self, tmp_path):
-        cfg = self.write_config(tmp_path, f"seed = {2**64 - 1}", "paths = 1", "workers = 1",
-                                "bandwidth = 1e-300", "ev_realization = 538")
-        loaded = cli.load_config(cfg)
-        assert (loaded.seed, loaded.paths, loaded.ev_realization) == (2**64 - 1, 1, 538)
-        assert cli.load_config(self.write_config(tmp_path, "seed = 0",
-                                                 "ev_realization = 0")).seed == 0
-        assert cli.load_config(self.write_config(tmp_path, f"paths = {2**53}")).paths == 2**53
+    def test_range_ends_are_accepted(self):
+        for argv, key, value in [
+            (["forecast", "--seed", "0"], "seed", 0),
+            (["forecast", "--seed", str(2**64 - 1)], "seed", 2**64 - 1),
+            (["forecast", "--paths", "1"], "paths", 1),
+            (["forecast", "--paths", str(2**53)], "paths", 2**53),
+            (["forecast", "--workers", "1"], "workers", 1),
+            (["forecast", "--bandwidth", "1e-300"], "bandwidth", 1e-300),
+            (["score", "--ev-realization", "0"], "ev_realization", 0),
+            (["score", "--ev-realization", "538"], "ev_realization", 538),
+        ]:
+            args = cli.build_parser().parse_args(argv)
+            assert getattr(cli._apply_overrides(cli.RunConfig(), args), key) == value, argv
 
     def test_path_count_too_large_to_allocate_is_one_line(self, tmp_path, capsys, monkeypatch):
         # The simulator holds one tile of paths, so no accepted path count
@@ -699,9 +708,8 @@ class TestConfigValues:
 
 
 class TestEmptyPaths:
-    """An empty file setting names no file: a flag is a usage error, and a
-    config value is named by file, line and key.  Each used to be read as
-    "not given" or as the config file's directory."""
+    """An empty file setting names no file: its flag is a usage error.  It
+    used to be read as "not given"."""
 
     @pytest.mark.parametrize("command,flag,rest", [
         ("calibrate", "--historical", ["--polls", FIXTURES / "polls.csv",
@@ -721,17 +729,23 @@ class TestEmptyPaths:
         assert f"argument {flag}: invalid file_path value: ''" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ['polls = ""', "historical =", 'historical = "" # none'])
-    def test_empty_config_value_names_file_line_and_key(self, tmp_path, capsys, line):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f'election_date = 2016-11-08\n{line}\n')
-        key = line.split()[0]
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command, (_, _, keys) in cli._COMMANDS.items()
+        for key in keys if cli._TYPES[key] is cli.file_path])
+    def test_empty_file_flag_is_usage_error(self, tmp_path, capsys, command, key):
+        flag = cli._FLAGS.get(key, "--" + key.replace("_", "-"))
         out = tmp_path / "out"
-        code = run_cli("calibrate", "--config", cfg, "--polls", FIXTURES / "polls.csv",
-                       "--historical", FIXTURES / "historical.csv", "--out-dir", out)
-        err = assert_rejected(code, capsys, cfg, 2, out)
-        assert err == f"error [calibrate]: {cfg}:2: {key}: an empty path names no file\n"
-        assert not list(out.glob("*"))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, flag, "", "--out-dir", out)
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid file_path value: ''" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_file_settings_are_the_optional_strings(self):
+        assert {key for key, parse in cli._TYPES.items() if parse is cli.file_path} == {
+            "polls", "historical", "ev_table", "experts", "series", "outcomes",
+            "histograms", "reference", "calibration"}
+
 
 # 2016-13-45 is no day; the others are forms that only some Pythons read.
 BAD_DATES = ("2016-13-45", "20161108", "2016-W45-2", "2016-11-8")
@@ -745,48 +759,17 @@ class TestElectionDate:
                         "--election-date", text, "--out-dir", tmp_path)
             assert exc.value.code == 2, text
 
-    def test_bad_config_value_names_file_and_line(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
+    def test_bad_flag_names_flag_and_value(self, tmp_path, capsys):
         for text in BAD_DATES:
-            cfg.write_text(f'polls = "{FIXTURES / "polls.csv"}"\nelection_date = {text}\n')
-            code = run_cli("calibrate", "--config", cfg, "--out-dir", tmp_path)
-            err = assert_rejected(code, capsys, cfg, 2)
-            assert f"{cfg}:2: election_date: " in err
-            if text != "2016-13-45":
-                assert err.endswith(f"Invalid isoformat string: {text!r}\n")
+            with pytest.raises(SystemExit):
+                run_cli("calibrate", "--polls", FIXTURES / "polls.csv",
+                        "--election-date", text, "--out-dir", tmp_path)
+            err = capsys.readouterr().err
+            assert f"argument --election-date: invalid iso_date value: {text!r}" in err, text
 
-    def test_config_value_is_a_date(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        for line in ('election_date = "2016-11-08"', 'election_date = "2016-11-08" # the day'):
-            cfg.write_text(line + "\n")
-            assert cli.load_config(cfg).election_date == date(2016, 11, 8), line
-
-
-class TestQuotedConfigValues:
-    def test_quoted_path_may_end_in_a_comment(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text('polls = "polls.csv"  # the fixture\n')
-        assert cli.load_config(cfg).polls == str((tmp_path / "polls.csv").resolve())
-
-    def test_hash_inside_quotes_is_part_of_the_value(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text('polls = "a#b.csv"\nhistorical = "c # d.csv" # e\n')
-        loaded = cli.load_config(cfg)
-        assert loaded.polls == str((tmp_path / "a#b.csv").resolve())
-        assert loaded.historical == str((tmp_path / "c # d.csv").resolve())
-
-    @pytest.mark.parametrize("value", ['"2016-11-08" x', '"2016-11-08"" # two',
-                                       '"2016-11-08', '"2016-11-08 # no end'],
-                             ids=["text", "quote", "unclosed", "unclosed-comment"])
-    def test_bad_quoting_names_file_line_and_key(self, tmp_path, capsys, value):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f'polls = "{FIXTURES / "polls.csv"}"\nelection_date = {value}\n')
-        out = tmp_path / "out"
-        err = assert_rejected(run_cli("calibrate", "--config", cfg, "--out-dir", out),
-                              capsys, cfg, 2, out)
-        assert err == (f"error [calibrate]: {cfg}:2: election_date: unclosed quote, "
-                       f"or text after the closing quote: {value!r}\n")
-        assert not list(out.glob("*"))
+    def test_flag_value_is_a_date(self):
+        args = cli.build_parser().parse_args(["calibrate", "--election-date", "2016-11-08"])
+        assert cli._apply_overrides(cli.RunConfig(), args).election_date == date(2016, 11, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -1090,7 +1073,7 @@ COMMAND_FLAGS = {
 
 
 def test_subcommands_accept_the_same_flags():
-    common = {"-h", "--help", "--config", "--out-dir"}
+    common = {"-h", "--help", "--out-dir"}
     subparsers = cli.build_parser()._subparsers._group_actions[0].choices
     assert set(subparsers) == set(COMMAND_FLAGS)
     for name, parser in subparsers.items():
@@ -1099,6 +1082,19 @@ def test_subcommands_accept_the_same_flags():
     # every setting is a flag of some subcommand
     settings = {f.name for f in dataclasses.fields(cli.RunConfig)}
     assert settings == set().union(*(keys for _, _, keys in cli._COMMANDS.values()))
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_config_file_flag_is_gone(tmp_path, capsys, command):
+    # Settings are flags only: a flat key = value file is no longer read.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--config", cfg, "--out-dir", out)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["calibrate", "score", "trade", "aggregate", "curves"])
