@@ -6,11 +6,11 @@ probability time series), ``calibrate`` (dump the calibration document),
 P&L per expert plus the online mixture), ``aggregate`` (exponential-weights
 combination with regret accounting), and ``curves`` (score-shape tables).
 
-Runs are configured by flags alone.  Each setting is declared once, as a
-:class:`RunConfig` field, and each field is a flag of some subcommand:
-``--`` plus the field name with dashes (``--reference`` sets
-``reference_mode``, ``--reference-file`` sets ``reference``).  The field's
-type, ``_RANGES`` and ``_CHOICES`` parse and check its flag.  Every input
+Runs are configured by flags alone.  Each setting is one row of one table,
+``_SETTINGS``: its flag's parser, range included, and its default.  Each is
+a flag of some subcommand, ``--`` plus its name with dashes, without
+exception; ``_CHOICES`` lists the values of the settings that take one of a
+fixed set.  Every handler reads the parsed namespace.  Every input
 table goes through one row reader, :func:`.tables.read_rows`, which hands
 its parser a tuple of each row's cells and turns a malformed row or header
 into one ``file:line: reason`` error.  Every output lands under
@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -51,46 +51,17 @@ ONLINE_NAME = "ONLINE"
 #: The longest file name, in bytes, that the usual file systems take.
 NAME_MAX = 255
 
-@dataclass
-class RunConfig:
-    """Everything a run needs: the schema of the flags.  Every field is a
-    flag of some subcommand, and a flag not given leaves its default.  An
-    optional string setting (``str | None``) is a file path."""
-
-    election_date: date | None = None
-    seed: int | None = None
-    paths: int = SimulationConfig.n_paths
-    bandwidth: float = 5.0
-    noise_model: str = SimulationConfig.noise_model
-    win_threshold: float = SimulationConfig.win_threshold
-    workers: int = SimulationConfig.workers
-    loss: str = "quadratic"
-    reference_mode: str = "market"
-    ev_realization: int | None = None
-    polls: str | None = None
-    historical: str | None = None
-    ev_table: str | None = None
-    experts: str | None = None
-    series: str | None = None
-    outcomes: str | None = None
-    histograms: str | None = None
-    reference: str | None = None
-    calibration: str | None = None
-
-
 #: What each value of a choice setting selects; its keys are the choices.
 _LOSSES = {"quadratic": online.quadratic_losses, "trading": online.trading_losses}
 #: Allowed values of the settings that take one of a fixed set.
 _CHOICES = {
     "noise_model": NOISE_MODELS,
     "loss": tuple(_LOSSES),
-    "reference_mode": ("market", "pairmean"),
+    "reference": ("market", "pairmean"),
 }
-#: Flags whose name is not ``--`` plus the key with dashes.
-_FLAGS = {"reference_mode": "--reference", "reference": "--reference-file"}
 _HELP = {
     "calibration": "reuse a frozen calibration.json",
-    "reference_mode": "reference: betting market file or the expert mean",
+    "reference": "reference: betting market file or the expert mean",
 }
 
 
@@ -102,16 +73,6 @@ def finite(text: str) -> float:
     return value
 
 
-#: The range of each numeric setting that has one: a test and what it asks.
-_RANGES = {
-    "seed": (lambda v: 0 <= v < 2**64, f"in 0..{2**64 - 1}"),
-    "paths": (lambda v: 1 <= v <= MAX_PATHS, f"in 1..{MAX_PATHS}"),
-    "workers": (lambda v: v >= 1, ">= 1"),
-    "bandwidth": (lambda v: v > 0, "> 0"),
-    "ev_realization": (lambda v: 0 <= v < EV_BINS, f"in 0..{EV_BINS - 1}"),
-}
-
-
 def file_path(text: str) -> str:
     """Parser of file settings: an empty path names no file."""
     if not text:
@@ -119,16 +80,8 @@ def file_path(text: str) -> str:
     return text
 
 
-def _value_type(key, hint):
-    """The parser of the field ``key`` annotated ``T`` or ``T | None``; a
-    value outside the field's range, or an empty file path, is refused."""
-    if hint == str | None:
-        return file_path
-    (kind,) = [t for t in get_args(hint) or (hint,) if t is not type(None)]
-    parse = {float: finite, date: iso_date}.get(kind, kind)
-    if key not in _RANGES:
-        return parse
-    test, allowed = _RANGES[key]
+def _within(key, parse, test, allowed):
+    """``parse``, refusing a value of the setting ``key`` not ``allowed``."""
 
     def parse_in_range(text):
         value = parse(text)
@@ -140,18 +93,29 @@ def _value_type(key, hint):
     return parse_in_range
 
 
-_TYPES = {key: _value_type(key, hint) for key, hint in get_type_hints(RunConfig).items()}
+#: Setting -> (the parser of its flag, its default).  Each setting is the
+#: flag ``--`` plus its name with dashes, of one subcommand or more; a flag
+#: not given leaves the default.
+_SETTINGS = {
+    "election_date": (iso_date, None),
+    "seed": (_within("seed", int, lambda v: 0 <= v < 2**64, f"in 0..{2**64 - 1}"), None),
+    "paths": (_within("paths", int, lambda v: 1 <= v <= MAX_PATHS, f"in 1..{MAX_PATHS}"),
+              SimulationConfig.n_paths),
+    "bandwidth": (_within("bandwidth", finite, lambda v: v > 0, "> 0"), 5.0),
+    "noise_model": (str, SimulationConfig.noise_model),
+    "win_threshold": (finite, SimulationConfig.win_threshold),
+    "workers": (_within("workers", int, lambda v: v >= 1, ">= 1"), SimulationConfig.workers),
+    "loss": (str, "quadratic"),
+    "reference": (str, "market"),
+    "ev_realization": (_within("ev_realization", int, lambda v: 0 <= v < EV_BINS,
+                               f"in 0..{EV_BINS - 1}"), None),
+    **{key: (file_path, None) for key in (
+        "polls", "historical", "ev_table", "experts", "series", "outcomes", "histograms",
+        "reference_file", "calibration")},
+}
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    return cfg
-
-
-def _sim_config(cfg: RunConfig) -> SimulationConfig:
+def _sim_config(cfg: argparse.Namespace) -> SimulationConfig:
     if cfg.seed is None:
         raise ConfigurationError("seed is required (pass --seed)")
     return SimulationConfig(seed=cfg.seed, n_paths=cfg.paths,
@@ -171,7 +135,7 @@ def _probability(text: str) -> float:
     return p
 
 
-def _load_ev(cfg: RunConfig) -> dict[str, int]:
+def _load_ev(cfg: argparse.Namespace) -> dict[str, int]:
     return load_ev_table(cfg.ev_table) if cfg.ev_table else default_ev_table()
 
 
@@ -223,7 +187,7 @@ def _note_rows(parsed: ingest.ParseResult, kind: str, path: str) -> None:
                   f"first at line {line}: {reason}", file=sys.stderr)
 
 
-def _calibrate_from_files(cfg: RunConfig):
+def _calibrate_from_files(cfg: argparse.Namespace):
     """Returns (cals, days, ev_table): ``days`` is the market on each day to
     forecast, day 0 first.  A frozen calibration is one day; polls give one
     per grid day of the smoothed national spread."""
@@ -233,7 +197,7 @@ def _calibrate_from_files(cfg: RunConfig):
             _note_unread("--calibration", f"{key} file", getattr(cfg, key))
         _note_unread("--calibration", "election date", cfg.election_date)
         # A bandwidth is set when it is not the default.
-        if cfg.bandwidth != RunConfig.bandwidth:
+        if cfg.bandwidth != _SETTINGS["bandwidth"][1]:
             _note_unread("--calibration", "bandwidth", cfg.bandwidth)
         with open(cfg.calibration, encoding="utf-8") as fh:
             cals, market = named(cfg.calibration,
@@ -272,7 +236,7 @@ def _calibrate_from_files(cfg: RunConfig):
                   for t, v in zip(national.grid, national.values)], ev_table
 
 
-def cmd_forecast(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_forecast(cfg: argparse.Namespace, out_dir: Path) -> int:
     cals, days, ev_table = _calibrate_from_files(cfg)
     dists = probability_time_series(cals, days, ev_table, _sim_config(cfg))
     dist = dists[0]
@@ -285,7 +249,7 @@ def cmd_forecast(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_calibrate(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_calibrate(cfg: argparse.Namespace, out_dir: Path) -> int:
     cals, days, _ = _calibrate_from_files(cfg)
     _write_json(out_dir / "calibration.json", cal_mod.calibration_to_dict(cals, days[0]))
     n_hist = sum(1 for c in cals.values() if c.source == cal_mod.SOURCE_HISTORICAL)
@@ -405,7 +369,8 @@ def _score_series(tables, metric, series, outcomes, ev_table) -> None:
                     (forecaster, scoring.aggregate_scores(per_state, weighting, ev_table)))
 
 
-def cmd_score(cfg: RunConfig, out_dir: Path, metrics: list[str]) -> int:
+def cmd_score(cfg: argparse.Namespace, out_dir: Path) -> int:
+    metrics = list(dict.fromkeys(cfg.metrics or _SCORE_METRICS))
     ev_table = _load_ev(cfg)
     tables: dict[tuple[str, str], list[tuple[str, float]]] = {}
     binary_metrics = [m for m in metrics if m in _BINARY_SCORERS]
@@ -495,7 +460,7 @@ def _read_panel(path: str, prices: dict[float, float] | None = None,
     return read_rows(path, header_columns, parse, finish)
 
 
-def _panel_and_reference(cfg: RunConfig, command: str, pairmean: bool = False):
+def _panel_and_reference(cfg: argparse.Namespace, command: str, pairmean: bool = False):
     """The experts panel's names, dates and values, its reference price
     series and the reference prices on the panel's dates.  The reference is
     the panel's mean (``pairmean``) or the reference file, a one-column
@@ -505,11 +470,11 @@ def _panel_and_reference(cfg: RunConfig, command: str, pairmean: bool = False):
     if pairmean:
         names, times, values = _read_panel(cfg.experts)
         ref = BinaryForecastSeries("pairmean", times.copy(), values.mean(axis=1))
-        _note_unread("--reference pairmean", "reference file", cfg.reference)
-    elif not cfg.reference:
+        _note_unread("--reference pairmean", "reference file", cfg.reference_file)
+    elif not cfg.reference_file:
         raise ConfigurationError(f"{command} needs a reference file")
     else:
-        _, ref_times, prices = _read_panel(cfg.reference, columns=("price",))
+        _, ref_times, prices = _read_panel(cfg.reference_file, columns=("price",))
         ref = BinaryForecastSeries("market", ref_times, prices[:, 0])
         names, times, values = _read_panel(
             cfg.experts, dict(zip(ref.times.tolist(), ref.probs.tolist())))
@@ -534,7 +499,7 @@ def _iso(t: float) -> str:
     return str(date.fromordinal(int(t)))
 
 
-def _online_mixture(cfg: RunConfig, values: np.ndarray, ref_on_panel: np.ndarray):
+def _online_mixture(cfg: argparse.Namespace, values: np.ndarray, ref_on_panel: np.ndarray):
     """Exponential weights over all but the panel's last date, under the
     configured loss."""
     return online.run(values[:-1], _LOSSES[cfg.loss](values, ref_on_panel))
@@ -552,8 +517,8 @@ def _write_pnl(out_dir: Path, pnl: trading.PnLSeries) -> None:
                 for t, inc, cum in zip(pnl.times, pnl.increments, pnl.cumulative)])
 
 
-def cmd_trade(cfg: RunConfig, out_dir: Path) -> int:
-    pairmean = cfg.reference_mode == "pairmean"
+def cmd_trade(cfg: argparse.Namespace, out_dir: Path) -> int:
+    pairmean = cfg.reference == "pairmean"
     names, times, values, ref, ref_on_panel = _panel_and_reference(cfg, "trade", pairmean)
     # Settled at the national outcome, or at the final price without one.
     omega = _read_outcomes(cfg.outcomes).get(NATIONAL) if cfg.outcomes else None
@@ -593,7 +558,7 @@ def cmd_trade(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_aggregate(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_aggregate(cfg: argparse.Namespace, out_dir: Path) -> int:
     names, times, values, _, ref_on_panel = _panel_and_reference(cfg, "aggregate")
     if len(times) < 2:
         raise ConfigurationError(f"{cfg.experts}: aggregate needs a panel of 2 or more dates")
@@ -631,7 +596,7 @@ def cmd_aggregate(cfg: RunConfig, out_dir: Path) -> int:
 _CURVE_METRICS = tuple(scoring._DENSITY_FNS)
 
 
-def cmd_curves(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_curves(cfg: argparse.Namespace, out_dir: Path) -> int:
     densities = scoring.default_curve_family()
     labels = [label for label, _ in densities]
     for metric in _CURVE_METRICS:
@@ -657,39 +622,41 @@ _COMMANDS = {
     "score": (cmd_score, "score expert series and histograms",
               ("series", "outcomes", "histograms", "ev_table", "ev_realization")),
     "trade": (cmd_trade, "mark-to-market P&L per expert",
-              ("experts", "reference", "reference_mode", "outcomes", "loss")),
+              ("experts", "reference_file", "reference", "outcomes", "loss")),
     "aggregate": (cmd_aggregate, "exponential-weights expert combination",
-                  ("experts", "reference", "loss")),
+                  ("experts", "reference_file", "loss")),
     "curves": (cmd_curves, "score-shape tables for discretized Gaussians", ()),
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand's namespace holds every setting, at its default
+    unless a flag sets it.  A flag is spelled in full, never a prefix."""
     parser = argparse.ArgumentParser(
         prog="statecast",
         description="Election forecasting, scoring, trading, and aggregation",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, keys) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--out-dir", default=".", help="directory for outputs")
         for key in keys:
-            p.add_argument(_FLAGS.get(key, "--" + key.replace("_", "-")), dest=key,
-                           type=_TYPES[key], choices=_CHOICES.get(key), help=_HELP.get(key))
+            p.add_argument("--" + key.replace("_", "-"), type=_SETTINGS[key][0],
+                           choices=_CHOICES.get(key), help=_HELP.get(key))
         if command == "score":
             p.add_argument("--metrics", nargs="+", choices=_SCORE_METRICS)
+        p.set_defaults(**{key: default for key, (_, default) in _SETTINGS.items()})
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(RunConfig(), args)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "score":
-            return cmd_score(cfg, out_dir, list(dict.fromkeys(args.metrics or _SCORE_METRICS)))
-        return _COMMANDS[args.command][0](cfg, out_dir)
+        return _COMMANDS[args.command][0](args, out_dir)
     except StatecastError as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1

@@ -5,7 +5,6 @@ output holding NaN."""
 import contextlib
 import copy
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -629,10 +628,10 @@ class TestConfigValues:
         (command, key) for command, (_, _, keys) in cli._COMMANDS.items()
         for key in keys if key in cli._CHOICES])
     def test_bad_choice_is_usage_error(self, tmp_path, capsys, command, key):
-        flag = cli._FLAGS.get(key, "--" + key.replace("_", "-"))
+        flag = "--" + key.replace("_", "-")
         for value in cli._CHOICES[key]:
             args = cli.build_parser().parse_args([command, flag, value])
-            assert getattr(cli._apply_overrides(cli.RunConfig(), args), key) == value
+            assert getattr(args, key) == value
         out = tmp_path / "out"
         for text in ("banana", cli._CHOICES[key][-1].title()):
             with pytest.raises(SystemExit) as exc:
@@ -644,14 +643,13 @@ class TestConfigValues:
     def test_choice_settings_are_pinned(self):
         assert cli._CHOICES == {"noise_model": ("gaussian", "student_t"),
                                 "loss": ("quadratic", "trading"),
-                                "reference_mode": ("market", "pairmean")}
+                                "reference": ("market", "pairmean")}
 
     def test_float_flag_takes_integer_literal_as_float(self):
         args = cli.build_parser().parse_args(["forecast", "--bandwidth", "1",
                                               "--win-threshold", "270"])
-        cfg = cli._apply_overrides(cli.RunConfig(), args)
-        assert cfg.bandwidth == 1.0 and isinstance(cfg.bandwidth, float)
-        assert cfg.win_threshold == 270.0 and isinstance(cfg.win_threshold, float)
+        assert args.bandwidth == 1.0 and isinstance(args.bandwidth, float)
+        assert args.win_threshold == 270.0 and isinstance(args.win_threshold, float)
 
     def test_non_finite_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -688,7 +686,7 @@ class TestConfigValues:
             (["score", "--ev-realization", "538"], "ev_realization", 538),
         ]:
             args = cli.build_parser().parse_args(argv)
-            assert getattr(cli._apply_overrides(cli.RunConfig(), args), key) == value, argv
+            assert getattr(args, key) == value, argv
 
     def test_path_count_too_large_to_allocate_is_one_line(self, tmp_path, capsys, monkeypatch):
         # The simulator holds one tile of paths, so no accepted path count
@@ -731,9 +729,9 @@ class TestEmptyPaths:
 
     @pytest.mark.parametrize("command,key", [
         (command, key) for command, (_, _, keys) in cli._COMMANDS.items()
-        for key in keys if cli._TYPES[key] is cli.file_path])
+        for key in keys if cli._SETTINGS[key][0] is cli.file_path])
     def test_empty_file_flag_is_usage_error(self, tmp_path, capsys, command, key):
-        flag = cli._FLAGS.get(key, "--" + key.replace("_", "-"))
+        flag = "--" + key.replace("_", "-")
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             run_cli(command, flag, "", "--out-dir", out)
@@ -742,9 +740,9 @@ class TestEmptyPaths:
         assert not out.exists()
 
     def test_file_settings_are_the_optional_strings(self):
-        assert {key for key, parse in cli._TYPES.items() if parse is cli.file_path} == {
+        assert {key for key, (parse, _) in cli._SETTINGS.items() if parse is cli.file_path} == {
             "polls", "historical", "ev_table", "experts", "series", "outcomes",
-            "histograms", "reference", "calibration"}
+            "histograms", "reference_file", "calibration"}
 
 
 # 2016-13-45 is no day; the others are forms that only some Pythons read.
@@ -769,7 +767,7 @@ class TestElectionDate:
 
     def test_flag_value_is_a_date(self):
         args = cli.build_parser().parse_args(["calibrate", "--election-date", "2016-11-08"])
-        assert cli._apply_overrides(cli.RunConfig(), args).election_date == date(2016, 11, 8)
+        assert args.election_date == date(2016, 11, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -1070,6 +1068,11 @@ COMMAND_FLAGS = {
     "aggregate": {"--experts", "--reference-file", "--loss"},
     "curves": set(),
 }
+# Every setting of the table, each a flag of some subcommand.
+SETTINGS = {"election_date", "seed", "paths", "bandwidth", "noise_model", "win_threshold",
+            "workers", "loss", "reference", "ev_realization", "polls", "historical",
+            "ev_table", "experts", "series", "outcomes", "histograms", "reference_file",
+            "calibration"}
 
 
 def test_subcommands_accept_the_same_flags():
@@ -1079,9 +1082,9 @@ def test_subcommands_accept_the_same_flags():
     for name, parser in subparsers.items():
         flags = {s for a in parser._actions for s in a.option_strings}
         assert flags == common | COMMAND_FLAGS[name], name
-    # every setting is a flag of some subcommand
-    settings = {f.name for f in dataclasses.fields(cli.RunConfig)}
-    assert settings == set().union(*(keys for _, _, keys in cli._COMMANDS.values()))
+    # the table holds the 19 settings, and each is a flag of some subcommand
+    assert set(cli._SETTINGS) == SETTINGS
+    assert SETTINGS == set().union(*(keys for _, _, keys in cli._COMMANDS.values()))
 
 
 @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
@@ -1108,12 +1111,78 @@ def test_flags_land_on_their_fields():
     args = cli.build_parser().parse_args(
         ["trade", "--reference", "pairmean", "--reference-file", "r.csv",
          "--loss", "trading"])
-    cfg = cli._apply_overrides(cli.RunConfig(), args)
-    assert (cfg.reference_mode, cfg.reference, cfg.loss) == ("pairmean", "r.csv", "trading")
+    assert (args.reference, args.reference_file, args.loss) == ("pairmean", "r.csv", "trading")
     args = cli.build_parser().parse_args(["forecast", "--seed", "4", "--paths", "9",
                                           "--workers", "2"])
-    cfg = cli._apply_overrides(cli.RunConfig(), args)
-    assert (cfg.seed, cfg.paths, cfg.workers) == (4, 9, 2)
+    assert (args.seed, args.paths, args.workers) == (4, 9, 2)
+
+
+def test_every_flag_is_its_setting_name_with_dashes():
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    for command, (_, _, keys) in cli._COMMANDS.items():
+        flags = {a.dest: a.option_strings for a in subparsers[command]._actions}
+        for key in keys:
+            assert flags[key] == ["--" + key.replace("_", "-")], (command, key)
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_every_setting_starts_at_its_default(command):
+    args = cli.build_parser().parse_args([command])
+    assert {key: getattr(args, key) for key in SETTINGS} == {
+        "election_date": None, "seed": None, "paths": 10000, "bandwidth": 5.0,
+        "noise_model": "gaussian", "win_threshold": 0.0, "workers": 1, "loss": "quadratic",
+        "reference": "market", "ev_realization": None, "polls": None, "historical": None,
+        "ev_table": None, "experts": None, "series": None, "outcomes": None,
+        "histograms": None, "reference_file": None, "calibration": None}
+
+
+def test_simulation_settings_default_to_simulation_config():
+    args = cli.build_parser().parse_args(["forecast"])
+    assert (args.paths, args.noise_model, args.win_threshold, args.workers) == (
+        simulation.SimulationConfig.n_paths, simulation.SimulationConfig.noise_model,
+        simulation.SimulationConfig.win_threshold, simulation.SimulationConfig.workers)
+
+
+def test_abbreviated_flags_are_usage_errors(tmp_path, capsys):
+    # Flags are spelled in full: --calib, --se and --pa name no flag.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("forecast", "--calib", FIXTURES / "calibration.json", "--se", "1",
+                "--pa", "300", "--out-dir", out)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --calib" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_abbreviated_out_dir_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--out", out)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_abbreviated_help_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--he")
+    assert exc.value.code == 2
+    assert "usage: statecast" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_runs_in_one_process_share_no_settings(tmp_path):
+    # The parser is shared; a flag of one run does not carry into the next.
+    for extra, loss in ((["--loss", "trading"], "trading"), ([], "quadratic")):
+        out = tmp_path / loss
+        assert run_cli("aggregate", "--experts", FIXTURES / "experts.csv",
+                       "--reference-file", FIXTURES / "reference.csv", *extra,
+                       "--out-dir", out) == 0
+        assert json.loads((out / "learner.json").read_text())["loss"] == loss
 
 
 def test_metric_tables_come_from_scoring():
