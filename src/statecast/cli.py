@@ -10,11 +10,11 @@ Runs are configured by flags alone.  Each setting is one row of one table,
 ``_SETTINGS``: its flag's parser, range included, and its default.  Each is
 a flag of some subcommand, ``--`` plus its name with dashes, without
 exception; ``_CHOICES`` lists the values of the settings that take one of a
-fixed set.  Every handler reads the parsed namespace.  Every input
-table goes through one row reader, :func:`.tables.read_rows`, which hands
-its parser a tuple of each row's cells and turns a malformed row or header
-into one ``file:line: reason`` error.  Every output lands under
-``--out-dir`` with a fixed name; a fixed seed makes reruns byte-identical.
+fixed set.  Every handler reads the parsed namespace.  Every input table
+is read by a loop in the ``with`` block of :func:`.tables.read_rows`, which
+names a fault raised there, or a bad header, as ``file:line: reason``.
+Every output lands under ``--out-dir`` with a fixed name; a fixed seed
+makes reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -269,78 +269,70 @@ def _read_series_file(path: str, outcomes: dict[str, int], ev_table: dict[str, i
     # Per-read memos: raw (forecaster, state) cells -> points, date cell -> day.
     series: dict[tuple[str, str], dict[float, float]] = {}
     days: dict[str, float] = {}
-
-    def parse(cells, line):
-        forecaster, state, text, p = cells
-        p = _probability(p)
-        pts = series.get((forecaster, state))
-        if pts is None:
-            code = state_code(state, national=True)
-            if code not in outcomes:
-                raise ValueError(f"no outcome recorded for {code}")
-            if code != NATIONAL and code not in ev_table:
-                raise ValueError(f"state {code} has no EV table entry")
-            pts = series[forecaster, state] = points.setdefault((forecaster.strip(), code), {})
-        t = days.get(text)
-        if t is None:
-            t = days[text] = _day(text)
-        if t in pts:
-            raise ValueError(f"date {text.strip()} is repeated")
-        pts[t] = p
-
-    def finish():
-        return {key: BinaryForecastSeries(key[0], *zip(*sorted(pts.items())))
-                for key, pts in points.items()}
-
-    return read_rows(path, ("forecaster", "state", "date", "p"), parse, finish)
+    with read_rows(path, ("forecaster", "state", "date", "p")) as (rows, _):
+        for forecaster, state, text, p in rows:
+            p = _probability(p)
+            pts = series.get((forecaster, state))
+            if pts is None:
+                code = state_code(state, national=True)
+                if code not in outcomes:
+                    raise ValueError(f"no outcome recorded for {code}")
+                if code != NATIONAL and code not in ev_table:
+                    raise ValueError(f"state {code} has no EV table entry")
+                pts = series[forecaster, state] = points.setdefault((forecaster.strip(), code), {})
+            t = days.get(text)
+            if t is None:
+                t = days[text] = _day(text)
+            if t in pts:
+                raise ValueError(f"date {text.strip()} is repeated")
+            pts[t] = p
+    out = {}
+    for key, pts in points.items():
+        times, probs = (np.fromiter(v, float, len(pts)) for v in (pts.keys(), pts.values()))
+        order = times.argsort()
+        out[key] = BinaryForecastSeries(key[0], times[order], probs[order])
+    return out
 
 
 def _read_outcomes(path: str) -> dict[str, int]:
     """CSV state,omega -> {state: 0 or 1}."""
     out: dict[str, int] = {}
-
-    def parse(cells, line):
-        state, omega = cells
-        omega = int(omega)
-        if omega not in (0, 1):
-            raise ValueError(f"omega = {omega} is not 0 or 1")
-        state = state_code(state, national=True)
-        if state in out:
-            raise ValueError(f"state {state} is repeated")
-        out[state] = omega
-
-    return read_rows(path, ("state", "omega"), parse, lambda: out)
+    with read_rows(path, ("state", "omega")) as (rows, _):
+        for state, omega in rows:
+            omega = int(omega)
+            if omega not in (0, 1):
+                raise ValueError(f"omega = {omega} is not 0 or 1")
+            state = state_code(state, national=True)
+            if state in out:
+                raise ValueError(f"state {state} is repeated")
+            out[state] = omega
+    return out
 
 
 def _read_histograms(path: str) -> dict[str, np.ndarray]:
     """Long CSV forecaster,ev,p -> normalized histogram per forecaster; a
     (forecaster, ev) pair given twice is an error at its second row."""
     masses: dict[str, list[float | None]] = {}  # None: no row for that bin yet
-
-    def parse(cells, line):
-        name, ev, text = cells
-        ev, p = int(ev), float(text)
-        if not 0 <= ev < EV_BINS:
-            raise ValueError(f"ev = {ev} is outside 0..{EV_BINS - 1}")
-        if not 0.0 <= p < math.inf:
-            raise ValueError(f"p = {text!r} is not a finite mass >= 0")
-        name = name.strip()
-        m = masses.get(name) or masses.setdefault(name, [None] * EV_BINS)
-        if m[ev] is not None:
-            raise ValueError(f"ev {ev} of {name} is repeated")
-        m[ev] = p
-
-    def finish():
-        out = {}
-        for name, m in masses.items():
-            m = [p or 0.0 for p in m]  # no row, and a -0.0 row, give a 0.0 bin
-            if not 0.0 < sum(m) < math.inf:
-                raise ValueError(f"histogram {name!r} has total mass {sum(m)}, not > 0")
-            h = np.array(m)
-            out[name] = h / h.sum()
-        return out
-
-    return read_rows(path, ("forecaster", "ev", "p"), parse, finish)
+    with read_rows(path, ("forecaster", "ev", "p")) as (rows, _):
+        for name, ev, text in rows:
+            ev, p = int(ev), float(text)
+            if not 0 <= ev < EV_BINS:
+                raise ValueError(f"ev = {ev} is outside 0..{EV_BINS - 1}")
+            if not 0.0 <= p < math.inf:
+                raise ValueError(f"p = {text!r} is not a finite mass >= 0")
+            name = name.strip()
+            m = masses.get(name) or masses.setdefault(name, [None] * EV_BINS)
+            if m[ev] is not None:
+                raise ValueError(f"ev {ev} of {name} is repeated")
+            m[ev] = p
+    out = {}
+    for name, m in masses.items():
+        m = [p or 0.0 for p in m]  # no row, and a -0.0 row, give a 0.0 bin
+        if not 0.0 < sum(m) < math.inf:
+            raise IngestError(f"{path}: histogram {name!r} has total mass {sum(m)}, not > 0")
+        h = np.array(m)
+        out[name] = h / h.sum()
+    return out
 
 
 # Copies of scoring's tables, not the same dicts: perfbench/spans.py wraps
@@ -442,22 +434,18 @@ def _read_panel(path: str, prices: dict[float, float] | None = None,
             names.extend(name for name in header if name != "date")
         return ("date", *names)
 
-    def parse(cells, line):
-        text, *values = cells
-        t = _day(text)
-        if t in rows:
-            raise ValueError(f"date {text.strip()} is repeated")
-        if prices is not None and t not in prices:
-            raise ValueError(f"date {text.strip()} has no reference price")
-        rows[t] = [_probability(v) for v in values]
-
-    def finish():
-        if not names:
-            raise ValueError("panel needs at least one expert")
-        times = sorted(rows)
-        return names, np.array(times), np.array([rows[t] for t in times])
-
-    return read_rows(path, header_columns, parse, finish)
+    with read_rows(path, header_columns) as (table, _):
+        for text, *values in table:
+            t = _day(text)
+            if t in rows:
+                raise ValueError(f"date {text.strip()} is repeated")
+            if prices is not None and t not in prices:
+                raise ValueError(f"date {text.strip()} has no reference price")
+            rows[t] = [_probability(v) for v in values]
+    if not names:
+        raise IngestError(f"{path}: panel needs at least one expert")
+    times = sorted(rows)
+    return names, np.array(times), np.array([rows[t] for t in times])
 
 
 def _panel_and_reference(cfg: argparse.Namespace, command: str, pairmean: bool = False):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CalibrationError
 from .states import state_code
-from .tables import iso_date, read_rows
+from .tables import INPUT_ERRORS, iso_date, read_rows
 
 
 #: Accepted ``sample_type`` spellings (lower case, ``_`` read as a space):
@@ -129,14 +129,13 @@ def parse_polls(source, election_date: date) -> ParseResult:
     result with their line, never raised.
     """
     rows, skipped = [], []
-
-    def parse(cells, line):
-        rows.append(_parse_poll_row(cells, election_date))
-
-    def finish():
-        return ParseResult(records=Polls(*(list(zip(*rows)) or [()] * 5)), skipped=skipped)
-
-    return read_rows(source, POLL_COLUMNS, parse, finish, skipped=skipped)
+    with read_rows(source, POLL_COLUMNS, skipped) as (table, reader):
+        for cells in table:
+            try:
+                rows.append(_parse_poll_row(cells, election_date))
+            except INPUT_ERRORS as exc:
+                skipped.append((reader.line_num, str(exc)))
+    return ParseResult(records=Polls(*(list(zip(*rows)) or [()] * 5)), skipped=skipped)
 
 
 def _require(cell, key, kind=str):
@@ -237,24 +236,23 @@ def load_historical(source) -> ParseResult:
     """
     rows: dict[str, tuple[list[float], list[float]]] = {}
     result = ParseResult(records={})
-
-    def parse(cells, line):
-        year, state, state_spread, national_spread = cells
-        state = state_code(_require(state, "state"))
-        year = _require(year, "year", int)
-        state_spread = _require(state_spread, "state_spread", float)
-        national_spread = _require(national_spread, "national_spread", float)
-        if not (math.isfinite(state_spread) and math.isfinite(national_spread)):
-            raise ValueError("non-finite spread")
-        if year < FIRST_HISTORICAL_YEAR:
-            result.flagged.append((line, f"year {year} precedes {FIRST_HISTORICAL_YEAR}"))
-        national, spreads = rows.setdefault(state, ([], []))
-        national.append(national_spread)
-        spreads.append(state_spread)
-
-    def finish():
-        result.records = {state: (np.array(national), np.array(spreads))
-                          for state, (national, spreads) in rows.items()}
-        return result
-
-    return read_rows(source, HISTORICAL_COLUMNS, parse, finish, skipped=result.skipped)
+    with read_rows(source, HISTORICAL_COLUMNS, result.skipped) as (table, reader):
+        for year, state, state_spread, national_spread in table:
+            try:
+                state = state_code(_require(state, "state"))
+                year = _require(year, "year", int)
+                state_spread = _require(state_spread, "state_spread", float)
+                national_spread = _require(national_spread, "national_spread", float)
+                if not (math.isfinite(state_spread) and math.isfinite(national_spread)):
+                    raise ValueError("non-finite spread")
+                if year < FIRST_HISTORICAL_YEAR:
+                    result.flagged.append(
+                        (reader.line_num, f"year {year} precedes {FIRST_HISTORICAL_YEAR}"))
+                national, spreads = rows.setdefault(state, ([], []))
+                national.append(national_spread)
+                spreads.append(state_spread)
+            except INPUT_ERRORS as exc:
+                result.skipped.append((reader.line_num, str(exc)))
+    result.records = {state: (np.array(national), np.array(spreads))
+                      for state, (national, spreads) in rows.items()}
+    return result

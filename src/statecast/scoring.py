@@ -64,7 +64,7 @@ class BinaryForecastSeries:
         self.probs = np.asarray(self.probs, dtype=float)
         if self.times.shape != self.probs.shape or self.times.ndim != 1:
             raise ValueError("times and probs must be 1-D and the same length")
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
+        if not (self.times[1:] > self.times[:-1]).all():
             raise ValueError("times must be strictly increasing")
         if self.probs.size and not (self.probs.min() >= 0.0 and self.probs.max() <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
@@ -210,7 +210,7 @@ def gaussian_histogram(mean: float, std: float) -> np.ndarray:
     renormalized."""
     if std <= 0:
         raise ValueError("std must be positive")
-    edges = np.arange(EV_BINS + 1) - 0.5
+    edges = (np.arange(EV_BINS + 1) - 0.5).tolist()  # Python floats: the same IEEE results
     cdf = np.array([0.5 * math.erfc((mean - x) / (std * math.sqrt(2))) for x in edges])
     h = np.diff(cdf)
     return h / h.sum()

@@ -155,7 +155,7 @@ _MARKET_STREAM = 0
 #: one tile of paths draws another realization than one draw of all its
 #: paths would.  A Gaussian stream gives the same normals in tiles.
 _TILE = 1 << 16
-#: Values in one block of a Student-T component's draw (``_blocks``).
+#: Values in one block of a Student-T draw of t.
 _BLOCK = 1 << 12
 
 
@@ -205,11 +205,6 @@ def simulate_market_terminals(
         return _levels(z, sig, mc, np.empty((len(z), len(sig)))).T
 
 
-def _blocks(buf: np.ndarray):
-    """``buf`` as consecutive views of ``_BLOCK`` values."""
-    return (buf[s:s + _BLOCK] for s in range(0, len(buf), _BLOCK))
-
-
 def sample_state_noise(
     cal: StateCalibration,
     n_paths: int,
@@ -227,9 +222,9 @@ def sample_state_noise(
     ``out`` is a triple of float64 arrays of ``n_paths`` values, (intercept,
     slope, noise), that the draws fill in place; Gaussian fills only the
     noise, and its other two may be None.  Without it, each is allocated.
-    A Student-T component is drawn ``_BLOCK`` values at a time by the same
-    ``rng.normal`` or ``rng.standard_t`` call, which reads the stream as
-    one call for all of them would; the noise is formed in place.
+    Student-T lines and scales are drawn in place as ``fl(fl(z * scale) +
+    loc)``, as ``rng.normal`` draws them; t ``_BLOCK`` values a call, which
+    reads the stream as one call for all of them would.
     """
     if model == "gaussian":
         noise = np.empty(n_paths) if out is None else out[2]
@@ -240,27 +235,31 @@ def sample_state_noise(
         alpha, beta, noise = (np.empty(n_paths) for _ in range(3)) if out is None else out
         for buf, loc, scale in ((alpha, cal.alpha, SIGMA_ALPHA), (beta, cal.beta, SIGMA_BETA),
                                 (noise, 0.0, cal.sigma_eps)):
-            for part in _blocks(buf):
-                part[:] = rng.normal(loc, scale, len(part))
+            np.add(np.multiply(rng.standard_normal(out=buf), scale, out=buf), loc, out=buf)
         np.abs(noise, out=noise)  # the scale
-        for part in _blocks(noise):
+        for part in (noise[s:s + _BLOCK] for s in range(0, len(noise), _BLOCK)):
             part *= rng.standard_t(NU, len(part))
         return alpha, beta, noise
     raise ValueError(f"unknown noise model {model!r}")
 
 
-def _spreads(a, b, e, m, out: np.ndarray) -> np.ndarray:
+def _spreads(a, b, e, m, out: np.ndarray, pick=lambda v: v) -> np.ndarray:
     """State spreads ``fl(fl(fl(b * m) + a) + e)`` into ``out`` (which may
     be ``m``) from the intercept ``a``, slope ``b`` and noise ``e`` at the
     market ``m``.  Every state spread the simulator compares is rounded by
-    these three steps, in this order."""
-    np.multiply(b, m, out=out)
-    np.add(out, a, out=out)
-    return np.add(out, e, out=out)
+    these three steps, in this order, each operand ``pick``-ed just before."""
+    np.multiply(pick(b), m, out=out)
+    np.add(out, pick(a), out=out)
+    return np.add(out, pick(e), out=out)
+
+
+def _gather(v, at: np.ndarray, buf: np.ndarray):
+    """``v`` at the paths ``at``, as a column of ``buf``; a scalar as it is."""
+    return np.take(v, at, out=buf[:len(at)], mode="clip")[:, None] if np.ndim(v) else v
 
 
 def _screen(s_lo: np.ndarray, s_hi: np.ndarray | None, threshold: float,
-            won: np.ndarray, flat: np.ndarray) -> np.ndarray:
+            won: np.ndarray, flat: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
     """Split paths by their spreads at the two ends of their market range.
 
     The two spreads bracket every day's spread, in either order.  Sets
@@ -269,7 +268,8 @@ def _screen(s_lo: np.ndarray, s_hi: np.ndarray | None, threshold: float,
     same side of it (both ``<= threshold`` loses on every day), NaN
     included.  ``s_hi`` None means one day: ``s_lo`` is then the spread
     itself and every path is decided.  ``flat`` is scratch space of
-    ``s_lo``'s length.
+    ``s_lo``'s length.  Past a quarter of the paths, the indices are
+    found a quarter at a time into ``at`` (intp), which may be ``s_hi``'s.
     """
     np.greater(s_lo, threshold, out=won)
     if s_hi is None:
@@ -278,7 +278,14 @@ def _screen(s_lo: np.ndarray, s_hi: np.ndarray | None, threshold: float,
     flat &= s_hi <= threshold  # both at or below: lost on every day
     won &= s_hi > threshold  # both above: won on every day
     flat |= won
-    return np.flatnonzero(~flat)
+    undecided = np.logical_not(flat, out=flat)
+    step, n = -(-len(flat) // 4), 0
+    if at is None or np.count_nonzero(undecided) <= step:
+        return np.flatnonzero(undecided)
+    for p in range(0, len(flat), step):
+        part = np.flatnonzero(undecided[p:p + step])
+        n += len(np.add(part, p, out=at[n:n + len(part)]))
+    return at[:n]
 
 
 def simulate_paths(
@@ -292,20 +299,16 @@ def simulate_paths(
     Each state is drawn once and every market is settled from those draws:
     a state wins a (path, day) when ``fl(fl(fl(slope * m) + intercept) +
     noise)`` exceeds ``win_threshold``.  The paths are settled one tile of
-    ``_TILE`` at a time.  For each tile the calling thread draws that tile
-    of the market stream and each path's lowest and highest m over the
-    days, in blocks of ``_TILE // days`` paths; the market m is never
-    stored per (path, day).  Then each worker draws its states' tile from
-    their streams, kept across tiles, and screens each (state, path) pair
-    by its spreads at those two ends, which bracket its spread on every day
-    in either order (see the module docstring).  A pair that wins on every
-    day adds its votes to a per-path base and its count to every day's
-    wins; only the pairs the screen leaves undecided are evaluated day by
-    day, in blocks of ``_TILE // days`` paths, their m recomputed into the
-    spread buffer.  With one day the market tile becomes that day's m in
-    place, its spread is the day's spread, and the screen is the whole
-    settle.  The workers' electoral-vote tiles are summed, and each day's
-    votes are counted into its row of ``ev_counts``.
+    ``_TILE`` at a time: the calling thread draws the tile's market and each
+    path's lowest and highest m over the days (m is never stored per (path,
+    day)); each worker draws its states' tile from their streams and screens
+    each (state, path) pair by its spreads at those two ends (see the module
+    docstring).  A pair won on every day adds its votes to a per-path base;
+    only the undecided pairs are settled day by day, in blocks of ``_TILE //
+    days`` paths, their m recomputed and their draws gathered into buffers
+    the worker made once.  With one day the market tile becomes that day's
+    m in place and the screen is the whole settle.  The workers' vote tiles
+    are summed, and each day's votes counted into its row of ``ev_counts``.
 
     ``p_state`` is each state's win count divided by ``n_paths``.  Workers
     take fixed strided chunks of states; the calling thread settles the
@@ -345,9 +348,11 @@ def simulate_paths(
         # RSS by 0.2 MB (allocator placement), hence this order.
         lo = np.empty(cols)
         hi = np.empty(cols) if n_days > 1 else None
+        hi_at = None if hi is None else hi.view(np.intp)  # once screened, hi holds indices
         won, flat, inc = (np.empty(cols, dtype=t) for t in (bool, bool, np.int16))
         if n_days > 1:
-            x = np.empty((rows, n_days))
+            x = np.empty((rows, n_days))  # its first bytes, once spent, gather ev_k[at]
+            ev_u = x.reshape(-1).view(np.int16)[:rows * n_days].reshape(rows, n_days)
             won_u, inc_u = (np.empty((rows, n_days), dtype=t) for t in (bool, np.int16))
         # Gaussian lines are scalars, so its draw fills only the noise
         line = (np.empty(cols), np.empty(cols)) if cfg.noise_model == "student_t" else (None, None)
@@ -369,21 +374,22 @@ def simulate_paths(
                     # the spread at the path's lowest and highest market
                     s_lo = _spreads(a, b, e, m_lo, out=lo[:k])
                     s_hi = None if n_days == 1 else _spreads(a, b, e, m_hi, out=hi[:k])
-                    undecided = _screen(s_lo, s_hi, threshold, won_k, flat_k)
+                    undecided = _screen(s_lo, s_hi, threshold, won_k, flat_k, hi_at)
                     wins[i] += np.count_nonzero(won_k)
                     np.multiply(won_k, votes, out=inc_k)
                     base_k += inc_k
                     for r in range(0, len(undecided), rows):
                         at = undecided[r:r + rows]
-                        u = len(at)
-                        x_t, won_ut, inc_ut = (buf[:u] for buf in (x, won_u, inc_u))
-                        _levels(zk[at], sig, mc, out=x_t)  # the market on each day
-                        _spreads(*(v[at, None] if np.ndim(v) else v for v in (a, b, e)),
-                                 x_t, out=x_t)
+                        x_t, won_ut, inc_ut, ev_ut = (v[:len(at)] for v in (x, won_u, inc_u, ev_u))
+                        # s_lo is spent: lo holds one gathered column at a time
+                        _levels(_gather(zk, at, lo)[:, 0], sig, mc, out=x_t)  # each day's m
+                        _spreads(a, b, e, x_t, out=x_t, pick=lambda v: _gather(v, at, lo))
                         np.greater(x_t, threshold, out=won_ut)
                         wins[i] += won_ut.view(np.uint8).sum(axis=0, dtype=np.int32)  # per day
                         np.multiply(won_ut, votes, out=inc_ut)
-                        ev_k[at] += inc_ut
+                        np.take(ev_k, at, axis=0, out=ev_ut, mode="clip")  # ev_k[at] += inc_ut
+                        ev_ut += inc_ut
+                        ev_k[at] = ev_ut
             if n_days > 1:
                 ev_k += base_k[:, None]
             return ev_k

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .tables import read_rows
+from .errors import IngestError
+from .tables import read_rows, table_name
 
 #: 50 state postal codes plus DC.
 STATE_CODES = frozenset(
@@ -48,24 +49,20 @@ def load_ev_table(source) -> dict[str, int]:
     mapping sorted by state code.
     """
     table: dict[str, int] = {}
-
-    def parse(cells, line):
-        code, votes = cells
-        code = state_code(code)
-        if code in table:
-            raise ValueError(f"state {code} is listed twice")
-        votes = int(votes)
-        if votes < 0:
-            raise ValueError(f"ev = {votes} is negative")
-        table[code] = votes
-
-    def finish():
-        total = sum(table.values())
-        if total != TOTAL_ELECTORAL_VOTES:
-            raise ValueError(f"EV table sums to {total}, expected {TOTAL_ELECTORAL_VOTES}")
-        return {code: table[code] for code in sorted(table)}
-
-    return read_rows(source, ("state", "ev"), parse, finish)
+    with read_rows(source, ("state", "ev")) as (rows, _):
+        for code, votes in rows:
+            code = state_code(code)
+            if code in table:
+                raise ValueError(f"state {code} is listed twice")
+            votes = int(votes)
+            if votes < 0:
+                raise ValueError(f"ev = {votes} is negative")
+            table[code] = votes
+    total = sum(table.values())
+    if total != TOTAL_ELECTORAL_VOTES:
+        raise IngestError(f"{table_name(source)}: EV table sums to {total}, "
+                          f"expected {TOTAL_ELECTORAL_VOTES}")
+    return {code: table[code] for code in sorted(table)}
 
 
 def default_ev_table() -> dict[str, int]:

@@ -1,15 +1,15 @@
 """The one CSV reader: every input table of the package is read here.
 
-:func:`read_rows` hands the caller's parser a tuple of each data row's
-cells, under the columns the table names (or names by a function of the
-header), and names where a fault is: ``file:line: reason`` for a bad row or
-a fault of the file itself, ``file: reason`` for a fault of the whole table.
+:func:`read_rows` yields the cells tuple of each data row of a table, under
+the columns it names, to a plain ``for`` loop in its ``with`` block, and
+names where a fault is: ``file:line: reason`` for a bad row or a fault of
+the file itself, ``file: reason`` for a fault of the whole table.
 """
 
 from __future__ import annotations
 
 import csv
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from datetime import date
 from operator import itemgetter
 from pathlib import Path
@@ -29,66 +29,71 @@ def named(name, fn):
         raise IngestError(f"{name}: {exc}") from exc
 
 
-def read_rows(source, columns, parse_row, finish, skipped=None):
-    """Call ``parse_row(cells, line)`` on each data row of the CSV ``source``
-    (a path or a text stream), ``cells`` the tuple of the row's cells under
-    ``columns``, in that order, and ``line`` its physical line; then return
-    ``finish()``.  The header must hold each column once.  ``columns`` may
-    be a function of the header that returns them.
+def table_name(source) -> str:
+    """How a message names a table: by its path, or by its stream's name."""
+    return source if isinstance(source, (str, Path)) else getattr(source, "name", "<stream>")
 
-    A row that ``parse_row`` rejects or that has too few fields stops the
-    read, unless ``skipped`` is a list: then ``(line, reason)`` is appended
-    to it and reading goes on; else a table with no row stops it too.  A
-    fault of the file itself always stops it.  Quoting follows the csv
-    module's strict rule: bad CSV syntax, such as a quoted field still open
-    at the end of the file or text after a closing quote, is named at the
-    first line of its row.
-    """
-    is_path = isinstance(source, (str, Path))
-    name = source if is_path else getattr(source, "name", "<stream>")
+
+@contextmanager
+def read_rows(source, columns, skipped=None):
+    """Open the CSV ``source`` (a path or a text stream), check that its
+    header holds each of ``columns`` (or ``columns(header)``) once, and yield
+    an iterator over each data row's cells tuple, in ``columns`` order, and
+    the csv reader, whose ``line_num`` is the line the row in hand ends on.
+    An input fault raised in the block, or a short row, stops the read there,
+    unless ``skipped`` is a list: then short rows go on it as ``(line,
+    reason)``, as the caller's own faults do.  No row in a strict table, a
+    fault of the file and bad CSV syntax (named at its row's first line)
+    stop it too."""
+    is_path, name = isinstance(source, (str, Path)), table_name(source)
     try:
         stream = open(source, encoding="utf-8", newline="") if is_path else nullcontext(source)
     except OSError as exc:
         raise IngestError(f"{name}: cannot read: {exc.strerror}") from exc
     with stream as fh:
         reader = csv.reader(fh, strict=True)
-        start = 1  # the line the record in hand starts on
+        cells = _cells(reader, columns, skipped, name, source if is_path else None)
         try:
-            header = next(reader, [])
-            start = reader.line_num + 1
-            columns = columns(header) if callable(columns) else columns
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise ValueError(f"missing column(s) {', '.join(missing)}")
-            repeated = [c for c in dict.fromkeys(columns) if header.count(c) > 1]
-            if repeated:
-                raise ValueError(f"repeated column(s) {', '.join(repeated)}")
-            at = [header.index(c) for c in columns]
-            cells = itemgetter(*at) if len(at) > 1 else lambda row: (row[at[0]],)
-            row = None
-            for record in reader:
-                if record:  # blank lines hold no row
-                    row = record
-                    try:
-                        if len(row) < len(header):
-                            raise ValueError("too few fields")
-                        parse_row(cells(row), reader.line_num)
-                    except INPUT_ERRORS as exc:
-                        if skipped is None:
-                            raise
-                        skipped.append((reader.line_num, str(exc)))
-                start = reader.line_num + 1
-        except UnicodeDecodeError as exc:
-            line = _undecodable_line(source) if is_path else "?"
-            raise IngestError(f"{name}:{line}: not UTF-8: {exc.reason}") from exc
-        except csv.Error as exc:
-            reason = _UNCLOSED if str(exc) == "unexpected end of data" else exc
-            raise IngestError(f"{name}:{start}: {reason}") from exc
+            next(cells)  # the header, checked
+            yield cells, reader
+        except IngestError:  # named already
+            raise
         except INPUT_ERRORS as exc:
             raise IngestError(f"{name}:{max(reader.line_num, 1)}: {exc}") from exc
+
+
+def _cells(reader, columns, skipped, name, path):
+    """Checks the header, yields None, then each data row's cells; its state
+    is these locals, so a row costs no call or store but the loop's own."""
+    start = 1  # the line the record in hand starts on
+    try:
+        header = next(reader, [])
+        start = reader.line_num + 1
+        columns = columns(header) if callable(columns) else columns
+        for why, bad in (("missing", [c for c in columns if c not in header]),
+                         ("repeated", [c for c in dict.fromkeys(columns) if header.count(c) > 1])):
+            if bad:
+                raise ValueError(f"{why} column(s) {', '.join(bad)}")
+        at, width, row = [header.index(c) for c in columns], len(header), None
+        cells = itemgetter(*at) if len(at) > 1 else lambda row: (row[at[0]],)
+        yield
+        for record in reader:
+            if len(record) >= width:
+                row = record
+                yield cells(record)
+            elif record:  # blank lines hold no row
+                if skipped is None:
+                    raise ValueError("too few fields")
+                skipped.append((reader.line_num, "too few fields"))
+            start = reader.line_num + 1
+    except UnicodeDecodeError as exc:
+        line = _undecodable_line(path) if path is not None else "?"
+        raise IngestError(f"{name}:{line}: not UTF-8: {exc.reason}") from exc
+    except csv.Error as exc:
+        reason = _UNCLOSED if str(exc) == "unexpected end of data" else exc
+        raise IngestError(f"{name}:{start}: {reason}") from exc
     if row is None and skipped is None:
         raise IngestError(f"{name}: no rows")
-    return named(name, finish)
 
 
 def iso_date(text: str) -> date:

@@ -28,6 +28,7 @@ from statecast.trading import pair_trading_scores
 
 from propriety import propriety_violations
 from test_cli import FIXTURES
+from test_simulation import dkw_bound, terminal_law_gap
 
 
 def report(number: int, label: str, ok: bool) -> None:
@@ -74,8 +75,11 @@ def test_criterion_3_brownian_terminal_law():
     var_ok = abs(m.var(ddof=1) - 100.0) <= 0.05 * 100.0
     mean_tol = 4.0 * 2.0 * math.sqrt(25.0) / math.sqrt(10000.0)
     mean_ok = abs(m.mean() - 1.5) <= mean_tol
-    report(3, f"terminal variance {m.var(ddof=1):.2f} within 5% of 100 and "
-              f"mean drift {abs(m.mean() - 1.5):.4f} <= {mean_tol}", var_ok and mean_ok)
+    # the whole law, where a forecast draws it: its CDF at 201 points
+    gap, bound = terminal_law_gap(seed=2), dkw_bound(10_000)
+    report(3, f"terminal variance {m.var(ddof=1):.2f} within 5% of 100, "
+              f"mean drift {abs(m.mean() - 1.5):.4f} <= {mean_tol} and "
+              f"CDF gap {gap:.4f} <= DKW {bound:.4f}", var_ok and mean_ok and gap <= bound)
 
 
 def test_criterion_4_regret_bound():

@@ -30,7 +30,7 @@ from statecast.calibration import (
 from statecast.cli import main
 from statecast.errors import IngestError
 from statecast.ingest import load_historical, parse_polls
-from statecast.states import default_ev_table
+from statecast.states import default_ev_table, load_ev_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -998,6 +998,44 @@ def test_header_only_strict_table_names_file(tmp_path, capsys, header, args, bla
     err = assert_rejected(code, capsys, table, out_dir=out)
     assert err == f"error [{args[0]}]: {table}: no rows\n"
     assert not list(out.glob("*"))
+
+
+def test_header_only_ev_stream_has_no_rows():
+    with pytest.raises(IngestError) as caught:
+        load_ev_table(io.StringIO("state,ev\n"))
+    assert str(caught.value) == "<stream>: no rows"
+
+
+def test_short_series_row_names_its_line(tmp_path, capsys):
+    series, line = fixture_plus(tmp_path, "series.csv", "FTE,US,2016-11-03")
+    code = run_cli("score", "--series", series, "--outcomes", FIXTURES / "outcomes.csv",
+                   "--metrics", "brier", "--out-dir", tmp_path / "out")
+    err = assert_rejected(code, capsys, series, line)
+    assert err == f"error [score]: {series}:{line}: too few fields\n"
+
+
+def test_short_poll_row_is_skipped_and_reading_goes_on(tmp_path, capsys):
+    polls, line = fixture_plus(tmp_path, "polls.csv", "A,US,2016-10-01",
+                               "B,US,2016-10-02,500,LV,48,44")
+    assert calibrate(tmp_path, polls) == 0
+    assert (f"note: skipped 1 poll row(s) of {polls}; first at line {line}: too few fields\n"
+            in capsys.readouterr().err)
+    parsed = parse_polls(polls, date(2016, 11, 8))
+    assert parsed.skipped == [(line, "too few fields")]
+    fixture = parse_polls(FIXTURES / "polls.csv", date(2016, 11, 8)).records
+    assert len(parsed.records) == len(fixture) + 1
+    assert parsed.records.t[-1] == 37.0  # the row after the short one
+
+
+def test_fault_after_a_quoted_field_across_lines_names_its_physical_line(tmp_path, capsys):
+    # The row of the quoted name takes lines `line` and `line + 1`, so the
+    # bad row is the file's next row but its line is `line + 2`.
+    series, line = fixture_plus(tmp_path, "series.csv", '"A', 'B",US,2016-11-03,0.5',
+                                "FTE,US,2016-11-04,1.5")
+    code = run_cli("score", "--series", series, "--outcomes", FIXTURES / "outcomes.csv",
+                   "--metrics", "brier", "--out-dir", tmp_path / "out")
+    err = assert_rejected(code, capsys, series, line + 2)
+    assert err == f"error [score]: {series}:{line + 2}: '1.5' is not a probability in [0, 1]\n"
 
 
 class TestEvTable:

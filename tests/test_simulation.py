@@ -54,7 +54,49 @@ def market(sigma_samp=0.5, sigma_m=0.5, m=0.0, horizon=9.0):
                              m_current=m, horizon=horizon)
 
 
+#: The Dvoretzky-Kiefer-Wolfowitz bound: an empirical CDF of n draws is
+#: within sqrt(ln(2 / alpha) / (2 n)) of the true CDF everywhere, except
+#: with probability at most alpha.  Here alpha = 1e-6.
+def dkw_bound(n: int, alpha: float = 1e-6) -> float:
+    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+
+
+def shares_above(mkt: MarketCalibration, xs, seed: int, n_paths: int) -> np.ndarray:
+    """The share of paths whose terminal market m_T, as ``simulate_paths``
+    draws it for a forecast, is above each x_j: the win share of one state
+    whose spread is m itself (alpha 0, beta 1, no noise) on day j, whose
+    market is ``mkt`` shifted by -x_j."""
+    cals = {"OH": StateCalibration("OH", 0.0, 1.0, 0.0, 5, "polls")}
+    days = [replace(mkt, m_current=mkt.m_current - x) for x in xs]
+    return simulate_paths(cals, days, {"OH": 18},
+                          SimulationConfig(seed=seed, n_paths=n_paths)).p_state[:, 0]
+
+
+def terminal_law_gap(seed: int, n_paths: int = 10_000) -> float:
+    """The largest gap between the law of the terminal market m_T, as
+    ``simulate_paths`` draws it, and N(m, sigma^2 T): the empirical law's
+    survival at 201 points x_j within 4 sd of m, against Phi((m - x_j) /
+    (sigma sqrt(T)))."""
+    mkt = market(1.25, 0.75, m=1.5, horizon=25.0)  # sd 10
+    sd = mkt.sigma_total * math.sqrt(mkt.horizon)
+    xs = mkt.m_current + sd * np.linspace(-4.0, 4.0, 201)
+    law = [0.5 * (1.0 + math.erf((mkt.m_current - x) / (sd * math.sqrt(2.0)))) for x in xs]
+    return float(np.max(np.abs(shares_above(mkt, xs, seed, n_paths) - law)))
+
+
 class TestMarketTerminals:
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_terminal_law_within_dkw_bound(self, seed):
+        # 0.0269 at 10,000 paths
+        assert terminal_law_gap(seed) <= dkw_bound(10_000)
+
+    @pytest.mark.parametrize("mkt", [market(0.0, 0.0, m=2.5),
+                                     market(1.0, 1.0, m=2.5, horizon=0.0)],
+                             ids=["zero-volatility", "zero-horizon"])
+    def test_degenerate_terminal_law_is_a_step_at_m(self, mkt):
+        shares = shares_above(mkt, [1.5, 2.5 - 1e-9, 2.5, 3.5], seed=1, n_paths=100)
+        np.testing.assert_array_equal(shares, [1.0, 1.0, 0.0, 0.0])
+
     def test_zero_volatility_is_constant(self):
         m = simulate_market_terminals([market(0.0, 0.0, m=2.5)],
                                       SimulationConfig(seed=1, n_paths=100))
@@ -629,8 +671,9 @@ def series_bound(workers, tile, block):
       per worker, one tile of draws and one block of t:           3 _TILE + _BLOCK
       per worker, the settle tiles (lo, hi and x, and bool
         and int16 ones of 4 and 3 bytes an element):              31/8 _TILE
-      per worker, the screen's and the undecided rows'
-        temporaries:                                              1/2 _TILE
+      per worker, the screen's temporaries: a bool mask, then the
+        undecided paths' indices (intp), found a quarter of the
+        tile at a time when more are undecided, into hi:          1/2 _TILE
       per worker, what does not grow with the tile (numpy's
         buffers, the interpreter's own objects, and a share of the
         count tables, days x 539 int64):                          < 16,384
@@ -641,7 +684,7 @@ def series_bound(workers, tile, block):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_series_worker_holds_one_tile_of_draws(workers, monkeypatch):
     # Measured at _TILE 4,096 and 16,384, the peak less the tile terms of
-    # series_bound is at most 9,300 floats with one worker and 25,300 with
+    # series_bound is at most 6,900 floats with one worker and 10,200 with
     # two.  A market range or an EV table of all n paths (8 tiles each)
     # goes past the bound.
     monkeypatch.setattr(simulation, "_TILE", MEMORY_TILE)
@@ -667,6 +710,28 @@ def test_the_traced_peak_does_not_grow_with_the_paths(workers, monkeypatch):
         seed=71, n_paths=k * MEMORY_TILE + 7, noise_model="student_t", workers=workers))
         for k in (8, 32)]
     assert abs(peaks[1] - peaks[0]) <= MEMORY_TILE, peaks
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_settle_temporaries_do_not_grow_with_the_tile(workers, monkeypatch):
+    # The same 4-day Student-T series, 8 tiles and 7 paths, at _TILE 4,096
+    # and 16,384: the traced peak less the tile terms of series_bound does
+    # not grow.  Each worker gathers the undecided paths into buffers it
+    # made once, so what is left beyond the tile terms is what does not
+    # depend on the tile.  The slack is where the threads' temporaries meet,
+    # which moved a peak by up to 1,430 floats between runs of one size
+    # (above), rounded up to 2,048.  A settle that gathers each state's
+    # undecided intercepts, slopes and noise into fresh arrays grows by
+    # about 9,600 floats with two workers.
+    ev, cals = default_ev_table(), contested_cals(default_ev_table())
+    excess = []
+    for tile in (MEMORY_TILE, 4 * MEMORY_TILE):
+        monkeypatch.setattr(simulation, "_TILE", tile)
+        cfg = SimulationConfig(seed=71, n_paths=8 * tile + 7, noise_model="student_t",
+                               workers=workers)
+        terms = series_bound(workers, tile, simulation._BLOCK) - workers * 16384
+        excess.append(traced_peak(cals, DAYS, ev, cfg) - terms)
+    assert excess[1] <= excess[0] + 2048, excess
 
 
 def screen_cals(ev):
