@@ -167,11 +167,18 @@ def _notes(category):
         print(f"note: {message}", file=sys.stderr)
 
 
-def _note_unread(why: str, what: str, value) -> None:
-    """A ``note:`` line for a setting ``what`` (a file or a value) that was
-    given but that the run, because of ``why``, does not read."""
-    if value is not None:
-        print(f"note: {why} does not read the {what} {value}", file=sys.stderr)
+#: How a note names each setting that is not a ``<key> file``.
+_LABELS = {"election_date": "election date", "bandwidth": "bandwidth", "ev_table": "EV table",
+           "ev_realization": "EV realization", "reference_file": "reference file"}
+
+
+def _note_unread(cfg: argparse.Namespace, why: str, keys) -> None:
+    """A ``note:`` line for each of ``keys`` set off its default but unread because of ``why``."""
+    for key in keys:
+        value = getattr(cfg, key)
+        if value != _SETTINGS[key][1]:
+            label = _LABELS.get(key, f"{key} file")
+            print(f"note: {why} does not read the {label} {value}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +200,7 @@ def _calibrate_from_files(cfg: argparse.Namespace):
     per grid day of the smoothed national spread."""
     ev_table = _load_ev(cfg)
     if cfg.calibration:
-        for key in ("polls", "historical"):
-            _note_unread("--calibration", f"{key} file", getattr(cfg, key))
-        _note_unread("--calibration", "election date", cfg.election_date)
-        # A bandwidth is set when it is not the default.
-        if cfg.bandwidth != _SETTINGS["bandwidth"][1]:
-            _note_unread("--calibration", "bandwidth", cfg.bandwidth)
+        _note_unread(cfg, "--calibration", ("polls", "historical", "election_date", "bandwidth"))
         with open(cfg.calibration, encoding="utf-8") as fh:
             cals, market = named(cfg.calibration,
                                  lambda: cal_mod.calibration_from_dict(json.load(fh)))
@@ -363,17 +365,16 @@ def _score_series(tables, metric, series, outcomes, ev_table) -> None:
 
 def cmd_score(cfg: argparse.Namespace, out_dir: Path) -> int:
     metrics = list(dict.fromkeys(cfg.metrics or _SCORE_METRICS))
-    ev_table = _load_ev(cfg)
     tables: dict[tuple[str, str], list[tuple[str, float]]] = {}
     binary_metrics = [m for m in metrics if m in _BINARY_SCORERS]
     density_metrics = [m for m in metrics if m in _DENSITY_SCORERS]
     # A file that no requested metric reads is not opened.
-    for key, readers in (("series", binary_metrics), ("outcomes", binary_metrics),
-                         ("histograms", density_metrics)):
-        if not readers:
-            _note_unread(f"--metrics {' '.join(metrics)}", f"{key} file", getattr(cfg, key))
+    ev_table = _load_ev(cfg) if binary_metrics else None
+    why = f"--metrics {' '.join(metrics)}"
+    if not binary_metrics:
+        _note_unread(cfg, why, ("series", "outcomes", "ev_table"))
     if not density_metrics:
-        _note_unread(f"--metrics {' '.join(metrics)}", "EV realization", cfg.ev_realization)
+        _note_unread(cfg, why, ("histograms", "ev_realization"))
 
     if binary_metrics:
         if not cfg.series:
@@ -458,7 +459,7 @@ def _panel_and_reference(cfg: argparse.Namespace, command: str, pairmean: bool =
     if pairmean:
         names, times, values = _read_panel(cfg.experts)
         ref = BinaryForecastSeries("pairmean", times.copy(), values.mean(axis=1))
-        _note_unread("--reference pairmean", "reference file", cfg.reference_file)
+        _note_unread(cfg, "--reference pairmean", ("reference_file",))
     elif not cfg.reference_file:
         raise ConfigurationError(f"{command} needs a reference file")
     else:

@@ -56,10 +56,8 @@ reason the calling thread makes every worker's buffers.
 
 from __future__ import annotations
 
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
 from numbers import Integral
 
 import numpy as np
@@ -176,9 +174,9 @@ def _market_terms(markets: list[MarketCalibration]):
     """Each market's scale sigma_total * sqrt(T) and level m: with the
     market stream's one standard normal z per path, the terms of its
     terminals."""
-    sig = np.array([mkt.sigma_total * np.sqrt(mkt.horizon) for mkt in markets])
-    mc = np.array([mkt.m_current for mkt in markets])
-    return sig, mc
+    with _ieee():
+        return (np.array([mkt.sigma_total * np.sqrt(mkt.horizon) for mkt in markets]),
+                np.array([mkt.m_current for mkt in markets]))
 
 
 def _levels(z, sig, mc, out: np.ndarray) -> np.ndarray:
@@ -327,8 +325,7 @@ def simulate_paths(
     wins = np.zeros((len(states), n_days), dtype=np.int64)
     if n_days == 0:  # no day to settle, and no range to screen
         return PathOutcomes(states=states, ev_counts=ev_counts, p_state=wins.T / n)
-    with _ieee():
-        sig, mc = _market_terms(markets)
+    sig, mc = _market_terms(markets)
     cols = min(n, _TILE)
     rows = max(1, _TILE // n_days)
     threshold = cfg.win_threshold
@@ -416,25 +413,12 @@ def simulate_paths(
                         day_m.max(axis=1, out=m_hi_k[pr])
             rest = [pool.submit(settle, zk, m_lo_k, m_hi_k) for settle in settles[1:]]
             # iadd into the first worker's tile, which the next tile clears
-            ev = reduce(operator.iadd, (f.result() for f in rest), settles[0](zk, m_lo_k, m_hi_k))
+            ev = settles[0](zk, m_lo_k, m_hi_k)
+            for f in rest:
+                ev += f.result()
             for d in range(n_days):
                 ev_counts[d] += np.bincount(ev[:, d], minlength=EV_BINS)
     return PathOutcomes(states=states, ev_counts=ev_counts, p_state=wins.T / n)
-
-
-def _forecasts(paths: PathOutcomes, cfg: SimulationConfig) -> list[ForecastDistribution]:
-    """One forecast per market row of ``paths``."""
-    out = []
-    for counts, p_state in zip(paths.ev_counts, paths.p_state):
-        histogram = counts / cfg.n_paths
-        out.append(ForecastDistribution(
-            p_state={s: float(p) for s, p in zip(paths.states, p_state)},
-            p_national=float(histogram[WIN_ELECTORAL_VOTES:].sum()),
-            ev_histogram=histogram,
-            n_paths=cfg.n_paths,
-            seed=cfg.seed,
-        ))
-    return out
 
 
 def run_forecast(
@@ -443,8 +427,8 @@ def run_forecast(
     ev_table: dict[str, int],
     cfg: SimulationConfig,
 ) -> ForecastDistribution:
-    """Win probabilities and EV histogram over ``cfg.n_paths`` simulations."""
-    return _forecasts(simulate_paths(cals, [mkt], ev_table, cfg), cfg)[0]
+    """Win probabilities and EV histogram: the one-market ``probability_time_series``."""
+    return probability_time_series(cals, [mkt], ev_table, cfg)[0]
 
 
 def probability_time_series(
@@ -460,4 +444,12 @@ def probability_time_series(
     ``run_forecast`` on that day's market, and two days with identical data
     differ only through the remaining diffusion time.
     """
-    return _forecasts(simulate_paths(cals, markets, ev_table, cfg), cfg)
+    paths = simulate_paths(cals, markets, ev_table, cfg)
+    out = []
+    for counts, p_state in zip(paths.ev_counts, paths.p_state):
+        histogram = counts / cfg.n_paths
+        out.append(ForecastDistribution(
+            p_state={s: float(p) for s, p in zip(paths.states, p_state)},
+            p_national=float(histogram[WIN_ELECTORAL_VOTES:].sum()),
+            ev_histogram=histogram, n_paths=cfg.n_paths, seed=cfg.seed))
+    return out

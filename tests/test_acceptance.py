@@ -28,16 +28,12 @@ from statecast.trading import pair_trading_scores
 
 from propriety import propriety_violations
 from test_cli import FIXTURES
-from test_simulation import dkw_bound, terminal_law_gap
+from test_simulation import dkw_bound, flat_cals, terminal_law_gap
 
 
 def report(number: int, label: str, ok: bool) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {label}")
     assert ok, f"criterion {number}: {label}"
-
-
-def flat_cals(ev, alpha=0.0, beta=0.0, sigma=1.0):
-    return {s: StateCalibration(s, alpha, beta, sigma, 5, "polls") for s in ev}
 
 
 def test_criterion_1_propriety_suite():
@@ -75,11 +71,15 @@ def test_criterion_3_brownian_terminal_law():
     var_ok = abs(m.var(ddof=1) - 100.0) <= 0.05 * 100.0
     mean_tol = 4.0 * 2.0 * math.sqrt(25.0) / math.sqrt(10000.0)
     mean_ok = abs(m.mean() - 1.5) <= mean_tol
-    # the whole law, where a forecast draws it: its CDF at 201 points
+    # the whole law, where a forecast draws it: its CDF at 201 points, at
+    # 10,000 paths and at 100,000, whose bound a scale error of 5% exceeds
     gap, bound = terminal_law_gap(seed=2), dkw_bound(10_000)
+    gap_100k, bound_100k = terminal_law_gap(seed=2, n_paths=100_000), dkw_bound(100_000)
     report(3, f"terminal variance {m.var(ddof=1):.2f} within 5% of 100, "
-              f"mean drift {abs(m.mean() - 1.5):.4f} <= {mean_tol} and "
-              f"CDF gap {gap:.4f} <= DKW {bound:.4f}", var_ok and mean_ok and gap <= bound)
+              f"mean drift {abs(m.mean() - 1.5):.4f} <= {mean_tol}, "
+              f"CDF gap {gap:.4f} <= DKW {bound:.4f} and at 100,000 paths "
+              f"{gap_100k:.4f} <= {bound_100k:.4f}",
+           var_ok and mean_ok and gap <= bound and gap_100k <= bound_100k)
 
 
 def test_criterion_4_regret_bound():

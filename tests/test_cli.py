@@ -310,7 +310,8 @@ class TestScore:
         (["brier", "loglik"], ["histograms"]),
         (["cdf"], ["series", "outcomes"]),
         (["selten", "spherical"], ["series", "outcomes"]),
-    ], ids=["brier", "binary", "cdf", "density"])
+        (["cdf"], ["series", "outcomes", "ev_table"]),
+    ], ids=["brier", "binary", "cdf", "density", "ev-table"])
     def test_unread_files_are_noted(self, tmp_path, capsys, metrics, unread):
         given = {"series": FIXTURES / "series.csv", "outcomes": FIXTURES / "outcomes.csv",
                  "histograms": FIXTURES / "histograms.csv"}
@@ -322,12 +323,27 @@ class TestScore:
                        "--out-dir", tmp_path / "a") == 0
         assert capsys.readouterr().err == ""
         absent = {key: tmp_path / f"absent_{key}.csv" for key in unread}
-        assert run_cli(*args, *(a for key in given
-                                for a in (f"--{key}", absent.get(key, given[key]))),
+        assert run_cli(*args, *(a for key in {**given, **absent}
+                                for a in (f"--{key.replace('_', '-')}",
+                                          absent.get(key, given.get(key)))),
                        "--out-dir", tmp_path / "b") == 0
+        label = {"ev_table": "EV table"}
         assert capsys.readouterr().err == "".join(
-            f"note: --metrics {' '.join(metrics)} does not read the {key} file {absent[key]}\n"
-            for key in unread)
+            f"note: --metrics {' '.join(metrics)} does not read the "
+            f"{label.get(key, f'{key} file')} {absent[key]}\n" for key in unread)
+        assert ({p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
+                == {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()})
+
+    def test_unread_malformed_ev_table_is_not_opened(self, tmp_path, capsys):
+        bad_ev = tmp_path / "bad_ev.csv"
+        bad_ev.write_text("state,ev\nOH,18\n")  # sums to 18, not 538
+        args = ["score", "--metrics", "cdf", "--histograms", FIXTURES / "histograms.csv",
+                "--ev-realization", "232"]
+        assert run_cli(*args, "--out-dir", tmp_path / "a") == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli(*args, "--ev-table", bad_ev, "--out-dir", tmp_path / "b") == 0
+        assert capsys.readouterr().err == (
+            f"note: --metrics cdf does not read the EV table {bad_ev}\n")
         assert ({p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
                 == {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()})
 

@@ -27,16 +27,11 @@ from statecast.calibration import (
     StateCalibration,
     calibration_to_dict,
 )
-from statecast.cli import main
 from statecast.errors import IngestError
 from statecast.ingest import load_historical, parse_polls
 from statecast.states import default_ev_table, load_ev_table
 
-FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def run_cli(*args) -> int:
-    return main([str(a) for a in args])
+from test_cli import FIXTURES, run_cli
 
 
 def assert_rejected(code, capsys, path, line=None, out_dir=None):

@@ -3,11 +3,11 @@
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from test_dependencies import ROOT
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from statecast.cli import main
 
-FIXTURES = Path(__file__).parent / "fixtures"
+from test_cli import FIXTURES
 
 # (seed, noise model) -> sha256 of (forecast.json, timeseries.csv)
 GOLDEN = {

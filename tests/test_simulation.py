@@ -6,7 +6,6 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +27,8 @@ from statecast.simulation import (
     simulate_paths,
 )
 from statecast.states import EV_BINS, default_ev_table
+
+from test_cli import FIXTURES
 
 
 def aggregate_electoral_votes(state_spreads, ev_table, win_threshold=0.0):
@@ -89,6 +90,11 @@ class TestMarketTerminals:
     def test_terminal_law_within_dkw_bound(self, seed):
         # 0.0269 at 10,000 paths
         assert terminal_law_gap(seed) <= dkw_bound(10_000)
+
+    def test_terminal_law_within_dkw_bound_at_100k_paths(self):
+        # 0.0085 at 100,000 paths: tight enough that a 5% error in the
+        # terminal scale, or a shift of 0.05 sd in its mean, falls outside
+        assert terminal_law_gap(seed=2, n_paths=100_000) <= dkw_bound(100_000)
 
     @pytest.mark.parametrize("mkt", [market(0.0, 0.0, m=2.5),
                                      market(1.0, 1.0, m=2.5, horizon=0.0)],
@@ -381,7 +387,7 @@ def phi(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-FIXTURE_CALIBRATION = Path(__file__).parent / "fixtures" / "calibration.json"
+FIXTURE_CALIBRATION = FIXTURES / "calibration.json"
 
 
 @pytest.mark.parametrize("threshold", [0.0, 18.0])

@@ -6,12 +6,12 @@ call shape, breaks the traced benchmark; this test fails on it first.
 """
 
 import importlib.util
-from pathlib import Path
 
 from statecast.cli import main
 
-ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = Path(__file__).parent / "fixtures"
+from test_cli import FIXTURES
+from test_dependencies import ROOT
+
 SIMULATOR_CALLS = ("simulation.probability_time_series", "simulation.run_forecast")
 EXPERTS = ["--experts", FIXTURES / "experts.csv"]
 MARKET = ["--reference-file", FIXTURES / "reference.csv"]
