@@ -266,22 +266,30 @@ def cmd_calibrate(cfg: argparse.Namespace, out_dir: Path) -> int:
 def _read_series_file(path: str, outcomes: dict[str, int], ev_table: dict[str, int]):
     """Long CSV forecaster,state,date,p -> {(forecaster, state): series}.
     A series' state must be US or a state code and needs an outcome; a state
-    other than US also needs an EV entry.  Each is checked at its first row."""
+    other than US also needs an EV entry.  Each is checked at its first row.
+    The series memo is read only where a run of rows with the same raw
+    (forecaster, state) cells starts: a file written series by series reads
+    it once a series, and one whose rows interleave series reads it on every
+    row, after two string compares."""
     points: dict[tuple[str, str], dict[float, float]] = {}
     # Per-read memos: raw (forecaster, state) cells -> points, date cell -> day.
     series: dict[tuple[str, str], dict[float, float]] = {}
     days: dict[str, float] = {}
+    forecaster_run = state_run = pts = None  # the raw cells of the run in hand
     with read_rows(path, ("forecaster", "state", "date", "p")) as (rows, _):
         for forecaster, state, text, p in rows:
             p = _probability(p)
-            pts = series.get((forecaster, state))
-            if pts is None:
-                code = state_code(state, national=True)
-                if code not in outcomes:
-                    raise ValueError(f"no outcome recorded for {code}")
-                if code != NATIONAL and code not in ev_table:
-                    raise ValueError(f"state {code} has no EV table entry")
-                pts = series[forecaster, state] = points.setdefault((forecaster.strip(), code), {})
+            if forecaster != forecaster_run or state != state_run:
+                forecaster_run, state_run = forecaster, state
+                pts = series.get((forecaster, state))
+                if pts is None:
+                    code = state_code(state, national=True)
+                    if code not in outcomes:
+                        raise ValueError(f"no outcome recorded for {code}")
+                    if code != NATIONAL and code not in ev_table:
+                        raise ValueError(f"state {code} has no EV table entry")
+                    pts = series[forecaster, state] = points.setdefault(
+                        (forecaster.strip(), code), {})
             t = days.get(text)
             if t is None:
                 t = days[text] = _day(text)
@@ -502,8 +510,8 @@ def _output_name(forecaster: str) -> str:
 def _write_pnl(out_dir: Path, pnl: trading.PnLSeries) -> None:
     _write_csv(out_dir / f"pnl_{_output_name(pnl.forecaster)}.csv",
                ["date", "increment", "cumulative"],
-               [(_iso(t), inc, cum)
-                for t, inc, cum in zip(pnl.times, pnl.increments, pnl.cumulative)])
+               zip(map(_iso, pnl.times.tolist()), pnl.increments.tolist(),
+                   pnl.cumulative.tolist()))
 
 
 def cmd_trade(cfg: argparse.Namespace, out_dir: Path) -> int:
@@ -554,7 +562,7 @@ def cmd_aggregate(cfg: argparse.Namespace, out_dir: Path) -> int:
     result = _online_mixture(cfg, values, ref_on_panel)
 
     _write_csv(out_dir / "aggregate.csv", ["date", "prediction"],
-               [(_iso(t), p) for t, p in zip(times[:-1], result.aggregate)])
+               zip(map(_iso, times[:-1].tolist()), result.aggregate.tolist()))
 
     n_rounds = len(times) - 1
     bound = online.regret_bound(len(names), n_rounds)

@@ -15,7 +15,9 @@ the same code, and each day matches a one-day run bit for bit.  A path's
 market on a day is ``fl(fl(z * sig) + m)`` from its one standard normal z
 and that day's scale sig = (sigma_samp + sigma_m) * sqrt(horizon) and level
 m; it is recomputed wherever it is needed (``_levels``) instead of stored
-for every (path, day).
+for every (path, day).  Over many days ``_levels`` may write a -0.0
+product z * sig as +0.0: only the sign of a zero can change, and no
+comparison, so no count, sees it.
 
 The paths are settled one tile of ``_TILE`` at a time (``simulate_paths``):
 the market draw, each state's draws and each worker's int16 electoral-vote
@@ -183,8 +185,16 @@ def _levels(z, sig, mc, out: np.ndarray) -> np.ndarray:
     """Terminal levels ``fl(fl(z * sig) + mc)`` into ``out``: one row per
     path of ``z`` and one column per market of ``sig``/``mc`` (scalars: one
     market, and ``out`` may be ``z`` itself).  Every market level the
-    simulator compares is rounded here, in this order."""
-    np.multiply.outer(z, sig, out=out)
+    simulator compares is rounded here, in this order.
+
+    The rows x markets product is einsum's, about twice as fast as
+    ``np.multiply.outer`` on a tile.  It adds each product to a zero, which
+    leaves every value as it is but turns a -0.0 product into +0.0: only
+    the sign of a zero can change, and no comparison sees it."""
+    if np.ndim(sig):
+        np.einsum("i,j->ij", z, sig, out=out)
+    else:
+        np.multiply(z, sig, out=out)
     np.add(out, mc, out=out)
     return out
 

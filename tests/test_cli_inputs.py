@@ -138,6 +138,40 @@ class TestSeriesRows:
         err = assert_rejected(self.score(series, tmp_path), capsys, series, 4)
         assert "date 2016-11-02 is repeated" in err
 
+    def outputs(self, tmp_path, name, rows):
+        """Each output file's bytes of scoring the series file of ``rows``."""
+        series, out = tmp_path / f"{name}.csv", tmp_path / name
+        series.write_text("forecaster,state,date,p\n" + "".join(f"{r}\n" for r in rows))
+        assert self.score(series, out) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    def test_interleaved_series_score_as_grouped(self, tmp_path):
+        # the reader keeps the series of a run of rows: rows of two or more
+        # series taken one by one each start a run
+        lines = (FIXTURES / "series.csv").read_text().splitlines()[1:]
+        runs = {}
+        for line in lines:
+            runs.setdefault(tuple(line.split(",")[:2]), []).append(line)
+        assert len(runs) > 2
+        interleaved = [line for rows in itertools.zip_longest(*runs.values())
+                       for line in rows if line is not None]
+        assert interleaved != lines
+        assert (self.outputs(tmp_path, "interleaved", interleaved)
+                == self.outputs(tmp_path, "grouped", lines))
+
+    def test_date_repeated_in_a_later_run_names_its_line(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        series.write_text("forecaster,state,date,p\n"
+                          "F,US,2016-11-01,0.5\nG,US,2016-11-01,0.5\nF,US,2016-11-01,0.6\n")
+        err = assert_rejected(self.score(series, tmp_path), capsys, series, 4)
+        assert "date 2016-11-01 is repeated" in err
+
+    def test_alternating_state_cells_are_one_series(self, tmp_path):
+        days = [f"2016-11-0{d},0.{d}" for d in range(1, 6)]
+        alternating = [f"F,{'us' if i % 2 else 'US'},{day}" for i, day in enumerate(days)]
+        assert (self.outputs(tmp_path, "alternating", alternating)
+                == self.outputs(tmp_path, "one", [f"F,US,{day}" for day in days]))
+
     def test_bad_probability_is_reported_before_bad_date(self, tmp_path, capsys):
         series = tmp_path / "s.csv"
         series.write_text("forecaster,state,date,p\n"

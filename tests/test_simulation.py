@@ -829,6 +829,42 @@ def test_screen_splits_at_the_threshold():
     np.testing.assert_array_equal(won, [False, True, False, False, False])
 
 
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308, -2.5])
+
+
+@pytest.mark.parametrize("case", ["random", "specials"])
+def test_levels_are_the_outer_product_plus_the_level(case):
+    if case == "random":
+        rng = np.random.default_rng(83)
+        z, sig, mc = rng.standard_normal(301), rng.uniform(0.0, 9.0, 17), rng.normal(0.0, 3.0, 17)
+    else:
+        z = sig = mc = SPECIALS
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.add(np.multiply.outer(z, sig), mc)
+        got = simulation._levels(z, sig, mc, out=np.empty_like(expected))
+        one_day = simulation._levels(z.copy(), sig[3], mc[3], out=np.empty_like(z))
+    # equal values, NaN in the same cells; only a zero may change its sign
+    np.testing.assert_array_equal(got, expected)
+    assert (expected[np.signbit(got) != np.signbit(expected)] == 0.0).all()
+    np.testing.assert_array_equal(one_day, expected[:, 3])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("model", NOISE_MODELS)
+@pytest.mark.parametrize("threshold", [0.0, -0.0])
+def test_zero_scales_and_signed_zero_levels_match_the_oracle(model, workers, threshold):
+    # a day of horizon 0 has scale 0, so z * 0 is -0.0 on the paths of z < 0,
+    # which _levels may make +0.0; at a level of -0.0 that sign reaches the
+    # market, and OH's spread is its market plus a zero noise
+    cals = screen_cals(default_ev_table())
+    cals["OH"] = StateCalibration("OH", 0.0, 1.0, 0.0, 8, "polls")
+    days = [market(m=-0.0, horizon=0.0), market(m=0.0, horizon=0.0),
+            market(m=-0.0, horizon=4.0), market(m=0.5, horizon=1.0)]
+    cfg = SimulationConfig(seed=89, n_paths=SCREEN_PATHS, noise_model=model, workers=workers,
+                           win_threshold=threshold)
+    assert_matches_oracle(cals, days, cfg)
+
+
 def test_more_threads_than_cores_under_fast_switching():
     # workers write disjoint p_state cells and their own EV accumulators;
     # a lost or doubled update would change the bits
