@@ -29,6 +29,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from datetime import date
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -264,9 +265,13 @@ def cmd_calibrate(cfg: argparse.Namespace, out_dir: Path) -> int:
 
 
 def _read_series_file(path: str, outcomes: dict[str, int], ev_table: dict[str, int]):
-    """Long CSV forecaster,state,date,p -> {(forecaster, state): series}.
-    A series' state must be US or a state code and needs an outcome; a state
-    other than US also needs an EV entry.  Each is checked at its first row.
+    """Long CSV forecaster,state,date,p -> (keys, blocks).  ``keys`` lists
+    every (forecaster, state) series in the order of its first row.  Each
+    block holds the series of one length, in that order: (their keys, their
+    probabilities as one C-contiguous row per series in date order, and
+    each series' outcome).  A series' state must be US or a state code and
+    needs an outcome; a state other than US also needs an EV entry.  Each
+    is checked at its first row.
     The series memo is read only where a run of rows with the same raw
     (forecaster, state) cells starts: a file written series by series reads
     it once a series, and one whose rows interleave series reads it on every
@@ -296,12 +301,19 @@ def _read_series_file(path: str, outcomes: dict[str, int], ev_table: dict[str, i
             if t in pts:
                 raise ValueError(f"date {text.strip()} is repeated")
             pts[t] = p
-    out = {}
+    # No repeated day and every p in [0, 1]: each sorted row is a valid series.
+    lengths: dict[int, list[tuple[str, str]]] = {}
     for key, pts in points.items():
-        times, probs = (np.fromiter(v, float, len(pts)) for v in (pts.keys(), pts.values()))
-        order = times.argsort()
-        out[key] = BinaryForecastSeries(key[0], times[order], probs[order])
-    return out
+        lengths.setdefault(len(pts), []).append(key)
+    blocks = []
+    for n, keys in lengths.items():
+        group, size = [points[key] for key in keys], len(keys) * n
+        times = np.fromiter(chain.from_iterable(group), float, size).reshape(-1, n)
+        probs = np.fromiter(chain.from_iterable(map(dict.values, group)), float, size)
+        probs = np.take_along_axis(probs.reshape(-1, n), times.argsort(axis=1), axis=1)
+        omega = np.fromiter((outcomes[state] for _, state in keys), float, len(keys))
+        blocks.append((keys, probs, omega))
+    return list(points), blocks
 
 
 def _read_outcomes(path: str) -> dict[str, int]:
@@ -352,19 +364,27 @@ _DENSITY_SCORERS = {m: scoring._DENSITY_FNS[m] for m in scoring.DENSITY_METRICS}
 _SCORE_METRICS = (*_BINARY_SCORERS, *_DENSITY_SCORERS)
 
 
-def _score_series(tables, metric, series, outcomes, ev_table) -> None:
+def _score_series(tables, metric, keys, blocks, ev_table) -> None:
     """Add ``metric``'s ``(forecaster, value)`` rows over every forecaster's
     series to ``tables``, keyed by ``(metric, weighting)``: the national
     series scored overall, the state series scored per state and averaged
-    both ways."""
+    both ways, in the order of their first rows.  Each block of
+    :func:`_read_series_file` is scored in one call."""
     fn = _BINARY_SCORERS[metric]
-    for forecaster in sorted({f for f, _ in series}):
-        national = series.get((forecaster, NATIONAL))
+    scores = {}
+    for block_keys, probs, omega in blocks:
+        scores.update(zip(block_keys, fn(probs, omega).tolist()))
+    by_forecaster: dict[str, dict[str, float]] = {}
+    for forecaster, state in keys:
+        by_forecaster.setdefault(forecaster, {})[state] = scores[forecaster, state]
+    for forecaster in sorted(by_forecaster):
+        per_state = by_forecaster[forecaster]
+        if -math.inf in per_state.values():  # only a log-likelihood is ever -inf
+            scoring._warn_zero_probability(forecaster)
+        national = per_state.pop(NATIONAL, None)
         if national is not None:
             tables.setdefault((metric, scoring.WEIGHT_OVERALL), []).append(
-                (forecaster, fn(national, outcomes[NATIONAL])))
-        per_state = {state: fn(s, outcomes[state]) for (f, state), s in series.items()
-                     if f == forecaster and state != NATIONAL}
+                (forecaster, national))
         if per_state:
             for weighting in (scoring.WEIGHT_STATE_AVERAGE, scoring.WEIGHT_EV):
                 tables.setdefault((metric, weighting), []).append(
@@ -390,11 +410,11 @@ def cmd_score(cfg: argparse.Namespace, out_dir: Path) -> int:
         if not cfg.outcomes:
             raise ConfigurationError("score needs an outcomes file for Brier/log metrics")
         outcomes = _read_outcomes(cfg.outcomes)
-        series = _read_series_file(cfg.series, outcomes, ev_table)
+        keys, blocks = _read_series_file(cfg.series, outcomes, ev_table)
         # A 0 or 1 on the wrong side scores -inf with a warning.
         with _notes(scoring.HypersensitiveForecastWarning):
             for metric in binary_metrics:
-                _score_series(tables, metric, series, outcomes, ev_table)
+                _score_series(tables, metric, keys, blocks, ev_table)
 
     if density_metrics:
         if not cfg.histograms:

@@ -2,11 +2,14 @@
 
 Two input shapes are scored.  A :class:`BinaryForecastSeries` is a dated
 sequence of win probabilities judged against the realized 0/1 outcome
-(Brier, log-likelihood).  A histogram forecast is a probability vector over
-integer outcomes, here electoral votes 0..538, judged against the realized
-bin (Selten, spherical, log, CDF).  Each density scorer takes one realized
-bin and returns a float, or an integer array of bins and returns an array
-of scores; a non-integer or out-of-range bin is a :class:`ScoreError`.
+(Brier, log-likelihood).  Each binary rule is written once, for a block of
+series of one length, one row each; :func:`brier` and
+:func:`log_likelihood` score one series as a block of one row.  A histogram
+forecast is a probability vector over integer outcomes, here electoral
+votes 0..538, judged against the realized bin (Selten, spherical, log,
+CDF).  Each density scorer takes one realized bin and returns a float, or
+an integer array of bins and returns an array of scores; a non-integer or
+out-of-range bin is a :class:`ScoreError`.
 
 Orientation is fixed per metric and never silently flipped: Brier and the
 CDF score are penalties (lower is better); log-likelihood, Selten, and
@@ -80,15 +83,49 @@ def _as_omega(omega) -> float:
     raise ScoreError(f"binary realization must be 0 or 1, got {omega!r}")
 
 
+def _brier_block(probs: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """The Brier score of each row of ``probs``, a C-contiguous (series x
+    dates) block of probabilities, against that row's realized 0/1 outcome
+    in ``omega``.  numpy adds along the last axis of such a block exactly as
+    it adds each row taken as a 1-D array, so a row scores the same bits in
+    a block of any height."""
+    return np.sum((omega[:, None] - probs) ** 2, axis=-1)
+
+
+def _loglik_block(probs: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """The log-likelihood of each row of the block ``probs``, as
+    :func:`_brier_block` takes it; a row with a zero-probability term sums
+    to the -inf sentinel."""
+    w = omega[:, None]
+    terms = w * probs + (1.0 - w) * (1.0 - probs)
+    with np.errstate(divide="ignore"):  # log(0) is the sentinel
+        return np.sum(np.log(terms), axis=-1)
+
+
+def _one_row(block, series: BinaryForecastSeries, omega, what: str) -> float:
+    """``block``'s score of ``series`` against the outcome ``omega``."""
+    if len(series) == 0:
+        raise ScoreError(f"{what} of an empty series is undefined")
+    return float(block(series.probs[None, :], np.array([_as_omega(omega)]))[0])
+
+
+def _warn_zero_probability(forecaster: str) -> None:
+    """A :class:`HypersensitiveForecastWarning` naming ``forecaster``, shown
+    at the line that called this function's caller."""
+    warnings.warn(
+        f"{forecaster or 'forecaster'} assigned zero probability "
+        "to the realized outcome; log-likelihood is -inf",
+        HypersensitiveForecastWarning,
+        stacklevel=3,
+    )
+
+
 def brier(series: BinaryForecastSeries, omega) -> float:
     """Sum of squared probability errors; 0 for a perfect forecaster.
 
     ``omega`` is the realized 0/1 outcome, judged at every date.
     """
-    if len(series) == 0:
-        raise ScoreError("Brier score of an empty series is undefined")
-    w = _as_omega(omega)
-    return float(np.sum((w - series.probs) ** 2))
+    return _one_row(_brier_block, series, omega, "Brier score")
 
 
 def log_likelihood(series: BinaryForecastSeries, omega) -> float:
@@ -99,19 +136,10 @@ def log_likelihood(series: BinaryForecastSeries, omega) -> float:
     sentinel with a :class:`HypersensitiveForecastWarning` instead of
     raising, so hard-line forecasters stay comparable.
     """
-    if len(series) == 0:
-        raise ScoreError("log-likelihood of an empty series is undefined")
-    w = _as_omega(omega)
-    terms = w * series.probs + (1.0 - w) * (1.0 - series.probs)
-    if np.any(terms <= 0.0):
-        warnings.warn(
-            f"{series.forecaster or 'forecaster'} assigned zero probability "
-            "to the realized outcome; log-likelihood is -inf",
-            HypersensitiveForecastWarning,
-            stacklevel=2,
-        )
-        return float("-inf")
-    return float(np.sum(np.log(terms)))
+    score = _one_row(_loglik_block, series, omega, "log-likelihood")
+    if score == -math.inf:
+        _warn_zero_probability(series.forecaster)
+    return score
 
 
 def _check_histogram(bins) -> np.ndarray:
@@ -168,16 +196,18 @@ def cdf_score(bins, realized):
     sum_k (F(k) - [k >= realized])^2 over unit-width bins; 0 only for a
     point mass on the realized bin.  Equals the CRPS of the discrete
     distribution, so misses are penalized by distance.  An array of
-    realized bins makes one row of gaps per bin, squared in place.
+    realized bins makes one row of squared gaps per bin, each cell taken
+    from the squared gaps of the two sides of the step.
     """
     h = _check_histogram(bins)
     i = _check_realized(h, realized)
-    gaps = np.cumsum(h) - (np.arange(h.size) >= i[..., None])
-    gaps **= 2
-    return np.sum(gaps, axis=-1)
+    cdf = np.cumsum(h)
+    return np.sum(np.where(np.arange(h.size) >= i[..., None], (cdf - 1.0) ** 2, cdf ** 2),
+                  axis=-1)
 
 
-_BINARY_FNS = {METRIC_BRIER: brier, METRIC_LOGLIK: log_likelihood}
+#: Block scorers: ``fn(probs, omega)`` scores each row of a block.
+_BINARY_FNS = {METRIC_BRIER: _brier_block, METRIC_LOGLIK: _loglik_block}
 _DENSITY_FNS = {
     METRIC_SELTEN: selten,
     METRIC_SPHERICAL: spherical,

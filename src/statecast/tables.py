@@ -68,6 +68,8 @@ def _cells(reader, columns, skipped, name, path):
     start = 1  # the line the record in hand starts on
     try:
         header = next(reader, [])
+        if header and header[0].startswith("\ufeff"):  # a UTF-8 byte-order mark
+            header[0] = header[0][1:]
         start = reader.line_num + 1
         columns = columns(header) if callable(columns) else columns
         for why, bad in (("missing", [c for c in columns if c not in header]),

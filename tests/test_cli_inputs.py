@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statecast import cli, simulation
+from statecast import cli, scoring, simulation
 from statecast.calibration import (
     SOURCE_POLLS,
     MarketCalibration,
@@ -1313,6 +1313,85 @@ def test_arbitrary_cells_exit_cleanly(hist_edits, series_edits):
                 assert math.isfinite(value) or value == -math.inf, row
 
 
+SERIES_LINES = (FIXTURES / "series.csv").read_text().splitlines()
+ROW_MUTATIONS = st.tuples(
+    st.sampled_from(["duplicate", "delete", "swap", "shorten", "lengthen"]),
+    st.integers(1, len(SERIES_LINES) - 1), st.integers(1, len(SERIES_LINES) - 1))
+
+
+def _mutate(lines, kind, i, j):
+    """``lines`` with data line ``i`` copied after itself, deleted, swapped
+    with line ``j``, short of its last cell or given one cell more."""
+    lines = list(lines)
+    if kind == "duplicate":
+        lines.insert(i + 1, lines[i])
+    elif kind == "delete":
+        del lines[i]
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "shorten":
+        lines[i] = lines[i].rsplit(",", 1)[0]
+    else:
+        lines[i] += ",0.5"
+    return lines
+
+
+def _score_each_series(lines):
+    """The line of the series file's first fault, or else its score tables,
+    ``{(metric, weighting): [(forecaster, value)]}``, with each series
+    scored on its own and each forecaster's states in file order."""
+    points = {}
+    for line, row in enumerate(csv.reader(lines[1:]), 2):
+        if len(row) < 4:
+            return line
+        forecaster, state, day, p = row[:4]
+        pts = points.setdefault((forecaster, state), {})
+        if day in pts:
+            return line
+        pts[day] = float(p)
+    outcomes, ev = cli._read_outcomes(FIXTURES / "outcomes.csv"), default_ev_table()
+    tables = {}
+    for metric, fn in (("brier", scoring.brier), ("loglik", scoring.log_likelihood)):
+        for forecaster in sorted({f for f, _ in points}):
+            scores = {state: fn(scoring.BinaryForecastSeries(
+                          forecaster, [date.fromisoformat(d).toordinal() for d in sorted(pts)],
+                          [pts[d] for d in sorted(pts)]), outcomes[state])
+                      for (f, state), pts in points.items() if f == forecaster}
+            if "US" in scores:
+                tables.setdefault((metric, "overall"), []).append((forecaster, scores.pop("US")))
+            for weighting in ("state_average", "ev_weighted"):
+                tables.setdefault((metric, weighting), []).append(
+                    (forecaster, scoring.aggregate_scores(scores, weighting, ev)))
+    return tables
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mutation=ROW_MUTATIONS)
+def test_one_row_mutation_of_the_series_table(mutation):
+    """A series table with one row duplicated, deleted, swapped, shortened
+    or lengthened scores as each series scored on its own, or exits 1 with
+    one line naming the line of its first fault."""
+    lines = _mutate(SERIES_LINES, *mutation)
+    expected = _score_each_series(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        series, out, err = Path(tmp) / "s.csv", Path(tmp) / "out", io.StringIO()
+        series.write_text("".join(f"{line}\n" for line in lines))
+        with contextlib.redirect_stderr(err):
+            code = run_cli("score", "--series", series, "--outcomes", FIXTURES / "outcomes.csv",
+                           "--metrics", "brier", "loglik", "--out-dir", out)
+        if isinstance(expected, int):
+            assert code == 1
+            assert err.getvalue().startswith(f"error [score]: {series}:{expected}: ")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert (code, err.getvalue()) == (0, "")
+            got = {}
+            for row in json.loads((out / "scores.json").read_text()):
+                got.setdefault((row["metric"], row["weighting"]), []).append(
+                    (row["forecaster"], row["value"]))
+            assert got == expected
+
+
 CALIBRATION = json.loads((FIXTURES / "calibration.json").read_text())
 # Every key of the calibration document, as (path to its object, key).
 CALIBRATION_KEYS = [((), "market"), ((), "states"),
@@ -1398,3 +1477,20 @@ def test_arbitrary_cells_in_ingested_tables(poll_edits, hist_edits, ev_edits):
             assert kept + result.n_skipped == len(rows)
             lines = [line for line, _ in result.skipped]
             assert len(set(lines)) == len(lines) and all(line > 1 for line in lines)
+
+
+def test_byte_order_mark_before_a_path_header_is_not_part_of_its_first_column(tmp_path):
+    # spreadsheet programs save "CSV UTF-8" with a byte-order mark first
+    marked = tmp_path / "series.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "series.csv").read_bytes())
+    outputs = {}
+    for name, series in (("marked", marked), ("plain", FIXTURES / "series.csv")):
+        assert run_cli("score", "--series", series, "--outcomes", FIXTURES / "outcomes.csv",
+                       "--metrics", "brier", "--out-dir", tmp_path / name) == 0
+        outputs[name] = {f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())}
+    assert outputs["marked"] == outputs["plain"]
+
+
+def test_byte_order_mark_before_a_stream_header_is_not_part_of_its_first_column():
+    rows = "ev,state\n" + "".join(f"{ev},{state}\n" for state, ev in default_ev_table().items())
+    assert load_ev_table(io.StringIO("\ufeff" + rows)) == default_ev_table()

@@ -12,6 +12,8 @@ poll ingest or calibration must reproduce them.
 """
 
 import hashlib
+import itertools
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -397,3 +399,57 @@ def test_calibrate_small_table_bytes(tmp_path, capsys):
                             "first at line 7: missing sample_size\n")
     assert sha256(out / "calibration.json") == (
         "680ce6e2c80cacdcbe7fd688aaa5820363279b8b8a73f9dca0b073f1f3daccc7")
+
+
+# Series of 1, 3 and 130 dates (130 is past numpy's 128-element pairwise
+# summation block), each written with its dates out of order and all of them
+# taken a row at a time in turn, so that neither the file order nor the order
+# of first appearance is the order of the series' lengths.  A and C each have
+# states of every length; their state means depend on the order of their
+# states (A's Brier means and C's Brier state average, for one, are other
+# bits with the states taken grouped by length).  B's OH series and A's FL
+# series put all their mass on the wrong outcome once: two notes, A's
+# first, though B comes first in the file.  These digests were recorded
+# when every series was scored on its own.
+RAGGED = (("B", "OH", 3, 1), ("A", "US", 130, None), ("B", "US", 1, None),
+          ("A", "FL", 1, 0), ("C", "PA", 130, None), ("A", "OH", 3, None),
+          ("C", "FL", 3, None), ("A", "PA", 130, None), ("C", "OH", 1, None),
+          ("C", "VA", 130, None), ("A", "MI", 3, None), ("C", "NC", 3, None),
+          ("C", "WI", 1, None), ("C", "US", 3, None))
+RAGGED_OUTCOMES = "state,omega\nUS,1\nOH,0\nFL,0\nPA,1\nNC,0\nVA,1\nWI,1\nMI,1\n"
+RAGGED_DIGESTS = {
+    "scores.json": "ff9b7d16186d124159adef233b8c6b56f8fa0b750e6cb80314f1544fc8e08e24",
+    "scores_brier_ev_weighted.csv": "528be43324d5c938769651eb54a5dff4c4a2df78ab18710c184eb64fa7a95f32",
+    "scores_brier_overall.csv": "25029f077f0cbc6dec564eae827f03407f6e9394c45db44fb4b62fca6aeff65a",
+    "scores_brier_state_average.csv": "fce22f9c1313c10748842bcc7f61adefce49ef6a30abf56cb17f4fa6d71e9fff",
+    "scores_loglik_ev_weighted.csv": "d3fe10c3c10fffe048b199990eb23220c3421d920a0c6cfdddffc8162d83425a",
+    "scores_loglik_overall.csv": "10baeb963c2f06db3cfa5e3f93fe6fef18dc74342edf6980b7d28175a9c4cdf5",
+    "scores_loglik_state_average.csv": "70de10fd4ea7f60e669fef16a85ae5d23a370fdcd6522ca429a5c957db5f4bd8",
+}
+
+
+def ragged_series_rows():
+    """One text row per date of each RAGGED series, the series taken in turn."""
+    series = []
+    for j, (forecaster, state, n, miss) in enumerate(RAGGED):
+        rows = []
+        for i in range(n):
+            day = date(2016, 6, 1) + timedelta(days=(i * 37 + 1) % n)
+            p = "1.0" if i == miss else f"0.{(i * 7919 + j * 104729) % 9000 + 500:04d}"
+            rows.append(f"{forecaster},{state},{day},{p}\n")
+        series.append(rows)
+    return [row for rows in itertools.zip_longest(*series) for row in rows if row]
+
+
+def test_ragged_series_score_bytes(tmp_path, capsys):
+    series, outcomes, out = tmp_path / "ragged.csv", tmp_path / "outcomes.csv", tmp_path / "out"
+    series.write_text("forecaster,state,date,p\n" + "".join(ragged_series_rows()))
+    outcomes.write_text(RAGGED_OUTCOMES)
+    assert main(["score", "--series", str(series), "--outcomes", str(outcomes),
+                 "--metrics", "brier", "loglik", "--out-dir", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "wrote 6 score table(s)\n"
+    assert captured.err == (
+        "note: A assigned zero probability to the realized outcome; log-likelihood is -inf\n"
+        "note: B assigned zero probability to the realized outcome; log-likelihood is -inf\n")
+    assert {p.name: sha256(p) for p in out.iterdir()} == RAGGED_DIGESTS

@@ -14,6 +14,8 @@ from statecast.scoring import (
     WEIGHT_STATE_AVERAGE,
     BinaryForecastSeries,
     HypersensitiveForecastWarning,
+    _brier_block,
+    _loglik_block,
     aggregate_scores,
     brier,
     cdf_score,
@@ -95,6 +97,34 @@ class TestLogLikelihood:
             assert whole == pytest.approx(parts, abs=1e-12)
 
 
+class TestBinaryBlocks:
+    """The block scorers behind `score`: each row of a (series x dates) block
+    scores the same bits as that row scored as its own series."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000])
+    def test_each_row_scores_as_its_own_series(self, n):
+        rng = np.random.default_rng(n)
+        probs = rng.uniform(0.0, 1.0, (6, n))
+        omega = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+        for row, p in ((1, 0.0), (2, 1.0), (4, 1.0), (5, 0.0)):
+            probs[row, n // 2] = p  # rows 2 and 5 put all their mass on the wrong outcome
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning included
+            blocks = {brier: _brier_block(probs, omega), log_likelihood: _loglik_block(probs, omega)}
+        for fn, block in blocks.items():
+            rows = []
+            for p, w in zip(probs, omega):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    rows.append(fn(BinaryForecastSeries("f", np.arange(n, dtype=float), p), w))
+                assert [c.category for c in caught] == (
+                    [HypersensitiveForecastWarning] if rows[-1] == -math.inf else [])
+            assert block.shape == (6,)
+            assert block.tobytes() == np.array(rows).tobytes()
+        assert blocks[log_likelihood].tolist()[2::3] == [-math.inf, -math.inf]
+        assert np.isfinite(blocks[log_likelihood][[0, 1, 3, 4]]).all()
+
+
 class TestSelten:
     def test_point_mass_on_realized(self):
         assert selten(point_mass(232), 232) == 1.0
@@ -167,6 +197,21 @@ class TestCdfScore:
             w = int(rng.integers(0, 539))
             crps = float(h @ np.abs(x - w)) - 0.5 * float(h @ dist @ h)
             assert cdf_score(h, w) == pytest.approx(crps, abs=1e-9)
+
+    def test_equals_the_step_subtracting_form_bit_for_bit(self):
+        # the step function subtracted as a 0/1 array: cumsum(h) - [k >= w]
+        rng = np.random.default_rng(35)
+        holed = rng.dirichlet(np.ones(539))
+        holed[rng.choice(539, 200, replace=False)] = 0.0
+        histograms = [rng.dirichlet(np.ones(539)) for _ in range(5)]
+        histograms += [holed / holed.sum(), point_mass(0), point_mass(269), point_mass(538),
+                       np.array([0.0, 1.0, 0.0])]
+        for h in histograms:
+            realized = np.arange(h.size)
+            step_form = np.sum((np.cumsum(h) - (realized >= realized[:, None])) ** 2, axis=-1)
+            assert cdf_score(h, realized).tobytes() == step_form.tobytes()
+            for w in (0, h.size // 2, h.size - 1):
+                assert cdf_score(h, w) == step_form[w]
 
     def test_moving_mass_away_increases_penalty(self):
         h = np.zeros(10)
