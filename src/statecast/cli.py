@@ -379,8 +379,7 @@ def _score_series(tables, metric, keys, blocks, ev_table) -> None:
         by_forecaster.setdefault(forecaster, {})[state] = scores[forecaster, state]
     for forecaster in sorted(by_forecaster):
         per_state = by_forecaster[forecaster]
-        if -math.inf in per_state.values():  # only a log-likelihood is ever -inf
-            scoring._warn_zero_probability(forecaster)
+        scoring._warn_zero_probability(forecaster, per_state.values())
         national = per_state.pop(NATIONAL, None)
         if national is not None:
             tables.setdefault((metric, scoring.WEIGHT_OVERALL), []).append(

@@ -109,15 +109,17 @@ def _one_row(block, series: BinaryForecastSeries, omega, what: str) -> float:
     return float(block(series.probs[None, :], np.array([_as_omega(omega)]))[0])
 
 
-def _warn_zero_probability(forecaster: str) -> None:
-    """A :class:`HypersensitiveForecastWarning` naming ``forecaster``, shown
-    at the line that called this function's caller."""
-    warnings.warn(
-        f"{forecaster or 'forecaster'} assigned zero probability "
-        "to the realized outcome; log-likelihood is -inf",
-        HypersensitiveForecastWarning,
-        stacklevel=3,
-    )
+def _warn_zero_probability(forecaster: str, scores) -> None:
+    """One :class:`HypersensitiveForecastWarning` naming ``forecaster`` if
+    any of its ``scores`` is the -inf sentinel, which only a log-likelihood
+    takes; shown at the line that called this function's caller."""
+    if -math.inf in scores:
+        warnings.warn(
+            f"{forecaster or 'forecaster'} assigned zero probability "
+            "to the realized outcome; log-likelihood is -inf",
+            HypersensitiveForecastWarning,
+            stacklevel=3,
+        )
 
 
 def brier(series: BinaryForecastSeries, omega) -> float:
@@ -137,8 +139,7 @@ def log_likelihood(series: BinaryForecastSeries, omega) -> float:
     raising, so hard-line forecasters stay comparable.
     """
     score = _one_row(_loglik_block, series, omega, "log-likelihood")
-    if score == -math.inf:
-        _warn_zero_probability(series.forecaster)
+    _warn_zero_probability(series.forecaster, (score,))
     return score
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager, nullcontext
 from datetime import date
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -51,7 +52,8 @@ def read_rows(source, columns, skipped=None):
     except OSError as exc:
         raise IngestError(f"{name}: cannot read: {exc.strerror}") from exc
     with stream as fh:
-        reader = csv.reader(fh, strict=True)
+        lines = iter(fh)
+        reader = csv.reader(chain(_unmarked(lines), lines), strict=True)
         cells = _cells(reader, columns, skipped, name, source if is_path else None)
         try:
             next(cells)  # the header, checked
@@ -62,14 +64,23 @@ def read_rows(source, columns, skipped=None):
             raise IngestError(f"{name}:{max(reader.line_num, 1)}: {exc}") from exc
 
 
+def _unmarked(lines):
+    """The first of ``lines`` without a leading UTF-8 byte-order mark, which
+    spreadsheet programs write before a "CSV UTF-8" header; taken off before
+    the csv reader sees the line, it is never part of the first cell, quoted
+    or not.  The line is read at the reader's first step, so a fault of it
+    is named as any other."""
+    for line in lines:
+        yield line.removeprefix("\ufeff")
+        return
+
+
 def _cells(reader, columns, skipped, name, path):
     """Checks the header, yields None, then each data row's cells; its state
     is these locals, so a row costs no call or store but the loop's own."""
     start = 1  # the line the record in hand starts on
     try:
         header = next(reader, [])
-        if header and header[0].startswith("\ufeff"):  # a UTF-8 byte-order mark
-            header[0] = header[0][1:]
         start = reader.line_num + 1
         columns = columns(header) if callable(columns) else columns
         for why, bad in (("missing", [c for c in columns if c not in header]),

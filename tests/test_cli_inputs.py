@@ -1479,10 +1479,14 @@ def test_arbitrary_cells_in_ingested_tables(poll_edits, hist_edits, ev_edits):
             assert len(set(lines)) == len(lines) and all(line > 1 for line in lines)
 
 
-def test_byte_order_mark_before_a_path_header_is_not_part_of_its_first_column(tmp_path):
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_byte_order_mark_before_a_path_header_is_not_part_of_its_first_column(tmp_path, quote):
     # spreadsheet programs save "CSV UTF-8" with a byte-order mark first
+    plain = (FIXTURES / "series.csv").read_bytes()
+    assert plain.startswith(b"forecaster,")
     marked = tmp_path / "series.csv"
-    marked.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "series.csv").read_bytes())
+    marked.write_bytes(b"\xef\xbb\xbf" + quote.encode() + b"forecaster" + quote.encode()
+                       + plain[len(b"forecaster"):])
     outputs = {}
     for name, series in (("marked", marked), ("plain", FIXTURES / "series.csv")):
         assert run_cli("score", "--series", series, "--outcomes", FIXTURES / "outcomes.csv",
@@ -1491,6 +1495,14 @@ def test_byte_order_mark_before_a_path_header_is_not_part_of_its_first_column(tm
     assert outputs["marked"] == outputs["plain"]
 
 
-def test_byte_order_mark_before_a_stream_header_is_not_part_of_its_first_column():
-    rows = "ev,state\n" + "".join(f"{ev},{state}\n" for state, ev in default_ev_table().items())
-    assert load_ev_table(io.StringIO("\ufeff" + rows)) == default_ev_table()
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_byte_order_mark_before_a_stream_header_is_not_part_of_its_first_column(quote):
+    rows = (f"\ufeff{quote}ev{quote},state\n"
+            + "".join(f"{ev},{state}\n" for state, ev in default_ev_table().items()))
+    assert load_ev_table(io.StringIO(rows)) == default_ev_table()
+
+
+def test_a_byte_order_mark_is_taken_only_from_the_start_of_the_header():
+    rows = "ev,state\n\ufeff3,AK\n"
+    with pytest.raises(IngestError, match=r"<stream>:2: "):
+        load_ev_table(io.StringIO(rows))
