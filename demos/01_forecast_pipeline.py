@@ -2,7 +2,7 @@
 
 Builds a competitive race in memory: national polls drifting around +2 for
 candidate 1, five battleground states with their own leans, and a historical
-file for everything else.  Then: smooth -> calibrate -> simulate -> report.
+file for everything else.  Then: smooth -> calibrate -> forecast -> report.
 
 Run from the repo root:  python demos/01_forecast_pipeline.py
 """
@@ -80,7 +80,7 @@ market = calibrate_market(national, table)
 print(f"market: level {market.m_current:+.2f}, horizon {market.horizon:.0f} days, "
       f"sigma {market.sigma_total:.2f}/sqrt(day)")
 
-cfg = SimulationConfig(seed=11, n_paths=10000)
+cfg = SimulationConfig(seed=11)  # Gaussian noise is computed: no seed or paths read
 dist = run_forecast(cals, market, ev, cfg)
 print(f"\nP(candidate 1 wins) = {dist.p_national:.3f}")
 

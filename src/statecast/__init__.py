@@ -3,10 +3,11 @@
 The pipeline: ingest polls, smooth the national spread with a Gaussian
 kernel, regress each state on the smoothed national series (falling back to
 historical elections where polls are thin), diffuse the national spread over
-the remaining days as a driftless Brownian motion, and Monte Carlo the
-electoral college.  Around it: proper scoring rules for probability series
-and EV histograms, an ex-ante mark-to-market trading score, and
-exponential-weights expert aggregation with a regret guarantee.
+the remaining days as a driftless Brownian motion, and compute the
+electoral college (Gaussian state noise) or Monte Carlo it (Student-T).
+Around it: proper scoring rules for probability series and EV histograms,
+an ex-ante mark-to-market trading score, and exponential-weights expert
+aggregation with a regret guarantee.
 """
 
 from .calibration import (
@@ -57,6 +58,7 @@ from .scoring import (
 from .simulation import (
     ForecastDistribution,
     SimulationConfig,
+    gaussian_days,
     probability_time_series,
     run_forecast,
     sample_state_noise,
@@ -103,6 +105,7 @@ __all__ = [
     "calibrate_states",
     "cdf_score",
     "default_ev_table",
+    "gaussian_days",
     "gaussian_histogram",
     "learning_rate",
     "load_ev_table",

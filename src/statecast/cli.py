@@ -117,9 +117,14 @@ _SETTINGS = {
 
 
 def _sim_config(cfg: argparse.Namespace) -> SimulationConfig:
-    if cfg.seed is None:
+    """The run's simulator settings.  A Gaussian forecast is computed, not
+    sampled: it reads no seed, paths or workers, and needs no seed."""
+    if cfg.noise_model == "gaussian":
+        _note_unread(cfg, "--noise-model gaussian", ("seed", "paths", "workers"))
+    elif cfg.seed is None:
         raise ConfigurationError("seed is required (pass --seed)")
-    return SimulationConfig(seed=cfg.seed, n_paths=cfg.paths,
+    # 0 stands in for the seed a Gaussian run is not given, and does not read
+    return SimulationConfig(seed=0 if cfg.seed is None else cfg.seed, n_paths=cfg.paths,
                             noise_model=cfg.noise_model,
                             win_threshold=cfg.win_threshold,
                             workers=cfg.workers)
@@ -170,7 +175,8 @@ def _notes(category):
 
 #: How a note names each setting that is not a ``<key> file``.
 _LABELS = {"election_date": "election date", "bandwidth": "bandwidth", "ev_table": "EV table",
-           "ev_realization": "EV realization", "reference_file": "reference file"}
+           "ev_realization": "EV realization", "reference_file": "reference file",
+           "seed": "seed", "paths": "paths", "workers": "workers"}
 
 
 def _note_unread(cfg: argparse.Namespace, why: str, keys) -> None:
@@ -242,13 +248,17 @@ def _calibrate_from_files(cfg: argparse.Namespace):
 def cmd_forecast(cfg: argparse.Namespace, out_dir: Path) -> int:
     cals, days, ev_table = _calibrate_from_files(cfg)
     dists = probability_time_series(cals, days, ev_table, _sim_config(cfg))
-    dist = dists[0]
+    # n_paths and seed record --paths and --seed as given (a seed not given is null)
+    dist = replace(dists[0], seed=cfg.seed)
     _write_json(out_dir / "forecast.json", dist.to_dict())
     _write_csv(out_dir / "timeseries.csv", ["days_to_election", "p_national"],
                [(mkt.horizon, d.p_national) for mkt, d in zip(days, dists)])
 
-    print(f"p_national = {dist.p_national:.4f} over {dist.n_paths} paths "
-          f"(seed {dist.seed})")
+    if cfg.noise_model == "gaussian":
+        print(f"p_national = {dist.p_national:.4f}, computed for Gaussian noise")
+    else:
+        print(f"p_national = {dist.p_national:.4f} over {dist.n_paths} paths "
+              f"(seed {dist.seed})")
     return 0
 
 
@@ -408,6 +418,13 @@ def cmd_score(cfg: argparse.Namespace, out_dir: Path) -> int:
             raise ConfigurationError("score needs a series file for Brier/log metrics")
         if not cfg.outcomes:
             raise ConfigurationError("score needs an outcomes file for Brier/log metrics")
+    if density_metrics:
+        if not cfg.histograms:
+            raise ConfigurationError("score needs a histograms file for density metrics")
+        if cfg.ev_realization is None:
+            raise ConfigurationError("score needs ev_realization for density metrics")
+
+    if binary_metrics:
         outcomes = _read_outcomes(cfg.outcomes)
         keys, blocks = _read_series_file(cfg.series, outcomes, ev_table)
         # A 0 or 1 on the wrong side scores -inf with a warning.
@@ -416,10 +433,6 @@ def cmd_score(cfg: argparse.Namespace, out_dir: Path) -> int:
                 _score_series(tables, metric, keys, blocks, ev_table)
 
     if density_metrics:
-        if not cfg.histograms:
-            raise ConfigurationError("score needs a histograms file for density metrics")
-        if cfg.ev_realization is None:
-            raise ConfigurationError("score needs ev_realization for density metrics")
         histograms = _read_histograms(cfg.histograms)
         for metric in density_metrics:
             fn = _DENSITY_SCORERS[metric]

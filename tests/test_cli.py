@@ -62,17 +62,20 @@ class TestForecast:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_worker_threads_do_not_change_bytes(self, tmp_path):
-        outs = []
-        for sub, workers in (("w1", "1"), ("w4", "4")):
-            out = tmp_path / sub
-            assert run_cli(
-                "forecast", "--polls", FIXTURES / "polls.csv",
-                "--historical", FIXTURES / "historical.csv",
-                "--election-date", "2016-11-08", "--seed", "7",
-                "--paths", "4000", "--workers", workers, "--out-dir", out,
-            ) == 0
-            outs.append(out)
-        assert (outs[0] / "forecast.json").read_bytes() == (outs[1] / "forecast.json").read_bytes()
+        # Student-T is sampled by the worker threads; Gaussian reads none
+        for model in NOISE_MODELS:
+            outs = []
+            for workers in ("1", "4"):
+                out = tmp_path / f"{model}{workers}"
+                assert run_cli(
+                    "forecast", "--polls", FIXTURES / "polls.csv",
+                    "--historical", FIXTURES / "historical.csv",
+                    "--election-date", "2016-11-08", "--seed", "7", "--noise-model", model,
+                    "--paths", "4000", "--workers", workers, "--out-dir", out,
+                ) == 0
+                outs.append(out)
+            assert ((outs[0] / "forecast.json").read_bytes()
+                    == (outs[1] / "forecast.json").read_bytes())
 
     def test_timeseries_spans_grid(self, tmp_path, forecast_args):
         run_cli(*forecast_args)
@@ -102,21 +105,44 @@ class TestForecast:
         assert "WY" in err and "forecast" in err
 
     def test_seed_is_mandatory(self, tmp_path, capsys):
-        code = run_cli(
-            "forecast", "--polls", FIXTURES / "polls.csv",
-            "--historical", FIXTURES / "historical.csv",
-            "--election-date", "2016-11-08", "--out-dir", tmp_path,
-        )
+        # for a sampled forecast; a Gaussian one is computed and needs none
+        args = ["forecast", "--polls", FIXTURES / "polls.csv",
+                "--historical", FIXTURES / "historical.csv", "--election-date", "2016-11-08"]
+        code = run_cli(*args, "--noise-model", "student_t", "--out-dir", tmp_path / "t")
         assert code == 1
         assert capsys.readouterr().err == (
             "error [forecast]: seed is required (pass --seed)\n")
-        assert not list(tmp_path.glob("*"))
+        assert not list((tmp_path / "t").glob("*"))
+        assert run_cli(*args, "--out-dir", tmp_path / "g") == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "g" / "forecast.json").read_text())
+        assert (doc["seed"], doc["n_paths"]) == (None, 10000)
+
+    def test_gaussian_forecast_notes_the_settings_it_does_not_read(self, tmp_path, capsys):
+        args = ["forecast", "--calibration", FIXTURES / "calibration.json"]
+        assert run_cli(*args, "--out-dir", tmp_path / "a") == 0
+        without = capsys.readouterr()
+        assert without.err == ""
+        assert run_cli(*args, "--seed", "5", "--paths", "1000", "--workers", "3",
+                       "--out-dir", tmp_path / "b") == 0
+        given = capsys.readouterr()
+        assert given.out == without.out == "p_national = 1.0000, computed for Gaussian noise\n"
+        assert given.err == ("note: --noise-model gaussian does not read the seed 5\n"
+                             "note: --noise-model gaussian does not read the paths 1000\n"
+                             "note: --noise-model gaussian does not read the workers 3\n")
+        # forecast.json records --seed and --paths as given
+        a, b = (json.loads((tmp_path / sub / "forecast.json").read_text()) for sub in "ab")
+        assert (a["seed"], a["n_paths"], b["seed"], b["n_paths"]) == (None, 10000, 5, 1000)
+        assert {**a, "seed": 5, "n_paths": 1000} == b
+        assert ((tmp_path / "a" / "timeseries.csv").read_bytes()
+                == (tmp_path / "b" / "timeseries.csv").read_bytes())
 
     def test_kernel_underflow_is_one_note(self, tmp_path, forecast_args, capsys):
-        assert run_cli(*forecast_args, "--paths", "300", "--bandwidth", "1e-300") == 0
+        assert run_cli(*forecast_args, "--bandwidth", "1e-300") == 0
         assert capsys.readouterr().err == (
             "note: kernel weights underflowed at 56 grid point(s); "
-            "used nearest observation there\n")
+            "used nearest observation there\n"
+            "note: --noise-model gaussian does not read the seed 20161108\n")
 
     def test_noise_model_choices_are_the_simulators(self, capsys):
         with pytest.raises(SystemExit):
@@ -151,7 +177,7 @@ class TestCalibrate:
 
     def test_frozen_calibration_notes_the_files_it_does_not_read(self, tmp_path, capsys):
         args = ["forecast", "--calibration", FIXTURES / "calibration.json",
-                "--seed", "5", "--paths", "1000"]
+                "--seed", "5", "--paths", "1000", "--noise-model", "student_t"]
         assert run_cli(*args, "--out-dir", tmp_path / "a") == 0
         without = capsys.readouterr()
         assert without.err == ""
@@ -168,7 +194,7 @@ class TestCalibrate:
 
     def test_frozen_calibration_notes_the_settings_it_does_not_read(self, tmp_path, capsys):
         args = ["forecast", "--calibration", FIXTURES / "calibration.json",
-                "--seed", "5", "--paths", "1000"]
+                "--seed", "5", "--paths", "1000", "--noise-model", "student_t"]
         assert run_cli(*args, "--out-dir", tmp_path / "a") == 0
         without = capsys.readouterr()
         assert without.err == ""

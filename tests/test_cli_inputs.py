@@ -138,6 +138,21 @@ class TestSeriesRows:
         err = assert_rejected(self.score(series, tmp_path), capsys, series, 4)
         assert "date 2016-11-02 is repeated" in err
 
+    @pytest.mark.parametrize("given,missing", [
+        ([], "a histograms file"),
+        (["--histograms", FIXTURES / "histograms.csv"], "ev_realization")])
+    def test_missing_density_setting_is_the_only_line(self, tmp_path, capsys, given, missing):
+        # checked with the series and outcomes settings, before the series
+        # is read and scored: its -inf log-likelihood note is not printed
+        series, out = tmp_path / "s.csv", tmp_path / "out"
+        series.write_text("forecaster,state,date,p\nF,US,2016-11-01,0.0\n")
+        code = run_cli("score", "--series", series, "--outcomes", FIXTURES / "outcomes.csv",
+                       *given, "--out-dir", out)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error [score]: score needs {missing} for density metrics\n")
+        assert not list(out.glob("*"))
+
     def outputs(self, tmp_path, name, rows):
         """Each output file's bytes of scoring the series file of ``rows``."""
         series, out = tmp_path / f"{name}.csv", tmp_path / name
@@ -726,7 +741,8 @@ class TestConfigValues:
         monkeypatch.setattr(simulation, "_TILE", 2**59)
         out = tmp_path / "out"
         code = run_cli("forecast", "--calibration", FIXTURES / "calibration.json",
-                       "--seed", "1", "--paths", 2**53, "--out-dir", out)
+                       "--noise-model", "student_t", "--seed", "1", "--paths", 2**53,
+                       "--out-dir", out)
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error [forecast]: MemoryError: Unable to allocate 64.0 PiB"), err
@@ -1434,7 +1450,10 @@ def test_one_edit_to_a_calibration_document_exits_cleanly(edit):
                                "--workers", workers, "--out-dir", out)
             assert not caught, [str(w.message) for w in caught]
             if code == 0:
-                assert err.getvalue() == ""
+                # a Gaussian forecast is computed: it names what it does not read
+                unread = ["seed 5", "paths 300", *[f"workers {workers}"] * (workers > 1)]
+                assert err.getvalue() == ("" if model == "student_t" else "".join(
+                    f"note: --noise-model gaussian does not read the {what}\n" for what in unread))
                 assert "nan" not in (out / "forecast.json").read_text().lower()
             else:
                 assert code == 1

@@ -1,9 +1,13 @@
 """Golden bytes: each subcommand on the bundled fixtures writes exactly these
 files and prints exactly this line.
 
-The `forecast` digests were recorded from the per-day, per-state settle loop.
-Any rewrite of the simulator must reproduce every byte of ``forecast.json``
-and ``timeseries.csv``, for either noise model and any worker count.  The
+The Monte Carlo digests were recorded from the per-day, per-state settle
+loop.  Any rewrite of the simulator must reproduce every byte of
+``forecast.json`` and ``timeseries.csv``, for either noise model and any
+worker count.  A Student-T `forecast` is that Monte Carlo; a Gaussian one is
+computed by the exact engine, so its Monte Carlo digests are checked on the
+files :func:`monte_carlo_files` writes from a direct ``simulate_paths`` call,
+and its `forecast` digests pin the engine's arithmetic.  The
 evaluation digests (`score`, `trade`, `aggregate`, `curves`) were recorded
 from the dict-per-row table reader; any rewrite of the readers, scorers or
 traders must reproduce every output file.  The `calibrate` bytes were
@@ -18,23 +22,28 @@ from pathlib import Path
 
 import pytest
 
+from statecast import cli
 from statecast.cli import main
+from statecast.simulation import SimulationConfig, simulate_paths
+from statecast.states import WIN_ELECTORAL_VOTES
 
 from test_cli import FIXTURES
 
-# (seed, noise model) -> sha256 of (forecast.json, timeseries.csv)
+# (seed, noise model) -> sha256 of (forecast.json, timeseries.csv).  The
+# Gaussian entries pin the exact engine: both seeds give the same series,
+# and their forecast.json differ only in the seed they record.
 GOLDEN = {
     (1, "gaussian"): (
-        "91332ed0653eb80d61b1b139513206191bfe740cefd3b042ad6457787761d47e",
-        "6d42abc808bd887f19566d84fa9d9800701e860dbe86bf55fc0b9c3b6eecb916",
+        "1f1d551a0a6a0bac5830e7a338c7d47e89f404ff2f885964a439bbfa00e5893f",
+        "0d2c54130e4bf0b6c4e82a0479197c9ddb1c499125513f68b7fab5dbe315c597",
     ),
     (1, "student_t"): (
         "1891859a742f283a58b44b8ad122b82b1da7b3c681fc92ed04276e132937fb93",
         "23ed745b5fa3086cb6e98e10a00152647f44604623ed6abe84a0a2d5d27c62e7",
     ),
     (20161108, "gaussian"): (
-        "e73d8b43f015bf55b7693a2e4be2dabf0776d9f72c525af541c8f9f45cff4441",
-        "48b45ce9f8efc6379fed568906953931864457193ef166c73c72b616ac679e30",
+        "655d23f28c6efa1b3f645d4e033cdae4108c9e3457195c28bd471b9312a496f2",
+        "0d2c54130e4bf0b6c4e82a0479197c9ddb1c499125513f68b7fab5dbe315c597",
     ),
     (20161108, "student_t"): (
         "3880a75202485b8d95448f9178b4adb46cfb3f2a56275a7e05789e82019acb83",
@@ -47,22 +56,68 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+POLLS = ["--polls", str(FIXTURES / "polls.csv"), "--historical", str(FIXTURES / "historical.csv"),
+         "--election-date", "2016-11-08"]
+CALIBRATION = ["--calibration", str(FIXTURES / "calibration.json")]
+
+
+def monte_carlo_files(out_dir: Path, inputs, seed, n_paths, workers, threshold=0.0) -> list[str]:
+    """sha256 of (forecast.json, timeseries.csv) as `forecast` wrote them when
+    it sampled Gaussian noise: one ``simulate_paths`` call on the days the
+    inputs give, each day's counts over the paths."""
+    args = cli.build_parser().parse_args(["forecast", *inputs])
+    cals, days, ev_table = cli._calibrate_from_files(args)
+    cfg = SimulationConfig(seed=seed, n_paths=n_paths, win_threshold=threshold, workers=workers)
+    paths = simulate_paths(cals, days, ev_table, cfg)
+    national = []
+    for counts in paths.ev_counts:
+        national.append(float((counts / n_paths)[WIN_ELECTORAL_VOTES:].sum()))
+    histogram = paths.ev_counts[0] / n_paths
+    cli._write_json(out_dir / "forecast.json", {
+        "seed": seed, "n_paths": n_paths, "p_national": national[0],
+        "p_state": {s: float(p) for s, p in zip(paths.states, paths.p_state[0])},
+        "ev_histogram": [float(x) for x in histogram]})
+    cli._write_csv(out_dir / "timeseries.csv", ["days_to_election", "p_national"],
+                   [(mkt.horizon, p) for mkt, p in zip(days, national)])
+    return [sha256(out_dir / "forecast.json"), sha256(out_dir / "timeseries.csv")]
+
+
+# seed -> sha256 of (forecast.json, timeseries.csv) of the Gaussian Monte
+# Carlo, as `forecast` wrote them before it computed Gaussian noise.
+GOLDEN_MONTE_CARLO = {
+    1: ("91332ed0653eb80d61b1b139513206191bfe740cefd3b042ad6457787761d47e",
+        "6d42abc808bd887f19566d84fa9d9800701e860dbe86bf55fc0b9c3b6eecb916"),
+    20161108: ("e73d8b43f015bf55b7693a2e4be2dabf0776d9f72c525af541c8f9f45cff4441",
+               "48b45ce9f8efc6379fed568906953931864457193ef166c73c72b616ac679e30"),
+}
+
+
+def stdout_line(model: str, p_national: str, paths: int, seed: int) -> str:
+    if model == "gaussian":
+        return f"p_national = {p_national}, computed for Gaussian noise\n"
+    return f"p_national = {p_national} over {paths} paths (seed {seed})\n"
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("seed,model", sorted(GOLDEN))
 def test_forecast_bytes(tmp_path, seed, model, workers, capsys):
     assert main([
-        "forecast",
-        "--polls", str(FIXTURES / "polls.csv"),
-        "--historical", str(FIXTURES / "historical.csv"),
-        "--election-date", "2016-11-08",
+        "forecast", *POLLS,
         "--seed", str(seed),
         "--noise-model", model,
         "--workers", str(workers),
         "--out-dir", str(tmp_path),
     ]) == 0
-    assert capsys.readouterr().out == f"p_national = 1.0000 over 10000 paths (seed {seed})\n"
+    assert capsys.readouterr().out == stdout_line(model, "1.0000", 10000, seed)
     assert (sha256(tmp_path / "forecast.json"),
             sha256(tmp_path / "timeseries.csv")) == GOLDEN[seed, model]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("seed", sorted(GOLDEN_MONTE_CARLO))
+def test_gaussian_monte_carlo_bytes(tmp_path, seed, workers):
+    assert (monte_carlo_files(tmp_path, POLLS, seed, 10000, workers)
+            == list(GOLDEN_MONTE_CARLO[seed]))
 
 
 # At --win-threshold 18 the fixture is close in many states: about 14% of
@@ -71,9 +126,9 @@ def test_forecast_bytes(tmp_path, seed, model, workers, capsys):
 # noise model -> (p_national printed, sha256 of forecast.json, timeseries.csv)
 GOLDEN_THRESHOLD_18 = {
     "gaussian": (
-        "0.9981",
-        "a5e9cabf121a076dc8f9ab5f7f45130ccafc790b34b63473d4bed661e5438504",
-        "0b8deed0a4abdd3eb129c238295faf71add690f6c7c00f56c83bbe0d18bcbcc0",
+        "0.9984",
+        "19d22dd8776f9463ec0ba6aa4a1a87661ded4e703542f10a929749bef18d6679",
+        "4215dd5e2ae9491aee8336e6285627bfd347e3fc653fb4ea63975ed22c84026d",
     ),
     "student_t": (
         "0.9967",
@@ -83,14 +138,19 @@ GOLDEN_THRESHOLD_18 = {
 }
 
 
+# The Gaussian Monte Carlo's, before `forecast` computed Gaussian noise
+# (it printed p_national = 0.9981).
+GOLDEN_THRESHOLD_18_MONTE_CARLO = (
+    "a5e9cabf121a076dc8f9ab5f7f45130ccafc790b34b63473d4bed661e5438504",
+    "0b8deed0a4abdd3eb129c238295faf71add690f6c7c00f56c83bbe0d18bcbcc0",
+)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("model", sorted(GOLDEN_THRESHOLD_18))
 def test_forecast_bytes_contested_threshold(tmp_path, model, workers, capsys):
     assert main([
-        "forecast",
-        "--polls", str(FIXTURES / "polls.csv"),
-        "--historical", str(FIXTURES / "historical.csv"),
-        "--election-date", "2016-11-08",
+        "forecast", *POLLS,
         "--seed", "1",
         "--noise-model", model,
         "--workers", str(workers),
@@ -98,9 +158,15 @@ def test_forecast_bytes_contested_threshold(tmp_path, model, workers, capsys):
         "--out-dir", str(tmp_path),
     ]) == 0
     p_national, *digests = GOLDEN_THRESHOLD_18[model]
-    assert capsys.readouterr().out == f"p_national = {p_national} over 10000 paths (seed 1)\n"
+    assert capsys.readouterr().out == stdout_line(model, p_national, 10000, 1)
     assert [sha256(tmp_path / "forecast.json"),
             sha256(tmp_path / "timeseries.csv")] == digests
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_gaussian_monte_carlo_bytes_contested_threshold(tmp_path, workers):
+    assert (monte_carlo_files(tmp_path, POLLS, 1, 10000, workers, threshold=18.0)
+            == list(GOLDEN_THRESHOLD_18_MONTE_CARLO))
 
 
 # A frozen calibration document (the `calibrate` output on the fixtures)
@@ -110,9 +176,9 @@ def test_forecast_bytes_contested_threshold(tmp_path, model, workers, capsys):
 # noise model -> (p_national printed, sha256 of forecast.json, timeseries.csv)
 GOLDEN_ONE_DAY = {
     "gaussian": (
-        "0.9987",
-        "2ea3f736044d260da1d676c2322b51eb94022bff01fd923efce38f754427f947",
-        "3860503e08a6e4fa649e819765f071e37968c8fca6861eee5209c2b47b5c80a8",
+        "0.9984",
+        "4b5cc5457caacd9adfbc561c64bff6ac5bb96cd870ad5c8bc69d3368b82f4a0e",
+        "1151bb9edc2716e654607279fec30328f2f6295d91036ec36bfa6ecc3467e375",
     ),
     "student_t": (
         "0.9971",
@@ -122,10 +188,19 @@ GOLDEN_ONE_DAY = {
 }
 
 
+# The Gaussian Monte Carlo's at 10,000 and at 70,001 paths, before
+# `forecast` computed Gaussian noise (it printed 0.9987 and 0.9984).
+GOLDEN_ONE_DAY_MONTE_CARLO = {
+    10000: ("2ea3f736044d260da1d676c2322b51eb94022bff01fd923efce38f754427f947",
+            "3860503e08a6e4fa649e819765f071e37968c8fca6861eee5209c2b47b5c80a8"),
+    70001: ("171fc36c6af57bae3095f538c112d37ed6e64ea6a833ce0dbd7b19202dbffb57",
+            "6d75e530a8b3b4991995aba30a106c008b55a6feedd81de9f817c1109618c15f"),
+}
+
+
 def assert_frozen_calibration_bytes(out_dir, model, workers, paths, golden, capsys):
     assert main([
-        "forecast",
-        "--calibration", str(FIXTURES / "calibration.json"),
+        "forecast", *CALIBRATION,
         "--seed", "7",
         "--noise-model", model,
         "--workers", str(workers),
@@ -134,7 +209,7 @@ def assert_frozen_calibration_bytes(out_dir, model, workers, paths, golden, caps
         "--out-dir", str(out_dir),
     ]) == 0
     p_national, *digests = golden
-    assert capsys.readouterr().out == f"p_national = {p_national} over {paths} paths (seed 7)\n"
+    assert capsys.readouterr().out == stdout_line(model, p_national, paths, 7)
     assert [sha256(out_dir / "forecast.json"),
             sha256(out_dir / "timeseries.csv")] == digests
 
@@ -146,17 +221,26 @@ def test_forecast_bytes_frozen_calibration(tmp_path, model, workers, capsys):
                                     GOLDEN_ONE_DAY[model], capsys)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("paths", sorted(GOLDEN_ONE_DAY_MONTE_CARLO))
+def test_gaussian_monte_carlo_bytes_frozen_calibration(tmp_path, paths, workers):
+    assert (monte_carlo_files(tmp_path, CALIBRATION, 7, paths, workers, threshold=18.0)
+            == list(GOLDEN_ONE_DAY_MONTE_CARLO[paths]))
+
+
 # The same run at 70,001 paths: more than one ``_TILE`` (65,536) and not a
 # multiple of it, so each state's draws and its settle span a whole tile
-# and a partial one.  The Gaussian digests were recorded while each state's
-# noise was still drawn in one piece; the Student-T ones since each state
-# draws its four variates one tile of paths at a time, which changed that
-# model's realization above one tile.
+# and a partial one.  The Gaussian Monte Carlo digests (above) were recorded
+# while each state's noise was still drawn in one piece; the Student-T ones
+# since each state draws its four variates one tile of paths at a time,
+# which changed that model's realization above one tile.  The Gaussian
+# engine reads no path count: only the n_paths it records differs from the
+# 10,000-path run.
 GOLDEN_ONE_DAY_70001 = {
     "gaussian": (
         "0.9984",
-        "171fc36c6af57bae3095f538c112d37ed6e64ea6a833ce0dbd7b19202dbffb57",
-        "6d75e530a8b3b4991995aba30a106c008b55a6feedd81de9f817c1109618c15f",
+        "e7414c1baf02c3048fd6df21a55274282d13a1a15fb4463c9b82ca6da43cb05c",
+        "1151bb9edc2716e654607279fec30328f2f6295d91036ec36bfa6ecc3467e375",
     ),
     "student_t": (
         "0.9973",
@@ -175,12 +259,13 @@ def test_forecast_bytes_above_one_tile(tmp_path, model, workers, capsys):
 
 # The fixture's daily series at 2 * 65,536 + 7 paths: two whole path tiles
 # and a partial one, on every grid day.  Recorded while each worker still
-# held an electoral-vote table of every path and day.
+# held an electoral-vote table of every path and day; the Gaussian entry
+# pins the exact engine, whose series is the 10,000-path run's.
 # noise model -> sha256 of (forecast.json, timeseries.csv)
 GOLDEN_SERIES_131079 = {
     "gaussian": (
-        "f45860909a30f859d7a237fa15889ab1d44f9da946367dfbb12b80e9ceb2c7be",
-        "41458ddf9c729b9d0f3982279ec20b85a724f339d16c66ebd010f18b2b3cc7b2",
+        "22c3d7823e55687146411a2b551b114fb964fee509b2fd3dbb98d95c2eb45bc3",
+        "0d2c54130e4bf0b6c4e82a0479197c9ddb1c499125513f68b7fab5dbe315c597",
     ),
     "student_t": (
         "2532f0c095ed0b69b5bf52aab4d41d03d35483ea8fd1c0dcd3e745cdf68347a1",
@@ -189,23 +274,33 @@ GOLDEN_SERIES_131079 = {
 }
 
 
+# The Gaussian Monte Carlo's, before `forecast` computed Gaussian noise.
+GOLDEN_SERIES_131079_MONTE_CARLO = (
+    "f45860909a30f859d7a237fa15889ab1d44f9da946367dfbb12b80e9ceb2c7be",
+    "41458ddf9c729b9d0f3982279ec20b85a724f339d16c66ebd010f18b2b3cc7b2",
+)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("model", sorted(GOLDEN_SERIES_131079))
 def test_series_bytes_above_two_tiles(tmp_path, model, workers, capsys):
     assert main([
-        "forecast",
-        "--polls", str(FIXTURES / "polls.csv"),
-        "--historical", str(FIXTURES / "historical.csv"),
-        "--election-date", "2016-11-08",
+        "forecast", *POLLS,
         "--seed", "1",
         "--noise-model", model,
         "--workers", str(workers),
         "--paths", "131079",
         "--out-dir", str(tmp_path),
     ]) == 0
-    assert capsys.readouterr().out == "p_national = 1.0000 over 131079 paths (seed 1)\n"
+    assert capsys.readouterr().out == stdout_line(model, "1.0000", 131079, 1)
     assert (sha256(tmp_path / "forecast.json"),
             sha256(tmp_path / "timeseries.csv")) == GOLDEN_SERIES_131079[model]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_gaussian_monte_carlo_series_bytes_above_two_tiles(tmp_path, workers):
+    assert (monte_carlo_files(tmp_path, POLLS, 1, 131079, workers)
+            == list(GOLDEN_SERIES_131079_MONTE_CARLO))
 
 
 # The first two experts of experts.csv, written as their own panel: with

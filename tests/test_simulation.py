@@ -296,14 +296,15 @@ class TestRunForecast:
             assert abs(p - 0.5) <= 0.02, state
 
     def test_histogram_mean_equals_path_mean(self):
+        # the Monte Carlo's, which a Gaussian forecast no longer runs
         ev = default_ev_table()
         cals = flat_cals(ev, alpha=0.3, beta=1.0, sigma=2.0)
         cfg = SimulationConfig(seed=11, n_paths=4000)
         mkt = market(m=0.5, horizon=16.0)
         [spreads] = rebuilt_spreads(cals, [mkt], cfg)
         path_ev = sum(ev[s] * (v > 0.0) for s, v in spreads.items())
-        dist = run_forecast(cals, mkt, ev, cfg)
-        hist_mean = float(np.arange(539) @ dist.ev_histogram)
+        [counts] = simulate_paths(cals, [mkt], ev, cfg).ev_counts
+        hist_mean = float(np.arange(539) @ (counts / cfg.n_paths))
         assert hist_mean == pytest.approx(path_ev.mean(), abs=1e-12)
 
     def test_histogram_sums_to_one_and_national_matches(self):

@@ -68,9 +68,10 @@ def test_tracer_patches_and_restores_every_name(tmp_path):
         tracer.uninstall()
     # every forecast, whatever its input, is one simulator call
     assert simulator_spans == {kind: ["simulation.probability_time_series"] for kind in inputs}
-    # one draw per state and settle tile (200 paths: one tile), each
+    # a Gaussian forecast is computed and draws nothing; a Student-T one
+    # draws once per state and settle tile (200 paths: one tile), each
     # counted by the draw hook
-    assert draws == {kind: 51 for kind in inputs}
+    assert draws == {"polls": 0, "calibration": 0, "student_t": 51}
     assert tracer.counts["draw_requests"] == sum(draws.values())
     names = {span[2] for span in tracer.spans}
     assert {"simulation.sample_state_noise", "scoring.binary", "scoring.density",
