@@ -80,7 +80,7 @@ market = calibrate_market(national, table)
 print(f"market: level {market.m_current:+.2f}, horizon {market.horizon:.0f} days, "
       f"sigma {market.sigma_total:.2f}/sqrt(day)")
 
-cfg = SimulationConfig(seed=11)  # Gaussian noise is computed: no seed or paths read
+cfg = SimulationConfig()  # Gaussian noise is computed: no seed or paths to give
 dist = run_forecast(cals, market, ev, cfg)
 print(f"\nP(candidate 1 wins) = {dist.p_national:.3f}")
 

@@ -118,13 +118,10 @@ _SETTINGS = {
 
 def _sim_config(cfg: argparse.Namespace) -> SimulationConfig:
     """The run's simulator settings.  A Gaussian forecast is computed, not
-    sampled: it reads no seed, paths or workers, and needs no seed."""
+    sampled: it reads no seed, paths or workers."""
     if cfg.noise_model == "gaussian":
         _note_unread(cfg, "--noise-model gaussian", ("seed", "paths", "workers"))
-    elif cfg.seed is None:
-        raise ConfigurationError("seed is required (pass --seed)")
-    # 0 stands in for the seed a Gaussian run is not given, and does not read
-    return SimulationConfig(seed=0 if cfg.seed is None else cfg.seed, n_paths=cfg.paths,
+    return SimulationConfig(seed=cfg.seed, n_paths=cfg.paths,
                             noise_model=cfg.noise_model,
                             win_threshold=cfg.win_threshold,
                             workers=cfg.workers)
@@ -248,8 +245,7 @@ def _calibrate_from_files(cfg: argparse.Namespace):
 def cmd_forecast(cfg: argparse.Namespace, out_dir: Path) -> int:
     cals, days, ev_table = _calibrate_from_files(cfg)
     dists = probability_time_series(cals, days, ev_table, _sim_config(cfg))
-    # n_paths and seed record --paths and --seed as given (a seed not given is null)
-    dist = replace(dists[0], seed=cfg.seed)
+    dist = dists[0]
     _write_json(out_dir / "forecast.json", dist.to_dict())
     _write_csv(out_dir / "timeseries.csv", ["days_to_election", "p_national"],
                [(mkt.horizon, d.p_national) for mkt, d in zip(days, dists)])

@@ -27,7 +27,10 @@ Poisson-binomials are built a block of ``_CELL_BLOCK`` lattice cells at a
 time, the states in ascending-EV order over the support reached so far,
 and each block's days add mass x H with ``np.einsum``, which sums the cells
 in order and calls no BLAS: no output depends on BLAS threads or kernels.
-A probability within ``_DECIDED`` of 0 or 1 is taken as it.
+A probability within ``_DECIDED`` of 0 or 1 is taken as it.  The work
+grows with the rows, not the days: days of one lattice width share its
+cells where their spans overlap, and each narrow crossing adds five cells
+to every lattice a run uses.
 
 Every day's outputs are within 1e-5 of the exact values: on the bundled
 fixture and on seeded contested races, at thresholds 0 and 18, each p_state
@@ -132,20 +135,22 @@ MAX_PATHS = 2**53
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Knobs for one forecast run; the seed is mandatory.  ``workers`` > 1
-    spreads state draws and settling over threads without changing any
-    output bit.  A Gaussian forecast is computed: it reads only
-    ``noise_model`` and ``win_threshold``."""
+    """Knobs for one forecast run.  ``workers`` > 1 spreads state draws and
+    settling over threads without changing any output bit.  A Gaussian
+    forecast is computed: it reads only ``noise_model`` and
+    ``win_threshold``.  A sampled run (a Student-T forecast, or
+    :func:`simulate_paths` itself) requires a seed."""
 
-    seed: int
+    seed: int | None = None
     n_paths: int = 10000
     noise_model: str = "gaussian"
     win_threshold: float = 0.0
     workers: int = 1
 
     def __post_init__(self):
-        _check_integer(self, ("seed", "n_paths", "workers"))
-        if not (0 <= self.seed <= _U64):
+        _check_integer(self, ("n_paths", "workers") if self.seed is None
+                       else ("seed", "n_paths", "workers"))
+        if self.seed is not None and not 0 <= self.seed <= _U64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not 1 <= self.n_paths <= MAX_PATHS:
             raise ValueError("n_paths must be in 1..2**53")
@@ -170,8 +175,8 @@ class PathOutcomes:
 @dataclass
 class ForecastDistribution:
     """Win probabilities and the electoral-vote histogram for one run.
-    ``n_paths`` and ``seed`` are the run's settings; a Gaussian run reads
-    neither."""
+    ``n_paths`` and ``seed`` are the run's settings (``seed`` None when
+    none is given); a Gaussian run reads neither."""
 
     p_state: dict[str, float]
     p_national: float
@@ -209,7 +214,10 @@ def _ieee():
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
-    """Philox generator for one (seed, stream) pair; path index = counter."""
+    """Philox generator for one (seed, stream) pair; path index = counter.
+    Only a sampled run reads the seed, so only it requires one."""
+    if seed is None:
+        raise ConfigurationError("seed is required (pass --seed)")
     key = np.array([seed & _U64, stream_id & _U64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -866,6 +867,25 @@ def test_zero_scales_and_signed_zero_levels_match_the_oracle(model, workers, thr
     assert_matches_oracle(cals, days, cfg)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("key", ["beta", "sigma_eps", "sigma_m"])
+def test_overflowing_calibration_samples_quietly(key, workers):
+    # test_cli's overflowing calibrations through the Gaussian Monte Carlo,
+    # which a Gaussian forecast no longer runs: a slope, noise scale or
+    # market volatility of 1e308 gives +-inf and NaN spreads, and neither
+    # is a warning, in the main thread or a worker's
+    doc = json.loads(FIXTURE_CALIBRATION.read_text())
+    for block in [doc["market"]] if key == "sigma_m" else doc["states"].values():
+        block[key] = 1e308
+    cals, mkt = calibration_from_dict(doc)
+    cfg = SimulationConfig(seed=5, n_paths=500, workers=workers)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        paths = simulate_paths(cals, [mkt], default_ev_table(), cfg)
+    assert not caught, [str(w.message) for w in caught]
+    assert paths.ev_counts.sum() == 500 and not np.isnan(paths.p_state).any()
+
+
 def test_more_threads_than_cores_under_fast_switching():
     # workers write disjoint p_state cells and their own EV accumulators;
     # a lost or doubled update would change the bits
@@ -944,6 +964,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"^n_paths must be in 1\.\.2\*\*53"):
             SimulationConfig(seed=1, n_paths=MAX_PATHS + 1)
         assert SimulationConfig(seed=1, n_paths=MAX_PATHS).n_paths == 2**53
+
+    def test_only_sampling_requires_a_seed(self):
+        # a Gaussian forecast is computed and reads no seed; simulate_paths
+        # samples, under either noise model
+        cals, mkt = calibration_from_dict(json.loads(FIXTURE_CALIBRATION.read_text()))
+        ev = default_ev_table()
+        assert SimulationConfig().seed is None
+        assert run_forecast(cals, mkt, ev, SimulationConfig()).seed is None
+        for model in NOISE_MODELS:
+            cfg = SimulationConfig(n_paths=10, noise_model=model)
+            with pytest.raises(ConfigurationError, match=r"^seed is required \(pass --seed\)$"):
+                simulate_paths(cals, [mkt], ev, cfg)
+        with pytest.raises(ConfigurationError, match="^seed is required"):
+            run_forecast(cals, mkt, ev, SimulationConfig(noise_model="student_t"))
 
     def test_seed_range(self):
         with pytest.raises(ValueError):
