@@ -82,14 +82,15 @@ print(f"market: level {market.m_current:+.2f}, horizon {market.horizon:.0f} days
 
 cfg = SimulationConfig()  # Gaussian noise is computed: no seed or paths to give
 dist = run_forecast(cals, market, ev, cfg)
-print(f"\nP(candidate 1 wins) = {dist.p_national:.3f}")
+[histogram] = dist.ev_histogram  # one row per market: here, one
+print(f"\nP(candidate 1 wins) = {dist.p_national[0]:.3f}")
 
 ev_grid = np.arange(539)
-mean_ev = float(ev_grid @ dist.ev_histogram)
+mean_ev = float(ev_grid @ histogram)
 print(f"expected electoral votes: {mean_ev:.1f}")
 print("\nEV histogram (coarse):")
 for lo in range(180, 400, 20):
-    mass = dist.ev_histogram[lo:lo + 20].sum()
+    mass = histogram[lo:lo + 20].sum()
     print(f"  {lo:3d}-{lo + 19:3d} | {'#' * int(80 * mass)}")
 
 print("\nwin probability vs days remaining (same data, shrinking horizon):")
@@ -99,6 +100,6 @@ markets = [
                       m_current=market.m_current, horizon=h)
     for h in days
 ]
-for h, day in zip(days, probability_time_series(cals, markets, ev, cfg)):
-    print(f"  {h:5.0f} days out: {day.p_national:.3f}")
+for h, p in zip(days, probability_time_series(cals, markets, ev, cfg).p_national):
+    print(f"  {h:5.0f} days out: {p:.3f}")
 print("more time on the clock pulls the probability toward 1/2")

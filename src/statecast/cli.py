@@ -36,7 +36,7 @@ import numpy as np
 
 from . import calibration as cal_mod
 from . import ingest, online, scoring, trading
-from .errors import ConfigurationError, IngestError, StatecastError
+from .errors import ConfigurationError, IngestError, ScoreError, StatecastError
 from .scoring import BinaryForecastSeries
 from .simulation import (
     MAX_PATHS,
@@ -244,17 +244,17 @@ def _calibrate_from_files(cfg: argparse.Namespace):
 
 def cmd_forecast(cfg: argparse.Namespace, out_dir: Path) -> int:
     cals, days, ev_table = _calibrate_from_files(cfg)
-    dists = probability_time_series(cals, days, ev_table, _sim_config(cfg))
-    dist = dists[0]
-    _write_json(out_dir / "forecast.json", dist.to_dict())
+    dist = probability_time_series(cals, days, ev_table, _sim_config(cfg))
+    national = dist.p_national.tolist()
+    _write_json(out_dir / "forecast.json",
+                {"seed": cfg.seed, "n_paths": cfg.paths, **dist.to_dict()})
     _write_csv(out_dir / "timeseries.csv", ["days_to_election", "p_national"],
-               [(mkt.horizon, d.p_national) for mkt, d in zip(days, dists)])
+               [(mkt.horizon, p) for mkt, p in zip(days, national)])
 
     if cfg.noise_model == "gaussian":
-        print(f"p_national = {dist.p_national:.4f}, computed for Gaussian noise")
+        print(f"p_national = {national[0]:.4f}, computed for Gaussian noise")
     else:
-        print(f"p_national = {dist.p_national:.4f} over {dist.n_paths} paths "
-              f"(seed {dist.seed})")
+        print(f"p_national = {national[0]:.4f} over {cfg.paths} paths (seed {cfg.seed})")
     return 0
 
 
@@ -392,8 +392,11 @@ def _score_series(tables, metric, keys, blocks, ev_table) -> None:
                 (forecaster, national))
         if per_state:
             for weighting in (scoring.WEIGHT_STATE_AVERAGE, scoring.WEIGHT_EV):
-                tables.setdefault((metric, weighting), []).append(
-                    (forecaster, scoring.aggregate_scores(per_state, weighting, ev_table)))
+                try:
+                    value = scoring.aggregate_scores(per_state, weighting, ev_table)
+                except ScoreError as exc:  # states of 0 votes: name their forecaster
+                    raise ScoreError(f"forecaster {forecaster}: {exc}") from None
+                tables.setdefault((metric, weighting), []).append((forecaster, value))
 
 
 def cmd_score(cfg: argparse.Namespace, out_dir: Path) -> int:

@@ -221,7 +221,8 @@ def aggregate_scores(scores: dict[str, float], weighting: str,
                      ev_table: dict[str, int]) -> float:
     """Average a forecaster's per-state scores, ``{state: score}``, plainly
     (``state_average``) or weighted by each state's electoral votes
-    (``ev_weighted``), taking the states in the map's order."""
+    (``ev_weighted``), taking the states in the map's order.  States whose
+    votes sum to 0 have no EV-weighted average."""
     if not scores:
         raise ScoreError("cannot aggregate zero state scores")
     values = np.array(list(scores.values()), dtype=float)
@@ -233,6 +234,8 @@ def aggregate_scores(scores: dict[str, float], weighting: str,
     if missing:
         raise ConfigurationError(f"state {missing[0]!r} has no EV entry")
     weights = np.array([ev_table[state] for state in scores], dtype=float)
+    if not weights.any():
+        raise ScoreError(f"the electoral votes of {', '.join(scores)} sum to 0")
     return float(np.sum(weights * values) / np.sum(weights))
 
 

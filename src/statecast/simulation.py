@@ -8,6 +8,9 @@ Per path, each state gets an independent noise draw around its fitted line
 resamples the line's parameters), states are settled winner-take-all, and
 electoral votes are summed to 0..538.
 
+Every entry point returns one ``ForecastDistribution``: a row per market,
+that is per day of a series, and ``p_national`` sums every row at once.
+
 Gaussian noise is computed, not sampled (``gaussian_days``, which
 ``probability_time_series`` and so ``run_forecast`` use for it).  Given the
 terminal market m, the states are independent and state i wins with
@@ -162,35 +165,25 @@ class SimulationConfig:
 
 
 @dataclass
-class PathOutcomes:
-    """Per-day results over one set of paths: how many paths give candidate
-    1 each electoral-vote count 0..538 (days x ``EV_BINS``, int64) and each
-    state's win share (days x states)."""
+class ForecastDistribution:
+    """Each market's state win probabilities (markets x states, the states
+    sorted) and electoral-vote histogram (markets x ``EV_BINS``)."""
 
     states: tuple[str, ...]
-    ev_counts: np.ndarray
     p_state: np.ndarray
-
-
-@dataclass
-class ForecastDistribution:
-    """Win probabilities and the electoral-vote histogram for one run.
-    ``n_paths`` and ``seed`` are the run's settings (``seed`` None when
-    none is given); a Gaussian run reads neither."""
-
-    p_state: dict[str, float]
-    p_national: float
     ev_histogram: np.ndarray
-    n_paths: int
-    seed: int | None
 
-    def to_dict(self) -> dict:
+    @property
+    def p_national(self) -> np.ndarray:
+        """Each market's probability that candidate 1 wins 270 votes or more."""
+        return self.ev_histogram[:, WIN_ELECTORAL_VOTES:].sum(axis=1)
+
+    def to_dict(self, day: int = 0) -> dict:
+        """One market's result, as ``forecast.json`` holds it."""
         return {
-            "seed": self.seed,
-            "n_paths": self.n_paths,
-            "p_national": self.p_national,
-            "p_state": dict(sorted(self.p_state.items())),
-            "ev_histogram": [float(x) for x in self.ev_histogram],
+            "p_national": float(self.p_national[day]),
+            "p_state": dict(zip(self.states, self.p_state[day].tolist())),
+            "ev_histogram": self.ev_histogram[day].tolist(),
         }
 
 
@@ -362,7 +355,7 @@ def simulate_paths(
     markets: list[MarketCalibration],
     ev_table: dict[str, int],
     cfg: SimulationConfig,
-) -> PathOutcomes:
+) -> ForecastDistribution:
     """All Monte Carlo paths settled against every market in ``markets``.
 
     Each state is drawn once and every market is settled from those draws:
@@ -377,19 +370,20 @@ def simulate_paths(
     days`` paths, their m recomputed and their draws gathered into buffers
     the worker made once.  With one day the market tile becomes that day's
     m in place and the screen is the whole settle.  The workers' vote tiles
-    are summed, and each day's votes counted into its row of ``ev_counts``.
+    are summed, and each day's votes counted into its row of 539 bins.
 
-    ``p_state`` is each state's win count divided by ``n_paths``.  Workers
-    take fixed strided chunks of states; the calling thread settles the
-    first and makes every worker's buffers, once for all tiles.  Every
-    count is an integer, so no output depends on ``cfg.workers``.
+    ``ev_histogram`` and ``p_state`` are the counts over ``n_paths``;
+    ``np.rint(ev_histogram * n_paths)`` gives them back.  Workers take
+    fixed strided chunks of states; the calling thread settles the first
+    and makes every worker's buffers, once for all tiles.  Every count is
+    an integer, so no output depends on ``cfg.workers``.
     """
     states = _states(cals, ev_table)
     n, n_days = cfg.n_paths, len(markets)
     ev_counts = np.zeros((n_days, EV_BINS), dtype=np.int64)
     wins = np.zeros((len(states), n_days), dtype=np.int64)
     if n_days == 0:  # no day to settle, and no range to screen
-        return PathOutcomes(states=states, ev_counts=ev_counts, p_state=wins.T / n)
+        return ForecastDistribution(states, wins.T / n, ev_counts / n)
     sig, mc = _market_terms(markets)
     cols = min(n, _TILE)
     rows = max(1, _TILE // n_days)
@@ -483,7 +477,7 @@ def simulate_paths(
                 ev += f.result()
             for d in range(n_days):
                 ev_counts[d] += np.bincount(ev[:, d], minlength=EV_BINS)
-    return PathOutcomes(states=states, ev_counts=ev_counts, p_state=wins.T / n)
+    return ForecastDistribution(states, wins.T / n, ev_counts / n)
 
 
 # ---------------------------------------------------------------------------
@@ -715,11 +709,9 @@ def gaussian_days(
     markets: list[MarketCalibration],
     ev_table: dict[str, int],
     win_threshold: float = 0.0,
-):
+) -> ForecastDistribution:
     """Each market's EV histogram and state win probabilities under
-    Gaussian noise, computed on a lattice of market levels instead of
-    sampled: ``(states, histograms, p_state)``, one row per market of
-    ``EV_BINS`` probabilities and of one per state (sorted).
+    Gaussian noise, computed on a lattice of market levels, not sampled.
 
     Given the terminal market m, the states are independent and state i
     wins with probability Phi((a_i + b_i m - theta) / s_i), so the votes won
@@ -775,8 +767,8 @@ def gaussian_days(
                     histograms[d, lo:lo + bins.shape[1]] += np.einsum("dj,jk->dk", w, bins)
                     p_state[d] += np.einsum("dj,js->ds", w, probs[r0:r1])
     # a sum of a few ulps past 0 or 1 is taken back to it
-    return (states, np.maximum(histograms[:, :EV_BINS], 0.0),
-            np.clip(p_state[:, np.argsort(order)], 0.0, 1.0))
+    return ForecastDistribution(states, np.clip(p_state[:, np.argsort(order)], 0.0, 1.0),
+                                np.maximum(histograms[:, :EV_BINS], 0.0))
 
 
 def run_forecast(
@@ -786,7 +778,7 @@ def run_forecast(
     cfg: SimulationConfig,
 ) -> ForecastDistribution:
     """Win probabilities and EV histogram: the one-market ``probability_time_series``."""
-    return probability_time_series(cals, [mkt], ev_table, cfg)[0]
+    return probability_time_series(cals, [mkt], ev_table, cfg)
 
 
 def probability_time_series(
@@ -794,25 +786,17 @@ def probability_time_series(
     markets: list[MarketCalibration],
     ev_table: dict[str, int],
     cfg: SimulationConfig,
-) -> list[ForecastDistribution]:
-    """One forecast per market in ``markets``.
+) -> ForecastDistribution:
+    """The forecast of every market in ``markets``, one row each.
 
     Gaussian noise is computed by :func:`gaussian_days`, which reads
     neither the seed, the paths nor the workers.  Student-T noise is
     sampled by :func:`simulate_paths`: each state is drawn once (same seed
     throughout) and every day is settled from those draws with that day's
-    level and horizon.  Either way each entry equals ``run_forecast`` on
+    level and horizon.  Either way each row equals ``run_forecast`` on
     that day's market, and two days with identical data differ only
-    through the remaining diffusion time.  ``n_paths`` and ``seed`` echo
-    ``cfg``.
+    through the remaining diffusion time.
     """
     if cfg.noise_model == "gaussian":
-        states, histograms, p_state = gaussian_days(cals, markets, ev_table, cfg.win_threshold)
-    else:
-        paths = simulate_paths(cals, markets, ev_table, cfg)
-        states, histograms, p_state = paths.states, paths.ev_counts / cfg.n_paths, paths.p_state
-    return [ForecastDistribution(
-        p_state={s: float(p) for s, p in zip(states, row)},
-        p_national=float(histogram[WIN_ELECTORAL_VOTES:].sum()),
-        ev_histogram=histogram, n_paths=cfg.n_paths, seed=cfg.seed)
-        for histogram, row in zip(histograms, p_state)]
+        return gaussian_days(cals, markets, ev_table, cfg.win_threshold)
+    return simulate_paths(cals, markets, ev_table, cfg)

@@ -155,12 +155,13 @@ def test_criterion_8_symmetry_band():
                         MarketCalibration(sigma_samp=0.5, sigma_m=0.5,
                                           m_current=0.0, horizon=9.0),
                         ev, SimulationConfig(seed=7, n_paths=10000))
-    lo = min(dist.p_state.values())
-    hi = max(dist.p_state.values())
+    lo = dist.p_state.min()
+    hi = dist.p_state.max()
+    [p_national] = dist.p_national
     state_ok = 0.48 <= lo and hi <= 0.52
-    national_ok = 0.44 <= dist.p_national <= 0.52
+    national_ok = 0.44 <= p_national <= 0.52
     report(8, f"symmetric noise: p_state in [{lo:.3f}, {hi:.3f}], "
-              f"p_national = {dist.p_national:.3f}", state_ok and national_ok)
+              f"p_national = {p_national:.3f}", state_ok and national_ok)
 
 
 def test_criterion_9_time_uncertainty():
@@ -176,7 +177,7 @@ def test_criterion_9_time_uncertainty():
     ]
     series = probability_time_series(cals, markets, ev,
                                      SimulationConfig(seed=3, n_paths=10000))
-    p_far, p_near = (dist.p_national for dist in series)
+    p_far, p_near = series.p_national
     ok = abs(p_far - 0.5) <= abs(p_near - 0.5) + 0.02
     report(9, f"a 100-day horizon ({p_far:.3f}) is no more decisive than a "
               f"1-day horizon ({p_near:.3f}) on the same modest lead", ok)

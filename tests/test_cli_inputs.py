@@ -269,6 +269,29 @@ class TestSeriesRows:
         err = assert_rejected(code, capsys, series, 3)
         assert "state DC has no EV table entry" in err
 
+    def test_forecaster_of_zero_vote_states_is_named(self, tmp_path, capsys):
+        # a custom table with WY's 3 votes moved to CA: the EV-weighted score
+        # of a WY-only forecaster was 0 / 0, written as nan
+        table = default_ev_table()
+        table["CA"] += table["WY"]
+        table["WY"] = 0
+        ev = tmp_path / "ev.csv"
+        ev.write_text("state,ev\n" + "".join(f"{s},{v}\n" for s, v in table.items()))
+        series = tmp_path / "s.csv"
+        series.write_text("forecaster,state,date,p\n"
+                          "A,WY,2016-11-01,0.9\nB,CA,2016-11-01,0.8\n")
+        outcomes = tmp_path / "o.csv"
+        outcomes.write_text("state,omega\nWY,1\nCA,1\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("score", "--series", series, "--outcomes", outcomes,
+                           "--ev-table", ev, "--metrics", "brier", "--out-dir", out)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error [score]: forecaster A: the electoral votes of WY sum to 0\n")
+        assert not list(out.glob("*"))
+
     def test_us_series_without_us_outcome_names_its_row(self, tmp_path, capsys):
         series = FIXTURES / "series.csv"
         line = 2 + [r["state"] for r in SERIES_ROWS].index("US")  # after the header

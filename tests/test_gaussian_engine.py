@@ -15,7 +15,7 @@ import pytest
 from statecast import cli, simulation
 from statecast.calibration import MarketCalibration, StateCalibration
 from statecast.simulation import SimulationConfig, gaussian_days, simulate_paths
-from statecast.states import EV_BINS, WIN_ELECTORAL_VOTES, default_ev_table
+from statecast.states import EV_BINS, default_ev_table
 
 from test_cli import FIXTURES
 
@@ -74,7 +74,8 @@ def closed_form(cals, days, states, threshold):
 @pytest.mark.parametrize("name,threshold", CASES)
 def test_p_state_is_the_closed_form_within_the_grid_bound(name, threshold):
     cals, days, ev = INPUTS[name]()
-    states, histograms, p_state = gaussian_days(cals, days, ev, threshold)
+    exact = gaussian_days(cals, days, ev, threshold)
+    states, histograms, p_state = exact.states, exact.ev_histogram, exact.p_state
     assert np.abs(p_state - closed_form(cals, days, states, threshold)).max() <= GRID_BOUND
     # each day's histogram is a distribution whose mean is the states' votes won
     votes = np.array([ev[s] for s in states], dtype=float)
@@ -82,19 +83,18 @@ def test_p_state_is_the_closed_form_within_the_grid_bound(name, threshold):
     assert np.abs(p_state @ votes - histograms @ np.arange(EV_BINS)).max() <= 1e-9
     assert histograms.min() >= 0.0 and 0.0 <= p_state.min() <= p_state.max() <= 1.0
     if name != "fixture" and threshold == 0.0:  # the races are contested
-        assert (np.abs(histograms[:, WIN_ELECTORAL_VOTES:].sum(axis=1) - 0.5) < 0.2).all()
+        assert (np.abs(exact.p_national - 0.5) < 0.2).all()
 
 
 @pytest.mark.parametrize("name,threshold", CASES)
 def test_doubling_the_cells_moves_no_output_past_the_grid_bound(name, threshold, monkeypatch):
     cals, days, ev = INPUTS[name]()
-    _, histograms, p_state = gaussian_days(cals, days, ev, threshold)
+    exact = gaussian_days(cals, days, ev, threshold)
     monkeypatch.setattr(simulation, "CELLS_PER_SD", 2 * simulation.CELLS_PER_SD)
-    _, finer, p_finer = gaussian_days(cals, days, ev, threshold)
-    assert np.abs(histograms - finer).max() <= GRID_BOUND
-    assert np.abs(p_state - p_finer).max() <= GRID_BOUND
-    national = histograms[:, WIN_ELECTORAL_VOTES:].sum(axis=1)
-    assert np.abs(national - finer[:, WIN_ELECTORAL_VOTES:].sum(axis=1)).max() <= GRID_BOUND
+    finer = gaussian_days(cals, days, ev, threshold)
+    assert np.abs(exact.ev_histogram - finer.ev_histogram).max() <= GRID_BOUND
+    assert np.abs(exact.p_state - finer.p_state).max() <= GRID_BOUND
+    assert np.abs(exact.p_national - finer.p_national).max() <= GRID_BOUND
 
 
 # (input, threshold, Monte Carlo seed): each input at both thresholds, or
@@ -106,14 +106,13 @@ MONTE_CARLO = [("fixture", 0.0, 1), ("fixture", 18.0, 2), ("race3", 0.0, 3), ("r
 @pytest.mark.parametrize("name,threshold,seed", MONTE_CARLO)
 def test_every_day_agrees_with_a_million_paths(name, threshold, seed):
     cals, days, ev = INPUTS[name]()
-    states, histograms, p_state = gaussian_days(cals, days, ev, threshold)
+    computed = gaussian_days(cals, days, ev, threshold)
     cfg = SimulationConfig(seed=seed, n_paths=MC_PATHS, win_threshold=threshold, workers=2)
     paths = simulate_paths(cals, days, ev, cfg)
-    assert paths.states == states
-    national = histograms[:, WIN_ELECTORAL_VOTES:].sum(axis=1, keepdims=True)
-    sampled = paths.ev_counts / MC_PATHS
-    for exact, mc in ((histograms, sampled), (p_state, paths.p_state),
-                      (national, sampled[:, WIN_ELECTORAL_VOTES:].sum(axis=1, keepdims=True))):
+    assert paths.states == computed.states
+    for exact, mc in ((computed.ev_histogram, paths.ev_histogram),
+                      (computed.p_state, paths.p_state),
+                      (computed.p_national, paths.p_national)):
         se = np.sqrt(exact * (1.0 - exact) / MC_PATHS)
         assert (np.abs(exact - mc) <= K_SE * se + GRID_BOUND + 1.0 / MC_PATHS).all()
 
@@ -122,21 +121,21 @@ def test_each_day_equals_its_one_day_run_bit_for_bit():
     # a day's lattice is set by its own scale, anchored at 0, and each day
     # sums its own cells in order: the days around it change no bit
     cals, days, ev = contested_race(3)
-    _, histograms, p_state = gaussian_days(cals, days, ev, 18.0)
+    series = gaussian_days(cals, days, ev, 18.0)
     for d in (0, 7, 30):
-        _, one, p_one = gaussian_days(cals, [days[d]], ev, 18.0)
-        assert histograms[d].tobytes() == one[0].tobytes()
-        assert p_state[d].tobytes() == p_one[0].tobytes()
+        one = gaussian_days(cals, [days[d]], ev, 18.0)
+        assert series.ev_histogram[d].tobytes() == one.ev_histogram[0].tobytes()
+        assert series.p_state[d].tobytes() == one.p_state[0].tobytes()
 
 
 def test_one_state_days_equal_their_one_day_runs_bit_for_bit():
     cals, days, _ = contested_race(11)
     ev = {"OH": 18}
-    _, histograms, p_state = gaussian_days(cals, days, ev)
+    series = gaussian_days(cals, days, ev)
     for d in (0, 30):
-        _, one, p_one = gaussian_days(cals, [days[d]], ev)
-        assert (histograms[d].tobytes(), p_state[d].tobytes()) == (one[0].tobytes(),
-                                                                   p_one[0].tobytes())
+        one = gaussian_days(cals, [days[d]], ev)
+        assert ((series.ev_histogram[d].tobytes(), series.p_state[d].tobytes())
+                == (one.ev_histogram[0].tobytes(), one.p_state[0].tobytes()))
 
 
 @pytest.mark.parametrize("name", ["fixture", "race5"])
@@ -151,10 +150,11 @@ def test_each_sum_adds_its_terms_in_order(name, monkeypatch):
         return out
 
     cals, days, ev = INPUTS[name]()
-    _, histograms, p_state = gaussian_days(cals, days, ev, 18.0)
+    exact = gaussian_days(cals, days, ev, 18.0)
     monkeypatch.setattr(simulation.np, "einsum", in_order)
-    _, looped, p_looped = gaussian_days(cals, days, ev, 18.0)
-    assert histograms.tobytes() == looped.tobytes() and p_state.tobytes() == p_looped.tobytes()
+    looped = gaussian_days(cals, days, ev, 18.0)
+    assert exact.ev_histogram.tobytes() == looped.ev_histogram.tobytes()
+    assert exact.p_state.tobytes() == looped.p_state.tobytes()
 
 
 def market(sigma_samp=0.5, sigma_m=0.5, m=0.0, horizon=9.0):
@@ -171,14 +171,15 @@ def test_degenerate_scales_keep_the_monte_carlo_meaning():
     cals["OH"] = StateCalibration("OH", -1.0, 1.0, 0.0, 2, "historical")  # a tie at m = 1
     cals["PA"] = StateCalibration("PA", 2.0, 0.0, 1.5, 8, "polls")  # flat
     days = [market(m=1.0, horizon=0.0), market(sigma_m=1e308), market(1e308, 1e308, 0.0, 0.0)]
-    states, histograms, p_state = gaussian_days(cals, days, ev)
+    computed = gaussian_days(cals, days, ev)
+    states, histograms, p_state = computed.states, computed.ev_histogram, computed.p_state
     paths = simulate_paths(cals, days, ev, SimulationConfig(seed=8, n_paths=200_000))
     oh, pa = states.index("OH"), states.index("PA")
     assert (p_state[0, oh], p_state[1, pa], p_state[2].max()) == (0.0, 0.0, 0.0)
     assert histograms[2, 0] == 1.0
     # on the infinite day every state is won on one side only
     assert set(p_state[1]) <= {0.0, 0.5}
-    for exact, mc in ((histograms, paths.ev_counts / 200_000), (p_state, paths.p_state)):
+    for exact, mc in ((histograms, paths.ev_histogram), (p_state, paths.p_state)):
         se = np.sqrt(exact * (1.0 - exact) / 200_000)
         assert (np.abs(exact - mc) <= K_SE * se + GRID_BOUND).all()
 
@@ -238,7 +239,8 @@ def test_random_extreme_inputs_give_distributions():
 
 
 def check_distributions(cals, days, ev, threshold):
-    states, histograms, p_state = gaussian_days(cals, days, ev, threshold)
+    exact = gaussian_days(cals, days, ev, threshold)
+    states, histograms, p_state = exact.states, exact.ev_histogram, exact.p_state
     votes = np.array([ev[s] for s in states], dtype=float)
     assert np.isfinite(histograms).all() and histograms.min() >= 0.0
     assert np.abs(histograms.sum(axis=1) - 1.0).max() <= 1e-12

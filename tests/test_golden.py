@@ -25,7 +25,6 @@ import pytest
 from statecast import cli
 from statecast.cli import main
 from statecast.simulation import SimulationConfig, simulate_paths
-from statecast.states import WIN_ELECTORAL_VOTES
 
 from test_cli import FIXTURES
 
@@ -68,17 +67,11 @@ def monte_carlo_files(out_dir: Path, inputs, seed, n_paths, workers, threshold=0
     args = cli.build_parser().parse_args(["forecast", *inputs])
     cals, days, ev_table = cli._calibrate_from_files(args)
     cfg = SimulationConfig(seed=seed, n_paths=n_paths, win_threshold=threshold, workers=workers)
-    paths = simulate_paths(cals, days, ev_table, cfg)
-    national = []
-    for counts in paths.ev_counts:
-        national.append(float((counts / n_paths)[WIN_ELECTORAL_VOTES:].sum()))
-    histogram = paths.ev_counts[0] / n_paths
-    cli._write_json(out_dir / "forecast.json", {
-        "seed": seed, "n_paths": n_paths, "p_national": national[0],
-        "p_state": {s: float(p) for s, p in zip(paths.states, paths.p_state[0])},
-        "ev_histogram": [float(x) for x in histogram]})
+    dist = simulate_paths(cals, days, ev_table, cfg)
+    cli._write_json(out_dir / "forecast.json",
+                    {"seed": seed, "n_paths": n_paths, **dist.to_dict()})
     cli._write_csv(out_dir / "timeseries.csv", ["days_to_election", "p_national"],
-                   [(mkt.horizon, p) for mkt, p in zip(days, national)])
+                   [(mkt.horizon, p) for mkt, p in zip(days, dist.p_national.tolist())])
     return [sha256(out_dir / "forecast.json"), sha256(out_dir / "timeseries.csv")]
 
 

@@ -256,6 +256,16 @@ class TestAggregateScores:
         with pytest.raises(ConfigurationError, match="'WY' has no EV entry"):
             aggregate_scores({"CA": 0.1, "WY": 0.2}, WEIGHT_EV, ev)
 
+    def test_states_of_zero_votes_have_no_ev_weighted_score(self):
+        # a table may give a state 0 votes: 0 / 0 gave nan and a RuntimeWarning
+        ev = {**default_ev_table(), "WY": 0, "DC": 0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScoreError, match=r"^the electoral votes of WY, DC sum to 0$"):
+                aggregate_scores({"WY": 0.2, "DC": 0.4}, WEIGHT_EV, ev)
+            assert aggregate_scores({"WY": 0.2, "OH": 0.4}, WEIGHT_EV, ev) == 0.4
+        assert aggregate_scores({"WY": 0.2}, WEIGHT_STATE_AVERAGE, ev) == 0.2
+
     @pytest.mark.parametrize("weighting", [WEIGHT_OVERALL, "median"])
     def test_unknown_weighting(self, weighting):
         with pytest.raises(ScoreError, match="unknown weighting"):

@@ -32,6 +32,11 @@ from statecast.states import EV_BINS, default_ev_table
 from test_cli import FIXTURES
 
 
+def counts(dist, n_paths: int) -> np.ndarray:
+    """The Monte Carlo's path counts per day and EV bin, from its shares."""
+    return np.rint(dist.ev_histogram * n_paths).astype(np.int64)
+
+
 def aggregate_electoral_votes(state_spreads, ev_table, win_threshold=0.0):
     """Per-path oracle: candidate 1's electoral votes, winner-take-all.
 
@@ -285,15 +290,15 @@ class TestRunForecast:
         cals = flat_cals(ev, alpha=5.0, beta=0.0, sigma=0.0)
         dist = run_forecast(cals, market(0.0, 0.0), ev,
                             SimulationConfig(seed=1, n_paths=1000))
-        assert dist.p_national == 1.0
-        assert dist.ev_histogram[538] == 1.0
+        assert dist.p_national.tolist() == [1.0]
+        assert dist.ev_histogram[0, 538] == 1.0
         assert np.count_nonzero(dist.ev_histogram) == 1
 
     def test_symmetric_states_are_coin_flips(self):
         ev = default_ev_table()
         dist = run_forecast(flat_cals(ev), market(), ev,
                             SimulationConfig(seed=7, n_paths=10000))
-        for state, p in dist.p_state.items():
+        for state, p in zip(dist.states, dist.p_state[0]):
             assert abs(p - 0.5) <= 0.02, state
 
     def test_histogram_mean_equals_path_mean(self):
@@ -304,8 +309,8 @@ class TestRunForecast:
         mkt = market(m=0.5, horizon=16.0)
         [spreads] = rebuilt_spreads(cals, [mkt], cfg)
         path_ev = sum(ev[s] * (v > 0.0) for s, v in spreads.items())
-        [counts] = simulate_paths(cals, [mkt], ev, cfg).ev_counts
-        hist_mean = float(np.arange(539) @ (counts / cfg.n_paths))
+        [histogram] = simulate_paths(cals, [mkt], ev, cfg).ev_histogram
+        hist_mean = float(np.arange(539) @ histogram)
         assert hist_mean == pytest.approx(path_ev.mean(), abs=1e-12)
 
     def test_histogram_sums_to_one_and_national_matches(self):
@@ -314,15 +319,15 @@ class TestRunForecast:
         dist = run_forecast(cals, market(m=1.0, horizon=30.0), ev,
                             SimulationConfig(seed=13, n_paths=5000))
         assert dist.ev_histogram.sum() == pytest.approx(1.0, abs=1e-12)
-        assert dist.p_national == pytest.approx(dist.ev_histogram[270:].sum(), abs=0)
+        assert dist.p_national[0] == pytest.approx(dist.ev_histogram[0, 270:].sum(), abs=0)
 
     def test_monotone_in_win_threshold(self):
         ev = default_ev_table()
         cals = flat_cals(ev, alpha=1.0, beta=1.0, sigma=2.0)
         mkt = market(m=0.5, horizon=9.0)
         probs = [
-            run_forecast(cals, mkt, ev,
-                         SimulationConfig(seed=19, n_paths=3000, win_threshold=thr)).p_national
+            run_forecast(cals, mkt, ev, SimulationConfig(
+                seed=19, n_paths=3000, win_threshold=thr)).p_national[0]
             for thr in (-2.0, -0.5, 0.0, 0.5, 2.0)
         ]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
@@ -335,7 +340,7 @@ class TestRunForecast:
         for workers in (2, 4, 8):
             alt = run_forecast(cals, mkt, ev,
                                SimulationConfig(seed=5, n_paths=2000, workers=workers))
-            assert alt.p_state == base.p_state
+            np.testing.assert_array_equal(alt.p_state, base.p_state)
             np.testing.assert_array_equal(alt.ev_histogram, base.ev_histogram)
 
     def test_student_t_run(self):
@@ -344,7 +349,7 @@ class TestRunForecast:
         cfg = SimulationConfig(seed=23, n_paths=2000, noise_model="student_t")
         dist = run_forecast(cals, market(m=1.0), ev, cfg)
         assert dist.ev_histogram.sum() == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 <= dist.p_national <= 1.0
+        assert 0.0 <= dist.p_national[0] <= 1.0
 
     def test_integer_horizon_past_int64(self):
         # numpy refused the Python int 2**70 with a TypeError; the type now
@@ -381,7 +386,7 @@ class TestRunForecast:
         }
         mkt = market(5.0, 5.0, m=0.0, horizon=10000.0)
         dist = run_forecast(cals, mkt, ev, SimulationConfig(seed=1, n_paths=10000))
-        assert 0.45 <= dist.p_national <= 0.55
+        assert 0.45 <= dist.p_national[0] <= 0.55
 
 
 def phi(x: float) -> float:
@@ -401,12 +406,12 @@ def test_p_state_matches_closed_form(seed, threshold):
     draw, so one seed's errors are correlated: the bound holds per state."""
     cals, mkt = calibration_from_dict(json.loads(FIXTURE_CALIBRATION.read_text()))
     n = 20_000
-    dist = run_forecast(cals, mkt, default_ev_table(),
-                        SimulationConfig(seed=seed, n_paths=n, win_threshold=threshold))
+    p_state = run_forecast(cals, mkt, default_ev_table(), SimulationConfig(
+        seed=seed, n_paths=n, win_threshold=threshold)).to_dict()["p_state"]
     for state, c in cals.items():
         sd = math.sqrt(c.sigma_eps ** 2 + c.beta ** 2 * mkt.sigma_total ** 2 * mkt.horizon)
         p = phi((c.alpha + c.beta * mkt.m_current - threshold) / sd)
-        assert abs(dist.p_state[state] - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n) + 1.0 / n, state
+        assert abs(p_state[state] - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n) + 1.0 / n, state
 
 
 def test_p_state_without_noise_or_time_is_the_line_against_the_threshold():
@@ -418,10 +423,10 @@ def test_p_state_without_noise_or_time_is_the_line_against_the_threshold():
     cals["OH"] = StateCalibration("OH", -1.5, 1.0, 0.0, 5, "polls")  # 0.5: below
     cals["PA"] = StateCalibration("PA", -1.0, 1.0, 0.0, 5, "polls")  # 1.0: a tie
     cals["FL"] = StateCalibration("FL", 5.0, -2.0, 0.0, 5, "polls")  # 1.0: a tie
-    dist = run_forecast(cals, market(m=2.0, horizon=0.0), ev,
-                        SimulationConfig(seed=3, n_paths=1000, win_threshold=1.0))
-    assert (dist.p_state["OH"], dist.p_state["PA"], dist.p_state["FL"]) == (0.0, 0.0, 0.0)
-    assert all(dist.p_state[s] == 1.0 for s in ev if s not in ("OH", "PA", "FL"))
+    p_state = run_forecast(cals, market(m=2.0, horizon=0.0), ev, SimulationConfig(
+        seed=3, n_paths=1000, win_threshold=1.0)).to_dict()["p_state"]
+    assert (p_state["OH"], p_state["PA"], p_state["FL"]) == (0.0, 0.0, 0.0)
+    assert all(p_state[s] == 1.0 for s in ev if s not in ("OH", "PA", "FL"))
 
 
 class TestProbabilityTimeSeries:
@@ -439,7 +444,7 @@ class TestProbabilityTimeSeries:
             cals, [market(1.0, 1.0, m=2.0, horizon=0.0)], ev,
             SimulationConfig(seed=3, n_paths=500),
         )
-        assert [dist.p_national for dist in series] == [1.0]
+        assert series.p_national.tolist() == [1.0]
 
     def test_long_horizon_is_less_decisive(self):
         ev = default_ev_table()
@@ -451,13 +456,18 @@ class TestProbabilityTimeSeries:
             ev,
             SimulationConfig(seed=3, n_paths=10000),
         )
-        p100, p1 = (dist.p_national for dist in series)
+        p100, p1 = series.p_national
         assert abs(p100 - 0.5) <= abs(p1 - 0.5) + 0.02
 
     def test_no_markets_no_forecasts(self):
         ev = default_ev_table()
-        assert probability_time_series(flat_cals(ev), [], ev,
-                                       SimulationConfig(seed=3, n_paths=50)) == []
+        for model in NOISE_MODELS:
+            empty = probability_time_series(flat_cals(ev), [], ev, SimulationConfig(
+                seed=3, n_paths=50, noise_model=model))
+            assert empty.states == tuple(sorted(ev)), model
+            assert empty.p_state.shape == (0, len(ev)), model
+            assert empty.ev_histogram.shape == (0, EV_BINS), model
+            assert empty.p_national.shape == (0,), model
 
     def test_same_horizon_reproduces(self):
         # identical data on consecutive days differ only through the horizon
@@ -466,7 +476,7 @@ class TestProbabilityTimeSeries:
         cfg = SimulationConfig(seed=9, n_paths=2000)
         day_a = probability_time_series(cals, [market(m=1.0, horizon=30.0)], ev, cfg)
         day_b = probability_time_series(cals, [market(m=1.0, horizon=30.0)], ev, cfg)
-        assert [d.to_dict() for d in day_a] == [d.to_dict() for d in day_b]
+        assert day_a.to_dict() == day_b.to_dict()
 
 
 def contested_cals(ev):
@@ -523,11 +533,11 @@ class TestSharedDraws:
         cals = contested_cals(ev)
         cfg = SimulationConfig(seed=31, n_paths=3000, noise_model=model, workers=workers)
         paths = simulate_paths(cals, DAYS, ev, cfg)
-        assert paths.ev_counts.shape == (len(DAYS), EV_BINS)
-        assert (paths.ev_counts.sum(axis=1) == 3000).all()
+        assert paths.ev_histogram.shape == (len(DAYS), EV_BINS)
+        assert (counts(paths, 3000).sum(axis=1) == 3000).all()
         for d, mkt in enumerate(DAYS):
             one = simulate_paths(cals, [mkt], ev, cfg)
-            np.testing.assert_array_equal(paths.ev_counts[d], one.ev_counts[0])
+            np.testing.assert_array_equal(paths.ev_histogram[d], one.ev_histogram[0])
             np.testing.assert_array_equal(paths.p_state[d], one.p_state[0])
 
     def test_time_series_matches_run_forecast(self, model, workers):
@@ -535,9 +545,12 @@ class TestSharedDraws:
         cals = contested_cals(ev)
         cfg = SimulationConfig(seed=37, n_paths=3000, noise_model=model, workers=workers)
         series = probability_time_series(cals, DAYS, ev, cfg)
-        assert ([dist.to_dict() for dist in series]
+        assert ([series.to_dict(d) for d in range(len(DAYS))]
                 == [run_forecast(cals, mkt, ev, cfg).to_dict() for mkt in DAYS])
-        assert all(0.05 < dist.p_national < 0.95 for dist in series)
+        # p_national's one sum over the days' axis is each day's own sum
+        assert (series.p_national.tolist()
+                == [float(row[270:].sum()) for row in series.ev_histogram])
+        assert all(0.05 < p < 0.95 for p in series.p_national)
 
     def test_oracle_reproduces_every_path(self, model, workers):
         ev = default_ev_table()
@@ -554,17 +567,17 @@ class TestSharedDraws:
                 aggregate_electoral_votes({s: v[k] for s, v in spreads.items()}, ev, threshold)
                 for k in range(cfg.n_paths)
             ])
-            np.testing.assert_array_equal(paths.ev_counts[d],
+            np.testing.assert_array_equal(counts(paths, cfg.n_paths)[d],
                                           np.bincount(path_ev[d], minlength=EV_BINS))
         # the tie went to candidate 2: one ulp lower hands OH to candidate 1,
         # so path 0 moves from bin k to bin k + ev["OH"] and no other path moves
         lower = replace(cfg, win_threshold=float(np.nextafter(threshold, -np.inf)))
         k = path_ev[1][0]
-        expected = paths.ev_counts[1].copy()
+        expected = counts(paths, cfg.n_paths)[1]
         expected[k] -= 1
         expected[k + ev["OH"]] += 1
-        np.testing.assert_array_equal(simulate_paths(cals, [DAYS[1]], ev, lower).ev_counts[0],
-                                      expected)
+        np.testing.assert_array_equal(
+            counts(simulate_paths(cals, [DAYS[1]], ev, lower), cfg.n_paths)[0], expected)
 
 
 def assert_matches_oracle(cals, days, cfg):
@@ -575,11 +588,11 @@ def assert_matches_oracle(cals, days, cfg):
     with np.errstate(over="ignore", invalid="ignore"):
         spreads = rebuilt_spreads(cals, days, cfg)
     paths = simulate_paths(cals, days, ev, cfg)
-    assert paths.ev_counts.shape == (len(days), EV_BINS)
+    assert paths.ev_histogram.shape == (len(days), EV_BINS)
     for d in range(len(days)):
         won = {s: v > cfg.win_threshold for s, v in spreads[d].items()}
         expected = sum(ev[s] * w.astype(np.int64) for s, w in won.items())
-        np.testing.assert_array_equal(paths.ev_counts[d],
+        np.testing.assert_array_equal(counts(paths, cfg.n_paths)[d],
                                       np.bincount(expected, minlength=EV_BINS))
         np.testing.assert_array_equal(paths.p_state[d], [won[s].mean() for s in paths.states])
 
@@ -883,7 +896,7 @@ def test_overflowing_calibration_samples_quietly(key, workers):
         warnings.simplefilter("always")
         paths = simulate_paths(cals, [mkt], default_ev_table(), cfg)
     assert not caught, [str(w.message) for w in caught]
-    assert paths.ev_counts.sum() == 500 and not np.isnan(paths.p_state).any()
+    assert counts(paths, 500).sum() == 500 and not np.isnan(paths.p_state).any()
 
 
 def test_more_threads_than_cores_under_fast_switching():
@@ -899,7 +912,7 @@ def test_more_threads_than_cores_under_fast_switching():
         alt = simulate_paths(cals, DAYS, ev, replace(cfg, workers=16))
     finally:
         sys.setswitchinterval(interval)
-    np.testing.assert_array_equal(alt.ev_counts, base.ev_counts)
+    np.testing.assert_array_equal(alt.ev_histogram, base.ev_histogram)
     np.testing.assert_array_equal(alt.p_state, base.p_state)
 
 
@@ -943,7 +956,7 @@ def test_the_calling_thread_settles_the_first_chunk(monkeypatch, days):
     assert len(set(threads.values()) - {caller}) <= 2
     assert threading.active_count() == running
     for paths in (one, three):
-        np.testing.assert_array_equal(paths.ev_counts, base.ev_counts)
+        np.testing.assert_array_equal(paths.ev_histogram, base.ev_histogram)
         np.testing.assert_array_equal(paths.p_state, base.p_state)
 
 
@@ -971,7 +984,7 @@ class TestConfigValidation:
         cals, mkt = calibration_from_dict(json.loads(FIXTURE_CALIBRATION.read_text()))
         ev = default_ev_table()
         assert SimulationConfig().seed is None
-        assert run_forecast(cals, mkt, ev, SimulationConfig()).seed is None
+        assert run_forecast(cals, mkt, ev, SimulationConfig()).ev_histogram.shape == (1, EV_BINS)
         for model in NOISE_MODELS:
             cfg = SimulationConfig(n_paths=10, noise_model=model)
             with pytest.raises(ConfigurationError, match=r"^seed is required \(pass --seed\)$"):
