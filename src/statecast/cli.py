@@ -10,9 +10,11 @@ Runs are configured by flags alone.  Each setting is one row of one table,
 ``_SETTINGS``: its flag's parser, range included, and its default.  Each is
 a flag of some subcommand, ``--`` plus its name with dashes, without
 exception; ``_CHOICES`` lists the values of the settings that take one of a
-fixed set.  Every handler reads the parsed namespace.  Every input table
-is read by a loop in the ``with`` block of :func:`.tables.read_rows`, which
-names a fault raised there, or a bad header, as ``file:line: reason``.
+fixed set.  Every handler reads the parsed namespace; :func:`_reads`
+refuses a setting the run needs left unset, and notes one it ignores set
+off its default, each by its flag.  Every input table is read by a loop in
+the ``with`` block of :func:`.tables.read_rows`, which names a fault raised
+there, or a bad header, as ``file:line: reason``.
 Every output lands under ``--out-dir`` with a fixed name; a fixed seed
 makes reruns byte-identical.
 """
@@ -118,9 +120,12 @@ _SETTINGS = {
 
 def _sim_config(cfg: argparse.Namespace) -> SimulationConfig:
     """The run's simulator settings.  A Gaussian forecast is computed, not
-    sampled: it reads no seed, paths or workers."""
+    sampled: it reads no seed, paths or workers.  A sampled one needs a seed."""
+    why = f"--noise-model {cfg.noise_model}"
     if cfg.noise_model == "gaussian":
-        _note_unread(cfg, "--noise-model gaussian", ("seed", "paths", "workers"))
+        _reads(cfg, why, skips=("seed", "paths", "workers"))
+    else:
+        _reads(cfg, why, needs=("seed",))
     return SimulationConfig(seed=cfg.seed, n_paths=cfg.paths,
                             noise_model=cfg.noise_model,
                             win_threshold=cfg.win_threshold,
@@ -170,19 +175,21 @@ def _notes(category):
         print(f"note: {message}", file=sys.stderr)
 
 
-#: How a note names each setting that is not a ``<key> file``.
-_LABELS = {"election_date": "election date", "bandwidth": "bandwidth", "ev_table": "EV table",
-           "ev_realization": "EV realization", "reference_file": "reference file",
-           "seed": "seed", "paths": "paths", "workers": "workers"}
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _note_unread(cfg: argparse.Namespace, why: str, keys) -> None:
-    """A ``note:`` line for each of ``keys`` set off its default but unread because of ``why``."""
-    for key in keys:
+def _reads(cfg: argparse.Namespace, why: str, needs=(), skips=()) -> None:
+    """A ``note:`` line for each of ``skips`` set off its default, which the
+    run does not read because of ``why``; then a refusal of the first of
+    ``needs`` left at its default, which the run cannot go without."""
+    for key in skips:
         value = getattr(cfg, key)
         if value != _SETTINGS[key][1]:
-            label = _LABELS.get(key, f"{key} file")
-            print(f"note: {why} does not read the {label} {value}", file=sys.stderr)
+            print(f"note: {why} does not read {_flag(key)} {value}", file=sys.stderr)
+    for key in needs:
+        if getattr(cfg, key) == _SETTINGS[key][1]:
+            raise ConfigurationError(f"{why} needs {_flag(key)}")
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +209,13 @@ def _calibrate_from_files(cfg: argparse.Namespace):
     """Returns (cals, days, ev_table): ``days`` is the market on each day to
     forecast, day 0 first.  A frozen calibration is one day; polls give one
     per grid day of the smoothed national spread."""
+    if cfg.calibration:
+        _reads(cfg, "--calibration", skips=("polls", "historical", "election_date", "bandwidth"))
+    else:
+        why = "forecast without --calibration" if cfg.command == "forecast" else cfg.command
+        _reads(cfg, why, needs=("polls", "election_date"))
     ev_table = _load_ev(cfg)
     if cfg.calibration:
-        _note_unread(cfg, "--calibration", ("polls", "historical", "election_date", "bandwidth"))
         with open(cfg.calibration, encoding="utf-8") as fh:
             cals, market = named(cfg.calibration,
                                  lambda: cal_mod.calibration_from_dict(json.load(fh)))
@@ -213,11 +224,6 @@ def _calibrate_from_files(cfg: argparse.Namespace):
             raise ConfigurationError(
                 f"{cfg.calibration}: missing calibration for: {', '.join(missing)}")
         return cals, [market], ev_table
-
-    if not cfg.polls:
-        raise ConfigurationError("polls file is required (or a calibration file)")
-    if not cfg.election_date:
-        raise ConfigurationError("election_date is required to date the polls")
 
     parsed = ingest.parse_polls(cfg.polls, cfg.election_date)
     _note_rows(parsed, "poll", cfg.polls)
@@ -404,26 +410,15 @@ def cmd_score(cfg: argparse.Namespace, out_dir: Path) -> int:
     tables: dict[tuple[str, str], list[tuple[str, float]]] = {}
     binary_metrics = [m for m in metrics if m in _BINARY_SCORERS]
     density_metrics = [m for m in metrics if m in _DENSITY_SCORERS]
+    binary_keys, density_keys = ("series", "outcomes"), ("histograms", "ev_realization")
+    _reads(cfg, f"--metrics {' '.join(metrics)}" if cfg.metrics else "score",
+           needs=(binary_keys if binary_metrics else ()) + (density_keys if density_metrics else ()),
+           skips=(() if binary_metrics else (*binary_keys, "ev_table"))
+           + (() if density_metrics else density_keys))
+
     # A file that no requested metric reads is not opened.
-    ev_table = _load_ev(cfg) if binary_metrics else None
-    why = f"--metrics {' '.join(metrics)}"
-    if not binary_metrics:
-        _note_unread(cfg, why, ("series", "outcomes", "ev_table"))
-    if not density_metrics:
-        _note_unread(cfg, why, ("histograms", "ev_realization"))
-
     if binary_metrics:
-        if not cfg.series:
-            raise ConfigurationError("score needs a series file for Brier/log metrics")
-        if not cfg.outcomes:
-            raise ConfigurationError("score needs an outcomes file for Brier/log metrics")
-    if density_metrics:
-        if not cfg.histograms:
-            raise ConfigurationError("score needs a histograms file for density metrics")
-        if cfg.ev_realization is None:
-            raise ConfigurationError("score needs ev_realization for density metrics")
-
-    if binary_metrics:
+        ev_table = _load_ev(cfg)
         outcomes = _read_outcomes(cfg.outcomes)
         keys, blocks = _read_series_file(cfg.series, outcomes, ev_table)
         # A 0 or 1 on the wrong side scores -inf with a warning.
@@ -488,19 +483,16 @@ def _read_panel(path: str, prices: dict[float, float] | None = None,
     return names, np.array(times), np.array([rows[t] for t in times])
 
 
-def _panel_and_reference(cfg: argparse.Namespace, command: str, pairmean: bool = False):
+def _panel_and_reference(cfg: argparse.Namespace, pairmean: bool = False):
     """The experts panel's names, dates and values, its reference price
     series and the reference prices on the panel's dates.  The reference is
     the panel's mean (``pairmean``) or the reference file, a one-column
     panel that must price every date of the experts panel."""
-    if not cfg.experts:
-        raise ConfigurationError(f"{command} needs an experts panel file")
+    _reads(cfg, cfg.command, needs=("experts",) if pairmean else ("experts", "reference_file"))
     if pairmean:
         names, times, values = _read_panel(cfg.experts)
         ref = BinaryForecastSeries("pairmean", times.copy(), values.mean(axis=1))
-        _note_unread(cfg, "--reference pairmean", ("reference_file",))
-    elif not cfg.reference_file:
-        raise ConfigurationError(f"{command} needs a reference file")
+        _reads(cfg, "--reference pairmean", skips=("reference_file",))
     else:
         _, ref_times, prices = _read_panel(cfg.reference_file, columns=("price",))
         ref = BinaryForecastSeries("market", ref_times, prices[:, 0])
@@ -547,7 +539,7 @@ def _write_pnl(out_dir: Path, pnl: trading.PnLSeries) -> None:
 
 def cmd_trade(cfg: argparse.Namespace, out_dir: Path) -> int:
     pairmean = cfg.reference == "pairmean"
-    names, times, values, ref, ref_on_panel = _panel_and_reference(cfg, "trade", pairmean)
+    names, times, values, ref, ref_on_panel = _panel_and_reference(cfg, pairmean)
     # Settled at the national outcome, or at the final price without one.
     omega = _read_outcomes(cfg.outcomes).get(NATIONAL) if cfg.outcomes else None
     settled_series: list[trading.PnLSeries] = []
@@ -570,6 +562,8 @@ def cmd_trade(cfg: argparse.Namespace, out_dir: Path) -> int:
     # reference.
     if len(times) > 1:
         trade_one(ONLINE_NAME, times[:-1], _online_mixture(cfg, values, ref_on_panel).aggregate)
+    else:
+        _reads(cfg, "a one-date panel", skips=("loss",))
 
     for pnl in settled_series:
         _write_pnl(out_dir, pnl)
@@ -587,7 +581,7 @@ def cmd_trade(cfg: argparse.Namespace, out_dir: Path) -> int:
 
 
 def cmd_aggregate(cfg: argparse.Namespace, out_dir: Path) -> int:
-    names, times, values, _, ref_on_panel = _panel_and_reference(cfg, "aggregate")
+    names, times, values, _, ref_on_panel = _panel_and_reference(cfg)
     if len(times) < 2:
         raise ConfigurationError(f"{cfg.experts}: aggregate needs a panel of 2 or more dates")
     result = _online_mixture(cfg, values, ref_on_panel)
@@ -671,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--out-dir", default=".", help="directory for outputs")
         for key in keys:
-            p.add_argument("--" + key.replace("_", "-"), type=_SETTINGS[key][0],
+            p.add_argument(_flag(key), type=_SETTINGS[key][0],
                            choices=_CHOICES.get(key), help=_HELP.get(key))
         if command == "score":
             p.add_argument("--metrics", nargs="+", choices=_SCORE_METRICS)

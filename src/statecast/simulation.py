@@ -208,9 +208,9 @@ def _ieee():
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
     """Philox generator for one (seed, stream) pair; path index = counter.
-    Only a sampled run reads the seed, so only it requires one."""
+    Only a sampled run reads the seed, so only it needs one."""
     if seed is None:
-        raise ConfigurationError("seed is required (pass --seed)")
+        raise ConfigurationError("a sampled run needs a seed")
     key = np.array([seed & _U64, stream_id & _U64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -111,7 +111,7 @@ class TestForecast:
         code = run_cli(*args, "--noise-model", "student_t", "--out-dir", tmp_path / "t")
         assert code == 1
         assert capsys.readouterr().err == (
-            "error [forecast]: seed is required (pass --seed)\n")
+            "error [forecast]: --noise-model student_t needs --seed\n")
         assert not list((tmp_path / "t").glob("*"))
         assert run_cli(*args, "--out-dir", tmp_path / "g") == 0
         assert capsys.readouterr().err == ""
@@ -127,9 +127,9 @@ class TestForecast:
                        "--out-dir", tmp_path / "b") == 0
         given = capsys.readouterr()
         assert given.out == without.out == "p_national = 1.0000, computed for Gaussian noise\n"
-        assert given.err == ("note: --noise-model gaussian does not read the seed 5\n"
-                             "note: --noise-model gaussian does not read the paths 1000\n"
-                             "note: --noise-model gaussian does not read the workers 3\n")
+        assert given.err == ("note: --noise-model gaussian does not read --seed 5\n"
+                             "note: --noise-model gaussian does not read --paths 1000\n"
+                             "note: --noise-model gaussian does not read --workers 3\n")
         # forecast.json records --seed and --paths as given
         a, b = (json.loads((tmp_path / sub / "forecast.json").read_text()) for sub in "ab")
         assert (a["seed"], a["n_paths"], b["seed"], b["n_paths"]) == (None, 10000, 5, 1000)
@@ -142,7 +142,7 @@ class TestForecast:
         assert capsys.readouterr().err == (
             "note: kernel weights underflowed at 56 grid point(s); "
             "used nearest observation there\n"
-            "note: --noise-model gaussian does not read the seed 20161108\n")
+            "note: --noise-model gaussian does not read --seed 20161108\n")
 
     def test_noise_model_choices_are_the_simulators(self, capsys):
         with pytest.raises(SystemExit):
@@ -187,8 +187,8 @@ class TestCalibrate:
         given = capsys.readouterr()
         assert given.out == without.out
         assert given.err == (
-            f"note: --calibration does not read the polls file {polls}\n"
-            f"note: --calibration does not read the historical file {historical}\n")
+            f"note: --calibration does not read --polls {polls}\n"
+            f"note: --calibration does not read --historical {historical}\n")
         assert ({p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
                 == {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()})
 
@@ -202,8 +202,8 @@ class TestCalibrate:
                        "--out-dir", tmp_path / "b") == 0
         given = capsys.readouterr()
         assert given.out == without.out
-        assert given.err == ("note: --calibration does not read the election date 2016-11-08\n"
-                             "note: --calibration does not read the bandwidth 3.0\n")
+        assert given.err == ("note: --calibration does not read --election-date 2016-11-08\n"
+                             "note: --calibration does not read --bandwidth 3.0\n")
         assert ({p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
                 == {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()})
 
@@ -353,10 +353,9 @@ class TestScore:
                                 for a in (f"--{key.replace('_', '-')}",
                                           absent.get(key, given.get(key)))),
                        "--out-dir", tmp_path / "b") == 0
-        label = {"ev_table": "EV table"}
         assert capsys.readouterr().err == "".join(
-            f"note: --metrics {' '.join(metrics)} does not read the "
-            f"{label.get(key, f'{key} file')} {absent[key]}\n" for key in unread)
+            f"note: --metrics {' '.join(metrics)} does not read "
+            f"--{key.replace('_', '-')} {absent[key]}\n" for key in unread)
         assert ({p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
                 == {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()})
 
@@ -369,7 +368,7 @@ class TestScore:
         assert capsys.readouterr().err == ""
         assert run_cli(*args, "--ev-table", bad_ev, "--out-dir", tmp_path / "b") == 0
         assert capsys.readouterr().err == (
-            f"note: --metrics cdf does not read the EV table {bad_ev}\n")
+            f"note: --metrics cdf does not read --ev-table {bad_ev}\n")
         assert ({p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
                 == {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()})
 
@@ -381,7 +380,7 @@ class TestScore:
         assert capsys.readouterr().err == ""
         assert run_cli(*args, "--ev-realization", ev, "--out-dir", tmp_path / "b") == 0
         assert capsys.readouterr().err == (
-            f"note: --metrics brier does not read the EV realization {ev}\n")
+            f"note: --metrics brier does not read --ev-realization {ev}\n")
         assert ({p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
                 == {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()})
 
@@ -459,6 +458,21 @@ class TestTrade:
             marked = pnl[-2]["cumulative"] if len(pnl) > 1 else "0.0"
             assert row["total_marked"] == marked
             assert row["total_settled"] == pnl[-1]["cumulative"]
+
+    def test_one_date_panel_notes_the_loss_it_does_not_read(self, tmp_path, capsys):
+        # one date leaves the online mixture no round: only it reads the loss
+        experts = tmp_path / "experts.csv"
+        experts.write_text("date,A\n2016-10-02,0.9\n")
+        args = ["trade", "--experts", experts, "--reference-file", FIXTURES / "reference.csv"]
+        assert run_cli(*args, "--out-dir", tmp_path / "a") == 0
+        without = capsys.readouterr()
+        assert without.err == ""
+        assert run_cli(*args, "--loss", "trading", "--out-dir", tmp_path / "b") == 0
+        given = capsys.readouterr()
+        assert given.out == without.out
+        assert given.err == "note: a one-date panel does not read --loss trading\n"
+        assert ({p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
+                == {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()})
 
     def test_misaligned_dates_listed(self, tmp_path, capsys):
         experts = tmp_path / "experts.csv"

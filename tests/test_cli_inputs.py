@@ -139,8 +139,8 @@ class TestSeriesRows:
         assert "date 2016-11-02 is repeated" in err
 
     @pytest.mark.parametrize("given,missing", [
-        ([], "a histograms file"),
-        (["--histograms", FIXTURES / "histograms.csv"], "ev_realization")])
+        ([], "--histograms"),
+        (["--histograms", FIXTURES / "histograms.csv"], "--ev-realization")])
     def test_missing_density_setting_is_the_only_line(self, tmp_path, capsys, given, missing):
         # checked with the series and outcomes settings, before the series
         # is read and scored: its -inf log-likelihood note is not printed
@@ -150,7 +150,7 @@ class TestSeriesRows:
                        *given, "--out-dir", out)
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error [score]: score needs {missing} for density metrics\n")
+            f"error [score]: score needs {missing}\n")
         assert not list(out.glob("*"))
 
     def outputs(self, tmp_path, name, rows):
@@ -547,6 +547,17 @@ class TestPanelAndReference:
         err = assert_rejected(code, capsys, experts)
         assert err == f"error [{command}]: {experts}: no rows\n"
 
+    @pytest.mark.parametrize("command", ["trade", "aggregate"])
+    def test_panel_without_an_expert_names_file(self, tmp_path, capsys, command):
+        experts = tmp_path / "p.csv"
+        experts.write_text("date\n2016-10-01\n2016-10-02\n")
+        out = tmp_path / "out"
+        code = run_cli(command, "--experts", experts,
+                       "--reference-file", FIXTURES / "reference.csv", "--out-dir", out)
+        err = assert_rejected(code, capsys, experts)
+        assert err == f"error [{command}]: {experts}: panel needs at least one expert\n"
+        assert not list(out.glob("*"))
+
     def test_single_date_panel_is_refused_by_aggregate(self, tmp_path, capsys):
         experts = tmp_path / "p.csv"
         experts.write_text("date,A,B\n2016-10-02,0.5,0.6\n")
@@ -660,6 +671,17 @@ class TestCalibrationDocument:
                                 market_fields={"sigma_samp": float("nan")})
         out = tmp_path / "out"
         assert_rejected(self.forecast(cal, out), capsys, cal, out_dir=out)
+
+    @pytest.mark.parametrize("fields,reason", [
+        ({"sigma_m": -1.0}, "volatilities must be nonnegative"),
+        ({"horizon": -1.0}, "horizon must be nonnegative"),
+    ], ids=["volatility", "horizon"])
+    def test_negative_market_field_names_file(self, tmp_path, capsys, fields, reason):
+        cal = write_calibration(tmp_path / "cal.json", market_fields=fields)
+        out = tmp_path / "out"
+        err = assert_rejected(self.forecast(cal, out), capsys, cal, out_dir=out)
+        assert err == f"error [forecast]: {cal}: market: {reason}\n"
+        assert not list(out.glob("*"))
 
 
 OUT_OF_RANGE_FLAGS = [
@@ -811,6 +833,44 @@ class TestEmptyPaths:
         assert {key for key, (parse, _) in cli._SETTINGS.items() if parse is cli.file_path} == {
             "polls", "historical", "ev_table", "experts", "series", "outcomes",
             "histograms", "reference_file", "calibration"}
+
+
+class TestNeededSettings:
+    """A run that needs a setting left unset stops with exit 1, one line
+    naming its flag and no outputs.  The file settings given name absent
+    files, the EV table included: each run is refused before it opens one."""
+
+    @pytest.mark.parametrize("args,why,flag", [
+        (["forecast"], "forecast without --calibration", "--polls"),
+        (["forecast", "--ev-table", "absent"], "forecast without --calibration", "--polls"),
+        (["forecast", "--polls", "absent"], "forecast without --calibration",
+         "--election-date"),
+        (["calibrate", "--historical", "absent"], "calibrate", "--polls"),
+        (["calibrate", "--polls", "absent"], "calibrate", "--election-date"),
+        (["score"], "score", "--series"),
+        (["score", "--series", "absent"], "score", "--outcomes"),
+        (["score", "--series", "absent", "--outcomes", "absent"], "score", "--histograms"),
+        (["score", "--series", "absent", "--outcomes", "absent", "--histograms", "absent"],
+         "score", "--ev-realization"),
+        (["score", "--metrics", "brier", "loglik"], "--metrics brier loglik", "--series"),
+        (["score", "--metrics", "brier", "--ev-table", "absent"], "--metrics brier", "--series"),
+        (["score", "--metrics", "cdf", "--ev-realization", "0"], "--metrics cdf",
+         "--histograms"),
+        (["trade"], "trade", "--experts"),
+        (["trade", "--reference", "pairmean"], "trade", "--experts"),
+        (["trade", "--experts", "absent"], "trade", "--reference-file"),
+        (["aggregate", "--reference-file", "absent"], "aggregate", "--experts"),
+        (["aggregate", "--experts", "absent"], "aggregate", "--reference-file"),
+        (["forecast", "--calibration", FIXTURES / "calibration.json",
+          "--noise-model", "student_t"], "--noise-model student_t", "--seed"),
+    ])
+    def test_missing_setting_is_one_line_naming_its_flag(self, tmp_path, capsys, args, why,
+                                                         flag):
+        out = tmp_path / "out"
+        args = [tmp_path / a if a == "absent" else a for a in args]
+        assert run_cli(*args, "--out-dir", out) == 1
+        assert capsys.readouterr().err == f"error [{args[0]}]: {why} needs {flag}\n"
+        assert not list(out.glob("*"))
 
 
 # 2016-13-45 is no day; the others are forms that only some Pythons read.
@@ -1291,6 +1351,17 @@ def test_runs_in_one_process_share_no_settings(tmp_path):
         assert json.loads((out / "learner.json").read_text())["loss"] == loss
 
 
+def test_notes_show_a_warning_of_another_category_as_a_warning(capsys):
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        with cli._notes(scoring.HypersensitiveForecastWarning):
+            warnings.warn("noted twice", scoring.HypersensitiveForecastWarning)
+            warnings.warn("shown", RuntimeWarning)
+            warnings.warn("noted twice", scoring.HypersensitiveForecastWarning)
+    assert [(w.category, str(w.message)) for w in shown] == [(RuntimeWarning, "shown")]
+    assert capsys.readouterr().err == "note: noted twice\n"
+
+
 def test_metric_tables_come_from_scoring():
     from statecast import scoring
     assert list(cli._BINARY_SCORERS) == list(scoring.BINARY_METRICS)
@@ -1476,7 +1547,7 @@ def test_one_edit_to_a_calibration_document_exits_cleanly(edit):
                 # a Gaussian forecast is computed: it names what it does not read
                 unread = ["seed 5", "paths 300", *[f"workers {workers}"] * (workers > 1)]
                 assert err.getvalue() == ("" if model == "student_t" else "".join(
-                    f"note: --noise-model gaussian does not read the {what}\n" for what in unread))
+                    f"note: --noise-model gaussian does not read --{what}\n" for what in unread))
                 assert "nan" not in (out / "forecast.json").read_text().lower()
             else:
                 assert code == 1

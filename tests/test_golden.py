@@ -423,7 +423,7 @@ def test_pairmean_names_the_reference_file_it_does_not_read(tmp_path, capsys):
     assert main([*map(str, args), "--reference-file", str(absent), "--out-dir", str(out)]) == 0
     captured = capsys.readouterr()
     assert captured.out == stdout
-    assert captured.err == f"note: --reference pairmean does not read the reference file {absent}\n"
+    assert captured.err == f"note: --reference pairmean does not read --reference-file {absent}\n"
     assert {p.name: sha256(p) for p in out.iterdir()} == digests
 
 

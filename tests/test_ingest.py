@@ -203,6 +203,21 @@ class TestSmoothNational:
         with pytest.raises(ValueError, match="same length"):
             smooth_national([0.0, 1.0], [2.0], bandwidth=5.0)
 
+    @pytest.mark.parametrize("grid,values,reason", [
+        ([0.0, 1.0], [2.0], "grid and values must be 1-D and the same length"),
+        ([[0.0, 1.0]], [[2.0, 3.0]], "grid and values must be 1-D and the same length"),
+        ([1.0, 0.0], [2.0, 3.0], "grid must be strictly ascending"),
+        ([0.0, 0.0], [2.0, 3.0], "grid must be strictly ascending"),
+    ], ids=["lengths", "two_dimensional", "descending", "repeated"])
+    def test_bad_series_is_rejected(self, grid, values, reason):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            SmoothedSeries(grid=grid, values=values)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0])
+    def test_bandwidth_must_be_positive(self, bandwidth):
+        with pytest.raises(ValueError, match="^bandwidth must be positive$"):
+            smooth_national([0.0, 1.0], [2.0, 4.0], bandwidth=bandwidth)
+
     def test_underflow_falls_back_to_nearest(self):
         # at h = 1 every weight underflows more than about 38.6 days from a poll
         with pytest.warns(RuntimeWarning, match="underflow"):

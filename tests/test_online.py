@@ -87,6 +87,11 @@ class TestUpdate:
         with pytest.raises(ValueError):
             update(init(2, 4), [0.0, float("-inf")])
 
+    @pytest.mark.parametrize("losses", [[0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]])
+    def test_rejects_a_loss_per_expert_of_another_shape(self, losses):
+        with pytest.raises(ValueError, match="^loss vector length does not match expert count$"):
+            update(init(2, 4), losses)
+
     def test_weights_stay_probability_vector(self):
         rng = np.random.default_rng(15)
         state = init(6, 30)

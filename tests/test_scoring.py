@@ -157,6 +157,11 @@ class TestSelten:
         with pytest.raises(ScoreError):
             selten(np.full(4, 0.3), 1)
 
+    def test_rejects_a_two_dimensional_histogram(self):
+        with pytest.raises(ScoreError,
+                           match="^histogram must be a nonempty 1-D probability vector$"):
+            selten(np.full((2, 2), 0.25), 1)
+
 
 class TestSpherical:
     def test_point_mass(self):
@@ -363,6 +368,11 @@ class TestScoreCurves:
         assert h.sum() == pytest.approx(1.0, abs=1e-12)
         assert h.min() >= 0.0
 
+    @pytest.mark.parametrize("std", [0.0, -1.0])
+    def test_gaussian_histogram_needs_a_positive_std(self, std):
+        with pytest.raises(ValueError, match="^std must be positive$"):
+            gaussian_histogram(269, std)
+
 
 class TestProprietyCoarse:
     """Coarse-grid version of the acceptance propriety suite."""
@@ -385,3 +395,13 @@ class TestHistogramChecks:
     def test_series_rejects_non_probability(self, bad):
         with pytest.raises(ValueError):
             series([0.5, bad])
+
+    @pytest.mark.parametrize("times,probs,reason", [
+        ([0.0, 1.0], [0.5], "times and probs must be 1-D and the same length"),
+        ([[0.0, 1.0]], [[0.5, 0.5]], "times and probs must be 1-D and the same length"),
+        ([1.0, 0.0], [0.5, 0.5], "times must be strictly increasing"),
+        ([1.0, 1.0], [0.5, 0.5], "times must be strictly increasing"),
+    ], ids=["lengths", "two_dimensional", "decreasing", "repeated"])
+    def test_series_rejects_bad_times(self, times, probs, reason):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            BinaryForecastSeries("f", times, probs)

@@ -178,6 +178,11 @@ class TestStateNoise:
         spread = intercept + slope * 2.0 + noise
         assert spread.shape == (1,) and spread[0] == 2.5
 
+    def test_unknown_model_is_refused(self):
+        cal = StateCalibration("OH", 0.5, 1.0, 0.0, 5, "polls")
+        with pytest.raises(ValueError, match="^unknown noise model 't'$"):
+            sample_state_noise(cal, 1, "t", _stream(1, 1))
+
 
 # Each kind of draw sample_state_noise and the market take, as (stream,
 # count) -> values.
@@ -987,9 +992,9 @@ class TestConfigValidation:
         assert run_forecast(cals, mkt, ev, SimulationConfig()).ev_histogram.shape == (1, EV_BINS)
         for model in NOISE_MODELS:
             cfg = SimulationConfig(n_paths=10, noise_model=model)
-            with pytest.raises(ConfigurationError, match=r"^seed is required \(pass --seed\)$"):
+            with pytest.raises(ConfigurationError, match="^a sampled run needs a seed$"):
                 simulate_paths(cals, [mkt], ev, cfg)
-        with pytest.raises(ConfigurationError, match="^seed is required"):
+        with pytest.raises(ConfigurationError, match="^a sampled run needs a seed$"):
             run_forecast(cals, mkt, ev, SimulationConfig(noise_model="student_t"))
 
     def test_seed_range(self):
@@ -1008,6 +1013,7 @@ class TestConfigValidation:
         ("n_paths", 10.5, TypeError),
         ("n_paths", True, TypeError),
         ("workers", 2.5, TypeError),
+        ("workers", 0, ValueError),
         ("workers", True, TypeError),
         ("win_threshold", float("nan"), ValueError),
         ("win_threshold", float("inf"), ValueError),

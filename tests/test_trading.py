@@ -136,6 +136,15 @@ class TestMarkToMarket:
         pnl = mark_to_market(positions(fc([0.9, 0.8, 0.6, 0.9]), r), r)
         np.testing.assert_allclose(pnl.cumulative, np.cumsum(pnl.increments), atol=0)
 
+    @pytest.mark.parametrize("times,reason", [
+        ([], "no positions to mark"),
+        ([0.0, 0.5], "every position date must be a reference date"),
+    ], ids=["none", "off_the_reference"])
+    def test_positions_the_reference_cannot_mark(self, times, reason):
+        pos = PositionSeries(times=np.array(times), values=np.full(len(times), 0.25))
+        with pytest.raises(AlignmentError, match=f"^{reason}$"):
+            mark_to_market(pos, ref([0.3, 0.45, 0.40]))
+
 
 class TestSettle:
     def test_one_period_case(self):
