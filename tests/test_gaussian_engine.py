@@ -7,6 +7,7 @@ two-row historical fits, so nearly steps) and of seeded contested races.
 ``GRID_BOUND`` is the error the module docstring states for every output.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -51,6 +52,12 @@ def fixture_days():
     args = cli.build_parser().parse_args([
         "forecast", "--polls", str(FIXTURES / "polls.csv"),
         "--historical", str(FIXTURES / "historical.csv"), "--election-date", "2016-11-08"])
+    return cli._calibrate_from_files(args)
+
+
+def calibration_day():
+    args = cli.build_parser().parse_args(
+        ["forecast", "--calibration", str(FIXTURES / "calibration.json")])
     return cli._calibrate_from_files(args)
 
 
@@ -256,3 +263,77 @@ def test_normal_cdf_matches_math_erfc():
     tail = (x < -1.0) & (x > -37.0)  # where the tail is a normal float
     assert (np.abs(got[tail] - expected[tail]) <= 1e-12 * expected[tail]).all()
     assert simulation._phi(np.array([np.nan]))[0] == 0.0
+
+
+def engine_digest(runs) -> str:
+    """sha256 of every run's full ``p_state`` and ``ev_histogram`` bytes."""
+    digest = hashlib.sha256()
+    for cals, days, ev, threshold in runs:
+        exact = gaussian_days(cals, days, ev, threshold)
+        digest.update(exact.p_state.tobytes())
+        digest.update(exact.ev_histogram.tobytes())
+    return digest.hexdigest()
+
+
+def extreme_runs():
+    rng = np.random.default_rng(2024)  # the draws of test_random_extreme_inputs_give_distributions
+    for _ in range(40):
+        cals, days, threshold = extreme_case(rng)
+        yield cals, days, default_ev_table(), threshold
+
+
+#: The engine's bytes on every day, not only day 0 (``forecast.json``) or
+#: p_national (``timeseries.csv``): a change that keeps the engine's
+#: arithmetic keeps these digests.
+ENGINE_BYTES = {
+    ("fixture", 0.0): "5a7a603e353db1c74d96444e915f8d0bb025e043dffe0a27f9f3d4e1fa6a08e4",
+    ("fixture", 18.0): "cba6d909ec379910e97444e3980905ea94a96f456b13e038389bb6a6752e8e3d",
+    ("race3", 0.0): "dfd0c1d14f19085ad08ebd3c9e80bc5cde5ac252a4fbe72b3cb4691a715c0aba",
+    ("race3", 18.0): "79d360795d6efb1216273f0d9647a3d96a0926c2dc1905d12ba869fd6d1d3fdf",
+    ("race5", 0.0): "770207300cd69e2fecb26c7d755066e975735010c8f1c58180c449f38077d10e",
+    ("race5", 18.0): "5ac7079abd04f650a8fe2314d5144d4b70590393db1f97a564299c7252f1cbc9",
+    ("race11", 0.0): "89e8bba43377379cbe626fab051ac2d0ecd216afe64cabafffde2037cfeea9f9",
+    ("race11", 18.0): "fa85497e4cfbbf85cc7be2aa0eace53f22da0e9336158be2fe679525c0d2355f",
+    ("calibration", 0.0): "06c45e114a6868219a3fa87428df0209cd9a5e35d962b922546717e623670aa8",
+    ("extremes", None): "56eae6e8cce22197a464fb585e72b0051df7074a9fadc9ae7b0d2d6e224d0fac",
+}
+
+
+@pytest.mark.parametrize("name,threshold", ENGINE_BYTES)
+def test_engine_bytes(name, threshold):
+    if name == "extremes":
+        runs = extreme_runs()
+    else:
+        runs = [(*(calibration_day if name == "calibration" else INPUTS[name])(), threshold)]
+    assert engine_digest(runs) == ENGINE_BYTES[name, threshold]
+
+
+@pytest.mark.parametrize("name,threshold", [("fixture", 18.0), ("race3", 0.0), ("race5", 18.0)])
+def test_a_poisson_binomial_row_does_not_depend_on_its_chunk(name, threshold, monkeypatch):
+    # a state lost in every row of a chunk is skipped and one won in every
+    # row shifts it; either must give the bits its convolution would, so a
+    # row built with its block equals it built with the whole lattice
+    cals, days, ev = INPUTS[name]()
+    seen = []
+    level_part = simulation._level_part
+
+    def recorded(*args):
+        part = level_part(*args)
+        seen.append(part)
+        return part
+
+    monkeypatch.setattr(simulation, "_level_part", recorded)
+    gaussian_days(cals, days, ev, threshold)
+    votes = np.sort([ev[s] for s in sorted(ev)])
+    assert seen
+    for _, probs, _, blocks in seen:
+        p = probs[:, :-1]
+        lo, whole = simulation._poisson_binomial(p, votes)
+        starts = np.flatnonzero(np.r_[True, blocks[1:] != blocks[:-1]])
+        assert len(starts) > 1
+        for r0, r1 in zip(starts, [*starts[1:], len(blocks)]):
+            lo_b, part = simulation._poisson_binomial(p[r0:r1], votes)
+            rows = np.zeros((2, r1 - r0, EV_BINS + 1))
+            rows[0, :, lo:lo + whole.shape[1]] = whole[r0:r1]
+            rows[1, :, lo_b:lo_b + part.shape[1]] = part
+            assert rows[0].tobytes() == rows[1].tobytes()
