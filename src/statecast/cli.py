@@ -148,6 +148,7 @@ def _load_ev(cfg: argparse.Namespace) -> dict[str, int]:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)  # --out-dir, with its first output
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -155,6 +156,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, doc) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -676,9 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command][0](args, out_dir)
+        return _COMMANDS[args.command][0](args, Path(args.out_dir))
     except StatecastError as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1

@@ -586,6 +586,27 @@ class TestCurves:
         assert f"'{out}'" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["forecast"],
+    ["calibrate"],
+    ["score", "--metrics", "cdf"],
+    ["forecast", "--polls", FIXTURES / "missing.csv", "--election-date", "2016-11-08"],
+], ids=["forecast", "calibrate", "score", "missing_polls"])
+def test_a_refused_run_makes_no_out_dir(tmp_path, capsys, args):
+    # the directory is made with the first output, so a run that writes
+    # none leaves nothing behind
+    out = tmp_path / "refusals" / "deeper"
+    assert run_cli(*args, "--out-dir", out) == 1
+    assert capsys.readouterr().err.startswith(f"error [{args[0]}]: ")
+    assert not (tmp_path / "refusals").exists()
+
+
+def test_a_run_makes_its_out_dir_and_parents(tmp_path):
+    out = tmp_path / "a" / "b"
+    assert run_cli("curves", "--out-dir", out) == 0
+    assert len(list(out.glob("curves_*.csv"))) == 4
+
+
 class TestModuleEntryPoint:
     """``python -m statecast`` runs the same CLI, exit codes included."""
 
