@@ -25,15 +25,15 @@ from it.  Each cell holds each state's p_i averaged over the cell (a step
 gives its share of the cell), spread to two rows by half its change across
 the cell's two Gauss-Legendre nodes; a day weighs them by the linear
 function through the nodes: its Gaussian mass over the cell, -+ sqrt(3)
-times its first moment about the midpoint over the width.  The rows'
-Poisson-binomials are built a block of ``_CELL_BLOCK`` lattice cells at a
-time, the states in ascending-EV order over the support reached so far,
-and each block's days add mass x H with ``np.einsum``, which sums the cells
-in order and calls no BLAS: no output depends on BLAS threads or kernels.
-A probability within ``_DECIDED`` of 0 or 1 is taken as it.  The work
-grows with the rows, not the days: days of one lattice width share its
-cells where their spans overlap, and each narrow crossing adds five cells
-to every lattice a run uses.
+times its first moment about the midpoint over the width, all the days of
+a lattice in one pass.  The rows' Poisson-binomials are built a block of
+``_CELL_BLOCK`` lattice cells at a time, each state a contiguous row, in
+ascending-EV order over the support reached so far, and each block's days
+add mass x H with ``np.einsum``, which sums the cells in order and calls
+no BLAS: no output depends on BLAS threads or kernels.  A probability
+within ``_DECIDED`` of 0 or 1 is taken as it.  The work grows with the
+rows, not the days: days of one lattice width share its cells where their
+spans overlap, and each narrow crossing adds five cells to every lattice.
 
 Every day's outputs are within 1e-5 of the exact values: on the bundled
 fixture and on seeded contested races, at thresholds 0 and 18, each p_state
@@ -539,15 +539,21 @@ def _lower_tail(x: np.ndarray) -> np.ndarray:
     y = np.abs(x)
     out = np.zeros(np.shape(y))
     near = y <= 0.67448975
-    top, bottom = _ratio(y[near] ** 2, _NEAR)
-    out[near] = 0.5 - y[near] * top / bottom
-    mid = ~near & (y <= 5.656854249492380195)
-    top, bottom = _ratio(y[mid], _MID)
-    out[mid] = _exp_half_square(y[mid]) * top / bottom
-    far = ~near & ~mid & (y < 38.5)  # beyond, the tail is below the least float
-    inv = 1.0 / y[far] ** 2
-    top, bottom = _ratio(inv, _FAR)
-    out[far] = _exp_half_square(y[far]) * (_INV_SQRT_2PI - inv * top / bottom) / y[far]
+    v = y[near]
+    if len(v):  # each part's values gathered once, and an empty part skipped
+        top, bottom = _ratio(v ** 2, _NEAR)
+        out[near] = 0.5 - v * top / bottom
+    mid = (y > 0.67448975) & (y <= 5.656854249492380195)
+    v = y[mid]
+    if len(v):
+        top, bottom = _ratio(v, _MID)
+        out[mid] = _exp_half_square(v) * top / bottom
+    far = (y > 5.656854249492380195) & (y < 38.5)  # beyond, the tail is below the least float
+    v = y[far]
+    if len(v):
+        inv = 1.0 / v ** 2
+        top, bottom = _ratio(inv, _FAR)
+        out[far] = _exp_half_square(v) * (_INV_SQRT_2PI - inv * top / bottom) / v
     return out
 
 
@@ -611,32 +617,34 @@ def _poisson_binomial(p: np.ndarray, votes: np.ndarray):
     """Each row's distribution of the votes won, from the win probabilities
     ``p`` (rows x states, the states in ascending-EV order), as ``(lo,
     table)``: ``table`` holds bins lo, lo + 1, ... of each row.  The rows
-    are built two ``_CELL_BLOCK`` at a time, bins x rows, so that each step
-    walks contiguous memory.  A state lost in every row of a chunk is
-    skipped and one won in every row shifts its window, which gives the
-    bits a convolution with it would; the others are convolved in turn
-    over the support reached so far."""
+    are built two ``_CELL_BLOCK`` at a time, bins x rows, each state's
+    probabilities a contiguous row, so that each step walks contiguous
+    memory.  A state lost in every row of a chunk is skipped and one won in
+    every row shifts its window, which gives the bits a convolution with it
+    would; the others are convolved in turn over the support reached so
+    far."""
     out = np.zeros((len(p), votes.sum() + 2))  # a last zero column: see gaussian_days
-    work, moved = np.empty((2, votes.sum() + 1, min(len(p), 2 * _CELL_BLOCK)))
-    lo_all, hi_all = votes.sum(), 0
+    table = np.empty((votes.sum() + 1, min(len(p), 2 * _CELL_BLOCK)))
+    # the support before the last state: the most a step shifts
+    moved = np.empty((votes.sum() + 1 - votes[-1], table.shape[1]))
+    lo_all, hi_all, votes = votes.sum(), 0, votes.tolist()
     for c in range(0, len(p), 2 * _CELL_BLOCK):
-        chunk = p[c:c + 2 * _CELL_BLOCK]
-        table = work[:, :len(chunk)]
-        table[0] = 1.0
+        q = np.ascontiguousarray(p[c:c + 2 * _CELL_BLOCK].T)  # states x rows
+        part = table[:, :q.shape[1]]
+        part[0] = 1.0
         lo, n = 0, 1
-        won = (chunk == 1.0).all(axis=0)
-        for i in np.flatnonzero(chunk.any(axis=0)):
+        won = (q == 1.0).all(axis=1)
+        for i in np.flatnonzero(q.any(axis=1)).tolist():
             v = votes[i]
             if won[i]:
                 lo += v
                 continue
-            q = chunk[:, i]
-            shifted = np.multiply(table[:n], q, out=moved[:n, :len(chunk)])
-            np.multiply(table[:n], 1.0 - q, out=table[:n])
-            table[n:n + v] = 0.0
-            table[v:v + n] += shifted
+            shifted = np.multiply(part[:n], q[i], out=moved[:n, :q.shape[1]])
+            np.multiply(part[:n], 1.0 - q[i], out=part[:n])
+            part[n:n + v] = 0.0
+            part[v:v + n] += shifted
             n += v
-        out[c:c + len(chunk), lo:lo + n] = table[:n].T
+        out[c:c + q.shape[1], lo:lo + n] = part[:n].T
         lo_all, hi_all = min(lo_all, lo), max(hi_all, lo + n)
     return lo_all, out[:, lo_all:hi_all + 1]
 
@@ -657,11 +665,52 @@ def _cell_rows(line, edges: np.ndarray, threshold: float) -> np.ndarray:
     return rows
 
 
+def _day_weights(edges: np.ndarray, h: float, windows, sig, mc) -> np.ndarray:
+    """Each day's weight on each row, two per cell between ``edges``, for
+    the days ``windows`` (day, lo, hi) over lattice cells lo..hi - 1 of
+    width ``h``.  A day weighs a cell's two rows by the linear function
+    through its nodes: half its mass each, -+ sqrt(3) times its first
+    moment about the midpoint c over the width, which in the day's standard
+    units z is (phi(z0) - phi(z1) - mass c) / (z1 - z0), or -c phi(c) (z1 -
+    z0)^2 / 12 below a width of 1e-2, where the difference would lose it.
+    The end cells also hold the mass beyond the span, and no tilt, as no
+    cell of a day past +-max has.  The days' edges lie end to end, each
+    day's CDF 0 and 1 at its ends, so one pass weighs every cell; the step
+    between two days (no mass, no tilt) goes to the cell past the first's
+    last, and a cell more is made for it."""
+    days, lo, hi = np.array(windows).T
+    j0, j1 = np.searchsorted(edges, np.clip([lo * h, hi * h], -_FMAX, _FMAX))
+    size = j1 - j0 + 1  # a day's edges j0..j1
+    ends = np.cumsum(size)
+    at = np.repeat(j0 - ends + size, size) + np.arange(ends[-1])  # each place's edge
+    z = (edges[at] - np.repeat(mc[days], size)) / np.repeat(sig[days], size)
+    mass = _phi(z)
+    mass[ends - size], mass[ends - 1] = 0.0, 1.0
+    mass = np.maximum(np.diff(mass), 0.0)
+    tilt = _INV_SQRT_2PI * _exp_half_square(np.abs(z))
+    tilt = np.subtract(tilt[:-1], tilt[1:], out=tilt[:-1])
+    c = 0.5 * z[:-1] + 0.5 * z[1:]
+    dz = np.subtract(z[1:], z[:-1], out=z[:-1])
+    tilt -= mass * c
+    tilt /= dz
+    near = dz < 1e-2
+    c, dz = c[near], dz[near]
+    tilt[near] = -c * _INV_SQRT_2PI * _exp_half_square(np.abs(c)) * dz * dz / 12.0
+    tilt *= math.sqrt(3.0)
+    inner = np.repeat((np.abs(lo * h) < _FMAX) & (np.abs(hi * h) < _FMAX), size)[:-1]
+    inner[ends - size] = inner[ends - 2] = inner[ends[:-1] - 1] = False  # ends and steps
+    tilt[~inner] = 0.0
+    weights = np.zeros((len(windows), len(edges), 2))
+    at += np.repeat(np.arange(len(windows)) * len(edges), size)
+    weights.reshape(-1, 2)[at[:-1]] = np.stack([mass / 2 - tilt, mass / 2 + tilt], axis=1)
+    return weights[:, :-1].reshape(len(windows), -1)
+
+
 def _level_part(line, threshold: float, h: float, windows, sig, mc):
     """The days ``windows`` (day, lo, hi) whose market levels lie on the
     lattice of cell width ``h``, each over the lattice cells lo..hi - 1, as
     (days, rows, weights, blocks): the rows of state probabilities, two per
-    cell; each day's weight on each row; and each row's block."""
+    cell; every day's weight on each row, in one pass; each row's block."""
     a, b, s = line
     cells = np.unique(np.concatenate([np.arange(lo, hi) for _, lo, hi in windows]))
     edges = np.union1d(cells, cells + 1) * h
@@ -670,30 +719,7 @@ def _level_part(line, threshold: float, h: float, windows, sig, mc):
     cross = (((threshold - a) / b)[narrow] + (s / np.abs(b))[narrow] * _GRADES).ravel()
     edges = np.unique(np.clip(np.concatenate(
         [edges, cross[(cross > edges[0]) & (cross < edges[-1])]]), -_FMAX, _FMAX))
-    # Each day weighs a cell's two rows by the linear function through its
-    # nodes: half its mass each, -+ sqrt(3) times its first moment about
-    # the midpoint c over the width, which in the day's standard units z is
-    # (phi(z0) - phi(z1) - mass c) / (z1 - z0), or -c phi(c) (z1 - z0)^2 / 12
-    # below a width of 1e-2, where the difference would lose it.  The end
-    # cells also hold the mass beyond the day's span, and no tilt.
-    spans = [np.searchsorted(edges, np.clip([lo * h, hi * h], -_FMAX, _FMAX))
-             for _, lo, hi in windows]
-    z = np.concatenate([(edges[j0 + 1:j1] - mc[d]) / sig[d]
-                        for (d, _, _), (j0, j1) in zip(windows, spans)])
-    cdf, density = _phi(z), _INV_SQRT_2PI * _exp_half_square(np.abs(z))
-    weights = np.zeros((len(windows), 2 * len(edges) - 2))
-    at = 0
-    for row, ((d, lo, hi), (j0, j1)) in zip(weights, zip(windows, spans)):
-        k = at + j1 - j0 - 1  # the window's interior edges are at..k - 1
-        mass = np.maximum(np.diff(np.concatenate([[0.0], cdf[at:k], [1.0]])), 0.0)
-        tilt = np.zeros(len(mass))
-        if abs(lo * h) < _FMAX and abs(hi * h) < _FMAX:  # else no tilt past +-max
-            c, dz = 0.5 * z[at:k - 1] + 0.5 * z[at + 1:k], z[at + 1:k] - z[at:k - 1]
-            moment = (density[at:k - 1] - density[at + 1:k] - mass[1:-1] * c) / dz
-            near = -c * _INV_SQRT_2PI * _exp_half_square(np.abs(c)) * dz * dz / 12.0
-            tilt[1:-1] = math.sqrt(3.0) * np.where(dz < 1e-2, near, moment)
-        row[2 * j0:2 * j1:2], row[2 * j0 + 1:2 * j1:2] = mass / 2 - tilt, mass / 2 + tilt
-        at = k
+    weights = _day_weights(edges, h, windows, sig, mc)
     # the rows, with a last zero column (see gaussian_days), made a few
     # blocks of cells at a time so that their temporaries stay small
     probs = np.zeros((2 * len(edges) - 2, len(a) + 1))
