@@ -625,7 +625,7 @@ def _poisson_binomial(p: np.ndarray, votes: np.ndarray):
     far."""
     out = np.zeros((len(p), votes.sum() + 2))  # a last zero column: see gaussian_days
     table = np.empty((votes.sum() + 1, min(len(p), 2 * _CELL_BLOCK)))
-    # the support before the last state: the most a step shifts
+    # a step shifts at most the support reached before the last state
     moved = np.empty((votes.sum() + 1 - votes[-1], table.shape[1]))
     lo_all, hi_all, votes = votes.sum(), 0, votes.tolist()
     for c in range(0, len(p), 2 * _CELL_BLOCK):
